@@ -36,15 +36,21 @@ def test_figure3_and_4_wrappers_generated(benchmark):
     )
     # Figure 3: the native-method wrapper acquires reference arguments on
     # entry and releases the frame on return.
-    assert "rt.local_ref.enter_native(env, method_name, handles)" in source
-    assert "rt.local_ref.exit_native(env, method_name, result)" in source
+    assert (
+        "rt.local_ref.enter_native(env, thread, method_name, handles)"
+        in source
+    )
+    assert "rt.local_ref.exit_native(env, thread, method_name, result)" in source
     # Figure 4: the CallStaticVoidMethodA wrapper contains the
     # jinn_refs_contains-style use check and raises on dangling.
     lines = source.splitlines()
     start = lines.index(
         "    def wrapped_CallStaticVoidMethodA(env, *args):"
     )
-    body = "\n".join(lines[start : start + 30])
-    assert "rt.local_ref.contains(env, args[0])" in body
+    end = lines.index(
+        "        result = raw_CallStaticVoidMethodA(env, *args)", start
+    )
+    body = "\n".join(lines[start:end])
+    assert "rt.local_ref.contains(env, thread, args[0])" in body
     assert "rt.local_ref.report_dangling" in body
     assert "return rt.fail(env, v, None)" in body

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: tests, bytecode compilation, the fixed-seed fuzz smoke,
+# Tier-1 gate: tests, the benchmark's own tests and its known-answer
+# smoke run (exit 1 on any wrong verdict), bytecode compilation, the
+# fixed-seed fuzz smoke,
 # the resilience smoke (chaos containment + crash recovery), the obs
 # CLI smoke, the fleet smoke (work-stealing replay of the regression
 # corpus on 2 workers, gated on stream identity), the fleet storage
@@ -18,6 +20,10 @@ export PYTHONPATH="src:."
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== benchmark tests + known-answer smoke run =="
+python -m pytest bench/tests -q
+python -m bench run --smoke
 
 echo "== trace round-trip parity =="
 python -m pytest -q tests/test_trace_replay.py

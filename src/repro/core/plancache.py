@@ -15,9 +15,10 @@ every process after the first warm-starts:
   table's full metadata, the stage flags (checking/record/govern/
   telemetry), the interpreter's ``cache_tag`` (compiled code is
   bytecode-version specific), and a *generator salt* hashing the
-  source files behind the synthesis — the synthesizer module and every
-  spec class's defining file — so editing emit logic can never revive
-  a stale plan.
+  source files behind the synthesis — the synthesizer module, every
+  spec class's defining file, and the ``defaults`` and JNI
+  ``machines.common`` helpers they emit through — so editing emit
+  logic can never revive a stale plan.
 - **Value**: one file ``<digest>.plan`` holding a JSON header line, a
   base64 ``marshal`` blob of the compiled code object, and the
   generated source appended for human inspection.  Writes are
@@ -94,12 +95,22 @@ def plan_digest(registry, function_table, flags: Dict[str, bool]) -> str:
     # The generator salt: the files whose code *produces* the plan.
     # The fingerprint names spec classes but does not hash their emit
     # bodies — a stale plan surviving an emit-logic edit would be a
-    # silent wrong-checker bug, so hash the defining sources too.
+    # silent wrong-checker bug, so hash the defining sources (with their
+    # base classes, whose attributes such as ``reads_thread`` steer
+    # emission) too, and the helpers they emit through: ``defaults``
+    # writes every entry's failure default, ``machines.common`` the JNI
+    # machines' shared code.
+    from repro.core import defaults as defaults_module
     from repro.jinn import synthesizer as synthesizer_module
+    from repro.jinn.machines import common as common_module
 
-    salt_files = {_source_file(synthesizer_module)}
+    salt_files = {
+        _source_file(synthesizer_module),
+        _source_file(defaults_module),
+        _source_file(common_module),
+    }
     for spec in registry:
-        salt_files.add(_source_file(type(spec)))
+        salt_files.update(_source_file(cls) for cls in type(spec).__mro__)
     if function_table is None:
         from repro.jni import functions as functions_module
 

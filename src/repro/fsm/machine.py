@@ -158,6 +158,8 @@ class StateMachineSpec:
     errors_discovered: Tuple[str, ...] = ()
     #: The constraint class from Table 2: "jvm-state", "type", or "resource".
     constraint_class: str = ""
+    #: Do the emitted lines read the crossing's thread as ``thread``?
+    reads_thread: bool = False
 
     def states(self) -> Sequence[State]:
         raise NotImplementedError
@@ -185,8 +187,9 @@ class StateMachineSpec:
         Returns:
             Python source lines (no indentation) referring to the runtime
             names ``rt`` (the agent's runtime), ``env``, ``args``, and
-            ``result``; an empty list when the machine has nothing to check
-            at this site.
+            ``result`` — plus ``thread``, the crossing's thread, when the
+            spec sets :attr:`reads_thread`; an empty list when the machine
+            has nothing to check at this site.
         """
         return []
 

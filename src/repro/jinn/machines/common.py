@@ -31,6 +31,40 @@ def peek(handle):
     return None
 
 
+class ClassResolver:
+    """Per-VM memo of class lookups for the typing machines.
+
+    Only positive answers are kept, keyed by the name or the class
+    object itself: the VM never redefines or unloads a class, so a found
+    class stays right, while a miss may become a hit once the class is
+    defined.  It offers the VM's ``find_class``, so ``conforms`` and
+    ``value_conforms`` take it in the VM's place.
+    """
+
+    __slots__ = ("vm", "_by_name", "_by_object")
+
+    def __init__(self, vm):
+        self.vm = vm
+        self._by_name = {}
+        self._by_object = {}
+
+    def find_class(self, name):
+        jclass = self._by_name.get(name)
+        if jclass is None:
+            jclass = self.vm.find_class(name)
+            if jclass is not None:
+                self._by_name[name] = jclass
+        return jclass
+
+    def class_of_class_object(self, class_object):
+        jclass = self._by_object.get(class_object)
+        if jclass is None:
+            jclass = self.vm.class_of_class_object(class_object)
+            if jclass is not None:
+                self._by_object[class_object] = jclass
+        return jclass
+
+
 def selector(description, predicate) -> FunctionSelector:
     """A FunctionSelector over JNI metadata that never matches native
     methods (meta None)."""

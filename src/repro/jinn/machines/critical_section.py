@@ -42,7 +42,12 @@ SENSITIVE = selector(
 
 
 class CriticalSectionEncoding(Encoding):
-    """Per-thread tallies of acquired critical resources (Jinn's own)."""
+    """Per-thread tallies of acquired critical resources (Jinn's own).
+
+    A thread's tally holds only resources it still holds, so "inside a
+    critical section" is a non-empty tally: one dict ``get`` on the hot
+    path, which every critical-sensitive JNI call pays.
+    """
 
     def __init__(self, spec, vm):
         super().__init__(spec)
@@ -50,25 +55,23 @@ class CriticalSectionEncoding(Encoding):
         #: thread id -> {resource object id -> acquisition count}
         self.tallies: Dict[int, Dict[int, int]] = {}
 
-    def _tally(self) -> Dict[int, int]:
-        tid = self.vm.current_thread.thread_id
-        return self.tallies.setdefault(tid, {})
-
-    def acquire(self, env, function: str, handle, result) -> None:
+    def acquire(self, env, thread, function: str, handle, result) -> None:
         if result is None:
             return
         resource = peek(handle)
         if resource is None:
             return
-        tally = self._tally()
+        tally = self.tallies.get(thread.thread_id)
+        if tally is None:
+            tally = self.tallies[thread.thread_id] = {}
         tally[resource.object_id] = tally.get(resource.object_id, 0) + 1
 
-    def release(self, env, function: str, handle) -> None:
+    def release(self, env, thread, function: str, handle) -> None:
         resource = peek(handle)
         if resource is None:
             return
-        tally = self._tally()
-        count = tally.get(resource.object_id, 0)
+        tally = self.tallies.get(thread.thread_id)
+        count = tally.get(resource.object_id, 0) if tally else 0
         if count == 0:
             raise violation(
                 "{} releases a critical resource the thread does not "
@@ -83,9 +86,8 @@ class CriticalSectionEncoding(Encoding):
         else:
             tally[resource.object_id] = count - 1
 
-    def check_sensitive(self, env, function: str) -> None:
-        tally = self._tally()
-        if any(count > 0 for count in tally.values()):
+    def check_sensitive(self, env, thread, function: str) -> None:
+        if self.tallies.get(thread.thread_id):
             raise violation(
                 "{} called inside a JNI critical section; only the four "
                 "critical get/release functions are legal here.".format(
@@ -96,20 +98,25 @@ class CriticalSectionEncoding(Encoding):
                 function=function,
             )
 
-    def in_critical(self) -> bool:
-        return any(count > 0 for count in self._tally().values())
+    def in_critical(self, thread) -> bool:
+        return bool(self.tallies.get(thread.thread_id))
 
     def on_event(self, ctx) -> None:
         if ctx.meta is None:
             return
         if ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED:
             if not ctx.meta.critical_safe:
-                self.check_sensitive(ctx.env, ctx.event.function)
+                self.check_sensitive(ctx.env, ctx.thread, ctx.event.function)
             elif ctx.meta.releases == "critical":
-                self.release(ctx.env, ctx.event.function, ctx.args[0])
+                self.release(
+                    ctx.env, ctx.thread, ctx.event.function, ctx.args[0]
+                )
         elif ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE:
             if ctx.meta.acquires == "critical":
-                self.acquire(ctx.env, ctx.event.function, ctx.args[0], ctx.result)
+                self.acquire(
+                    ctx.env, ctx.thread, ctx.event.function, ctx.args[0],
+                    ctx.result,
+                )
 
     def reset(self) -> None:
         self.tallies.clear()
@@ -120,6 +127,7 @@ class CriticalSectionSpec(StateMachineSpec):
     observed_entity = "a thread"
     errors_discovered = ("critical section violation",)
     constraint_class = "jvm-state"
+    reads_thread = True
 
     def states(self):
         return (OUTSIDE, INSIDE, ERROR_VIOLATION)
@@ -161,20 +169,21 @@ class CriticalSectionSpec(StateMachineSpec):
         if direction is Direction.CALL_NATIVE_TO_MANAGED:
             if not meta.critical_safe:
                 lines.append(
-                    'rt.critical_section.check_sensitive(env, "{}")'.format(
+                    'rt.critical_section.check_sensitive(env, thread, "{}")'.format(
                         meta.name
                     )
                 )
             elif meta.releases == "critical":
                 lines.append(
-                    'rt.critical_section.release(env, "{}", args[0])'.format(
+                    'rt.critical_section.release(env, thread, "{}", args[0])'.format(
                         meta.name
                     )
                 )
         elif direction is Direction.RETURN_MANAGED_TO_NATIVE:
             if meta.acquires == "critical":
                 lines.append(
-                    'rt.critical_section.acquire(env, "{}", args[0], result)'.format(
+                    'rt.critical_section.acquire('
+                    'env, thread, "{}", args[0], result)'.format(
                         meta.name
                     )
                 )

@@ -19,11 +19,12 @@ from repro.fsm import (
     Encoding,
     EntitySelector,
     LanguageTransition,
+    SpecificationError,
     State,
     StateMachineSpec,
     StateTransition,
 )
-from repro.jinn.machines.common import peek, selector, violation
+from repro.jinn.machines.common import ClassResolver, peek, selector, violation
 from repro.jni import functions
 from repro.jni.types import JFieldID, JMethodID, JRef
 from repro.jvm import descriptors
@@ -36,49 +37,85 @@ ENTITY_TAKING = selector(
 )
 
 
+def site_check(meta):
+    """The per-site check method for ``meta`` and its baked arguments.
+
+    A method call's mode, result kind and payload form, or a field
+    access's static/write flags and kind.  Generated lines pass them as
+    literals; :meth:`EntityTypingEncoding.check` (interpretive and
+    replay paths) derives them here.  Raises :class:`SpecificationError`
+    for an entity-taking function no per-site check covers.
+    """
+    if meta.family == "new_object":
+        return "check_call", ("new", None, _packed(meta))
+    if meta.family == "calls":
+        return "check_call", (
+            meta.extra_value("mode", "static"),
+            meta.extra_value("result_kind"),
+            _packed(meta),
+        )
+    if meta.family == "field_access":
+        return "check_field", (
+            meta.extra_value("static"),
+            meta.extra_value("write"),
+            meta.extra_value("result_kind"),
+        )
+    if meta.name in ("ToReflectedMethod", "ToReflectedField"):
+        return "check_reflected", ()
+    raise SpecificationError(
+        "entity_typing has no per-site check for {}".format(meta.name)
+    )
+
+
+def _packed(meta) -> bool:
+    """Do the Java arguments come as one array or va_list (``...A``/``...V``)?"""
+    return meta.name.endswith(("V", "A"))
+
+
 class EntityTypingEncoding(Encoding):
-    """Signature checks keyed on the entity ID a call passes."""
+    """Signature checks keyed on the entity ID a call passes.
+
+    Each method ID's parsed signature and each class object's
+    :class:`~repro.jvm.model.JClass` are resolved once per VM and kept,
+    keyed by the method or class object itself.
+    """
 
     def __init__(self, spec, vm):
         super().__init__(spec)
         self.vm = vm
-
-    # -- entry point called by generated wrappers ----------------------------
+        self.classes = ClassResolver(vm)
+        #: JMethod -> (parameter descriptors, return descriptor).
+        self.signatures = {}
 
     def check(self, env, function: str, args) -> None:
-        meta = functions.FUNCTIONS[function]
-        if meta.family in ("calls", "new_object"):
-            self._check_call(env, meta, args)
-        elif meta.family == "field_access":
-            self._check_field(env, meta, args)
-        elif meta.name in ("ToReflectedMethod", "ToReflectedField"):
-            self._check_reflected(env, meta, args)
+        """Run the per-site check of ``function``, deriving its site."""
+        method, site_args = site_check(functions.FUNCTIONS[function])
+        getattr(self, method)(env, function, args, *site_args)
 
     # -- method calls --------------------------------------------------------
 
-    def _check_call(self, env, meta, args) -> None:
-        mode = meta.extra_value("mode", "static")
-        pos = 0
+    def check_call(self, env, fn: str, args, mode, result_kind, packed) -> None:
+        """A ``Call*Method*`` (mode virtual/nonvirtual/static) or
+        ``NewObject*`` (mode ``"new"``) with its site baked in."""
         receiver_handle = None
         clazz_handle = None
-        if meta.family == "new_object":
-            clazz_handle = args[pos]
-            pos += 1
+        if mode == "virtual":
+            receiver_handle = args[0]
+            pos = 1
+        elif mode == "nonvirtual":
+            receiver_handle = args[0]
+            clazz_handle = args[1]
+            pos = 2
         else:
-            if mode in ("virtual", "nonvirtual"):
-                receiver_handle = args[pos]
-                pos += 1
-            if mode in ("nonvirtual", "static"):
-                clazz_handle = args[pos]
-                pos += 1
+            clazz_handle = args[0]
+            pos = 1
         mid = args[pos]
         pos += 1
         if not isinstance(mid, JMethodID):
             return  # the fixed-typing machine reports handle-kind confusion
         method = mid.method
-        fn = meta.name
 
-        if meta.family == "new_object":
+        if mode == "new":
             if method.name != "<init>":
                 self._fail(
                     fn,
@@ -86,14 +123,15 @@ class EntityTypingEncoding(Encoding):
                         fn, method.describe()
                     ),
                 )
-        elif mode == "static" and not method.is_static:
-            self._fail(
-                fn,
-                "{} invokes instance method {} as static".format(
-                    fn, method.describe()
-                ),
-            )
-        elif mode != "static" and method.is_static:
+        elif mode == "static":
+            if not method.is_static:
+                self._fail(
+                    fn,
+                    "{} invokes instance method {} as static".format(
+                        fn, method.describe()
+                    ),
+                )
+        elif method.is_static:
             self._fail(
                 fn,
                 "{} invokes static method {} through an instance".format(
@@ -104,7 +142,7 @@ class EntityTypingEncoding(Encoding):
         if clazz_handle is not None:
             clazz_obj = peek(clazz_handle)
             jclass = (
-                self.vm.class_of_class_object(clazz_obj)
+                self.classes.class_of_class_object(clazz_obj)
                 if clazz_obj is not None
                 else None
             )
@@ -128,22 +166,25 @@ class EntityTypingEncoding(Encoding):
                     ),
                 )
 
-        param_descs, ret_desc = descriptors.parse_method_descriptor(
-            method.descriptor
-        )
-        result_kind = meta.extra_value("result_kind")
-        if result_kind is not None and meta.family == "calls":
-            if not _result_matches(result_kind, ret_desc):
-                self._fail(
-                    fn,
-                    "{} expects a {} result but {} returns {}".format(
-                        fn, result_kind, method.describe(), ret_desc
-                    ),
-                )
+        signature = self.signatures.get(method)
+        if signature is None:
+            params, ret = descriptors.parse_method_descriptor(method.descriptor)
+            signature = self.signatures[method] = (tuple(params), ret)
+        param_descs, ret_desc = signature
+        if result_kind is not None and not _result_matches(result_kind, ret_desc):
+            self._fail(
+                fn,
+                "{} expects a {} result but {} returns {}".format(
+                    fn, result_kind, method.describe(), ret_desc
+                ),
+            )
 
-        jargs = self._call_arguments(meta, args, pos)
-        if jargs is None:
-            return  # plain-varargs payload not introspectable here
+        if packed:
+            jargs = args[pos] if pos < len(args) else None
+            if not isinstance(jargs, (list, tuple)):
+                jargs = list(jargs or ())
+        else:
+            jargs = args[pos:]
         if len(jargs) != len(param_descs):
             self._fail(
                 fn,
@@ -151,29 +192,22 @@ class EntityTypingEncoding(Encoding):
                     fn, len(jargs), method.describe(), len(param_descs)
                 ),
             )
+        classes = self.classes
         for i, (value, desc) in enumerate(zip(jargs, param_descs)):
-            actual = peek(value) if isinstance(value, JRef) else value
-            if not descriptors.value_conforms(self.vm, actual, desc):
+            actual = value.target if isinstance(value, JRef) else value
+            if not descriptors.value_conforms(classes, actual, desc):
                 self._fail(
                     fn,
                     "argument {} of {} does not conform to formal type "
                     "{} of {}".format(i + 1, fn, desc, method.describe()),
                 )
 
-    @staticmethod
-    def _call_arguments(meta, args, pos):
-        if meta.name.endswith(("V", "A")):
-            payload = args[pos] if pos < len(args) else None
-            return list(payload or ())
-        return list(args[pos:])
-
     # -- field accesses ---------------------------------------------------------
 
-    def _check_field(self, env, meta, args) -> None:
-        is_static = meta.extra_value("static")
-        is_write = meta.extra_value("write")
-        result_kind = meta.extra_value("result_kind")
-        fn = meta.name
+    def check_field(
+        self, env, fn: str, args, is_static, is_write, result_kind
+    ) -> None:
+        """A ``Get/Set[Static]<Type>Field`` with its flags baked in."""
         fid = args[1]
         if not isinstance(fid, JFieldID):
             return
@@ -207,8 +241,10 @@ class EntityTypingEncoding(Encoding):
                 )
         if is_write:
             value = args[2]
-            actual = peek(value) if isinstance(value, JRef) else value
-            if not descriptors.value_conforms(self.vm, actual, field.descriptor):
+            actual = value.target if isinstance(value, JRef) else value
+            if not descriptors.value_conforms(
+                self.classes, actual, field.descriptor
+            ):
                 self._fail(
                     fn,
                     "value assigned by {} does not conform to field "
@@ -219,8 +255,7 @@ class EntityTypingEncoding(Encoding):
 
     # -- reflection conversions ----------------------------------------------
 
-    def _check_reflected(self, env, meta, args) -> None:
-        fn = meta.name
+    def check_reflected(self, env, fn: str, args) -> None:
         entity = args[1]
         is_static = bool(args[2]) if len(args) > 2 else False
         if isinstance(entity, JMethodID):
@@ -306,4 +341,9 @@ class EntityTypingSpec(StateMachineSpec):
             or not meta.takes_entity_id
         ):
             return []
-        return ['rt.entity_typing.check(env, "{}", args)'.format(meta.name)]
+        method, site_args = site_check(meta)
+        return [
+            'rt.entity_typing.{}(env, "{}", args{})'.format(
+                method, meta.name, "".join(", " + repr(a) for a in site_args)
+            )
+        ]

@@ -45,8 +45,8 @@ class ExceptionStateEncoding(Encoding):
         super().__init__(spec)
         self.vm = vm
 
-    def check_sensitive(self, env, function: str) -> None:
-        pending = self.vm.current_thread.pending_exception
+    def check_sensitive(self, env, thread, function: str) -> None:
+        pending = thread.pending_exception
         if pending is not None:
             raise violation(
                 "An exception is pending in {}.".format(function),
@@ -62,7 +62,7 @@ class ExceptionStateEncoding(Encoding):
             and ctx.meta is not None
             and not ctx.meta.exception_oblivious
         ):
-            self.check_sensitive(ctx.env, ctx.event.function)
+            self.check_sensitive(ctx.env, ctx.thread, ctx.event.function)
 
 
 class ExceptionStateSpec(StateMachineSpec):
@@ -70,6 +70,7 @@ class ExceptionStateSpec(StateMachineSpec):
     observed_entity = "a thread"
     errors_discovered = ("unhandled Java exception",)
     constraint_class = "jvm-state"
+    reads_thread = True
 
     def states(self):
         return (NO_EXCEPTION, PENDING, ERROR_UNHANDLED)
@@ -123,7 +124,11 @@ class ExceptionStateSpec(StateMachineSpec):
             or meta.exception_oblivious
         ):
             return []
-        return ['rt.exception_state.check_sensitive(env, "{}")'.format(meta.name)]
+        return [
+            'rt.exception_state.check_sensitive(env, thread, "{}")'.format(
+                meta.name
+            )
+        ]
 
 
 def _native_method_selector():

@@ -20,7 +20,7 @@ from repro.fsm import (
     StateMachineSpec,
     StateTransition,
 )
-from repro.jinn.machines.common import selector, violation
+from repro.jinn.machines.common import ClassResolver, selector, violation
 from repro.jni.typecheck import conforms, describe_fixed_type
 from repro.jni.types import JFieldID, JMethodID, JRef
 
@@ -36,11 +36,17 @@ TYPED = selector(
 
 
 class FixedTypingEncoding(Encoding):
-    """Stateless checks: kind of handle, then Java-type conformance."""
+    """Stateless checks: kind of handle, then Java-type conformance.
+
+    The fixed type is baked into each generated line; resolving its
+    class goes through a per-VM :class:`ClassResolver`, so a check costs
+    a dict hit instead of a ``find_class`` lookup.
+    """
 
     def __init__(self, spec, vm):
         super().__init__(spec)
         self.vm = vm
+        self.classes = ClassResolver(vm)
 
     def require_reference(self, env, function, args, index, name) -> None:
         value = args[index] if index < len(args) else None
@@ -82,7 +88,7 @@ class FixedTypingEncoding(Encoding):
         target = value.target
         if target is None:
             return
-        if conforms(self.vm, target, fixed_type):
+        if conforms(self.classes, target, fixed_type):
             return
         raise violation(
             "Parameter '{}' of {} is a {} but must be {}.".format(

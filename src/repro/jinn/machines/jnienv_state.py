@@ -35,19 +35,18 @@ class JNIEnvStateEncoding(Encoding):
     def record_thread(self, thread) -> None:
         self.expected[thread.thread_id] = thread.env
 
-    def check(self, env, function: str) -> None:
-        current = self.vm.current_thread
-        expected = self.expected.get(current.thread_id)
+    def check(self, env, thread, function: str) -> None:
+        expected = self.expected.get(thread.thread_id)
         if expected is not None and expected is not env:
             raise violation(
                 "The JNIEnv used in {} belongs to another thread "
                 "(expected the JNIEnv of {}).".format(
-                    function, current.describe()
+                    function, thread.describe()
                 ),
                 machine=self.spec.name,
                 error_state=ERROR_MISMATCH.name,
                 function=function,
-                entity=current.describe(),
+                entity=thread.describe(),
             )
 
     def on_event(self, ctx) -> None:
@@ -55,7 +54,7 @@ class JNIEnvStateEncoding(Encoding):
             ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
             and ctx.meta is not None
         ):
-            self.check(ctx.env, ctx.event.function)
+            self.check(ctx.env, ctx.thread, ctx.event.function)
 
     def reset(self) -> None:
         self.expected.clear()
@@ -66,6 +65,7 @@ class JNIEnvStateSpec(StateMachineSpec):
     observed_entity = "a thread"
     errors_discovered = ("JNIEnv* mismatch",)
     constraint_class = "jvm-state"
+    reads_thread = True
 
     def states(self):
         return (MATCHED, ERROR_MISMATCH)
@@ -88,4 +88,4 @@ class JNIEnvStateSpec(StateMachineSpec):
     def emit(self, meta, direction):
         if meta is None or direction is not Direction.CALL_NATIVE_TO_MANAGED:
             return []
-        return ['rt.jnienv_state.check(env, "{}")'.format(meta.name)]
+        return ['rt.jnienv_state.check(env, thread, "{}")'.format(meta.name)]

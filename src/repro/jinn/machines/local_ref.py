@@ -59,11 +59,27 @@ class _Frame:
         self.implicit = implicit
 
 
+#: The live-serial view of a thread that never crossed the boundary.
+_NOTHING: Dict[int, int] = {}
+
+
+def _unhold(live: Dict[int, int], serial: int) -> None:
+    """One fewer frame holds ``serial``; forget it when none does."""
+    count = live[serial]
+    if count == 1:
+        del live[serial]
+    else:
+        live[serial] = count - 1
+
+
 class LocalRefEncoding(Encoding):
     """Per-thread frame stacks mirroring the JVM's local-reference state.
 
     This is Jinn's *own* bookkeeping (the thread-local ``refs`` set of
-    the paper's Figure 3), independent of the JVM's tables.
+    the paper's Figure 3), independent of the JVM's tables.  Beside the
+    frames, each thread keeps a count of the frames holding each live
+    serial, maintained on acquire, release and frame kill, so the
+    Figure 4 ``jinn_refs_contains`` guard is one membership test.
     """
 
     def __init__(self, spec, vm):
@@ -71,6 +87,8 @@ class LocalRefEncoding(Encoding):
         self.vm = vm
         #: thread id -> stack of frames.
         self.stacks: Dict[int, List[_Frame]] = {}
+        #: thread id -> {serial -> number of that thread's frames holding it}.
+        self.live: Dict[int, Dict[int, int]] = {}
         #: ref serial -> owning thread id, for wrong-thread diagnostics.
         self.owner: Dict[int, int] = {}
         #: serials ever released, to tell double-free from never-acquired.
@@ -81,25 +99,28 @@ class LocalRefEncoding(Encoding):
 
     # -- frame management ----------------------------------------------------
 
-    def _stack(self, thread=None) -> List[_Frame]:
-        thread = thread or self.vm.current_thread
-        return self.stacks.setdefault(thread.thread_id, [])
+    def _stack(self, thread) -> List[_Frame]:
+        stack = self.stacks.get(thread.thread_id)
+        if stack is None:
+            stack = self.stacks[thread.thread_id] = []
+            self.live[thread.thread_id] = {}
+        return stack
 
-    def _top(self) -> _Frame:
-        stack = self._stack()
+    def _top(self, thread) -> _Frame:
+        stack = self._stack(thread)
         if not stack:
             stack.append(_Frame(self.vm.local_frame_capacity, implicit=True))
         return stack[-1]
 
-    def enter_native(self, env, method_name: str, handles) -> None:
+    def enter_native(self, env, thread, method_name: str, handles) -> None:
         """Call:Java->C — push the implicit frame, acquire ref args."""
-        stack = self._stack()
+        stack = self._stack(thread)
         stack.append(_Frame(self.vm.local_frame_capacity, implicit=True))
         for handle in handles:
             if isinstance(handle, JRef):
-                self._acquire(handle, method_name)
+                self._acquire(thread, handle, method_name)
 
-    def exit_native(self, env, method_name: str, result) -> None:
+    def exit_native(self, env, thread, method_name: str, result) -> None:
         """Return:C->Java — use-check the result, then kill the frame.
 
         The frame mirror is cleaned up even when a violation is raised,
@@ -107,16 +128,16 @@ class LocalRefEncoding(Encoding):
         """
         error = None
         try:
-            self.check_use_single(env, method_name, result)
+            self.check_use_single(env, thread, method_name, result)
         except Exception as exc:  # FFIViolation; re-raised after cleanup
             error = exc
-        stack = self._stack()
+        stack = self._stack(thread)
         leaked = 0
         while stack and not stack[-1].implicit:
-            self._kill_frame(stack.pop())
+            self._kill_frame(thread, stack.pop())
             leaked += 1
         if stack:
-            self._kill_frame(stack.pop())
+            self._kill_frame(thread, stack.pop())
         if error is None and leaked:
             error = violation(
                 "{} returned to Java with {} local frame(s) pushed but "
@@ -128,13 +149,13 @@ class LocalRefEncoding(Encoding):
         if error is not None:
             raise error
 
-    def push_frame(self, env, function: str, capacity, result) -> None:
+    def push_frame(self, env, thread, function: str, capacity, result) -> None:
         if result == 0:
-            self._stack().append(_Frame(int(capacity), implicit=False))
+            self._stack(thread).append(_Frame(int(capacity), implicit=False))
 
-    def pop_frame_check(self, env, function: str) -> None:
+    def pop_frame_check(self, env, thread, function: str) -> None:
         """Call side of PopLocalFrame: there must be a frame to pop."""
-        stack = self._stack()
+        stack = self._stack(thread)
         if not stack or stack[-1].implicit:
             raise violation(
                 "PopLocalFrame with nothing left to pop (double free).",
@@ -142,30 +163,37 @@ class LocalRefEncoding(Encoding):
                 error_state=ERROR_DOUBLE_FREE.name,
                 function=function,
             )
-        self._kill_frame(stack.pop())
+        self._kill_frame(thread, stack.pop())
 
-    def ensure_capacity(self, env, function: str, capacity, result) -> None:
+    def ensure_capacity(self, env, thread, function: str, capacity, result) -> None:
         if result == 0:
-            top = self._top()
+            top = self._top(thread)
             top.capacity = max(top.capacity, int(capacity))
 
-    def _kill_frame(self, frame: _Frame) -> None:
+    def _kill_frame(self, thread, frame: _Frame) -> None:
+        live = self.live[thread.thread_id]
+        for serial in frame.refs:
+            _unhold(live, serial)
         self.released.update(frame.refs)
         self._note_history()
 
     # -- acquire / release / use ------------------------------------------------
 
-    def acquire_return(self, env, function: str, result) -> None:
+    def acquire_return(self, env, thread, function: str, result) -> None:
         """Return:Java->C of a reference-returning JNI function."""
         if isinstance(result, JRef) and result.kind == "local":
-            self._acquire(result, function)
+            self._acquire(thread, result, function)
 
-    def _acquire(self, ref: JRef, function: str) -> None:
+    def _acquire(self, thread, ref: JRef, function: str) -> None:
         if ref.kind != "local":
             return
-        top = self._top()
-        top.refs.add(ref.serial)
-        self.owner[ref.serial] = self.vm.current_thread.thread_id
+        top = self._top(thread)
+        serial = ref.serial
+        if serial not in top.refs:
+            top.refs.add(serial)
+            live = self.live[thread.thread_id]
+            live[serial] = live.get(serial, 0) + 1
+        self.owner[serial] = thread.thread_id
         self._note_history()
         if len(top.refs) > top.capacity:
             raise violation(
@@ -177,7 +205,7 @@ class LocalRefEncoding(Encoding):
                 function=function,
             )
 
-    def release_one(self, env, function: str, handle) -> None:
+    def release_one(self, env, thread, function: str, handle) -> None:
         """Call side of DeleteLocalRef."""
         if handle is None or not isinstance(handle, JRef):
             return
@@ -190,10 +218,10 @@ class LocalRefEncoding(Encoding):
                 function=function,
                 entity=handle.describe(),
             )
-        stack = self._stack()
-        for frame in reversed(stack):
+        for frame in reversed(self._stack(thread)):
             if handle.serial in frame.refs:
                 frame.refs.discard(handle.serial)
+                _unhold(self.live[thread.thread_id], handle.serial)
                 self.released.add(handle.serial)
                 self._note_history()
                 return
@@ -214,17 +242,17 @@ class LocalRefEncoding(Encoding):
             entity=handle.describe(),
         )
 
-    def check_use(self, env, function: str, args, indices) -> None:
+    def check_use(self, env, thread, function: str, args, indices) -> None:
         for index in indices:
             handle = args[index] if index < len(args) else None
-            self.check_use_single(env, function, handle)
+            self.check_use_single(env, thread, function, handle)
 
-    def check_use_single(self, env, function: str, handle) -> None:
-        if not self.contains(env, handle):
-            self.report_dangling(env, function, handle)
+    def check_use_single(self, env, thread, function: str, handle) -> None:
+        if not self.contains(env, thread, handle):
+            self.report_dangling(env, thread, function, handle)
 
-    def contains(self, env, handle) -> bool:
-        """Is this handle a live local reference of the current thread?
+    def contains(self, env, thread, handle) -> bool:
+        """Is this handle a live local reference of ``thread``?
 
         The ``jinn_refs_contains`` primitive of the paper's Figure 4.
         Handles that are not local references are not this machine's
@@ -232,15 +260,13 @@ class LocalRefEncoding(Encoding):
         """
         if not isinstance(handle, JRef) or handle.kind != "local":
             return True
-        return any(handle.serial in frame.refs for frame in self._stack())
+        return handle.serial in self.live.get(thread.thread_id, _NOTHING)
 
-    def report_dangling(self, env, function: str, handle) -> None:
+    def report_dangling(self, env, thread, function: str, handle) -> None:
         """Raise the Figure 4 ``Error: dangling`` violation."""
         owner_tid = self.owner.get(handle.serial)
-        current_tid = self.vm.current_thread.thread_id
-        if owner_tid is not None and owner_tid != current_tid:
-            other = self.stacks.get(owner_tid, [])
-            if any(handle.serial in frame.refs for frame in other):
+        if owner_tid is not None and owner_tid != thread.thread_id:
+            if handle.serial in self.live.get(owner_tid, _NOTHING):
                 raise violation(
                     "Error: local reference of another thread used in "
                     "{}.".format(function),
@@ -273,31 +299,37 @@ class LocalRefEncoding(Encoding):
     def on_event(self, ctx) -> None:
         meta = ctx.meta
         direction = ctx.event.direction
+        env = ctx.env
+        thread = ctx.thread
         if meta is None:
             if direction is Direction.CALL_MANAGED_TO_NATIVE:
-                self.enter_native(ctx.env, ctx.event.function, ctx.args)
+                self.enter_native(env, thread, ctx.event.function, ctx.args)
             elif direction is Direction.RETURN_NATIVE_TO_MANAGED:
-                self.exit_native(ctx.env, ctx.event.function, ctx.result)
+                self.exit_native(env, thread, ctx.event.function, ctx.result)
             return
         if direction is Direction.CALL_NATIVE_TO_MANAGED:
             if meta.name == "DeleteLocalRef":
-                self.release_one(ctx.env, meta.name, ctx.args[0])
+                self.release_one(env, thread, meta.name, ctx.args[0])
             elif meta.name == "PopLocalFrame":
-                self.pop_frame_check(ctx.env, meta.name)
+                self.pop_frame_check(env, thread, meta.name)
             elif meta.reference_param_indices:
                 self.check_use(
-                    ctx.env, meta.name, ctx.args, meta.reference_param_indices
+                    env, thread, meta.name, ctx.args,
+                    meta.reference_param_indices,
                 )
         elif direction is Direction.RETURN_MANAGED_TO_NATIVE:
             if meta.name == "PushLocalFrame":
-                self.push_frame(ctx.env, meta.name, ctx.args[0], ctx.result)
+                self.push_frame(env, thread, meta.name, ctx.args[0], ctx.result)
             elif meta.name == "EnsureLocalCapacity":
-                self.ensure_capacity(ctx.env, meta.name, ctx.args[0], ctx.result)
+                self.ensure_capacity(
+                    env, thread, meta.name, ctx.args[0], ctx.result
+                )
             elif meta.returns_reference:
-                self.acquire_return(ctx.env, meta.name, ctx.result)
+                self.acquire_return(env, thread, meta.name, ctx.result)
 
     def reset(self) -> None:
         self.stacks.clear()
+        self.live.clear()
         self.owner.clear()
         self.released.clear()
         self.history.clear()
@@ -308,6 +340,7 @@ class LocalRefSpec(StateMachineSpec):
     observed_entity = "a local JNI reference"
     errors_discovered = ("overflow", "leak", "dangling", "double-free")
     constraint_class = "resource"
+    reads_thread = True
 
     def states(self):
         return (
@@ -386,43 +419,52 @@ class LocalRefSpec(StateMachineSpec):
     def emit(self, meta, direction):
         if meta is None:
             if direction is Direction.CALL_MANAGED_TO_NATIVE:
-                return ["rt.local_ref.enter_native(env, method_name, handles)"]
+                return [
+                    "rt.local_ref.enter_native("
+                    "env, thread, method_name, handles)"
+                ]
             if direction is Direction.RETURN_NATIVE_TO_MANAGED:
-                return ["rt.local_ref.exit_native(env, method_name, result)"]
+                return [
+                    "rt.local_ref.exit_native(env, thread, method_name, result)"
+                ]
             return []
         lines = []
         if direction is Direction.CALL_NATIVE_TO_MANAGED:
             if meta.name == "DeleteLocalRef":
                 lines.append(
-                    'rt.local_ref.release_one(env, "DeleteLocalRef", args[0])'
+                    'rt.local_ref.release_one('
+                    'env, thread, "DeleteLocalRef", args[0])'
                 )
             elif meta.name == "PopLocalFrame":
-                lines.append('rt.local_ref.pop_frame_check(env, "PopLocalFrame")')
+                lines.append(
+                    'rt.local_ref.pop_frame_check(env, thread, "PopLocalFrame")'
+                )
             else:
                 # Figure 4 style: one inline guard per reference
                 # parameter, calling the contains primitive directly.
                 for index in meta.reference_param_indices:
                     lines.append(
-                        "if args[{0}] is not None and not "
-                        "rt.local_ref.contains(env, args[{0}]):".format(index)
+                        "if args[{0}] is not None and not rt.local_ref."
+                        "contains(env, thread, args[{0}]):".format(index)
                     )
                     lines.append(
-                        '    rt.local_ref.report_dangling(env, "{}", '
+                        '    rt.local_ref.report_dangling(env, thread, "{}", '
                         "args[{}])".format(meta.name, index)
                     )
         elif direction is Direction.RETURN_MANAGED_TO_NATIVE:
             if meta.name == "PushLocalFrame":
                 lines.append(
-                    'rt.local_ref.push_frame(env, "PushLocalFrame", args[0], result)'
+                    'rt.local_ref.push_frame('
+                    'env, thread, "PushLocalFrame", args[0], result)'
                 )
             elif meta.name == "EnsureLocalCapacity":
                 lines.append(
                     "rt.local_ref.ensure_capacity("
-                    'env, "EnsureLocalCapacity", args[0], result)'
+                    'env, thread, "EnsureLocalCapacity", args[0], result)'
                 )
             elif meta.returns_reference:
                 lines.append(
-                    'rt.local_ref.acquire_return(env, "{}", result)'.format(
+                    'rt.local_ref.acquire_return(env, thread, "{}", result)'.format(
                         meta.name
                     )
                 )

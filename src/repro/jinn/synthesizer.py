@@ -36,8 +36,22 @@ _SITE_FOR_DIRECTION = {
 }
 
 
+#: Lines of a spec with ``reads_thread`` name the crossing's thread
+#: ``thread``; an entry binds it once, from ``vm = rt.host``, when one of
+#: its contributing machines is such a spec.
+_BIND_VM = "    vm = rt.host"
+_BIND_THREAD = "thread = vm.current_thread"
+
+
 class Synthesizer:
-    """Algorithm 1: specifications in, instrumented wrapper module out."""
+    """Algorithm 1: specifications in, instrumented wrapper module out.
+
+    Every machine line is already specialised to its site: the function
+    name, parameter indices, fixed types, call modes and field flags are
+    literals, so a check does per crossing only the work that depends on
+    that crossing's values.  Per-thread machines take the crossing's
+    thread as an argument, read once per entry.
+    """
 
     def __init__(
         self,
@@ -46,6 +60,23 @@ class Synthesizer:
     ):
         self.registry = registry
         self.function_table = function_table or functions.FUNCTIONS
+        self._thread_readers = frozenset(
+            spec.name for spec in registry if spec.reads_thread
+        )
+
+    def _uses_thread(self, *sites: List[tuple]) -> bool:
+        """Does a machine contributing at these sites read the thread?"""
+        return any(
+            machine in self._thread_readers
+            for groups in sites
+            for machine, _ in groups
+        )
+
+    def _plan_uses_thread(self, plan) -> bool:
+        return plan is not None and any(
+            self._uses_thread(sites[Site.PRE], sites[Site.POST])
+            for sites in plan.values()
+        )
 
     # ------------------------------------------------------------------
     # Algorithm 1: compute the instrumentation plan
@@ -141,8 +172,10 @@ class Synthesizer:
             "",
             "    Returns (jni_wrappers, make_native_wrapper).",
             '    """',
-            "    wrappers = {}",
         ]
+        if self._plan_uses_thread(plan):
+            out.append(_BIND_VM)
+        out.append("    wrappers = {}")
         for name, meta in self.function_table.items():
             pre = plan[name][Site.PRE] if plan else []
             post = plan[name][Site.POST] if plan else []
@@ -194,6 +227,8 @@ class Synthesizer:
             "    raw_{} = raw[{!r}]".format(name, name),
             "    def wrapped_{}(env, *args):".format(name),
         ]
+        if self._uses_thread(pre, post):
+            lines.append("        " + _BIND_THREAD)
         if pre:
             lines.append("        try:")
             lines.extend(
@@ -223,6 +258,8 @@ class Synthesizer:
             "        def wrapped_native(env, this, *args):",
             "            handles = (this,) + args",
         ]
+        if self._uses_thread(pre, post):
+            lines.append("            " + _BIND_THREAD)
         if pre:
             lines.append("            try:")
             lines.extend(
@@ -308,6 +345,8 @@ class Synthesizer:
                 " tel_mask) = telemetry.fused_shared()"
             )
             out.append("    tel_smp = 1 & tel_mask")
+        if self._plan_uses_thread(plan):
+            out.append(_BIND_VM)
         out.append("    entries = {}")
         for name, meta in self.function_table.items():
             pre = plan[name][Site.PRE] if plan else []
@@ -433,6 +472,8 @@ class Synthesizer:
             epilogue.extend(
                 self._tel_epilogue_lines("_" + name, repr(name), "False")
             )
+        if self._uses_thread(pre, post):
+            lines.append(body + _BIND_THREAD)
         if pre:
             lines.append(body + "try:")
             lines.extend(
@@ -536,6 +577,8 @@ class Synthesizer:
             epilogue.extend(
                 self._tel_epilogue_lines("", "method_name", "True")
             )
+        if self._uses_thread(pre, post):
+            lines.append(body + _BIND_THREAD)
         if pre:
             lines.append(body + "try:")
             lines.extend(

@@ -59,36 +59,41 @@ class TestRegistryShape:
 
 class TestJNIEnvStateMachine:
     def test_matching_env_passes(self, plain_vm):
+        main = plain_vm.main_thread
         enc = JNIEnvStateSpec().make_encoding(plain_vm)
         enc.record_thread(plain_vm.main_thread)
-        enc.check(plain_vm.main_thread.env, "GetVersion")
+        enc.check(plain_vm.main_thread.env, main, "GetVersion")
 
     def test_foreign_env_flagged(self, plain_vm):
+        main = plain_vm.main_thread
         enc = JNIEnvStateSpec().make_encoding(plain_vm)
         enc.record_thread(plain_vm.main_thread)
         worker = plain_vm.attach_thread("w")
         enc.record_thread(worker)
         with pytest.raises(FFIViolation) as exc_info:
-            enc.check(worker.env, "GetVersion")
+            enc.check(worker.env, main, "GetVersion")
         assert exc_info.value.machine == "jnienv_state"
 
     def test_unknown_thread_tolerated(self, plain_vm):
+        main = plain_vm.main_thread
         enc = JNIEnvStateSpec().make_encoding(plain_vm)
-        enc.check(plain_vm.main_thread.env, "GetVersion")  # nothing recorded
+        enc.check(plain_vm.main_thread.env, main, "GetVersion")  # nothing recorded
 
 
 class TestExceptionStateMachine:
     def test_clean_thread_passes(self, plain_vm):
+        main = plain_vm.main_thread
         enc = ExceptionStateSpec().make_encoding(plain_vm)
-        enc.check_sensitive(plain_vm.main_thread.env, "FindClass")
+        enc.check_sensitive(plain_vm.main_thread.env, main, "FindClass")
 
     def test_pending_flagged_with_figure9_message(self, plain_vm):
+        main = plain_vm.main_thread
         enc = ExceptionStateSpec().make_encoding(plain_vm)
         plain_vm.main_thread.pending_exception = plain_vm.new_throwable(
             "java/lang/RuntimeException", "x"
         )
         with pytest.raises(FFIViolation) as exc_info:
-            enc.check_sensitive(plain_vm.main_thread.env, "GetMethodID")
+            enc.check_sensitive(plain_vm.main_thread.env, main, "GetMethodID")
         assert str(exc_info.value) == "An exception is pending in GetMethodID."
 
     def test_oblivious_function_count_in_mapping(self):
@@ -103,42 +108,47 @@ class TestExceptionStateMachine:
 
 class TestCriticalSectionMachine:
     def test_acquire_release_cycle(self, plain_vm):
+        main = plain_vm.main_thread
         enc = CriticalSectionSpec().make_encoding(plain_vm)
         resource = plain_vm.new_object("java/lang/Object")
         handle = JRef("local", resource)
-        enc.acquire(None, "GetPrimitiveArrayCritical", handle, object())
-        assert enc.in_critical()
-        enc.release(None, "ReleasePrimitiveArrayCritical", handle)
-        assert not enc.in_critical()
+        enc.acquire(None, main, "GetPrimitiveArrayCritical", handle, object())
+        assert enc.in_critical(main)
+        enc.release(None, main, "ReleasePrimitiveArrayCritical", handle)
+        assert not enc.in_critical(main)
 
     def test_sensitive_call_inside_flagged(self, plain_vm):
+        main = plain_vm.main_thread
         enc = CriticalSectionSpec().make_encoding(plain_vm)
         handle = JRef("local", plain_vm.new_object("java/lang/Object"))
-        enc.acquire(None, "GetStringCritical", handle, object())
+        enc.acquire(None, main, "GetStringCritical", handle, object())
         with pytest.raises(FFIViolation):
-            enc.check_sensitive(None, "CallVoidMethod")
+            enc.check_sensitive(None, main, "CallVoidMethod")
 
     def test_unmatched_release_flagged(self, plain_vm):
+        main = plain_vm.main_thread
         enc = CriticalSectionSpec().make_encoding(plain_vm)
         handle = JRef("local", plain_vm.new_object("java/lang/Object"))
         with pytest.raises(FFIViolation):
-            enc.release(None, "ReleaseStringCritical", handle)
+            enc.release(None, main, "ReleaseStringCritical", handle)
 
     def test_nested_acquires_tallied(self, plain_vm):
+        main = plain_vm.main_thread
         enc = CriticalSectionSpec().make_encoding(plain_vm)
         handle = JRef("local", plain_vm.new_object("java/lang/Object"))
-        enc.acquire(None, "GetStringCritical", handle, object())
-        enc.acquire(None, "GetStringCritical", handle, object())
-        enc.release(None, "ReleaseStringCritical", handle)
-        assert enc.in_critical()
+        enc.acquire(None, main, "GetStringCritical", handle, object())
+        enc.acquire(None, main, "GetStringCritical", handle, object())
+        enc.release(None, main, "ReleaseStringCritical", handle)
+        assert enc.in_critical(main)
 
     def test_tallies_are_per_thread(self, plain_vm):
+        main = plain_vm.main_thread
         enc = CriticalSectionSpec().make_encoding(plain_vm)
         handle = JRef("local", plain_vm.new_object("java/lang/Object"))
-        enc.acquire(None, "GetStringCritical", handle, object())
+        enc.acquire(None, main, "GetStringCritical", handle, object())
         worker = plain_vm.attach_thread("w")
         with plain_vm.run_on_thread(worker):
-            enc.check_sensitive(None, "CallVoidMethod")  # other thread: fine
+            enc.check_sensitive(None, worker, "CallVoidMethod")  # other thread: fine
 
 
 class TestFixedTypingMachine:
@@ -419,96 +429,108 @@ class TestLocalRefMachine:
         )
 
     def test_enter_acquires_reference_args(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         ref = self._local(plain_vm)
-        enc.enter_native(None, "Java_X_f", (ref, 42))
-        enc.check_use_single(None, "GetObjectClass", ref)
+        enc.enter_native(None, main, "Java_X_f", (ref, 42))
+        enc.check_use_single(None, main, "GetObjectClass", ref)
 
     def test_exit_kills_frame(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         ref = self._local(plain_vm)
-        enc.enter_native(None, "Java_X_f", (ref,))
-        enc.exit_native(None, "Java_X_f", None)
+        enc.enter_native(None, main, "Java_X_f", (ref,))
+        enc.exit_native(None, main, "Java_X_f", None)
         with pytest.raises(FFIViolation) as exc_info:
-            enc.check_use_single(None, "CallStaticVoidMethodA", ref)
+            enc.check_use_single(None, main, "CallStaticVoidMethodA", ref)
         assert "Error: dangling" in str(exc_info.value)
 
     def test_overflow_on_seventeenth(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
+        enc.enter_native(None, main, "Java_X_f", ())
         for i in range(16):
-            enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
+            enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
         with pytest.raises(FFIViolation) as exc_info:
-            enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
+            enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
         assert "overflow" in str(exc_info.value)
 
     def test_push_frame_resets_capacity_window(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
-        enc.push_frame(None, "PushLocalFrame", 32, 0)
+        enc.enter_native(None, main, "Java_X_f", ())
+        enc.push_frame(None, main, "PushLocalFrame", 32, 0)
         for i in range(20):
-            enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
-        enc.pop_frame_check(None, "PopLocalFrame")
+            enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
+        enc.pop_frame_check(None, main, "PopLocalFrame")
 
     def test_pop_with_nothing_flagged(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
+        enc.enter_native(None, main, "Java_X_f", ())
         with pytest.raises(FFIViolation) as exc_info:
-            enc.pop_frame_check(None, "PopLocalFrame")
+            enc.pop_frame_check(None, main, "PopLocalFrame")
         assert "double free" in str(exc_info.value)
 
     def test_leaked_frame_flagged_at_exit(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
-        enc.push_frame(None, "PushLocalFrame", 8, 0)
+        enc.enter_native(None, main, "Java_X_f", ())
+        enc.push_frame(None, main, "PushLocalFrame", 8, 0)
         with pytest.raises(FFIViolation) as exc_info:
-            enc.exit_native(None, "Java_X_f", None)
+            enc.exit_native(None, main, "Java_X_f", None)
         assert "never popped" in str(exc_info.value)
 
     def test_double_delete_flagged(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         ref = self._local(plain_vm)
-        enc.enter_native(None, "Java_X_f", (ref,))
-        enc.release_one(None, "DeleteLocalRef", ref)
+        enc.enter_native(None, main, "Java_X_f", (ref,))
+        enc.release_one(None, main, "DeleteLocalRef", ref)
         with pytest.raises(FFIViolation) as exc_info:
-            enc.release_one(None, "DeleteLocalRef", ref)
+            enc.release_one(None, main, "DeleteLocalRef", ref)
         assert "double free" in str(exc_info.value)
 
     def test_delete_of_unknown_ref_flagged_as_dangling(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
+        enc.enter_native(None, main, "Java_X_f", ())
         with pytest.raises(FFIViolation):
-            enc.release_one(None, "DeleteLocalRef", self._local(plain_vm))
+            enc.release_one(None, main, "DeleteLocalRef", self._local(plain_vm))
 
     def test_cross_thread_use_flagged_specifically(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         ref = self._local(plain_vm)
-        enc.enter_native(None, "Java_X_f", (ref,))
+        enc.enter_native(None, main, "Java_X_f", (ref,))
         worker = plain_vm.attach_thread("w")
         with plain_vm.run_on_thread(worker):
-            enc.enter_native(None, "Java_Y_g", ())
+            enc.enter_native(None, worker, "Java_Y_g", ())
             with pytest.raises(FFIViolation) as exc_info:
-                enc.check_use_single(None, "GetObjectClass", ref)
+                enc.check_use_single(None, worker, "GetObjectClass", ref)
         assert "another thread" in str(exc_info.value)
 
     def test_ensure_capacity_raises_limit(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
-        enc.enter_native(None, "Java_X_f", ())
-        enc.ensure_capacity(None, "EnsureLocalCapacity", 64, 0)
+        enc.enter_native(None, main, "Java_X_f", ())
+        enc.ensure_capacity(None, main, "EnsureLocalCapacity", 64, 0)
         for i in range(30):
-            enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
+            enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
 
     def test_history_series(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         enc.record_history = True
-        enc.enter_native(None, "Java_X_f", ())
-        enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
-        enc.acquire_return(None, "NewStringUTF", self._local(plain_vm))
-        enc.exit_native(None, "Java_X_f", None)
+        enc.enter_native(None, main, "Java_X_f", ())
+        enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
+        enc.acquire_return(None, main, "NewStringUTF", self._local(plain_vm))
+        enc.exit_native(None, main, "Java_X_f", None)
         assert enc.history == [1, 2, 0]
 
     def test_returning_live_local_is_legal(self, plain_vm):
+        main = plain_vm.main_thread
         enc = self._enc(plain_vm)
         ref = self._local(plain_vm)
-        enc.enter_native(None, "Java_X_f", (ref,))
-        enc.exit_native(None, "Java_X_f", ref)  # valid at return time
+        enc.enter_native(None, main, "Java_X_f", (ref,))
+        enc.exit_native(None, main, "Java_X_f", ref)  # valid at return time

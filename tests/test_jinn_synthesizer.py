@@ -19,6 +19,15 @@ def plan(synthesizer):
 
 
 @pytest.fixture(scope="module")
+def machines(synthesizer):
+    """Which machines check each wrapper site, in checking order."""
+    return {
+        key: {site: [name for name, _ in groups] for site, groups in sites.items()}
+        for key, sites in synthesizer.machine_plan().items()
+    }
+
+
+@pytest.fixture(scope="module")
 def source(synthesizer):
     return synthesizer.generate_source()
 
@@ -27,21 +36,19 @@ class TestPlan:
     def test_every_function_planned(self, plan):
         assert set(plan) == set(functions.FUNCTIONS) | {NATIVE_KEY}
 
-    def test_every_jni_function_gets_env_check_first(self, plan):
+    def test_every_jni_function_gets_env_check_first(self, machines):
         for name in functions.FUNCTIONS:
-            pre = plan[name][Site.PRE]
+            pre = machines[name][Site.PRE]
             assert pre
-            assert pre[0].startswith("rt.jnienv_state.check(")
+            assert pre[0] == "jnienv_state"
 
-    def test_exception_oblivious_functions_skip_exception_check(self, plan):
-        oblivious = plan["ExceptionClear"][Site.PRE]
-        assert not any("exception_state" in line for line in oblivious)
-        sensitive = plan["FindClass"][Site.PRE]
-        assert any("exception_state" in line for line in sensitive)
+    def test_exception_oblivious_functions_skip_exception_check(self, machines):
+        assert "exception_state" not in machines["ExceptionClear"][Site.PRE]
+        assert "exception_state" in machines["FindClass"][Site.PRE]
 
-    def test_critical_safe_functions_skip_critical_check(self, plan):
-        safe = plan["GetStringCritical"][Site.PRE]
-        assert not any("check_sensitive" in line and "critical" in line for line in safe)
+    def test_critical_safe_functions_skip_critical_check(self, machines):
+        assert "critical_section" not in machines["GetStringCritical"][Site.PRE]
+        assert "critical_section" in machines["FindClass"][Site.PRE]
 
     def test_nullness_lines_match_metadata(self, plan):
         meta = functions.FUNCTIONS["CallStaticVoidMethodA"]
@@ -52,42 +59,32 @@ class TestPlan:
         ]
         assert len(null_lines) == len(meta.nonnull_param_indices)
 
-    def test_resource_machines_on_post_site(self, plan):
-        assert any(
-            "pinned_resource.acquire" in line
-            for line in plan["GetIntArrayElements"][Site.POST]
-        )
-        assert any(
-            "global_ref.acquire" in line
-            for line in plan["NewGlobalRef"][Site.POST]
-        )
-        assert any(
-            "local_ref.acquire_return" in line
-            for line in plan["NewStringUTF"][Site.POST]
-        )
+    def test_resource_machines_on_post_site(self, machines):
+        assert "pinned_resource" in machines["GetIntArrayElements"][Site.POST]
+        assert "global_ref" in machines["NewGlobalRef"][Site.POST]
+        assert "local_ref" in machines["NewStringUTF"][Site.POST]
 
-    def test_release_checks_on_pre_site(self, plan):
-        assert any(
-            "pinned_resource.release" in line
-            for line in plan["ReleaseIntArrayElements"][Site.PRE]
-        )
-        assert any(
-            "local_ref.release_one" in line
-            for line in plan["DeleteLocalRef"][Site.PRE]
-        )
+    def test_release_checks_on_pre_site(self, machines):
+        assert "pinned_resource" in machines["ReleaseIntArrayElements"][Site.PRE]
+        assert "local_ref" in machines["DeleteLocalRef"][Site.PRE]
 
-    def test_native_wrapper_plan(self, plan):
-        assert any(
-            "local_ref.enter_native" in line for line in plan[NATIVE_KEY][Site.PRE]
-        )
-        assert any(
-            "local_ref.exit_native" in line for line in plan[NATIVE_KEY][Site.POST]
-        )
+    def test_native_wrapper_plan(self, machines):
+        assert machines[NATIVE_KEY][Site.PRE] == ["local_ref"]
+        assert "local_ref" in machines[NATIVE_KEY][Site.POST]
 
-    def test_functions_without_entities_get_minimal_checks(self, plan):
-        version_pre = plan["GetVersion"][Site.PRE]
-        machines = {line.split(".")[1] for line in version_pre}
-        assert machines == {"jnienv_state", "exception_state", "critical_section"}
+    def test_functions_without_entities_get_minimal_checks(self, machines):
+        assert machines["GetVersion"][Site.PRE] == [
+            "jnienv_state", "exception_state", "critical_section",
+        ]
+        assert machines["GetVersion"][Site.POST] == []
+
+    def test_one_group_per_contributing_machine(self, synthesizer):
+        # Containment wraps one ``rt.<name>`` group per machine and
+        # site, so no machine may contribute twice to the same site.
+        for sites in synthesizer.machine_plan().values():
+            for groups in sites.values():
+                names = [name for name, _ in groups]
+                assert len(names) == len(set(names))
 
     def test_cross_product_scale(self, plan):
         total = sum(

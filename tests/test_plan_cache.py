@@ -70,6 +70,28 @@ class TestPlanDigest:
         monkeypatch.setattr(plancache, "_FILE_DIGESTS", perturbed)
         assert plan_digest(registry, None, FLAGS) != before
 
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.core.defaults", "repro.jinn.machines.common", "repro.fsm.machine"],
+    )
+    def test_digest_salts_emit_helpers(self, module, monkeypatch):
+        # ``default_literal`` is emitted into every entry's failure
+        # return, the JNI machines share ``machines.common``, and the
+        # spec base class defaults ``reads_thread``: an edit to any of
+        # them must not revive a plan compiled before it.
+        import importlib
+
+        import repro.core.plancache as plancache
+
+        registry = build_registry()
+        before = plan_digest(registry, None, FLAGS)
+        source_path = plancache._source_file(importlib.import_module(module))
+        assert source_path is not None
+        perturbed = dict(plancache._FILE_DIGESTS)
+        perturbed[source_path] = "0" * 64
+        monkeypatch.setattr(plancache, "_FILE_DIGESTS", perturbed)
+        assert plan_digest(registry, None, FLAGS) != before
+
 
 class TestPlanDiskCache:
     def test_store_then_load_roundtrips_code(self, tmp_path):
