@@ -1,8 +1,9 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 1. **Generated wrappers vs interpretive checking** — the synthesizer's
-   raison d'être: specialized generated code avoids walking all eleven
-   machine specifications at every boundary crossing.
+   raison d'être: specialized generated code avoids building an event
+   context and running each matching machine's generic handler at
+   every boundary crossing.
 2. **Per-machine cost** — disable one machine at a time and measure the
    workload, exposing which constraints cost what.
 3. **Local-frame capacity sweep** — where Subversion-style overflows

@@ -38,7 +38,7 @@ def _spec_line_count():
 
 def test_spec_vs_generated_ratio(benchmark):
     source = benchmark(
-        lambda: Synthesizer(build_registry()).generate_source()
+        lambda: Synthesizer(build_registry()).generate_pipeline_source()
     )
     generated = count_noncomment_lines(source)
     spec_total, per_file = _spec_line_count()
@@ -68,4 +68,4 @@ def test_spec_vs_generated_ratio(benchmark):
 
 def test_synthesis_and_compile_cost(benchmark):
     """End-to-end cost of Algorithm 1 + codegen + compile."""
-    benchmark(lambda: Synthesizer(build_registry()).build())
+    benchmark(lambda: Synthesizer(build_registry()).build_pipeline())

@@ -3,7 +3,7 @@
 Checks that the Figure 1 program (a local reference escaping into a C
 callback record) crashes production VMs, that Jinn's local-reference
 machine reports ``Error: dangling`` at ``CallStaticVoidMethodA`` exactly
-as Figure 2 prescribes, and that the synthesized wrappers contain the
+as Figure 2 prescribes, and that the synthesized entries contain the
 Figure 3 / Figure 4 instrumentation.
 """
 
@@ -32,20 +32,20 @@ def test_figure1_bug_outcomes(benchmark):
 
 def test_figure3_and_4_wrappers_generated(benchmark):
     source = benchmark(
-        lambda: Synthesizer(build_registry()).generate_source()
+        lambda: Synthesizer(build_registry()).generate_pipeline_source()
     )
-    # Figure 3: the native-method wrapper acquires reference arguments on
+    # Figure 3: the native-method entry acquires reference arguments on
     # entry and releases the frame on return.
     assert (
         "rt.local_ref.enter_native(env, thread, method_name, handles)"
         in source
     )
     assert "rt.local_ref.exit_native(env, thread, method_name, result)" in source
-    # Figure 4: the CallStaticVoidMethodA wrapper contains the
+    # Figure 4: the CallStaticVoidMethodA entry contains the
     # jinn_refs_contains-style use check and raises on dangling.
     lines = source.splitlines()
     start = lines.index(
-        "    def wrapped_CallStaticVoidMethodA(env, *args):"
+        "    def entry_CallStaticVoidMethodA(env, *args):"
     )
     end = lines.index(
         "        result = raw_CallStaticVoidMethodA(env, *args)", start

@@ -101,14 +101,73 @@ def _recovery_section() -> dict:
         }
 
 
-def _fake_clock(advance):
-    cell = [0]
+def _governed_entries(gov, names):
+    """Real fused entries, metered by ``gov``, over a synthetic table.
 
-    def clock():
-        cell[0] += advance[0]
-        return cell[0]
+    One machine with one check before every function; on the fake clock
+    (``rt.now``) the check costs 1000 and the raw function 1.  Returns
+    ``(entries, rt)``; ``rt.checks`` counts the checks that ran, per
+    function.
+    """
+    from collections import Counter
 
-    return clock
+    from repro.fsm.events import Direction
+    from repro.fsm.machine import (
+        EntitySelector,
+        FunctionSelector,
+        LanguageTransition,
+        State,
+        StateMachineSpec,
+        StateTransition,
+    )
+    from repro.fsm.registry import SpecRegistry
+    from repro.jinn.synthesizer import Synthesizer
+    from repro.jni.functions import FunctionMeta
+
+    idle = State("Idle")
+
+    class CostSpec(StateMachineSpec):
+        name = "cost"
+
+        def states(self):
+            return [idle]
+
+        def state_transitions(self):
+            return [StateTransition(idle, idle)]
+
+        def language_transitions_for(self, transition):
+            return [
+                LanguageTransition(
+                    Direction.CALL_NATIVE_TO_MANAGED,
+                    FunctionSelector("any function", lambda m: m is not None),
+                    EntitySelector.NONE,
+                )
+            ]
+
+        def emit(self, meta, direction):
+            return ["rt.checks[{!r}] += 1".format(meta.name), "rt.now += 1000"]
+
+    class CostRuntime:
+        def __init__(self):
+            self.now = 0
+            self.checks = Counter()
+
+        def clock(self):
+            return self.now
+
+    rt = CostRuntime()
+    gov._clock = rt.clock  # before the build: entries pre-bind it
+
+    def raw(env):
+        rt.now += 1
+        return "ok"
+
+    table = {name: FunctionMeta(name, "test", (), "void") for name in names}
+    build = Synthesizer(
+        SpecRegistry([CostSpec()]), function_table=table
+    ).build_pipeline(govern=True)
+    entries, _ = build(rt, {name: raw for name in names}, None, gov)
+    return entries, rt
 
 
 def _governor_section() -> dict:
@@ -121,43 +180,24 @@ def _governor_section() -> dict:
     policy = GovernorPolicy(
         budget=0.3, window=32, sample_period=4, max_period=16, hot_min=16
     )
-    # Part 1 — deterministic control-law check on a fake clock: one hot
-    # pair whose checking is 1000x its raw cost degrades to sampling,
-    # one cold pair stays at full checking, and the sampled-in
-    # accounting is exact (every non-sampled-out call ran the wrapper).
+    # Part 1 — deterministic control-law check on a fake clock, through
+    # real governed fused entries: one hot pair whose checking is 1000x
+    # its raw cost degrades to sampling, one cold pair stays at full
+    # checking, and the sampled-in accounting is exact (every
+    # non-sampled-out call ran the generated check).
     gov = OverheadGovernor(policy)
-    advance = [1]
-    gov._clock = _fake_clock(advance)
-    checked_calls = [0]
-
-    def hot_checked(env):
-        checked_calls[0] += 1
-        advance[0] = 1000
-        return "ok"
-
-    def cold_checked(env):
-        advance[0] = 1000
-        return "ok"
-
-    def raw(env):
-        advance[0] = 1
-        return "ok"
-
-    table = gov.instrument_table(
-        {"hot": hot_checked, "cold": cold_checked},
-        {"hot": raw, "cold": raw},
-    )
+    entries, rt = _governed_entries(gov, ("hot", "cold"))
     for i in range(400):
-        table["hot"](None)
+        entries["hot"](None)
         if i % 100 == 0:  # 4 calls total: far below hot_min
-            table["cold"](None)
+            entries["cold"](None)
     hot_state = gov.pairs["hot"]
     cold_state = gov.pairs["cold"]
     synthetic = {
         "hot_period": hot_state.period,
         "hot_sampled_out": hot_state.total_sampled_out,
         "cold_period": cold_state.period,
-        "checked_calls": checked_calls[0],
+        "checked_calls": rt.checks["hot"],
         "total_calls": hot_state.total_calls,
     }
     # Part 2 — a real governed workload: a faulty sequence runs under a
@@ -188,7 +228,7 @@ def _governor_section() -> dict:
         and hot_state.total_sampled_out > 0,
         "cold_pair_fully_checked": cold_state.period == 1
         and cold_state.total_sampled_out == 0,
-        "sampled_in_accounting_exact": checked_calls[0]
+        "sampled_in_accounting_exact": rt.checks["hot"]
         == hot_state.total_calls - hot_state.total_sampled_out,
         "workload_cold_pairs_fully_checked": cold_all_full,
         "workload_detection_intact": "owned_ref" in detected,

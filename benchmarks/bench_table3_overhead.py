@@ -22,12 +22,9 @@ expensive; in a pure-Python substrate the checks themselves are Python
 bytecode and dominate instead.
 """
 
-import json
-import os
-
 import pytest
 
-from benchmarks.conftest import print_table, write_bench_json
+from benchmarks.conftest import print_table
 from repro.workloads.dacapo import (
     BENCHMARK_NAMES,
     PAPER_OVERHEADS,
@@ -119,140 +116,3 @@ def test_table3_overheads(benchmark):
     assert geo["jinn"] >= geo["interpose"] - 0.10, (
         "full checking should not be cheaper than interposing (mod noise)"
     )
-
-
-# ----------------------------------------------------------------------
-# Quick mode: interpretive dispatch-index vs fan-out (scripts/check.sh)
-# ----------------------------------------------------------------------
-
-#: Kernel and size for the quick dispatch comparison.
-QUICK_WORKLOAD = "luindex"
-QUICK_ITERATIONS = 300
-QUICK_TRIALS = 5
-
-
-def _sparse_registry():
-    """A registry whose machines match only a handful of JNI functions.
-
-    Monitor and global-reference transitions touch ~8 of the ~90 JNI
-    functions, so on a string/array-heavy kernel the dispatch index
-    should skip nearly every event the fan-out path walks.
-    """
-    from repro.fsm.registry import SpecRegistry
-    from repro.jinn.machines import GlobalRefSpec, MonitorSpec
-
-    return SpecRegistry([MonitorSpec(), GlobalRefSpec()])
-
-
-def _time_interpretive(registry, dispatch: str) -> float:
-    """Best-of-N elapsed time for one interpretive agent variant."""
-    from repro.jinn.agent import JinnAgent
-
-    best = None
-    for _ in range(QUICK_TRIALS):
-        result = run_workload(
-            QUICK_WORKLOAD,
-            iterations=QUICK_ITERATIONS,
-            agents=[
-                JinnAgent(registry, mode="interpretive", dispatch=dispatch)
-            ],
-        )
-        if best is None or result.elapsed < best:
-            best = result.elapsed
-    return best
-
-
-def run_dispatch_quick(out_path: str) -> dict:
-    """Compare index vs fan-out interpretive dispatch; write a report.
-
-    The gate encodes the tentpole's acceptance criterion: on the full
-    eleven-machine registry the index must be no worse than the seed
-    fan-out (within a noise margin), and on a machine-sparse registry it
-    must be measurably better, because most (function, direction)
-    buckets are empty there.
-    """
-    from repro.core.cache import WRAPPER_CACHE
-    from repro.jinn.machines import build_registry
-
-    report = {
-        "workload": QUICK_WORKLOAD,
-        "iterations": QUICK_ITERATIONS,
-        "trials": QUICK_TRIALS,
-        "registries": {},
-    }
-    for label, registry in (
-        ("full", build_registry()),
-        ("sparse", _sparse_registry()),
-    ):
-        index = WRAPPER_CACHE.dispatch_for(registry)
-        fanout = _time_interpretive(registry, "fanout")
-        indexed = _time_interpretive(registry, "index")
-        report["registries"][label] = {
-            "machines": list(registry.names()),
-            "fanout_seconds": fanout,
-            "index_seconds": indexed,
-            "speedup": fanout / indexed if indexed else 0.0,
-            "index_handlers": index.handler_count(),
-            "fanout_handlers": index.fanout_handler_count(),
-            "sparsity": round(index.sparsity(), 4),
-        }
-
-    full = report["registries"]["full"]
-    sparse = report["registries"]["sparse"]
-    # Gate: no regression on the full registry (generous noise margin —
-    # quick mode runs on shared CI machines), clear win when sparse.
-    report["gate"] = {
-        "full_ok": full["index_seconds"] <= full["fanout_seconds"] * 1.15,
-        "sparse_ok": sparse["index_seconds"] < sparse["fanout_seconds"],
-    }
-    write_bench_json(out_path, report, thresholds={
-        "full_index_margin": 1.15,
-        "sparse_index_ratio_max": 1.0,
-    })
-    return report
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Quick interpretive-dispatch benchmark gate"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="run the dispatch-index gate"
-    )
-    parser.add_argument(
-        "--out",
-        default=os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "BENCH_interpretive_dispatch.json",
-        ),
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    if not args.quick:
-        parser.error("this entry point only supports --quick "
-                     "(use pytest for the full Table 3 benchmark)")
-    report = run_dispatch_quick(args.out)
-    for label, stats in sorted(report["registries"].items()):
-        print(
-            "{:>6}: fanout {:.4f}s  index {:.4f}s  speedup {:.2f}x  "
-            "(handlers {} -> {}, sparsity {})".format(
-                label,
-                stats["fanout_seconds"],
-                stats["index_seconds"],
-                stats["speedup"],
-                stats["fanout_handlers"],
-                stats["index_handlers"],
-                stats["sparsity"],
-            )
-        )
-    print("report written to {}".format(args.out))
-    if not all(report["gate"].values()):
-        print("DISPATCH GATE FAILED: {}".format(report["gate"]))
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -37,17 +37,17 @@ def run_configuration(vendor, with_jinn: bool) -> None:
 
 def show_generated_wrapper() -> None:
     """The Figure 4 analogue: the synthesized CallStaticVoidMethodA."""
-    source = Synthesizer(build_registry()).generate_source()
+    source = Synthesizer(build_registry()).generate_pipeline_source()
     lines = source.splitlines()
     start = next(
         i for i, line in enumerate(lines)
-        if "def wrapped_CallStaticVoidMethodA(" in line
+        if "def entry_CallStaticVoidMethodA(" in line
     )
     end = next(
         i for i in range(start, len(lines))
-        if lines[i].lstrip().startswith("wrappers[")
+        if lines[i].lstrip().startswith("entries[")
     )
-    print("== synthesized wrapper for CallStaticVoidMethodA (cf. Figure 4) ==")
+    print("== synthesized entry for CallStaticVoidMethodA (cf. Figure 4) ==")
     print("\n".join(lines[start - 1 : end + 1]))
     print()
 

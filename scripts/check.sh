@@ -8,9 +8,8 @@
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
 # and the quick
-# benchmark gates (write BENCH_interpretive_dispatch.json,
-# BENCH_trace_replay.json, BENCH_fuzz.json, BENCH_resilience.json,
-# BENCH_pipeline.json, BENCH_obs.json, and BENCH_fleet.json).
+# benchmark gates (write BENCH_trace_replay.json, BENCH_fuzz.json,
+# BENCH_resilience.json, BENCH_obs.json, and BENCH_fleet.json).
 #
 # Usage: scripts/check.sh [--no-bench]
 set -euo pipefail
@@ -57,9 +56,6 @@ echo "== fleet storage chaos smoke (group-commit durability window) =="
 timeout 300 python -m repro.cli fleet chaos --smoke --sync group
 
 if [[ "${1:-}" != "--no-bench" ]]; then
-    echo "== dispatch-index bench gate (quick) =="
-    python benchmarks/bench_table3_overhead.py --quick
-
     echo "== trace replay bench gate (quick) =="
     python benchmarks/bench_trace_replay.py --quick
 
@@ -68,9 +64,6 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 
     echo "== resilience bench gate (quick) =="
     timeout 600 python benchmarks/bench_resilience.py --quick
-
-    echo "== fused pipeline bench gate (quick) =="
-    timeout 600 python benchmarks/bench_pipeline.py --quick
 
     echo "== observability bench gate (quick) =="
     timeout 600 python benchmarks/bench_obs.py --quick

@@ -67,7 +67,9 @@ def _cmd_generate(args) -> int:
     from repro.jinn import Synthesizer, build_registry
 
     synthesizer = Synthesizer(build_registry())
-    source = synthesizer.generate_source(checking=not args.interpose_only)
+    source = synthesizer.generate_pipeline_source(
+        checking=not args.interpose_only
+    )
     if args.output:
         with open(args.output, "w") as f:
             f.write(source)

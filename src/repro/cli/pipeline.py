@@ -10,7 +10,7 @@ longer scrapes ``WrapperCache.stats()`` from ``dispatch`` stdout.
 from __future__ import annotations
 
 
-def _build_plan(substrate: str, mode: str, dispatch: str):
+def _build_plan(substrate: str, mode: str):
     if substrate == "pyc":
         from repro.pipeline import PipelinePlan
         from repro.pyc import PyCChecker, PythonInterpreter
@@ -18,16 +18,13 @@ def _build_plan(substrate: str, mode: str, dispatch: str):
 
         checker = PyCChecker()
         PythonInterpreter(agents=[checker])
-        if mode == "generated" and dispatch == "index":
+        if mode == "generated":
             return checker._plan
-        return PipelinePlan(
-            checker.rt, checker.registry, PY_FUNCTIONS,
-            mode=mode, dispatch=dispatch,
-        )
+        return PipelinePlan(checker.rt, checker.registry, PY_FUNCTIONS, mode=mode)
     from repro.jinn.agent import JinnAgent
     from repro.jvm import JavaVM
 
-    agent = JinnAgent(mode=mode, dispatch=dispatch)
+    agent = JinnAgent(mode=mode)
     JavaVM(agents=[agent])
     return agent._pipeline_plan()
 
@@ -36,7 +33,7 @@ def _cmd_pipeline_show(args) -> int:
     from repro.core.cache import WRAPPER_CACHE
     from repro.core.dispatch import NATIVE_KEY
 
-    plan = _build_plan(args.substrate, args.mode, args.dispatch)
+    plan = _build_plan(args.substrate, args.mode)
     described = plan.describe()
     described["substrate"] = args.substrate
     described["wrapper_cache"] = WRAPPER_CACHE.stats()
@@ -47,7 +44,6 @@ def _cmd_pipeline_show(args) -> int:
         return 0
     print("substrate:     " + args.substrate)
     print("mode:          " + described["mode"])
-    print("dispatch:      " + described["dispatch"])
     print("functions:     {}".format(described["functions"]))
     print("checked sites: {}".format(described["checked_sites"]))
     print("interceptors (outermost first):")
@@ -93,9 +89,6 @@ def add_parsers(sub) -> None:
         "--mode",
         choices=("generated", "interpose", "interpretive"),
         default="generated",
-    )
-    show.add_argument(
-        "--dispatch", choices=("index", "fanout"), default="index"
     )
     show.add_argument(
         "--function", default=None,

@@ -34,7 +34,6 @@ def _pipeline_section(substrate: str) -> dict:
     return {
         "pipeline": "fused",
         "mode": described["mode"],
-        "dispatch": described["dispatch"],
         "functions": described["functions"],
         "checked_sites": described["checked_sites"],
         "stages": [s["name"] for s in described["interceptors"]],
@@ -141,9 +140,9 @@ def _cmd_status(args) -> int:
         )
     )
     print(
-        "cache    : {} plan / {} wrapper module(s), {} hit(s) / "
+        "cache    : {} plan module(s), {} hit(s) / "
         "{} miss(es); disk {}: {} hit(s) / {} miss(es), {} write(s)".format(
-            cache["plan_modules"], cache["wrapper_modules"],
+            cache["plan_modules"],
             cache["hits"], cache["misses"],
             "on" if cache["disk_enabled"] else "off",
             cache["disk_hits"], cache["disk_misses"], cache["disk_writes"],

@@ -11,7 +11,7 @@ layers:
 - :class:`DispatchIndex` — the (function, direction) -> machines index
   from Algorithm 1's cross product, used by the interpretive engine so
   events reach only the machines that observe them.
-- :class:`WrapperCache` — compiled wrapper modules keyed on full spec
+- :class:`WrapperCache` — compiled plan modules keyed on full spec
   identity (:meth:`~repro.fsm.registry.SpecRegistry.fingerprint`),
   shared by every agent and checker in the process.
 - The unified return-kind defaults table consumed by both the
@@ -22,7 +22,6 @@ from repro.core.cache import (
     WRAPPER_CACHE,
     WrapperCache,
     dispatch_for,
-    wrappers_for,
 )
 from repro.core.clock import SYSTEM_CLOCK, Clock, FakeClock, SystemClock
 from repro.core.defaults import (
@@ -55,5 +54,4 @@ __all__ = [
     "default_literal",
     "default_value",
     "dispatch_for",
-    "wrappers_for",
 ]

@@ -1,19 +1,20 @@
 """Process-wide caches keyed on full specification identity.
 
 Synthesis is deterministic: the same specs against the same function
-table always generate the same wrapper module, so agents for the same
-specification reuse one compiled module instead of re-synthesizing at
-every VM start — and the Python/C checker reuses one instead of
-re-synthesizing at every interpreter construction.
+table and stage flags always generate the same plan module, so agents
+for the same specification reuse one compiled module instead of
+re-synthesizing at every VM start — and the Python/C checker reuses one
+instead of re-synthesizing at every interpreter construction.
 
 Correctness hinges on the key.  The historic cache keyed on *machine
 names*, so a custom registry reusing a builtin machine name silently got
-the builtin's generated wrappers.  :class:`WrapperCache` keys on
+the builtin's generated checks.  :class:`WrapperCache` keys on
 :meth:`repro.fsm.registry.SpecRegistry.fingerprint` — a hash of every
 spec's transitions, mappings, and emit-plan identity — plus the function
-table and mode, so behaviourally different registries never collide.
+table and stage flags, so behaviourally different registries never
+collide.
 
-Fused-pipeline plans additionally warm-start across *processes*: when a
+Plans additionally warm-start across *processes*: when a
 :class:`repro.core.plancache.PlanDiskCache` is attached (the
 process-wide instance enables it from ``REPRO_PLAN_CACHE``), an
 in-memory plan miss first consults the on-disk cache and, on a hit,
@@ -45,7 +46,7 @@ def _table_key(function_table) -> Tuple[str, ...]:
 
 
 class WrapperCache:
-    """Compiled wrapper modules and dispatch indexes by spec identity.
+    """Compiled plan modules and dispatch indexes by spec identity.
 
     Both maps are bounded LRU caches: a hit refreshes the entry, an
     insert past ``max_entries`` evicts the least recently used one.
@@ -61,7 +62,6 @@ class WrapperCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.disk = disk
-        self._wrappers: "OrderedDict[tuple, Callable]" = OrderedDict()
         self._plans: "OrderedDict[tuple, Callable]" = OrderedDict()
         self._indexes: "OrderedDict[tuple, DispatchIndex]" = OrderedDict()
         self._hits = 0
@@ -83,33 +83,6 @@ class WrapperCache:
             cache.popitem(last=False)
             self._evictions += 1
 
-    def wrappers_for(
-        self,
-        registry: SpecRegistry,
-        *,
-        function_table=None,
-        checking: bool = True,
-    ) -> Callable:
-        """The compiled ``build_wrappers`` for one full specification.
-
-        Synthesizes on first use; every later request with a
-        fingerprint-identical registry (and the same table and mode)
-        reuses the compiled module.
-        """
-        key = (registry.fingerprint(), _table_key(function_table), checking)
-        built = self._get(self._wrappers, key)
-        if built is None:
-            # Imported lazily: the synthesizer sits one layer above the
-            # core in the dependency order (specs -> synthesizer -> core
-            # consumers), so the core package must not import it at load
-            # time.
-            from repro.jinn.synthesizer import Synthesizer
-
-            synthesizer = Synthesizer(registry, function_table=function_table)
-            built = synthesizer.build(checking=checking)
-            self._put(self._wrappers, key, built)
-        return built
-
     def plans_for(
         self,
         registry: SpecRegistry,
@@ -122,9 +95,11 @@ class WrapperCache:
     ) -> Callable:
         """The compiled fused-pipeline ``build_entries`` for one spec set.
 
-        Keyed like :meth:`wrappers_for` plus the active stage flags: a
-        plan with the recorder tap (or the telemetry tap) fused in is a
-        different compiled module than one without it.
+        Synthesizes on first use; every later request with a
+        fingerprint-identical registry, the same table and the same
+        stage flags reuses the compiled module.  A plan with the
+        recorder tap (or the telemetry tap) fused in is a different
+        module than one without it.
         """
         key = (
             registry.fingerprint(),
@@ -136,6 +111,10 @@ class WrapperCache:
         )
         built = self._get(self._plans, key)
         if built is None:
+            # Imported lazily: the synthesizer sits one layer above the
+            # core in the dependency order (specs -> synthesizer -> core
+            # consumers), so the core package must not import it at load
+            # time.
             from repro.jinn.synthesizer import (
                 Synthesizer,
                 bind_pipeline,
@@ -183,7 +162,6 @@ class WrapperCache:
         return index
 
     def clear(self) -> None:
-        self._wrappers.clear()
         self._plans.clear()
         self._indexes.clear()
         self._hits = 0
@@ -195,7 +173,6 @@ class WrapperCache:
     def stats(self) -> Dict[str, int]:
         disk = self.disk.stats() if self.disk is not None else {}
         return {
-            "wrapper_modules": len(self._wrappers),
             "plan_modules": len(self._plans),
             "dispatch_indexes": len(self._indexes),
             "max_entries": self.max_entries,
@@ -217,18 +194,6 @@ class WrapperCache:
 #: environment (``REPRO_PLAN_CACHE``), so fleet workers — which inherit
 #: the environment — warm-start from the same directory.
 WRAPPER_CACHE: WrapperCache = WrapperCache(disk=default_disk_cache())
-
-
-def wrappers_for(
-    registry: SpecRegistry,
-    *,
-    function_table=None,
-    checking: bool = True,
-) -> Callable:
-    """Module-level convenience over :data:`WRAPPER_CACHE`."""
-    return WRAPPER_CACHE.wrappers_for(
-        registry, function_table=function_table, checking=checking
-    )
 
 
 def dispatch_for(

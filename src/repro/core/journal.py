@@ -7,11 +7,13 @@ record framing, and both decode it through :func:`scan_journal` here.
 
 Two record versions share one file format and are detected per record:
 
-- **v1** (checksum-less): ``"<byte_len> <json>\\n"``;
-- **v2** (checksummed): ``"<byte_len> <crc32:08x> <json>\\n"`` — the
-  CRC32 of the payload bytes sits between the length prefix and the
-  payload, so a bit flipped anywhere in a record is *detected* instead
-  of silently decoded.
+- **v2** (checksummed, the only version written):
+  ``"<byte_len> <crc32:08x> <json>\\n"`` — the CRC32 of the payload
+  bytes sits between the length prefix and the payload, so a bit
+  flipped anywhere in a record is *detected* instead of silently
+  decoded;
+- **v1** (checksum-less, still read): ``"<byte_len> <json>\\n"``, as
+  older releases wrote trace journals and queue journals.
 
 Detection is unambiguous because every payload the writers emit is a
 JSON document starting with ``[`` or ``{`` — neither is a lowercase
@@ -52,14 +54,10 @@ def crc32_hex(payload: bytes) -> str:
     return "{:08x}".format(zlib.crc32(payload) & 0xFFFFFFFF)
 
 
-def encode_record(json_line: str, *, checksum: bool = False) -> str:
-    """Frame one JSON line as a journal record (v2 when ``checksum``)."""
+def encode_record(json_line: str) -> str:
+    """Frame one JSON line as a v2 (checksummed) journal record."""
     payload = json_line.encode("utf-8")
-    if checksum:
-        return "{} {} {}\n".format(
-            len(payload), crc32_hex(payload), json_line
-        )
-    return "{} {}\n".format(len(payload), json_line)
+    return "{} {} {}\n".format(len(payload), crc32_hex(payload), json_line)
 
 
 @dataclass

@@ -196,7 +196,6 @@ def chaos_jobs(
     *,
     substrate: str = "both",
     rounds: int = 1,
-    pipeline: str = "fused",
 ) -> List[Job]:
     """One chaos-round job per substrate, in ``_substrates`` order."""
     from repro.fuzz.engine import _substrates
@@ -204,11 +203,7 @@ def chaos_jobs(
     return [
         Job(
             kind="chaos-round",
-            params={
-                "substrate": sub,
-                "rounds": rounds,
-                "pipeline": pipeline,
-            },
+            params={"substrate": sub, "rounds": rounds},
             seed=seed,
         )
         for sub in _substrates(substrate)
@@ -348,7 +343,6 @@ def _execute_chaos_round(job: Job) -> dict:
         job.seed,
         substrate=str(params["substrate"]),
         rounds=int(params.get("rounds", 1)),
-        pipeline=str(params.get("pipeline", "fused")),
     )
     return {
         "kind": job.kind,

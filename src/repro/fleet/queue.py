@@ -179,7 +179,7 @@ class JobQueue:
     # -- journal I/O -----------------------------------------------------
 
     def _write(self, record) -> None:
-        self._f.write(encode_record(_dumps(record), checksum=True))
+        self._f.write(encode_record(_dumps(record)))
         self.records_scanned += 1
         self._since_sync += 1
         if self._since_sync >= self.sync_every:
@@ -417,9 +417,9 @@ class JobQueue:
         tmp = self.path + ".compact"
         handle = self.store.open(tmp, "w")
         try:
-            handle.write(encode_record(_dumps(_HEADER), checksum=True))
+            handle.write(encode_record(_dumps(_HEADER)))
             handle.write(
-                encode_record(_dumps(["s", self._snapshot()]), checksum=True)
+                encode_record(_dumps(["s", self._snapshot()]))
             )
             handle.fsync()
         finally:

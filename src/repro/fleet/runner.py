@@ -3,10 +3,9 @@
 Each ``fleet_*`` function builds the ordered job list, runs the
 work-stealing scheduler, and merges through :mod:`repro.fleet.merge`.
 The pre-fleet single-process paths (``replay_sharded``, ``fuzz_run``,
-``chaos_run``, ``build_corpus``) stay in the tree as parity baselines —
-the same role ``pipeline="nested"`` plays for the fused interceptor
-pipeline — and the determinism tests assert the fleet reproduces them
-byte for byte.
+``chaos_run``, ``build_corpus``) stay in the tree as parity baselines,
+and the determinism tests assert the fleet reproduces them byte for
+byte.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ def fleet_chaos(
     *,
     substrate: str = "both",
     rounds: int = 1,
-    pipeline: str = "fused",
     workers: int = 2,
     queue_path: Optional[str] = None,
     **kwargs,
@@ -119,7 +117,7 @@ def fleet_chaos(
 
     Parity baseline: :func:`repro.resilience.chaos.chaos_run`.
     """
-    jobs = chaos_jobs(seed, substrate=substrate, rounds=rounds, pipeline=pipeline)
+    jobs = chaos_jobs(seed, substrate=substrate, rounds=rounds)
     report = _run(
         jobs, workers=workers, seed=seed, queue_path=queue_path, **kwargs
     )

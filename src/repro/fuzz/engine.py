@@ -48,15 +48,13 @@ class ExecutionResult:
         return bool(self.diff["drift"])
 
 
-def run_ops(substrate: str, ops, *, pipeline: str = "fused") -> ExecutionResult:
+def run_ops(substrate: str, ops) -> ExecutionResult:
     """Run ops live under a recorder, replay the trace, diff the streams."""
     from repro.trace import TraceRecorder, diff_reports, replay_lines
 
     recorder = TraceRecorder()
-    if substrate == "pyc":
-        live = run_pyc_ops(ops, observer=recorder, pipeline=pipeline)
-    else:
-        live = run_jni_ops(ops, observer=recorder, pipeline=pipeline)
+    runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
+    live = runner(ops, observer=recorder)
     recorder.close()
     replay = replay_lines(recorder.lines)
     return ExecutionResult(

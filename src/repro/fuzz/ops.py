@@ -332,7 +332,7 @@ def _define_host(vm) -> None:
 
 def run_jni_ops(
     ops, *, observer=None, vendor=None, setup=None, containment=None,
-    governor=None, pipeline="fused", telemetry=None,
+    governor=None, telemetry=None,
 ) -> RunOutcome:
     """Interpret a JNI op list on a fresh checked VM.
 
@@ -359,7 +359,7 @@ def run_jni_ops(
     )
 
     agent = JinnAgent(
-        mode="generated", pipeline=pipeline, observer=observer,
+        mode="generated", observer=observer,
         containment=containment, governor=governor, telemetry=telemetry,
     )
     vm = JavaVM(vendor=vendor if vendor is not None else HOTSPOT, agents=[agent])
@@ -503,7 +503,7 @@ _PYC_OPS = {
 
 def run_pyc_ops(
     ops, *, observer=None, setup=None, containment=None, governor=None,
-    pipeline="fused", telemetry=None,
+    telemetry=None,
 ) -> RunOutcome:
     """Interpret a Python/C op list under a fresh checked interpreter.
 
@@ -521,8 +521,8 @@ def run_pyc_ops(
     from repro.pyc import PyCChecker, PythonInterpreter
 
     checker = PyCChecker(
-        pipeline=pipeline, observer=observer, containment=containment,
-        governor=governor, telemetry=telemetry,
+        observer=observer, containment=containment, governor=governor,
+        telemetry=telemetry,
     )
     interp = PythonInterpreter(agents=[checker])
     if setup is not None:

@@ -5,10 +5,10 @@ the simulator's ``-agentlib:jinn``).  The agent then:
 
 1. defines Jinn's custom exception class ``jinn/JNIAssertionFailure``;
 2. at every thread start, swaps the thread's JNI function table for the
-   synthesizer's generated wrappers (composing with whatever table the
-   thread already had, so Jinn stacks with other agents);
-3. at every native-method bind, swaps the implementation for a generated
-   native-method wrapper;
+   plan's fused entries (composing with whatever table the thread
+   already had, so Jinn stacks with other agents);
+3. at every native-method bind, swaps the implementation for a fused
+   native-method entry;
 4. at VM death, asks every resource machine for leaks.
 
 Three modes support the paper's measurements: ``generated`` (full Jinn),
@@ -16,42 +16,27 @@ Three modes support the paper's measurements: ``generated`` (full Jinn),
 ``interpretive`` (no code generation; every event walks the machine
 specifications — the codegen-vs-interpretation ablation).
 
-Interpretive mode dispatches through the core's
-:class:`~repro.core.dispatch.DispatchIndex`: each JNI function's
-interpretive wrapper consults only the machines whose language
-transitions match that (function, direction) pair, mirroring the
-specialization the generated wrappers get from Algorithm 1.  The
-pre-index fan-out (every event visits every machine) is retained as
-``dispatch="fanout"`` so the overhead benchmark can quantify the win.
-
-All modes install their entries through the fused interceptor pipeline
-(:mod:`repro.pipeline`) by default — recorder tap, governor meter,
-machine checks, and containment arms compiled into one flat entry per
-crossing.  ``pipeline="nested"`` retains the historic closure stack
-(recorder proxy over governor proxy over wrapper) as the parity
-baseline.
+Every mode installs its entries through one fused
+:class:`repro.pipeline.PipelinePlan`: recorder tap, governor meter,
+machine checks and containment arms compiled into one flat entry per
+crossing.  Interpretive entries dispatch through the core's
+:class:`~repro.core.dispatch.DispatchIndex`, so each crossing consults
+only the machines whose language transitions match that (function,
+direction) pair — the specialization the generated entries get from
+Algorithm 1.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.core.cache import WRAPPER_CACHE
-from repro.core.defaults import default_value
 from repro.fsm.errors import FFIViolation
-from repro.fsm.events import Direction, EventContext, LanguageEvent
 from repro.fsm.registry import SpecRegistry
 from repro.jinn.machines import build_registry
 from repro.jinn.runtime import ASSERTION_FAILURE_CLASS, JinnRuntime
 from repro.jvm.jvmti import JVMTIAgent
 
 _MODES = ("generated", "interpose", "interpretive")
-_DISPATCHES = ("index", "fanout")
-#: ``fused`` compiles one flat entry per crossing through
-#: :class:`repro.pipeline.PipelinePlan`; ``nested`` keeps the historic
-#: recorder -> governor -> wrapper -> raw closure stack (retained for
-#: the parity suite and the pipeline benchmark's baseline).
-_PIPELINES = ("fused", "nested")
 
 
 class JinnAgent(JVMTIAgent):
@@ -64,8 +49,6 @@ class JinnAgent(JVMTIAgent):
         registry: Optional[SpecRegistry] = None,
         *,
         mode: str = "generated",
-        dispatch: str = "index",
-        pipeline: str = "fused",
         observer=None,
         containment=None,
         governor=None,
@@ -73,36 +56,22 @@ class JinnAgent(JVMTIAgent):
     ):
         if mode not in _MODES:
             raise ValueError("mode must be one of {}".format(_MODES))
-        if dispatch not in _DISPATCHES:
-            raise ValueError("dispatch must be one of {}".format(_DISPATCHES))
-        if pipeline not in _PIPELINES:
-            raise ValueError("pipeline must be one of {}".format(_PIPELINES))
-        if telemetry is not None and pipeline != "fused":
-            raise ValueError(
-                "telemetry requires the fused pipeline "
-                "(the nested stack has no tap stage)"
-            )
         self.registry = registry if registry is not None else build_registry()
         self.mode = mode
-        self.dispatch = dispatch
-        self.pipeline = pipeline
         #: Optional event-stream observer (a ``repro.trace.TraceRecorder``).
-        #: When None the agent installs untapped wrapper tables — the
-        #: recording layer costs nothing unless a recorder is attached.
+        #: When None the agent installs untapped entries — the recording
+        #: layer costs nothing unless a recorder is attached.
         self.observer = observer
         #: Optional :class:`repro.core.runtime.ContainmentPolicy`.
         self.containment = containment
         #: Optional :class:`repro.resilience.governor.OverheadGovernor`;
-        #: when set, installed tables route through its metering proxies.
+        #: when set, its meter is fused into the entries.
         self.governor = governor
         #: Optional :class:`repro.obs.ObsHub` (or a prepared
         #: :class:`repro.obs.TelemetryTap`); fused into the entries.
         self.telemetry = telemetry
         self.rt: Optional[JinnRuntime] = None
         self.vm = None
-        self._build_wrappers = None
-        self._native_factory: Optional[Callable] = None
-        self._index = None
         self._plan = None
         #: Leak violations found at VM death.
         self.termination_violations: List[FFIViolation] = []
@@ -120,19 +89,6 @@ class JinnAgent(JVMTIAgent):
         self.rt = JinnRuntime(vm, self.registry, containment=self.containment)
         if self.observer is not None:
             self.observer.attach_jinn(self.rt, vm)
-        if self.pipeline == "fused":
-            # The plan resolves its own compiled module (or dispatch
-            # index) through the shared cache.
-            return
-        if self.mode in ("generated", "interpose"):
-            # The shared cache keys on the registry fingerprint (full
-            # spec identity), so agents for the same specification reuse
-            # one compiled module instead of re-synthesizing per VM.
-            self._build_wrappers = WRAPPER_CACHE.wrappers_for(
-                self.registry, checking=(self.mode == "generated")
-            )
-        elif self.dispatch == "index":
-            self._index = WRAPPER_CACHE.dispatch_for(self.registry)
 
     def on_thread_start(self, vm, thread) -> None:
         env_machine = self.rt.encodings.get("jnienv_state")
@@ -142,52 +98,11 @@ class JinnAgent(JVMTIAgent):
         observer = self.rt.observer
         if observer is not None:
             observer.on_thread_start(thread)
-        if self.pipeline == "fused":
-            plan = self._pipeline_plan()
-            env.install_function_table(plan.entries(env.function_table()))
-            return
-        if self.mode == "interpretive":
-            wrappers = self._interpretive_table(env)
-        else:
-            wrappers, native_factory = self._build_wrappers(
-                self.rt, env.function_table()
-            )
-            if self._native_factory is None:
-                self._native_factory = native_factory
-        if self.governor is not None:
-            # Governor inside the observer: a sampled-out call skips its
-            # checks but is still recorded, so traces stay complete.
-            wrappers = self.governor.instrument_table(
-                wrappers, env.function_table()
-            )
-        if observer is not None:
-            wrappers = observer.instrument_table(wrappers)
-        env.install_function_table(wrappers)
+        plan = self._pipeline_plan()
+        env.install_function_table(plan.entries(env.function_table()))
 
     def on_native_method_bind(self, vm, method, impl: Callable) -> Callable:
-        if self.pipeline == "fused":
-            return self._pipeline_plan().native_entry(
-                method.mangled_name(), impl
-            )
-        if self.mode == "interpretive":
-            wrapped = self._interpretive_native(method, impl)
-        else:
-            if self._native_factory is None:
-                # No thread started yet: build the factory against the raw
-                # table of the (not yet existing) env; the factory itself is
-                # table-independent.
-                _, self._native_factory = self._build_wrappers(
-                    self.rt, _raw_stub()
-                )
-            wrapped = self._native_factory(method.mangled_name(), impl)
-        if self.governor is not None:
-            wrapped = self.governor.instrument_native(
-                method.mangled_name(), wrapped, impl
-            )
-        observer = self.rt.observer
-        if observer is not None:
-            wrapped = observer.instrument_native(method.mangled_name(), wrapped)
-        return wrapped
+        return self._pipeline_plan().native_entry(method.mangled_name(), impl)
 
     def on_vm_death(self, vm) -> None:
         observer = self.rt.observer
@@ -198,7 +113,7 @@ class JinnAgent(JVMTIAgent):
         self.termination_violations = self.rt.at_termination()
 
     # ------------------------------------------------------------------
-    # The fused pipeline (default call path)
+    # The fused pipeline
     # ------------------------------------------------------------------
 
     def _pipeline_plan(self):
@@ -211,157 +126,8 @@ class JinnAgent(JVMTIAgent):
                 self.rt,
                 self.registry,
                 mode=self.mode,
-                dispatch=self.dispatch,
                 recorder=self.rt.observer,
                 governor=self.governor,
                 telemetry=self.telemetry,
             )
         return plan
-
-    # ------------------------------------------------------------------
-    # Interpretive mode (ablation: no generated code)
-    # ------------------------------------------------------------------
-
-    def _interpretive_table(self, env) -> Dict[str, Callable]:
-        from repro.jni import functions
-
-        rt = self.rt
-        table = {}
-        if self._index is not None:
-            for name, raw_fn in env.function_table().items():
-                meta = functions.FUNCTIONS[name]
-                pre = self._index.encodings(
-                    rt, name, Direction.CALL_NATIVE_TO_MANAGED
-                )
-                post = self._index.encodings(
-                    rt, name, Direction.RETURN_MANAGED_TO_NATIVE
-                )
-                table[name] = self._interp_wrapper(
-                    rt, pre, post, name, meta, raw_fn
-                )
-            return table
-        # Seed fan-out, kept for the dispatch-index ablation: every
-        # event walks every machine.
-        encodings = [rt.encodings[spec.name] for spec in self.registry]
-        for name, raw_fn in env.function_table().items():
-            meta = functions.FUNCTIONS[name]
-            table[name] = self._interp_wrapper(
-                rt, encodings, encodings, name, meta, raw_fn
-            )
-        return table
-
-    @staticmethod
-    def _interp_wrapper(rt, pre_encodings, post_encodings, name, meta, raw_fn):
-        default = default_value(meta.returns)
-
-        def interp(env, *args):
-            thread = rt.vm.current_thread
-            if pre_encodings:
-                ctx = EventContext(
-                    LanguageEvent(Direction.CALL_NATIVE_TO_MANAGED, name),
-                    env,
-                    thread,
-                    args=args,
-                    meta=meta,
-                )
-                try:
-                    for encoding in pre_encodings:
-                        try:
-                            encoding.on_event(ctx)
-                        except FFIViolation:
-                            raise
-                        except Exception as exc:
-                            rt.contain(encoding.spec.name, exc, name, "pre")
-                except FFIViolation as v:
-                    return rt.fail(env, v, default)
-            result = raw_fn(env, *args)
-            if post_encodings:
-                ctx = EventContext(
-                    LanguageEvent(Direction.RETURN_MANAGED_TO_NATIVE, name),
-                    env,
-                    thread,
-                    args=args,
-                    result=result,
-                    meta=meta,
-                )
-                try:
-                    for encoding in post_encodings:
-                        try:
-                            encoding.on_event(ctx)
-                        except FFIViolation:
-                            raise
-                        except Exception as exc:
-                            rt.contain(encoding.spec.name, exc, name, "post")
-                except FFIViolation as v:
-                    rt.fail(env, v)
-            return result
-
-        interp.__name__ = "interp_" + name
-        return interp
-
-    def _interpretive_native(self, method, impl: Callable) -> Callable:
-        rt = self.rt
-        if self._index is not None:
-            pre = self._index.native_encodings(
-                rt, Direction.CALL_MANAGED_TO_NATIVE
-            )
-            post = self._index.native_encodings(
-                rt, Direction.RETURN_NATIVE_TO_MANAGED
-            )
-        else:
-            pre = post = [rt.encodings[spec.name] for spec in self.registry]
-        method_name = method.mangled_name()
-
-        def interp_native(env, this, *args):
-            thread = rt.vm.current_thread
-            ctx = EventContext(
-                LanguageEvent(
-                    Direction.CALL_MANAGED_TO_NATIVE, method_name, True
-                ),
-                env,
-                thread,
-                args=(this,) + args,
-            )
-            try:
-                for encoding in pre:
-                    try:
-                        encoding.on_event(ctx)
-                    except FFIViolation:
-                        raise
-                    except Exception as exc:
-                        rt.contain(encoding.spec.name, exc, method_name, "pre")
-            except FFIViolation as v:
-                rt.fail(env, v)
-            result = impl(env, this, *args)
-            ctx = EventContext(
-                LanguageEvent(
-                    Direction.RETURN_NATIVE_TO_MANAGED, method_name, True
-                ),
-                env,
-                thread,
-                args=(this,) + args,
-                result=result,
-            )
-            try:
-                for encoding in post:
-                    try:
-                        encoding.on_event(ctx)
-                    except FFIViolation:
-                        raise
-                    except Exception as exc:
-                        rt.contain(encoding.spec.name, exc, method_name, "post")
-            except FFIViolation as v:
-                rt.fail(env, v)
-            return result
-
-        return interp_native
-
-
-def _raw_stub() -> Dict[str, Callable]:
-    """A placeholder raw table for factory-only builds."""
-    from repro.jni import functions
-
-    def missing(env, *args):
-        raise RuntimeError("raw stub called")
-
-    return {name: missing for name in functions.FUNCTIONS}

@@ -207,14 +207,6 @@ class TelemetryTap(Interceptor):
     def on_return(self, site: CallSite):
         return self.return_hook(site.function, site.native)
 
-    def on_violation(self, violation) -> None:
-        self.hub.on_violation(violation)
-
-    def on_reset(self) -> None:
-        # The hub deliberately survives runtime resets, like the
-        # governor: fleet telemetry spans runs.
-        return None
-
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,

@@ -13,18 +13,18 @@ with a common surface — so the :class:`repro.pipeline.plan.PipelinePlan`
 compiler can fuse the active ones into a single flat entry per
 ``(function, direction)`` site:
 
-- ``on_call(site)`` / ``on_return(site)`` return a pre-bound hook
-  callable for one :class:`CallSite` (or None when the stage has
-  nothing to do there); the compiler inlines the non-None hooks into
-  the site's fused entry instead of stacking wrapper closures.
-- ``on_violation(violation)`` / ``on_reset()`` are optional lifecycle
-  surfaces, forwarded by the runtime rather than the per-call path.
+``on_call(site)`` / ``on_return(site)`` return a pre-bound hook
+callable for one :class:`CallSite` (or None when the stage has nothing
+to do there); the compiler inlines the non-None hooks into the site's
+fused entry instead of stacking wrapper closures.  Violations do not
+pass through the stages: ``CheckerRuntime.fail`` forwards them straight
+to ``rt.observer`` and ``rt.telemetry``.
 
 The machine-dispatch stage and the containment guard do not hand out
 hooks: their work *is* the fused entry body (the checks and their
 per-machine containment arms), emitted by the synthesizer or closed
 over by the interpretive entry template.  They still implement the
-protocol so the plan can describe and reset the full stack uniformly.
+protocol so the plan can describe the full stack uniformly.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class Interceptor:
         """A ``fn(env, args, result, token)`` hook, or None."""
         return None
 
-    def on_violation(self, violation) -> None:
-        """A detected violation was reported (optional surface)."""
-
-    def on_reset(self) -> None:
-        """The runtime was reset between runs (optional surface)."""
-
     def describe(self) -> Dict[str, Any]:
         return {"name": self.name}
 
@@ -72,10 +66,9 @@ class Interceptor:
 class RecorderTap(Interceptor):
     """The trace recorder as an interceptor (outermost stage).
 
-    The hooks are the recorder's own fused capture closures: the call
-    hook appends the call record and returns its sequence number, which
-    the fused entry threads to the return hook so call/return pairing
-    is preserved byte-for-byte against the nested recording entry.
+    The hooks are the recorder's own capture closures: the call hook
+    appends the call record and returns its sequence number, which the
+    fused entry threads to the return hook to pair call and return.
     """
 
     name = "recorder"
@@ -88,11 +81,6 @@ class RecorderTap(Interceptor):
 
     def on_return(self, site: CallSite):
         return self.recorder.return_hook(site.function, site.native)
-
-    def on_violation(self, violation) -> None:
-        # CheckerRuntime.fail already forwards to rt.observer; nothing
-        # extra to do here — the surface exists for non-runtime callers.
-        self.recorder.on_violation(violation)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -108,7 +96,7 @@ class GovernorMeter(Interceptor):
     hook pair (the sampling branch decides whether the checks run at
     all), so the fused entries inline it; this stage hands the compiler
     the shared cells (:meth:`shared`) and per-site pair state
-    (:meth:`binding`) the legacy proxy closure used to close over.
+    (:meth:`binding`) the entries close over.
     """
 
     name = "governor"
@@ -135,10 +123,10 @@ class MachineDispatchStage(Interceptor):
     """The synthesized machine guards as an interceptor (inner stage).
 
     Generated modes compile the checks straight into the fused entry;
-    interpretive modes resolve the :class:`~repro.core.dispatch.
-    DispatchIndex` handler list (or the full fan-out) per site.  Either
-    way the work happens inside the entry body, so this stage exposes
-    encodings and description, not hooks.
+    interpretive mode resolves the :class:`~repro.core.dispatch.
+    DispatchIndex` handler list per site.  Either way the work happens
+    inside the entry body, so this stage exposes encodings and
+    description, not hooks.
     """
 
     name = "machines"
@@ -152,19 +140,12 @@ class MachineDispatchStage(Interceptor):
     def encodings(self, function: str, direction):
         if not self.checking:
             return []
-        if self.index is not None:
-            return self.index.encodings(self.rt, function, direction)
-        return [self.rt.encodings[spec.name] for spec in self.registry]
+        return self.index.encodings(self.rt, function, direction)
 
     def native_encodings(self, direction):
         if not self.checking:
             return []
-        if self.index is not None:
-            return self.index.native_encodings(self.rt, direction)
-        return [self.rt.encodings[spec.name] for spec in self.registry]
-
-    def on_reset(self) -> None:
-        self.rt.reset()
+        return self.index.native_encodings(self.rt, direction)
 
     def describe(self) -> Dict[str, Any]:
         return {

@@ -2,9 +2,9 @@
 
 A :class:`PipelinePlan` takes one checker runtime, the active
 interceptor stages (machine dispatch always; recorder tap, governor
-meter as attached), and the static function table, and produces the
-fused per-``(function, direction)`` entries that replace the legacy
-nesting of recorder proxy → governor proxy → generated wrapper → raw.
+meter and telemetry tap as attached), and the static function table,
+and produces the one fused entry per ``(function, direction)`` that
+the agents install — the only checked call path.
 
 Two compilation strategies, matching the agent's modes:
 
@@ -13,11 +13,10 @@ Two compilation strategies, matching the agent's modes:
   inline — see ``Synthesizer.generate_pipeline_source``) and the plan
   binds the compiled module to this runtime's stages.  Compiled modules
   are shared process-wide through ``WrapperCache.plans_for``.
-- ``interpretive`` (and its ``fanout`` ablation): no code generation —
-  a closure template closes over the pre-resolved
-  :class:`~repro.core.dispatch.DispatchIndex` handler list (or the full
-  fan-out) per site, plus the same pre-bound recorder hooks and
-  governor cells the generated entries use.
+- ``interpretive``: no code generation — a closure template closes over
+  the pre-resolved :class:`~repro.core.dispatch.DispatchIndex` handler
+  list per site, plus the same pre-bound recorder hooks and governor
+  cells the generated entries use.
 
 Either way a fully instrumented crossing is one entry frame plus the
 two recorder hook calls — no nested wrapper closures, no per-call list
@@ -43,7 +42,6 @@ from repro.pipeline.interceptors import (
 )
 
 _MODES = ("generated", "interpose", "interpretive")
-_DISPATCHES = ("index", "fanout")
 
 
 def _raw_stub(function_table) -> Dict[str, Callable]:
@@ -65,7 +63,6 @@ class PipelinePlan:
         function_table=None,
         *,
         mode: str = "generated",
-        dispatch: str = "index",
         recorder=None,
         governor=None,
         telemetry=None,
@@ -73,12 +70,9 @@ class PipelinePlan:
     ):
         if mode not in _MODES:
             raise ValueError("mode must be one of {}".format(_MODES))
-        if dispatch not in _DISPATCHES:
-            raise ValueError("dispatch must be one of {}".format(_DISPATCHES))
         self.rt = rt
         self.registry = registry
         self.mode = mode
-        self.dispatch = dispatch
         self.recorder = recorder
         self.governor = governor
         self._cache = cache if cache is not None else WRAPPER_CACHE
@@ -105,7 +99,7 @@ class PipelinePlan:
         self._tap = RecorderTap(recorder) if recorder is not None else None
         self._meter = GovernorMeter(governor) if governor is not None else None
         index = None
-        if mode == "interpretive" and dispatch == "index":
+        if mode == "interpretive":
             index = self._cache.dispatch_for(registry, self._table_arg)
         self._machines = MachineDispatchStage(
             rt, registry, index=index, checking=(mode != "interpose")
@@ -148,11 +142,6 @@ class PipelinePlan:
         stack.append(self._machines)
         stack.append(self._guard)
         return stack
-
-    def reset(self) -> None:
-        """Forward a between-runs reset to every stage that wants it."""
-        for stage in self.interceptors():
-            stage.on_reset()
 
     # -- entry compilation ----------------------------------------------
 
@@ -268,30 +257,16 @@ class PipelinePlan:
                 [m for m, _ in native_sites[Site.POST]],
             )
         else:
-            machines = self._machines
-            index = machines.index
-            all_names = list(self.registry.names())
+            index = self._machines.index
             for name in self.function_table:
-                if index is not None:
-                    pre = list(
-                        index.machines(name, Direction.CALL_NATIVE_TO_MANAGED)
-                    )
-                    post = list(
-                        index.machines(name, Direction.RETURN_MANAGED_TO_NATIVE)
-                    )
-                else:
-                    pre = post = all_names
-                per_function[name] = ops(pre, post)
-            if index is not None:
-                npre = list(
-                    index.native_machines(Direction.CALL_MANAGED_TO_NATIVE)
+                per_function[name] = ops(
+                    index.machines(name, Direction.CALL_NATIVE_TO_MANAGED),
+                    index.machines(name, Direction.RETURN_MANAGED_TO_NATIVE),
                 )
-                npost = list(
-                    index.native_machines(Direction.RETURN_NATIVE_TO_MANAGED)
-                )
-            else:
-                npre = npost = all_names
-            per_function[NATIVE_KEY] = ops(npre, npost)
+            per_function[NATIVE_KEY] = ops(
+                index.native_machines(Direction.CALL_MANAGED_TO_NATIVE),
+                index.native_machines(Direction.RETURN_NATIVE_TO_MANAGED),
+            )
 
         checked = sum(
             1
@@ -300,7 +275,6 @@ class PipelinePlan:
         )
         return {
             "mode": self.mode,
-            "dispatch": self.dispatch,
             "interceptors": [s.describe() for s in self.interceptors()],
             "functions": len(self.function_table),
             "checked_sites": checked,

@@ -1,8 +1,8 @@
 """The synthesized Python/C dynamic checker (paper §7.2).
 
 Structurally identical to Jinn: the same synthesizer (Algorithm 1)
-consumes the Python/C machine specifications and generates wrappers for
-every API function plus a factory for extension-function wrappers, and
+consumes the Python/C machine specifications and generates a fused
+entry for every API function plus a factory for extension entries, and
 the same runtime core (:class:`repro.core.CheckerRuntime`) owns the
 encodings and violation bookkeeping.  The differences the paper
 discusses are reflected here: there is no JVMTI analogue, so the checker
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.core.cache import WRAPPER_CACHE
 from repro.core.runtime import (
     CheckerRuntime,
     ContainmentPolicy,
@@ -60,24 +59,12 @@ class PyCChecker:
         self,
         registry: Optional[SpecRegistry] = None,
         *,
-        pipeline: str = "fused",
         observer=None,
         containment: Optional[ContainmentPolicy] = None,
         governor=None,
         telemetry=None,
     ):
-        if pipeline not in ("fused", "nested"):
-            raise ValueError("pipeline must be 'fused' or 'nested'")
-        if telemetry is not None and pipeline != "fused":
-            raise ValueError(
-                "telemetry requires the fused pipeline "
-                "(the nested stack has no tap stage)"
-            )
         self.registry = registry if registry is not None else build_pyc_registry()
-        #: ``fused`` installs one flat entry per crossing through
-        #: :class:`repro.pipeline.PipelinePlan`; ``nested`` keeps the
-        #: historic wrapper stack (the parity-suite baseline).
-        self.pipeline = pipeline
         self.containment = containment
         #: Optional :class:`repro.resilience.governor.OverheadGovernor`.
         self.governor = governor
@@ -85,89 +72,52 @@ class PyCChecker:
         #: :class:`repro.obs.TelemetryTap`); fused into the entries.
         self.telemetry = telemetry
         self.rt: Optional[PyCRuntime] = None
-        self._native_factory: Optional[Callable] = None
         self._plan = None
         #: Optional event-stream observer (a ``repro.trace.TraceRecorder``).
         self.observer = observer
 
     def on_api_created(self, interp, api) -> None:
+        from repro.pipeline import PipelinePlan
+
         self.rt = PyCRuntime(interp, self.registry, containment=self.containment)
         if self.observer is not None:
             self.observer.attach_pyc(self.rt, interp)
-        if self.pipeline == "fused":
-            from repro.pipeline import PipelinePlan
-
-            self._plan = PipelinePlan(
-                self.rt,
-                self.registry,
-                PY_FUNCTIONS,
-                recorder=self.rt.observer,
-                governor=self.governor,
-                telemetry=self.telemetry,
-            )
-            api.install_function_table(
-                self._plan.entries(api.function_table())
-            )
-            return
-        # Synthesis is deterministic per specification: the shared cache
-        # reuses one compiled module per spec fingerprint instead of
-        # re-synthesizing at every interpreter construction.
-        build_wrappers = WRAPPER_CACHE.wrappers_for(
-            self.registry, function_table=PY_FUNCTIONS
+        # The plan resolves its compiled module through the shared cache,
+        # so interpreters for the same specification reuse one module.
+        self._plan = PipelinePlan(
+            self.rt,
+            self.registry,
+            PY_FUNCTIONS,
+            recorder=self.rt.observer,
+            governor=self.governor,
+            telemetry=self.telemetry,
         )
-        wrappers, native_factory = build_wrappers(self.rt, api.function_table())
-        if self.governor is not None:
-            wrappers = self.governor.instrument_table(
-                wrappers, api.function_table()
-            )
-        observer = self.rt.observer
-        if observer is not None:
-            wrappers = observer.instrument_table(wrappers)
-        api.install_function_table(wrappers)
-        self._native_factory = native_factory
-
-    def _attached(self) -> bool:
-        return self._plan is not None or self._native_factory is not None
-
-    def _wrap_extension(self, name: str, impl: Callable) -> Callable:
-        if self._plan is not None:
-            return self._plan.native_entry(name, impl)
-        wrapped = self._native_factory(name, impl)
-        if self.governor is not None:
-            wrapped = self.governor.instrument_native(name, wrapped, impl)
-        observer = self.rt.observer if self.rt is not None else None
-        if observer is not None:
-            wrapped = observer.instrument_native(name, wrapped)
-        return wrapped
+        api.install_function_table(self._plan.entries(api.function_table()))
 
     def on_extension_bind(self, interp, name: str, impl: Callable) -> Callable:
-        if not self._attached():
+        if self._plan is None:
             # Bound before on_api_created: wrap lazily so checking is
             # never silently disabled for early-bound extensions.  The
-            # entry resolves the factory at first call and fails loudly
-            # if the checker still has not been attached to an API.
+            # entry resolves the plan at first call and fails loudly if
+            # the checker still has not been attached to an API.
             return self._deferred_entry(name, impl)
-        wrapped = self._wrap_extension(name, impl)
-
-        def extension_entry(api, self_obj, args_tuple):
-            # The factory's wrapper signature is (env, this, *args).
-            return wrapped(api, self_obj, args_tuple)
-
-        return extension_entry
+        # The plan's native entry takes (api, self_obj, args_tuple), the
+        # extension calling convention, as its (env, this, *args).
+        return self._plan.native_entry(name, impl)
 
     def _deferred_entry(self, name: str, impl: Callable) -> Callable:
         state = {"wrapped": None}
 
         def deferred_entry(api, self_obj, args_tuple):
             if state["wrapped"] is None:
-                if not self._attached():
+                if self._plan is None:
                     raise RuntimeError(
                         "PyCChecker: extension {!r} was bound before the "
                         "checker was attached to an API (on_api_created "
                         "never ran); checking would be silently "
                         "disabled".format(name)
                     )
-                state["wrapped"] = self._wrap_extension(name, impl)
+                state["wrapped"] = self._plan.native_entry(name, impl)
             return state["wrapped"](api, self_obj, args_tuple)
 
         return deferred_entry

@@ -137,21 +137,13 @@ def _registry_machines(substrate: str) -> List[str]:
     return build_registry().names()
 
 
-def _run(
-    substrate: str, ops, injectors, policy: ContainmentPolicy,
-    pipeline: str = "fused",
-):
+def _run(substrate: str, ops, injectors, policy: ContainmentPolicy):
     def setup(agent_or_checker):
         for injector in injectors:
             injector.install(agent_or_checker.rt)
 
-    if substrate == "pyc":
-        return run_pyc_ops(
-            ops, setup=setup, containment=policy, pipeline=pipeline
-        )
-    return run_jni_ops(
-        ops, setup=setup, containment=policy, pipeline=pipeline
-    )
+    runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
+    return runner(ops, setup=setup, containment=policy)
 
 
 def chaos_run(
@@ -160,7 +152,6 @@ def chaos_run(
     substrate: str = "both",
     rounds: int = 1,
     policy: Optional[ContainmentPolicy] = None,
-    pipeline: str = "fused",
 ) -> Dict[str, object]:
     """Inject internal faults into every machine; report containment.
 
@@ -205,7 +196,7 @@ def chaos_run(
             targets = [[m] for m in machines] + [machines]
             for target in targets:
                 injectors = [injector_plan(seed, m) for m in target]
-                outcome = _run(sub, sequence.ops, injectors, policy, pipeline)
+                outcome = _run(sub, sequence.ops, injectors, policy)
                 entry = _summarize(sub, round_no, target, injectors, outcome)
                 runs.append(entry)
                 report["host_crashes"] += 0 if entry["survived"] else 1

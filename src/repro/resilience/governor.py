@@ -3,7 +3,7 @@
 Checking cost rides on every boundary crossing, and the paper's
 deployment target is a production VM: when the workload hammers a hot
 FFI function, full checking on that one pair can dominate the run.  The
-governor meters per-pair checking cost — a *pair* is one wrapper, i.e.
+governor meters per-pair checking cost — a *pair* is one entry, i.e.
 one ``(function, call+return)`` site; the two directions degrade
 jointly so a sampled-out call never runs its return checks against
 skipped call checks — and keeps the *checking share* of boundary time
@@ -17,7 +17,7 @@ control law and are what the bench gates:
 - only pairs *hot in the current window* (``hot_min`` calls or more)
   are ever degraded — a cold pair, e.g. the one rare call that carries
   the bug, is always fully checked;
-- a sampled-in call runs exactly the wrapper the synthesizer generated,
+- a sampled-in call runs exactly the checks the synthesizer generated,
   so detection on sampled-in transitions is the full checker's.
 
 Degraded checking is knowingly unsound for *stateful* machines: a
@@ -28,7 +28,7 @@ report says exactly which pairs paid it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.clock import SYSTEM_CLOCK, Clock
 
@@ -130,7 +130,7 @@ class PairState:
 
 
 class OverheadGovernor:
-    """Meters wrapper tables and degrades hot pairs to call sampling."""
+    """Meters fused entries and degrades hot pairs to call sampling."""
 
     def __init__(
         self,
@@ -148,31 +148,13 @@ class OverheadGovernor:
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self._clock = self.clock.monotonic_ns
 
-    # -- instrumentation -------------------------------------------------
-
-    def instrument_table(
-        self, wrappers: Dict[str, Callable], raw: Dict[str, Callable]
-    ) -> Dict[str, Callable]:
-        """Wrap a checked table with metering/sampling proxies."""
-        return {
-            name: self._proxy(name, fn, raw[name]) if name in raw else fn
-            for name, fn in wrappers.items()
-        }
-
-    def instrument_native(
-        self, name: str, wrapped: Callable, impl: Callable
-    ) -> Callable:
-        # Natives bind once per method: build the proxy eagerly.
-        return self._proxy("native:" + name, wrapped, impl)
-
     # -- fused-pipeline surface ------------------------------------------
     #
-    # The fused pipeline inlines the proxy's bookkeeping into each
-    # generated entry instead of stacking a `governed` closure around
-    # the checked wrapper.  These two accessors hand an entry everything
-    # the closure would have closed over, in the same shapes, so the
-    # fused and nested compositions share state objects — and therefore
-    # reports — exactly.
+    # Every fused entry inlines the governor's bookkeeping: it counts the
+    # call, rebalances at each window boundary, skips the checks of a
+    # sampled-out call (timing the raw call alone), and times the checked
+    # path otherwise.  These two accessors hand an entry the state it
+    # pre-binds.
 
     def fused_binding(self, name: str) -> PairState:
         """The (created-on-demand) pair state one fused entry pre-binds."""
@@ -185,37 +167,6 @@ class OverheadGovernor:
     def fused_shared(self):
         """``(clock, tick cell, window size, rebalance)`` for entries."""
         return self._clock, self._tick, self.policy.window, self._rebalance
-
-    def _proxy(self, name: str, checked: Callable, raw: Callable) -> Callable:
-        state = self.fused_binding(name)
-        clock = self._clock
-        tick = self._tick
-        window = self.policy.window
-        rebalance = self._rebalance
-
-        def governed(env, *args):
-            state.total_calls += 1
-            state.window_calls += 1
-            tick[0] += 1
-            if tick[0] >= window:
-                rebalance()
-            if state.period > 1:
-                state.slot += 1
-                if state.slot % state.period:
-                    state.total_sampled_out += 1
-                    t0 = clock()
-                    result = raw(env, *args)
-                    state.raw_ns += clock() - t0
-                    state.raw_calls += 1
-                    return result
-            t0 = clock()
-            result = checked(env, *args)
-            state.checked_ns += clock() - t0
-            state.checked_calls += 1
-            return result
-
-        governed.__name__ = "governed_" + name
-        return governed
 
     # -- the control law -------------------------------------------------
 

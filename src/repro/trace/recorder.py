@@ -4,9 +4,9 @@ A :class:`TraceRecorder` attaches to a checker through the observer
 hook on :class:`repro.core.runtime.CheckerRuntime`.  The interposition
 layers (:class:`repro.jinn.agent.JinnAgent`,
 :class:`repro.pyc.checker.PyCChecker`) consult ``rt.observer`` once, at
-table-install time: with no recorder attached they install the plain
-wrapper table and the steady-state cost is zero — no shim frame, no
-conditional per call (guard, don't wrap).
+table-install time: with no recorder attached their plan compiles no
+recorder hooks in and the steady-state cost is zero — no shim frame,
+no conditional per call (guard, don't wrap).
 
 Recording is two-phase to keep the live tap cheap.  At event time the
 recorder appends small capture tuples holding *strong references* to
@@ -225,21 +225,19 @@ class _Encoder:
 
 
 class JournalWriter:
-    """Crash-safe sink: length-prefixed lines, fsync-bounded loss.
+    """Crash-safe sink: checksummed records, fsync-bounded loss.
 
-    Each record is written as ``"<byte_len> <json>\\n"`` — the length
-    prefix lets recovery distinguish a torn final write from a complete
+    Each record is written in the v2 framing of :mod:`repro.core.journal`,
+    ``"<byte_len> <crc32> <json>\\n"`` — the length prefix lets recovery
+    distinguish a torn final write from a complete record, and the CRC32
+    turns a flipped bit into a detected error instead of a different
     record — and the file is flushed + fsynced every ``sync_every``
     appends, so a SIGKILL loses at most ``sync_every`` records past the
     last sync.
 
     All file traffic goes through an injectable
     :class:`repro.core.store.Store`, so storage-fault chaos can drive
-    the writer the same way it drives the fleet queue.  ``checksum``
-    switches records to the v2 CRC32-checksummed framing of
-    :mod:`repro.core.journal`; it defaults off because trace journals
-    are written and recovered by the same release, and the historic
-    byte format is pinned by parity fixtures.
+    the writer the same way it drives the fleet queue.
     """
 
     def __init__(
@@ -248,7 +246,6 @@ class JournalWriter:
         sync_every: int = 64,
         *,
         store=None,
-        checksum: bool = False,
     ):
         from repro.core.store import Store
 
@@ -256,7 +253,6 @@ class JournalWriter:
             raise ValueError("sync_every must be positive")
         self.path = path
         self.sync_every = sync_every
-        self.checksum = checksum
         self.store = store if store is not None else Store()
         self.records_written = 0
         self._since_sync = 0
@@ -265,7 +261,7 @@ class JournalWriter:
     def append(self, json_line: str) -> None:
         from repro.core.journal import encode_record
 
-        self._f.write(encode_record(json_line, checksum=self.checksum))
+        self._f.write(encode_record(json_line))
         self.records_written += 1
         self._since_sync += 1
         if self._since_sync >= self.sync_every:
@@ -455,167 +451,14 @@ class TraceRecorder:
 
     # -- the tap ---------------------------------------------------------
 
-    def instrument_table(self, table: Dict[str, object]) -> Dict[str, object]:
-        """Wrap an installed wrapper table with the recording layer."""
-        return {
-            name: self._make_entry(name, fn, False) for name, fn in table.items()
-        }
-
-    def instrument_native(self, name: str, fn):
-        """Wrap one bound native-method (or extension) wrapper."""
-        return self._make_entry(name, fn, True)
-
-    def _make_entry(self, name: str, fn, native: bool):
-        # The event-time budget rules here: everything a closure can
-        # pre-bind is pre-bound, the common scalar argument types (int,
-        # str) skip the snapper table, and the context tuple is built
-        # inline per substrate instead of through a method call.
-        if self._substrate == "jni":
-            entry = self._make_jni_entry(name, fn, native)
-        else:
-            entry = self._make_pyc_entry(name, fn, native)
-        entry.__name__ = "rec_" + name
-        return entry
-
-    def _make_jni_entry(self, name: str, fn, native: bool):
-        records_append = self._records.append
-        seq_cell = self._seq
-        host = self._host
-        classes = host.classes  # mutated in place, never rebound
-        snappers_get = _SNAPPERS.get
-        snap = _snap
-        # Journal mode pays one None-check per record; the plain path
-        # binds None and skips even that branch body.
-        jtick = self._journal_tick if self._journal is not None else None
-
-        def recording_entry(env, *args):
-            thread = host.current_thread
-            pending = thread.pending_exception
-            ctx = (
-                thread.thread_id,
-                id(env),
-                None if pending is None else pending.describe(),
-                len(classes),
-            )
-            snaps = []
-            snaps_append = snaps.append
-            for a in args:
-                cls = a.__class__
-                if cls is int or cls is str:
-                    snaps_append(a)
-                else:
-                    s = snappers_get(cls)
-                    snaps_append(s(a) if s is not None else snap(a))
-            seq_cell[0] = seq = seq_cell[0] + 1
-            records_append(("c", seq, name, native, ctx, snaps))
-            if jtick is not None:
-                jtick()
-            # If the inner wrapper raises (a propagating Java exception),
-            # the live post-checks did not run either: leave the call
-            # record unmatched and let the replay engine skip the return
-            # site the same way.
-            result = fn(env, *args)
-            thread = host.current_thread
-            pending = thread.pending_exception
-            ctx = (
-                thread.thread_id,
-                id(env),
-                None if pending is None else pending.describe(),
-                len(classes),
-            )
-            snaps = []
-            snaps_append = snaps.append
-            for a in args:
-                cls = a.__class__
-                if cls is int or cls is str:
-                    snaps_append(a)
-                else:
-                    s = snappers_get(cls)
-                    snaps_append(s(a) if s is not None else snap(a))
-            rcls = result.__class__
-            if rcls is int or rcls is str:
-                rsnap = result
-            else:
-                s = snappers_get(rcls)
-                rsnap = s(result) if s is not None else snap(result)
-            seq_cell[0] = seq2 = seq_cell[0] + 1
-            records_append(("r", seq2, seq, name, native, ctx, snaps, rsnap))
-            if jtick is not None:
-                jtick()
-            return result
-
-        return recording_entry
-
-    def _make_pyc_entry(self, name: str, fn, native: bool):
-        records_append = self._records.append
-        seq_cell = self._seq
-        interp = self._host
-        snappers_get = _SNAPPERS.get
-        snap = _snap
-        jtick = self._journal_tick if self._journal is not None else None
-
-        def recording_entry(env, *args):
-            exc = interp.exc_info
-            ctx = (
-                interp.current_thread,
-                interp.gil_holder,
-                None if exc is None else list(exc),
-            )
-            snaps = []
-            snaps_append = snaps.append
-            for a in args:
-                cls = a.__class__
-                if cls is int or cls is str:
-                    snaps_append(a)
-                else:
-                    s = snappers_get(cls)
-                    snaps_append(s(a) if s is not None else snap(a))
-            seq_cell[0] = seq = seq_cell[0] + 1
-            records_append(("c", seq, name, native, ctx, snaps))
-            if jtick is not None:
-                jtick()
-            # A raised pyc violation aborts the extension: the call
-            # record stays unmatched, mirroring the skipped post-checks.
-            result = fn(env, *args)
-            exc = interp.exc_info
-            ctx = (
-                interp.current_thread,
-                interp.gil_holder,
-                None if exc is None else list(exc),
-            )
-            snaps = []
-            snaps_append = snaps.append
-            for a in args:
-                cls = a.__class__
-                if cls is int or cls is str:
-                    snaps_append(a)
-                else:
-                    s = snappers_get(cls)
-                    snaps_append(s(a) if s is not None else snap(a))
-            rcls = result.__class__
-            if rcls is int or rcls is str:
-                rsnap = result
-            else:
-                s = snappers_get(rcls)
-                rsnap = s(result) if s is not None else snap(result)
-            seq_cell[0] = seq2 = seq_cell[0] + 1
-            records_append(("r", seq2, seq, name, native, ctx, snaps, rsnap))
-            if jtick is not None:
-                jtick()
-            return result
-
-        return recording_entry
-
-    # -- fused-pipeline hooks --------------------------------------------
+    # -- the tap: fused-pipeline hooks -----------------------------------
     #
-    # The fused pipeline splits the recording entry above into its two
-    # halves so a generated entry can inline the call capture before its
-    # checks and the return capture after them without an extra wrapper
-    # frame.  The hooks share the recorder's sequence cell and record
-    # list with the nested entries, and build byte-identical records;
-    # the capture bodies are deliberately duplicated from
-    # ``_make_jni_entry`` / ``_make_pyc_entry`` (which stay as the
-    # nested baseline) rather than shared through another call layer.
+    # A fused entry inlines the call capture before its checks and the
+    # return capture after them, with no wrapper frame of its own.  The
+    # event-time budget rules here: everything a closure can pre-bind is
+    # pre-bound, the common scalar argument types (int, str) skip the
+    # snapper table, and the context tuple is built inline per substrate
+    # instead of through a method call.
 
     def call_hook(self, name: str, native: bool):
         """``fn(env, args) -> callseq``: capture one call record."""

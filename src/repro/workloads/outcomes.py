@@ -71,7 +71,6 @@ def run_scenario(
     vendor: VendorSpec = HOTSPOT,
     checker: str = "none",
     jinn_mode: str = "generated",
-    jinn_dispatch: str = "index",
     local_frame_capacity: int = 16,
     observer=None,
 ) -> RunResult:
@@ -83,7 +82,6 @@ def run_scenario(
         checker: "none" (production), "xcheck" (the vendor's built-in
             ``-Xcheck:jni``), or "jinn".
         jinn_mode: Jinn's mode when ``checker == "jinn"``.
-        jinn_dispatch: Jinn's interpretive dispatch strategy.
         observer: optional event-stream observer (a
             ``repro.trace.TraceRecorder``) attached to the Jinn agent.
     """
@@ -92,9 +90,7 @@ def run_scenario(
     jinn_agent: Optional[JinnAgent] = None
     agents = []
     if checker == "jinn":
-        jinn_agent = JinnAgent(
-            mode=jinn_mode, dispatch=jinn_dispatch, observer=observer
-        )
+        jinn_agent = JinnAgent(mode=jinn_mode, observer=observer)
         agents.append(jinn_agent)
     vm = JavaVM(
         vendor=vendor,

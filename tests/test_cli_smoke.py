@@ -50,7 +50,7 @@ SIMPLE_COMMANDS = [
     ["dispatch", "--json"],
     ["pipeline", "show"],
     ["pipeline", "show", "--substrate", "pyc"],
-    ["pipeline", "show", "--mode", "interpretive", "--dispatch", "fanout"],
+    ["pipeline", "show", "--mode", "interpretive"],
     ["pipeline", "show", "--json"],
     ["pipeline", "show", "--function", "DeleteLocalRef"],
 ]

@@ -94,26 +94,26 @@ class TestFingerprint:
 class TestWrapperCache:
     def test_fingerprint_identical_registries_share_a_module(self):
         cache = WrapperCache()
-        first = cache.wrappers_for(build_registry())
-        second = cache.wrappers_for(build_registry())
+        first = cache.plans_for(build_registry())
+        second = cache.plans_for(build_registry())
         assert first is second
-        assert cache.stats()["wrapper_modules"] == 1
+        assert cache.stats()["plan_modules"] == 1
 
     def test_checking_mode_is_part_of_the_key(self):
         cache = WrapperCache()
-        checking = cache.wrappers_for(build_registry(), checking=True)
-        interposing = cache.wrappers_for(build_registry(), checking=False)
+        checking = cache.plans_for(build_registry(), checking=True)
+        interposing = cache.plans_for(build_registry(), checking=False)
         assert checking is not interposing
 
     def test_custom_registry_reusing_builtin_name_misses_cache(self):
         """Regression: the historic cache keyed on machine *names*, so a
         custom registry reusing a builtin name silently received the
-        builtin's wrappers.  Spec identity must miss."""
+        builtin's checks.  Spec identity must miss."""
         cache = WrapperCache()
-        builtin = cache.wrappers_for(SpecRegistry([NullnessSpec()]))
-        custom = cache.wrappers_for(SpecRegistry([DefangedNullnessSpec()]))
+        builtin = cache.plans_for(SpecRegistry([NullnessSpec()]))
+        custom = cache.plans_for(SpecRegistry([DefangedNullnessSpec()]))
         assert builtin is not custom
-        assert cache.stats()["wrapper_modules"] == 2
+        assert cache.stats()["plan_modules"] == 2
 
     def test_defanged_subclass_behaves_defanged_after_builtin_cached(self):
         """End to end: populate the shared cache with the builtin
@@ -229,26 +229,31 @@ def _expected_buckets(registry, function_table):
 class TestDispatchIndex:
     def test_index_agrees_exactly_with_plan_targeting(self):
         """Every (machine, function, direction) the synthesizer plans is
-        in the index, and the index holds nothing more."""
+        in the index, and the index holds nothing more — on both
+        substrates' tables."""
         from repro.fsm.events import Direction
+        from repro.pyc.machines import build_pyc_registry
 
-        registry = build_registry()
-        index = DispatchIndex.build(registry, FUNCTIONS)
-        expected = _expected_buckets(registry, FUNCTIONS)
-        for (key, direction), machines in expected.items():
-            if key == NATIVE_KEY:
-                got = index.native_machines(direction)
-            else:
-                got = index.machines(key, direction)
-            assert set(got) == machines, (key, direction)
-        # Reverse inclusion: nothing spurious.
-        for name in FUNCTIONS:
+        for registry, table in (
+            (build_registry(), FUNCTIONS),
+            (build_pyc_registry(), PY_FUNCTIONS),
+        ):
+            index = DispatchIndex.build(registry, table)
+            expected = _expected_buckets(registry, table)
+            for (key, direction), machines in expected.items():
+                if key == NATIVE_KEY:
+                    got = index.native_machines(direction)
+                else:
+                    got = index.machines(key, direction)
+                assert set(got) == machines, (key, direction)
+            # Reverse inclusion: nothing spurious.
+            for name in table:
+                for direction in Direction:
+                    got = set(index.machines(name, direction))
+                    assert got == expected.get((name, direction), set())
             for direction in Direction:
-                got = set(index.machines(name, direction))
-                assert got == expected.get((name, direction), set())
-        for direction in Direction:
-            got = set(index.native_machines(direction))
-            assert got == expected.get((NATIVE_KEY, direction), set())
+                got = set(index.native_machines(direction))
+                assert got == expected.get((NATIVE_KEY, direction), set())
 
     def test_buckets_preserve_registry_order(self):
         registry = build_registry()

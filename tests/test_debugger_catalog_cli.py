@@ -112,12 +112,12 @@ class TestCLI:
         path = tmp_path / "gen.py"
         assert main(["generate", "-o", str(path)]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert "def wrapped_FindClass" in path.read_text()
+        assert "def entry_FindClass" in path.read_text()
 
     def test_generate_interpose_only(self, capsys):
         assert main(["generate", "--interpose-only"]) == 0
         out = capsys.readouterr().out
-        assert "def wrapped_FindClass" in out
+        assert "def entry_FindClass" in out
         assert "rt.nullness" not in out
 
     def test_demo_jinn(self, capsys):

@@ -12,7 +12,7 @@ EXPECTATIONS = {
     "quickstart.py": ["JNIAssertionFailure", "CRASH"],
     "gnome_callback.py": [
         "dangling local reference used in CallStaticVoidMethodA",
-        "wrapped_CallStaticVoidMethodA",
+        "entry_CallStaticVoidMethodA",
     ],
     "subversion_audit.py": ["overflow", "peak", "fixed Outputer under Jinn: running"],
     "python_refcount.py": ["garbage", "CHECKER", "leak"],

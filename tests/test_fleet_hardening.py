@@ -44,6 +44,11 @@ from repro.fleet.queue import QueueCorruptionError, QueueFormatError
 from repro.resilience.supervisor import CLEAN, CRASH
 
 
+def v1_record(json_line):
+    """A v1 (checksum-less) record, as older releases wrote them."""
+    return "{} {}\n".format(len(json_line.encode("utf-8")), json_line)
+
+
 def _jobs(n, seed=11):
     return bench_trial_jobs(seed, n)
 
@@ -60,9 +65,9 @@ def _fresh_queue(tmp_path, name="q.fleetq", **kwargs):
 class TestJournalFormat:
     def test_v1_and_v2_records_coexist_in_one_file(self):
         data = (
-            encode_record('{"a":1}')  # v1, no checksum
-            + encode_record('{"b":2}', checksum=True)  # v2
-            + encode_record('[1,2,3]')
+            v1_record('{"a":1}')
+            + encode_record('{"b":2}')  # v2
+            + v1_record('[1,2,3]')
         ).encode("utf-8")
         scan = scan_journal(data)
         assert scan.lines == ['{"a":1}', '{"b":2}', "[1,2,3]"]
@@ -70,23 +75,23 @@ class TestJournalFormat:
         assert not scan.corrupt
 
     def test_checksum_token_is_crc32_of_payload(self):
-        record = encode_record('{"x":true}', checksum=True)
+        record = encode_record('{"x":true}')
         length, crc, payload = record.rstrip("\n").split(" ", 2)
         assert int(length) == len(payload.encode("utf-8"))
         assert crc == crc32_hex(payload.encode("utf-8"))
 
     def test_torn_tail_is_truncation_not_corruption(self):
-        good = encode_record('{"a":1}', checksum=True)
-        torn = encode_record('{"b":2}', checksum=True)[:-5]
+        good = encode_record('{"a":1}')
+        torn = encode_record('{"b":2}')[:-5]
         scan = scan_journal((good + torn).encode("utf-8"))
         assert scan.lines == ['{"a":1}']
         assert scan.dropped_bytes == len(torn.encode("utf-8"))
         assert not scan.corrupt
 
     def test_valid_record_after_damage_means_mid_file_corruption(self):
-        good = encode_record('{"a":1}', checksum=True)
+        good = encode_record('{"a":1}')
         garbage = "###garbage###\n"
-        later = encode_record('{"c":3}', checksum=True)
+        later = encode_record('{"c":3}')
         scan = scan_journal((good + garbage + later).encode("utf-8"))
         assert scan.lines == ['{"a":1}']
         assert scan.corrupt
@@ -94,8 +99,8 @@ class TestJournalFormat:
         assert scan.corrupt_detail
 
     def test_flipped_bit_fails_the_checksum(self):
-        record = encode_record('{"a":1}', checksum=True)
-        later = encode_record('{"b":2}', checksum=True)
+        record = encode_record('{"a":1}')
+        later = encode_record('{"b":2}')
         data = bytearray((record + later).encode("utf-8"))
         # Damage a payload byte of the first record, mid-file.
         data[len(record) - 4] ^= 0x01
@@ -106,8 +111,8 @@ class TestJournalFormat:
 
     def test_checksum_mismatch_on_final_record_is_torn(self):
         # Nothing valid after it: indistinguishable from a torn write.
-        good = encode_record('{"a":1}', checksum=True)
-        bad = bytearray(encode_record('{"b":2}', checksum=True).encode())
+        good = encode_record('{"a":1}')
+        bad = bytearray(encode_record('{"b":2}').encode())
         bad[-4] ^= 0x01
         scan = scan_journal(good.encode("utf-8") + bytes(bad))
         assert scan.lines == ['{"a":1}']
@@ -117,20 +122,20 @@ class TestJournalFormat:
     def test_v1_payload_never_misreads_as_checksum(self):
         # JSON payloads start with '[' or '{' — not hex — so eight
         # leading payload chars can never be taken for a CRC token.
-        record = encode_record('["deadbeef", 1]')
+        record = v1_record('["deadbeef", 1]')
         scan = scan_journal(record.encode("utf-8"))
         assert scan.lines == ['["deadbeef", 1]']
 
     def test_compat_shim_matches_classified_scan(self):
-        good = encode_record('{"a":1}', checksum=True)
+        good = encode_record('{"a":1}')
         torn = "17 {incompl"
         lines, dropped = scan_length_prefixed((good + torn).encode())
         assert lines == ['{"a":1}']
         assert dropped == len(torn)
 
     def test_offsets_are_byte_exact(self):
-        a = encode_record('{"a":1}', checksum=True)
-        b = encode_record('{"b":2}')
+        a = encode_record('{"a":1}')
+        b = v1_record('{"b":2}')
         scan = scan_journal((a + b).encode("utf-8"))
         assert scan.offsets == [0, len(a.encode("utf-8"))]
 
@@ -259,7 +264,7 @@ class TestQueueIntegrity:
                 json.dumps(["q", jobs[1].to_json()]),
                 json.dumps(["a", jobs[0].job_id, "w0"]),
             ):
-                f.write(encode_record(line))
+                f.write(v1_record(line))
         queue = JobQueue(path)
         assert queue.depth == 1
         assert queue.acked_ids() == [jobs[0].job_id]

@@ -20,7 +20,7 @@ def plan(synthesizer):
 
 @pytest.fixture(scope="module")
 def machines(synthesizer):
-    """Which machines check each wrapper site, in checking order."""
+    """Which machines check each entry site, in checking order."""
     return {
         key: {site: [name for name, _ in groups] for site, groups in sites.items()}
         for key, sites in synthesizer.machine_plan().items()
@@ -29,7 +29,7 @@ def machines(synthesizer):
 
 @pytest.fixture(scope="module")
 def source(synthesizer):
-    return synthesizer.generate_source()
+    return synthesizer.generate_pipeline_source()
 
 
 class TestPlan:
@@ -107,7 +107,7 @@ class TestGeneratedSource:
 
     def test_one_wrapper_per_function(self, source):
         for name in functions.FUNCTIONS:
-            assert "def wrapped_{}(env, *args):".format(name) in source
+            assert "def entry_{}(env, *args):".format(name) in source
 
     def test_generated_is_large(self, source):
         # The paper: 1,400 lines of specification expand to 22,000+
@@ -121,16 +121,10 @@ class TestGeneratedSource:
         assert "return rt.fail(env, v, None)" in source  # refs/void
 
     def test_interpose_only_mode_has_no_checks(self, synthesizer):
-        bare = synthesizer.generate_source(checking=False)
+        bare = synthesizer.generate_pipeline_source(checking=False)
         assert "rt.jnienv_state" not in bare
-        assert "def wrapped_FindClass(env, *args):" in bare
+        assert "def entry_FindClass(env, *args):" in bare
         compile(bare, "<bare>", "exec")
-
-    def test_write_source(self, synthesizer, tmp_path):
-        path = tmp_path / "generated.py"
-        lines = synthesizer.write_source(str(path))
-        assert lines > 1000
-        assert path.read_text().startswith('"""Code generated')
 
 
 class TestBuild:
@@ -140,17 +134,17 @@ class TestBuild:
 
         vm = JavaVM()
         rt = JinnRuntime(vm, build_registry())
-        build_wrappers = synthesizer.build()
-        wrappers, factory = build_wrappers(
-            rt, vm.main_thread.env.function_table()
+        build_entries = synthesizer.build_pipeline()
+        entries, factory = build_entries(
+            rt, vm.main_thread.env.function_table(), None, None
         )
-        assert set(wrappers) == set(functions.FUNCTIONS)
+        assert set(entries) == set(functions.FUNCTIONS)
         assert callable(factory("Java_X_y", lambda env, this: None))
         vm.shutdown()
 
     def test_sub_registry_synthesis(self):
         registry = build_registry().without("nullness", "fixed_typing")
-        source = Synthesizer(registry).generate_source()
+        source = Synthesizer(registry).generate_pipeline_source()
         assert "rt.nullness" not in source
         assert "rt.fixed_typing" not in source
         assert "rt.local_ref" in source

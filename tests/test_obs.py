@@ -273,16 +273,6 @@ class TestTapWiring:
             ret(token, True)
         assert hub.spans.recorded == 2
 
-    def test_telemetry_requires_fused_pipeline(self):
-        from repro.jinn.agent import JinnAgent
-        from repro.pyc.checker import PyCChecker
-
-        hub = ObsHub(clock=FakeClock())
-        with pytest.raises(ValueError):
-            JinnAgent(pipeline="nested", telemetry=hub)
-        with pytest.raises(ValueError):
-            PyCChecker(pipeline="nested", telemetry=hub)
-
 
 class TestExport:
     def _snapshot(self):

@@ -1,32 +1,45 @@
-"""Fused-vs-nested parity: the pipeline refactor changes no behavior.
+"""The one checked call path against pinned golden output.
 
-Every test runs the same inputs through both call-path substrates —
-``pipeline="fused"`` (one flat entry per crossing, the default) and
-``pipeline="nested"`` (the historic recorder → governor → wrapper →
-raw closure stack) — and asserts byte-identical violation streams,
-replay results, and recorded trace lines.
+``JinnAgent`` and ``PyCChecker`` install one fused entry per crossing.
+Every test here runs fixed inputs through that path and compares the
+violation streams, replay results and recorded trace lines with data
+pinned on disk:
+
+- the fuzz corpus cases compare with ``tests/data/fuzz_corpus/``: the
+  manifest's ``violations`` and the bodies of the shipped ``.trace``
+  files;
+- every other case compares with ``tests/data/pipeline_golden.json``.
+
+The golden file was written by :func:`write_golden` while the historic
+nested closure stack (recorder proxy over governor proxy over wrapper
+over raw) still existed, after checking that the nested stack produced
+the same output for every case.  Traces are pinned as SHA-256 digests
+of their normalized lines; reports and chaos reports are stored
+verbatim so a failure shows a readable diff.
 
 Trace lines need one normalization on JNI: the recorded ``env_token``
-is ``id(env)``, a memory address that differs between two runs in the
-same process.  Tokens are remapped first-seen → ordinal on both sides
-before comparing; everything else must match byte for byte.
+is ``id(env)``, a memory address that differs between runs.  Tokens are
+remapped first-seen → ordinal before comparing or hashing; everything
+else must match byte for byte.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.core.runtime import ContainmentPolicy
 from repro.fuzz import FAULTS
 from repro.fuzz.engine import run_ops, task_rng
 from repro.fuzz.gen import generate_sequence
 from repro.fuzz.ops import run_jni_ops, run_pyc_ops
 from repro.resilience import GovernorPolicy, OverheadGovernor, chaos_run
-from repro.core.runtime import ContainmentPolicy
 
-CORPUS_MANIFEST = os.path.join(
-    os.path.dirname(__file__), "data", "fuzz_corpus", "manifest.json"
-)
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CORPUS_DIR = os.path.join(DATA, "fuzz_corpus")
+GOLDEN_PATH = os.path.join(DATA, "pipeline_golden.json")
+SUBSTRATES = ("jni", "pyc")
 
 
 def normalized_lines(lines, substrate):
@@ -57,74 +70,47 @@ def normalized_lines(lines, substrate):
     return out
 
 
-def assert_execution_parity(substrate, ops):
-    fused = run_ops(substrate, ops, pipeline="fused")
-    nested = run_ops(substrate, ops, pipeline="nested")
-    assert fused.live.outcome == nested.live.outcome
-    assert fused.live.reports == nested.live.reports
-    assert fused.replay_reports == nested.replay_reports
-    assert fused.diff == nested.diff
-    assert fused.event_count == nested.event_count
-    assert normalized_lines(
-        fused.trace_lines, substrate
-    ) == normalized_lines(nested.trace_lines, substrate)
-    return fused
+def trace_digest(lines, substrate):
+    """SHA-256 of a trace's normalized lines."""
+    text = "\n".join(normalized_lines(lines, substrate))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("substrate", ["jni", "pyc"])
-def test_valid_sequence_parity(substrate):
+def _runner(substrate):
+    return run_pyc_ops if substrate == "pyc" else run_jni_ops
+
+
+def _first_fault_ops(substrate, tag):
+    fault = next(f for f in FAULTS if f.substrate == substrate)
+    base = generate_sequence(task_rng(2026, tag, substrate), substrate)
+    return fault.inject(task_rng(2026, tag), base).ops
+
+
+def _execution(substrate, ops):
+    """Live run under a recorder, then replay of its own trace."""
+    result = run_ops(substrate, ops)
+    return {
+        "outcome": result.live.outcome,
+        "reports": result.live.reports,
+        "diff": result.diff,
+        "event_count": result.event_count,
+        "trace_sha256": trace_digest(result.trace_lines, substrate),
+    }
+
+
+def _valid_case(substrate):
     sequence = generate_sequence(
         task_rng(2026, "pipeline-parity", substrate), substrate
     )
-    result = assert_execution_parity(substrate, sequence.ops)
-    assert result.live.reports == []  # valid sequences stay clean
+    return _execution(substrate, sequence.ops)
 
 
-def _corpus_entries():
-    with open(CORPUS_MANIFEST) as f:
-        manifest = json.load(f)
-    return manifest["entries"]
-
-
-@pytest.mark.parametrize(
-    "entry", _corpus_entries(), ids=lambda e: e["name"]
-)
-def test_fuzz_corpus_parity(entry):
-    """Every minimized corpus slice detects identically on both paths."""
-    ops = [tuple(op) for op in entry["ops"]]
-    result = assert_execution_parity(entry["substrate"], ops)
-    assert len(result.live.reports) >= 1  # the slice still detects
-
-
-@pytest.mark.parametrize(
-    "fault", FAULTS, ids=lambda f: "{}-{}".format(f.substrate, f.name)
-)
-def test_injected_fault_parity(fault):
-    """Freshly injected fault sequences, not just the frozen corpus."""
+def _fault_case(fault):
     base = generate_sequence(
         task_rng(2026, "pipeline-fault", fault.name), fault.substrate
     )
     injected = fault.inject(task_rng(2026, "pipeline-inject", fault.name), base)
-    assert_execution_parity(fault.substrate, injected.ops)
-
-
-@pytest.mark.parametrize("substrate", ["jni", "pyc"])
-def test_chaos_report_parity(substrate):
-    """Internal checker faults contain identically on both paths."""
-    fused = chaos_run(3, substrate=substrate, pipeline="fused")
-    nested = chaos_run(3, substrate=substrate, pipeline="nested")
-    assert fused == nested
-    assert fused["machines_quarantined"] > 0  # the scenario bites
-
-
-def _structural(report):
-    """The deterministic slice of a governor report (timings dropped)."""
-    return {
-        "budget": report["budget"],
-        "window": report["window"],
-        "degraded": report["degraded"],
-        "pairs": report["pairs"],
-    }
+    return _execution(fault.substrate, injected.ops)
 
 
 def _preset_governor(substrate, period):
@@ -140,66 +126,149 @@ def _preset_governor(substrate, period):
     return governor
 
 
-@pytest.mark.parametrize("substrate", ["jni", "pyc"])
-def test_governed_sampling_parity(substrate):
-    """Slot-counted sampling skips the same calls on both paths."""
-    fault = next(f for f in FAULTS if f.substrate == substrate)
-    base = generate_sequence(
-        task_rng(2026, "pipeline-govern", substrate), substrate
-    )
-    injected = fault.inject(task_rng(2026, "pipeline-govern"), base)
-    ops = [tuple(op) for op in injected.ops] * 3
-    runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
-    outcomes = {}
-    reports = {}
-    for pipeline in ("fused", "nested"):
-        governor = _preset_governor(substrate, period=3)
-        outcomes[pipeline] = runner(
-            ops, governor=governor, pipeline=pipeline
-        )
-        reports[pipeline] = _structural(governor.report())
-    assert outcomes["fused"].outcome == outcomes["nested"].outcome
-    assert outcomes["fused"].reports == outcomes["nested"].reports
-    assert reports["fused"] == reports["nested"]
-    sampled_out = sum(
-        p["sampled_out"] for p in reports["fused"]["pairs"].values()
-    )
-    assert sampled_out > 0  # sampling actually engaged
+def _governed_case(substrate):
+    ops = [tuple(op) for op in _first_fault_ops(substrate, "pipeline-govern")]
+    governor = _preset_governor(substrate, period=3)
+    outcome = _runner(substrate)(ops * 3, governor=governor)
+    return {
+        "outcome": outcome.outcome,
+        "reports": outcome.reports,
+        # Every pair starts degraded at period 3; pin the called ones.
+        "pairs": {
+            name: pair
+            for name, pair in governor.report()["pairs"].items()
+            if pair["calls"]
+        },
+    }
 
 
-@pytest.mark.parametrize("substrate", ["jni", "pyc"])
-def test_full_stack_parity(substrate):
+def _full_stack_case(substrate):
     """Recorder + governor + containment all attached at once."""
     from repro.trace import TraceRecorder
 
-    fault = next(f for f in FAULTS if f.substrate == substrate)
-    base = generate_sequence(
-        task_rng(2026, "pipeline-stack", substrate), substrate
+    recorder = TraceRecorder()
+    outcome = _runner(substrate)(
+        _first_fault_ops(substrate, "pipeline-stack"),
+        observer=recorder,
+        # budget=1.0: the share can never exceed it, so the control law
+        # never degrades a pair and the run stays deterministic.
+        governor=OverheadGovernor(GovernorPolicy(budget=1.0)),
+        containment=ContainmentPolicy(),
     )
-    injected = fault.inject(task_rng(2026, "pipeline-stack"), base)
-    runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
-    lines = {}
-    outcomes = {}
-    for pipeline in ("fused", "nested"):
-        recorder = TraceRecorder()
-        # budget=1.0: the share can never exceed it, so the control
-        # law never degrades a pair and the run stays deterministic.
-        governor = OverheadGovernor(GovernorPolicy(budget=1.0))
-        outcomes[pipeline] = runner(
-            injected.ops,
-            observer=recorder,
-            governor=governor,
-            containment=ContainmentPolicy(),
-            pipeline=pipeline,
+    recorder.close()
+    return {
+        "outcome": outcome.outcome,
+        "reports": outcome.reports,
+        "trace_sha256": trace_digest(recorder.lines, substrate),
+    }
+
+
+def _fault_id(fault):
+    return "{}-{}".format(fault.substrate, fault.name)
+
+
+def golden_cases():
+    """Every pinned case: golden key -> zero-argument producer."""
+    cases = {}
+    for substrate in SUBSTRATES:
+        cases["valid/" + substrate] = lambda s=substrate: _valid_case(s)
+        cases["chaos/" + substrate] = lambda s=substrate: chaos_run(
+            3, substrate=s
         )
-        recorder.close()
-        lines[pipeline] = normalized_lines(recorder.lines, substrate)
-    assert outcomes["fused"].outcome == outcomes["nested"].outcome
-    assert outcomes["fused"].reports == outcomes["nested"].reports
-    assert lines["fused"] == lines["nested"]
+        cases["govern/" + substrate] = lambda s=substrate: _governed_case(s)
+        cases["stack/" + substrate] = lambda s=substrate: _full_stack_case(s)
+    for fault in FAULTS:
+        cases["fault/" + _fault_id(fault)] = lambda f=fault: _fault_case(f)
+    return cases
 
 
-@pytest.mark.parametrize("substrate", ["jni", "pyc"])
+def plain(value):
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def golden_outputs():
+    """The current output of every pinned case, keyed like the file."""
+    return {
+        key: plain(produce()) for key, produce in sorted(golden_cases().items())
+    }
+
+
+def write_golden(path=GOLDEN_PATH):
+    """Regenerate the golden file from the current call path.
+
+    Only for a deliberate change of checked behaviour; review the diff
+    of the written file like any other behaviour change.
+    """
+    with open(path, "w") as f:
+        json.dump(golden_outputs(), f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
+with open(GOLDEN_PATH) as _f:
+    GOLDEN = json.load(_f)
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_valid_sequence_parity(substrate):
+    result = plain(_valid_case(substrate))
+    assert result == GOLDEN["valid/" + substrate]
+    assert result["reports"] == []  # valid sequences stay clean
+
+
+def _corpus_entries():
+    with open(os.path.join(CORPUS_DIR, "manifest.json")) as f:
+        return json.load(f)["entries"]
+
+
+@pytest.mark.parametrize("entry", _corpus_entries(), ids=lambda e: e["name"])
+def test_fuzz_corpus_parity(entry):
+    """Every minimized corpus slice reproduces its pinned stream and trace."""
+    substrate = entry["substrate"]
+    result = run_ops(substrate, [tuple(op) for op in entry["ops"]])
+    assert result.live.reports == entry["violations"]
+    assert result.replay_reports == entry["violations"]
+    assert result.event_count == entry["events"]
+    with open(os.path.join(CORPUS_DIR, entry["trace"])) as f:
+        shipped = normalized_lines(f.read().splitlines(), substrate)
+    live = normalized_lines(result.trace_lines, substrate)
+    # The header names the recording workload; everything else matches.
+    header, shipped_header = json.loads(live[0]), json.loads(shipped[0])
+    header.pop("workload", None)
+    shipped_header.pop("workload", None)
+    assert header == shipped_header
+    assert live[1:] == shipped[1:]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=_fault_id)
+def test_injected_fault_parity(fault):
+    """Freshly injected fault sequences, not just the frozen corpus."""
+    assert plain(_fault_case(fault)) == GOLDEN["fault/" + _fault_id(fault)]
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_chaos_report_parity(substrate):
+    """Internal checker faults contain exactly as pinned."""
+    report = plain(chaos_run(3, substrate=substrate))
+    assert report == GOLDEN["chaos/" + substrate]
+    assert report["machines_quarantined"] > 0  # the scenario bites
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_governed_sampling_parity(substrate):
+    """Slot-counted sampling skips exactly the pinned calls."""
+    result = plain(_governed_case(substrate))
+    assert result == GOLDEN["govern/" + substrate]
+    sampled_out = sum(p["sampled_out"] for p in result["pairs"].values())
+    assert sampled_out > 0  # sampling actually engaged
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_full_stack_parity(substrate):
+    assert plain(_full_stack_case(substrate)) == GOLDEN["stack/" + substrate]
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_telemetry_tap_parity(substrate):
     """Fusing the telemetry tap in changes no violation or trace byte.
 
@@ -212,22 +281,14 @@ def test_telemetry_tap_parity(substrate):
     from repro.obs import ObsHub
     from repro.trace import TraceRecorder
 
-    fault = next(f for f in FAULTS if f.substrate == substrate)
-    base = generate_sequence(
-        task_rng(2026, "pipeline-telemetry", substrate), substrate
-    )
-    injected = fault.inject(task_rng(2026, "pipeline-telemetry"), base)
-    runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
+    ops = _first_fault_ops(substrate, "pipeline-telemetry")
     hub = ObsHub()
     lines = {}
     outcomes = {}
     for label, telemetry in (("off", None), ("on", hub)):
         recorder = TraceRecorder()
-        outcomes[label] = runner(
-            injected.ops,
-            observer=recorder,
-            pipeline="fused",
-            telemetry=telemetry,
+        outcomes[label] = _runner(substrate)(
+            ops, observer=recorder, telemetry=telemetry
         )
         recorder.close()
         lines[label] = normalized_lines(recorder.lines, substrate)

@@ -31,8 +31,6 @@ class TestInterceptorProtocol:
         site = CallSite("GetVersion")
         assert stage.on_call(site) is None
         assert stage.on_return(site) is None
-        stage.on_violation(object())  # optional surfaces are no-ops
-        stage.on_reset()
         assert stage.describe() == {"name": "interceptor"}
 
     def test_callsite_governor_key(self):
@@ -63,7 +61,7 @@ class TestInterceptorProtocol:
         governor = OverheadGovernor()
         meter = GovernorMeter(governor)
         state = meter.binding(CallSite("NewStringUTF"))
-        # The same PairState object the nested proxy would close over.
+        # The same PairState object the governor reports on.
         assert state is governor.fused_binding("NewStringUTF")
         clock, tick, window, rebalance = meter.shared()
         assert tick is governor._tick
@@ -73,13 +71,17 @@ class TestInterceptorProtocol:
         from repro.fsm.events import Direction
 
         agent = jni_runtime()
-        stage = MachineDispatchStage(agent.rt, agent.registry)
+        index = WrapperCache().dispatch_for(agent.registry)
+        stage = MachineDispatchStage(agent.rt, agent.registry, index=index)
         pre = stage.encodings(
             "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
         )
-        assert len(pre) == len(agent.registry.names())  # unindexed fan-out
+        assert [e.spec.name for e in pre] == list(
+            index.machines("DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED)
+        )
+        assert 0 < len(pre) < len(agent.registry.names())
         unchecked = MachineDispatchStage(
-            agent.rt, agent.registry, checking=False
+            agent.rt, agent.registry, index=index, checking=False
         )
         assert unchecked.encodings(
             "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
@@ -126,15 +128,16 @@ class TestPlanComposition:
         agent = jni_runtime()
         with pytest.raises(ValueError, match="mode"):
             PipelinePlan(agent.rt, agent.registry, mode="jit")
-        with pytest.raises(ValueError, match="dispatch"):
-            PipelinePlan(agent.rt, agent.registry, dispatch="hash")
+        # One call path, one dispatch strategy: neither option exists.
+        from repro.pyc import PyCChecker
 
-    def test_reset_forwards_to_runtime(self):
-        agent = jni_runtime()
-        plan = PipelinePlan(agent.rt, agent.registry)
-        agent.rt.health.level = "degraded"
-        plan.reset()
-        assert agent.rt.health.level == "full"
+        for option in ("pipeline", "dispatch"):
+            with pytest.raises(TypeError, match=option):
+                PipelinePlan(agent.rt, agent.registry, **{option: "x"})
+            with pytest.raises(TypeError, match=option):
+                JinnAgent(**{option: "x"})
+            with pytest.raises(TypeError, match=option):
+                PyCChecker(**{option: "x"})
 
 
 class TestPlanEntries:
@@ -196,22 +199,19 @@ class TestPlanDescribe:
             for steps in described["per_function"].values()
         )
 
-    def test_fanout_visits_every_machine(self):
+    def test_interpretive_describe_follows_the_index(self):
+        from repro.fsm.events import Direction
+
         agent = jni_runtime()
-        indexed = PipelinePlan(
-            agent.rt, agent.registry, mode="interpretive"
-        ).describe()
-        fanout = PipelinePlan(
-            agent.rt, agent.registry, mode="interpretive", dispatch="fanout"
-        ).describe()
-        machines = len(agent.registry.names())
-        fanout_steps = fanout["per_function"]["DeleteLocalRef"]
-        assert sum(
-            1 for s in fanout_steps if s.startswith("check:") and
-            s.endswith(":pre")
-        ) == machines
-        indexed_steps = indexed["per_function"]["DeleteLocalRef"]
-        assert len(indexed_steps) < len(fanout_steps)
+        plan = PipelinePlan(agent.rt, agent.registry, mode="interpretive")
+        steps = plan.describe()["per_function"]["DeleteLocalRef"]
+        indexed = plan.interceptors()[0].index.machines(
+            "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
+        )
+        assert [s for s in steps if s.endswith(":pre")] == [
+            "check:{}:pre".format(m) for m in indexed
+        ]
+        assert 0 < len(indexed) < len(agent.registry.names())
 
     def test_stage_flags_show_in_op_lists(self):
         from repro.resilience import OverheadGovernor
@@ -263,25 +263,3 @@ class TestPlanCache:
         cache = WrapperCache()
         PipelinePlan(agent.rt, agent.registry, cache=cache)
         assert cache.stats()["plan_modules"] == 1
-
-
-class TestFusedFanoutDetection:
-    def test_interpretive_fanout_still_detects(self):
-        """The fused interpretive fan-out entry reaches every machine."""
-        from repro.workloads.microbench import scenario_by_name
-
-        streams = {}
-        for dispatch in ("index", "fanout"):
-            agent = JinnAgent(mode="interpretive", dispatch=dispatch)
-            vm = JavaVM(vendor=HOTSPOT, agents=[agent])
-            try:
-                scenario_by_name("Nullness").run(vm)
-            except Exception:
-                pass
-            vm.shutdown()
-            streams[dispatch] = [
-                (v.machine, v.error_state, v.function)
-                for v in agent.rt.violations
-            ]
-        assert streams["index"] == streams["fanout"]
-        assert streams["index"]  # the scenario demonstrates a bug

@@ -178,8 +178,8 @@ def test_gc_reclaims_exactly_the_unrooted(rooted, unrooted):
 @given(st.randoms())
 @settings(max_examples=5)
 def test_generated_source_is_deterministic(_rng):
-    a = Synthesizer(build_registry()).generate_source()
-    b = Synthesizer(build_registry()).generate_source()
+    a = Synthesizer(build_registry()).generate_pipeline_source()
+    b = Synthesizer(build_registry()).generate_pipeline_source()
     assert a == b
 
 
@@ -194,7 +194,7 @@ def test_generated_source_is_deterministic(_rng):
 @settings(max_examples=20, deadline=None)
 def test_ablated_machines_never_appear_in_source(dropped):
     registry = build_registry().without(*dropped)
-    source = Synthesizer(registry).generate_source()
+    source = Synthesizer(registry).generate_pipeline_source()
     for name in dropped:
         assert "rt.{}.".format(name) not in source
     compile(source, "<ablated>", "exec")

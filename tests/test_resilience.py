@@ -18,10 +18,22 @@ from repro.core.runtime import (
     CheckerHealth,
     ContainmentPolicy,
 )
+from repro.fsm.events import Direction
+from repro.fsm.machine import (
+    EntitySelector,
+    FunctionSelector,
+    LanguageTransition,
+    State,
+    StateMachineSpec,
+    StateTransition,
+)
+from repro.fsm.registry import SpecRegistry
 from repro.fuzz.engine import task_rng
 from repro.fuzz.faults import fault_by_name
 from repro.fuzz.gen import generate_sequence
 from repro.fuzz.ops import run_jni_ops, run_pyc_ops
+from repro.jinn.synthesizer import Synthesizer
+from repro.jni.functions import FunctionMeta
 from repro.resilience import (
     CLEAN,
     CRASH,
@@ -329,117 +341,119 @@ class TestSupervisorParallel:
 # ----------------------------------------------------------------------
 
 
-def _fake_clock(advance):
-    """A deterministic clock: each read advances by ``advance[0]``."""
-    cell = [0]
+class _CostRuntime:
+    """The runtime a synthetic governed entry binds to.
 
-    def clock():
-        cell[0] += advance[0]
-        return cell[0]
+    ``now`` is the fake clock: the one machine check advances it by
+    ``check_ns`` and the raw function by 1.
+    """
 
-    return clock
+    def __init__(self):
+        self.now = 0
+        self.check_ns = 1000
+        self.checks = 0
+
+    def clock(self):
+        return self.now
+
+    def check(self):
+        self.checks += 1
+        self.now += self.check_ns
+
+
+class _CostSpec(StateMachineSpec):
+    """One machine with one check before every FFI function."""
+
+    name = "cost"
+    _idle = State("Idle")
+
+    def states(self):
+        return [self._idle]
+
+    def state_transitions(self):
+        return [StateTransition(self._idle, self._idle)]
+
+    def language_transitions_for(self, transition):
+        return [
+            LanguageTransition(
+                Direction.CALL_NATIVE_TO_MANAGED,
+                FunctionSelector("any function", lambda m: m is not None),
+                EntitySelector.NONE,
+            )
+        ]
+
+    def emit(self, meta, direction):
+        return ["rt.check()"]
+
+
+def governed_entries(gov, names):
+    """Real fused entries, metered by ``gov``, over a synthetic table.
+
+    Returns ``(entries, rt)``; ``rt.now`` is the governor's clock.
+    """
+    rt = _CostRuntime()
+    gov._clock = rt.clock  # before the build: entries pre-bind it
+
+    def raw(env):
+        rt.now += 1
+        return "raw"
+
+    table = {name: FunctionMeta(name, "test", (), "void") for name in names}
+    build = Synthesizer(
+        SpecRegistry([_CostSpec()]), function_table=table
+    ).build_pipeline(govern=True)
+    entries, _ = build(rt, {name: raw for name in names}, None, gov)
+    return entries, rt
 
 
 class TestGovernor:
-    def _governed(self, policy=None):
+    def _governed(self, names=("fn",), policy=None):
         gov = OverheadGovernor(policy or GovernorPolicy(
             budget=0.3, window=16, sample_period=4, max_period=16, hot_min=8
         ))
-        advance = [1]
-        gov._clock = _fake_clock(advance)
-        return gov, advance
+        entries, rt = governed_entries(gov, names)
+        return gov, entries, rt
 
     def test_hot_expensive_pair_degrades(self):
-        gov, advance = self._governed()
-        checked_calls = [0]
-
-        def checked(env, *args):
-            checked_calls[0] += 1
-            advance[0] = 1000  # expensive checking
-            return "ok"
-
-        def raw(env, *args):
-            advance[0] = 1  # cheap raw call
-            return "ok"
-
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
+        gov, entries, _ = self._governed()
         for _ in range(200):
-            table["fn"](None)
+            entries["fn"](None)
         state = gov.pairs["fn"]
         assert state.period > 1
         assert state.total_sampled_out > 0
         assert "fn" in gov.degraded_pairs()
 
     def test_cold_pair_never_degrades(self):
-        gov, advance = self._governed()
-
-        def expensive(env):
-            advance[0] = 5000
-            return "ok"
-
-        def hot_checked(env):
-            advance[0] = 1000
-            return "ok"
-
-        def raw(env):
-            advance[0] = 1
-            return "ok"
-
-        table = gov.instrument_table(
-            {"cold": expensive, "hot": hot_checked},
-            {"cold": raw, "hot": raw},
-        )
+        gov, entries, _ = self._governed(("cold", "hot"))
         for i in range(400):
-            table["hot"](None)
+            entries["hot"](None)
             if i % 100 == 0:  # 4 calls total: far below hot_min
-                table["cold"](None)
+                entries["cold"](None)
+        assert gov.pairs["hot"].period > 1
         assert gov.pairs["cold"].period == 1
         assert gov.pairs["cold"].total_sampled_out == 0
 
     def test_sampled_in_calls_run_the_real_wrapper(self):
-        gov, advance = self._governed()
-        checked_calls = [0]
-
-        def checked(env):
-            checked_calls[0] += 1
-            advance[0] = 1000
-            return "checked"
-
-        def raw(env):
-            advance[0] = 1
-            return "raw"
-
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
-        results = [table["fn"](None) for _ in range(300)]
+        gov, entries, rt = self._governed()
+        results = [entries["fn"](None) for _ in range(300)]
         state = gov.pairs["fn"]
         assert state.period > 1
-        # Sampled-in calls returned the checked wrapper's result — the
-        # governor swaps nothing, it only skips — and the accounting is
-        # exact: every non-sampled-out call went through the wrapper.
-        assert "checked" in results
-        assert checked_calls[0] == state.total_calls - state.total_sampled_out
+        # Both paths return the raw result — the governor swaps
+        # nothing, it only skips checks — and the accounting is exact:
+        # every non-sampled-out call ran the generated check.
+        assert results == ["raw"] * 300
+        assert rt.checks == state.total_calls - state.total_sampled_out
         assert state.total_calls == 300
 
     def test_restore_when_load_drops(self):
-        gov, advance = self._governed()
-
-        def checked(env):
-            advance[0] = checked_cost[0]
-            return "ok"
-
-        def raw(env):
-            advance[0] = 1
-            return "ok"
-
-        checked_cost = [1000]
-        table = gov.instrument_table({"fn": checked}, {"fn": raw})
+        gov, entries, rt = self._governed()
         for _ in range(200):
-            table["fn"](None)
+            entries["fn"](None)
         degraded_period = gov.pairs["fn"].period
         assert degraded_period > 1
-        checked_cost[0] = 1  # checking is now as cheap as raw
+        rt.check_ns = 1  # checking is now as cheap as raw
         for _ in range(400):
-            table["fn"](None)
+            entries["fn"](None)
         assert gov.pairs["fn"].period < degraded_period
 
     def test_policy_validation(self):
@@ -451,11 +465,8 @@ class TestGovernor:
             GovernorPolicy(sample_period=1)
 
     def test_report_shape(self):
-        gov, _ = self._governed()
-        table = gov.instrument_table(
-            {"fn": lambda env: None}, {"fn": lambda env: None}
-        )
-        table["fn"](None)
+        gov, entries, _ = self._governed()
+        entries["fn"](None)
         report = gov.report()
         assert set(report) == {
             "budget", "window", "rebalances", "share", "degraded", "pairs",

@@ -44,7 +44,7 @@ class TestSpecValidationAtRegistration:
 
 class TestEmptyRegistrySynthesis:
     def test_empty_registry_generates_pure_interposition(self):
-        source = Synthesizer(SpecRegistry()).generate_source()
+        source = Synthesizer(SpecRegistry()).generate_pipeline_source()
         compile(source, "<empty>", "exec")
         assert "rt." not in source.split('"""', 2)[-1].replace(
             "rt.fail", ""
@@ -103,9 +103,9 @@ class TestCustomFunctionTables:
             for name in ("FindClass", "GetStringLength", "DeleteLocalRef")
         }
         synthesizer = Synthesizer(build_registry(), function_table=subset)
-        source = synthesizer.generate_source()
-        assert "def wrapped_FindClass" in source
-        assert "def wrapped_CallStaticVoidMethodA" not in source
+        source = synthesizer.generate_pipeline_source()
+        assert "def entry_FindClass" in source
+        assert "def entry_CallStaticVoidMethodA" not in source
         compile(source, "<subset>", "exec")
 
     def test_plan_keys_match_subset(self):

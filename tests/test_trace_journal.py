@@ -14,6 +14,7 @@ import textwrap
 
 import pytest
 
+from repro.core.journal import crc32_hex
 from repro.resilience import Shard, Supervisor, recover_journal
 from repro.resilience.recover import journaled_fuzz_record, parse_journal
 from repro.trace import format as tfmt
@@ -30,6 +31,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data", "resilience")
 
 class TestJournalFormat:
     def test_length_prefixed_lines(self, tmp_path):
+        # Every record is v2: "<byte_len> <crc32> <json>".
         path = str(tmp_path / "j.journal")
         writer = JournalWriter(path, sync_every=2)
         header = tfmt.dump_record(
@@ -42,8 +44,9 @@ class TestJournalFormat:
         writer.close()
         raw = open(path, "rb").read()
         first = raw.split(b"\n", 1)[0]
-        length, payload = first.split(b" ", 1)
+        length, crc, payload = first.split(b" ", 2)
         assert int(length) == len(payload)
+        assert crc.decode() == crc32_hex(payload)
         parsed_header, records, dropped = parse_journal(path)
         assert parsed_header["substrate"] == "pyc"
         assert records == ['["t",1,"main",0]']
@@ -138,6 +141,32 @@ class TestJournalParity:
         recovered = replay_path(report.out_path)
         assert recovered.violations == full.violations
         assert recovered.event_count == full.event_count
+
+    def test_flipped_bit_in_recorded_journal_is_detected(self, tmp_path):
+        # One bit flipped in a digit mid-journal (4 -> 5) still decodes
+        # as valid JSON, so only the record checksum can catch it.
+        journal = str(tmp_path / "run.journal")
+        journaled_fuzz_record({
+            "seed": 4, "substrate": "jni",
+            "trace": str(tmp_path / "run.trace"),
+            "journal": journal, "sync_every": 4,
+        })
+        with open(journal, "rb") as f:
+            records = f.read().split(b"\n")
+        # The first record from the middle on whose payload has a 4.
+        target = next(
+            i for i in range(len(records) // 2, len(records))
+            if b"4" in records[i].partition(b"[")[2]
+        )
+        record = records[target]
+        digit = record.index(b"4", record.index(b"["))
+        records[target] = (
+            record[:digit] + bytes([record[digit] ^ 0x01]) + record[digit + 1:]
+        )
+        with open(journal, "wb") as f:
+            f.write(b"\n".join(records))
+        with pytest.raises(tfmt.TraceFormatError, match="checksum mismatch"):
+            parse_journal(journal)
 
 
 # ----------------------------------------------------------------------
