@@ -23,6 +23,13 @@ Three gates:
   crossing collapse to one triage cluster with count N, and the
   cluster ID is stable across ingestion orders.
 
+One ungated section, ``attach``: the median cost of building a VM
+with the default checker attached and shutting it down, telemetry on
+against telemetry off, over interleaved trials.  The overhead gate
+times only the kernel call, so this is where the tap's per-VM attach
+cost shows.  It is not gated: on a shared 2-CPU host a millisecond
+timing moves with the host's load more than with the code.
+
 Parity (telemetry on changes no violation or trace byte) is a test,
 not a bench — see ``tests/test_pipeline_parity.py``.
 """
@@ -44,6 +51,9 @@ QUICK_TRIALS = 9
 #: ratio sits within a few percent of 1.0.  Same 1.10 A/A noise bound
 #: as the pipeline and trace-replay gates.
 OVERHEAD_MARGIN = 1.10
+
+#: Interleaved on/off VM attach trials (each one side's sample).
+ATTACH_TRIALS = 41
 
 #: Same-seed determinism and triage workload parameters.
 DET_SEED = 2026
@@ -96,6 +106,40 @@ def _overhead_section() -> dict:
         "floor_ratio": best["on"] / best["off"],
         "median_paired_ratio": ratios[len(ratios) // 2],
         "paired_ratios": [round(r, 4) for r in ratios],
+    }
+
+
+def _one_attach(telemetry_on: bool) -> float:
+    """Seconds to build a checked VM, attach included, and shut it down."""
+    import time
+
+    from repro.jinn.agent import JinnAgent
+    from repro.jvm import JavaVM
+    from repro.obs import ObsHub
+
+    hub = ObsHub() if telemetry_on else None
+    start = time.perf_counter()
+    JavaVM(agents=[JinnAgent(telemetry=hub)]).shutdown()
+    return time.perf_counter() - start
+
+
+def _attach_section() -> dict:
+    """Median attach + shutdown, telemetry on and off, alternating order."""
+    import statistics
+
+    _one_attach(True)  # warm-up: plans, dispatch index, site keys
+    times = {"on": [], "off": []}
+    for round_index in range(ATTACH_TRIALS):
+        order = ("off", "on") if round_index % 2 == 0 else ("on", "off")
+        for label in order:
+            times[label].append(_one_attach(label == "on"))
+    on_ms = statistics.median(times["on"]) * 1e3
+    off_ms = statistics.median(times["off"]) * 1e3
+    return {
+        "trials": ATTACH_TRIALS,
+        "on_ms": round(on_ms, 4),
+        "off_ms": round(off_ms, 4),
+        "ratio": round(on_ms / off_ms, 4),
     }
 
 
@@ -184,6 +228,7 @@ def test_observed_workload(benchmark):
 def run_obs_quick(out_path: str) -> dict:
     report = {
         "overhead": _overhead_section(),
+        "attach": _attach_section(),
         "determinism": _determinism_section(),
         "triage": _triage_section(),
     }
@@ -235,6 +280,14 @@ def main(argv=None) -> int:
             overhead["off_seconds"], overhead["on_seconds"],
             overhead["floor_ratio"], OVERHEAD_MARGIN,
             overhead["median_paired_ratio"],
+        )
+    )
+    attach = report["attach"]
+    print(
+        "attach: off {:.3f}ms  on {:.3f}ms  ratio {:.2f} "
+        "(median of {}, not gated)".format(
+            attach["off_ms"], attach["on_ms"], attach["ratio"],
+            attach["trials"],
         )
     )
     print(

@@ -3,7 +3,8 @@
 # smoke run (exit 1 on any wrong verdict), bytecode compilation, the
 # fixed-seed fuzz smoke,
 # the resilience smoke (chaos containment + crash recovery), the obs
-# CLI smoke, the fleet smoke (work-stealing replay of the regression
+# CLI smoke on both substrates, the fleet smoke (work-stealing replay
+# of the regression
 # corpus on 2 workers, gated on stream identity), the fleet storage
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
@@ -45,6 +46,10 @@ timeout 300 python -m repro.cli obs top --input /tmp/obs_smoke.json
 timeout 300 python -m repro.cli obs export --input /tmp/obs_smoke.json \
     --format prometheus > /dev/null
 timeout 300 python -m repro.cli status --repeats 2
+# The same on JNI: the 229-site telemetry + governor attach path.
+timeout 300 python -m repro.cli obs snapshot --fake-clock --repeats 2 \
+    --substrate jni -o /tmp/obs_smoke_jni.json
+timeout 300 python -m repro.cli status --repeats 2 --substrate jni
 
 echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
 timeout 300 python -m repro.cli fleet run --smoke --workers 2

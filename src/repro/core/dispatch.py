@@ -43,6 +43,18 @@ class DispatchIndex:
         self._buckets = buckets
         self.machine_names = machine_names
         self.function_names = function_names
+        #: Machines observing each table function's site, both
+        #: directions summed, and the native-method site's count: what
+        #: the telemetry tap's spans carry.  Computed here because the
+        #: shared cache holds one index per spec identity.
+        self.site_machines: Dict[str, int] = {
+            name: len(self.machines(name, Direction.CALL_NATIVE_TO_MANAGED))
+            + len(self.machines(name, Direction.RETURN_MANAGED_TO_NATIVE))
+            for name in function_names
+        }
+        self.native_site_machines = len(
+            self.native_machines(Direction.CALL_MANAGED_TO_NATIVE)
+        ) + len(self.native_machines(Direction.RETURN_NATIVE_TO_MANAGED))
 
     @classmethod
     def build(cls, registry: SpecRegistry, function_table) -> "DispatchIndex":

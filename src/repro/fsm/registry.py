@@ -23,6 +23,9 @@ class SpecRegistry:
     def __init__(self, specs: Optional[List[StateMachineSpec]] = None):
         self._specs: List[StateMachineSpec] = []
         self._by_name: Dict[str, StateMachineSpec] = {}
+        #: :meth:`fingerprint`'s digest for the current spec list; reset
+        #: by :meth:`register`.
+        self._fingerprint: Optional[str] = None
         for spec in specs or []:
             self.register(spec)
 
@@ -32,6 +35,7 @@ class SpecRegistry:
         spec.validate()
         self._specs.append(spec)
         self._by_name[spec.name] = spec
+        self._fingerprint = None
         return spec
 
     def __iter__(self) -> Iterator[StateMachineSpec]:
@@ -66,7 +70,14 @@ class SpecRegistry:
         emit plan.  Two registries with the same machine *names* but
         different specifications therefore fingerprint differently —
         the property the shared wrapper cache keys on.
+
+        Computed once per registry state: every plan, dispatch index and
+        trace header of one attach asks for it, and only
+        :meth:`register` changes it.  Specs must not change after
+        registration.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         digest = hashlib.sha256()
         for spec in self._specs:
             cls = type(spec)
@@ -84,7 +95,8 @@ class SpecRegistry:
                 digest.update(str(st).encode())
                 for lt in spec.language_transitions_for(st):
                     digest.update(str(lt).encode())
-        return digest.hexdigest()
+        self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def without(self, *names: str) -> "SpecRegistry":
         """A new registry excluding the named machines (for ablations)."""

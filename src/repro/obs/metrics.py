@@ -44,6 +44,16 @@ def label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def counter_key(name: str, **labels) -> tuple:
+    """Prepared key of one counter series (see :meth:`MetricsRegistry.cell`)."""
+    return (_KIND_COUNTER, name, label_key(labels))
+
+
+def histogram_key(name: str, **labels) -> tuple:
+    """Prepared key of one histogram series (see :meth:`MetricsRegistry.cell`)."""
+    return (_KIND_HISTOGRAM, name, label_key(labels))
+
+
 def flatten(name: str, key: Tuple[Tuple[str, str], ...]) -> str:
     """The canonical flattened series name, Prometheus-style."""
     if not key:
@@ -142,22 +152,28 @@ class MetricsRegistry:
             self._local.shard = shard
         return shard
 
-    def _series(self, kind: str, name: str, labels) -> list:
-        key = (kind, name, label_key(labels))
+    def cell(self, key: tuple) -> list:
+        """The calling thread's cell for one prepared series key.
+
+        ``key`` comes from :func:`counter_key` or :func:`histogram_key`.
+        A caller that creates the same series again and again (the
+        telemetry tap, once per site per attach) prepares the key once
+        instead of sorting its labels on every call.
+        """
         shard = self._shard()
         cell = shard.get(key)
         if cell is None:
-            cell = shard[key] = _new_cell(kind)
+            cell = shard[key] = _new_cell(key[0])
         return cell
 
     # -- handles ---------------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
         """The calling thread's counter cell for one series."""
-        return Counter(self._series(_KIND_COUNTER, name, labels))
+        return Counter(self.cell(counter_key(name, **labels)))
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return Histogram(self._series(_KIND_HISTOGRAM, name, labels))
+        return Histogram(self.cell(histogram_key(name, **labels)))
 
     def gauge(self, name: str, **labels) -> Gauge:
         key = (name, label_key(labels))

@@ -23,13 +23,18 @@ own call counter so the choice is deterministic and seed-stable.
 Violation *triage* is never sampled (it rides ``CheckerRuntime.fail``,
 not the tap), so cluster counts stay exact; only span attribution and
 duration histograms are sampled views.
+
+Attaching is constant work per site: a table site's series keys are
+prepared once per process and its machine count comes with the cached
+dispatch index, so binding a site only creates its cells in the hub.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.obs.hub import ObsHub
+from repro.obs.metrics import counter_key, histogram_key
 from repro.pipeline.interceptors import CallSite, Interceptor
 
 #: Direction label per site kind: JNI/API functions are crossed by
@@ -37,6 +42,35 @@ from repro.pipeline.interceptors import CallSite, Interceptor
 #: extensions) by managed code calling out.
 _DIR_FUNCTION = "native_to_managed"
 _DIR_NATIVE = "managed_to_native"
+
+#: ``(substrate, function)`` -> a table site's series keys.  They
+#: depend only on the labels, so every attach after the first in a
+#: process reuses them.  Native and extension sites are named at bind
+#: time and are not kept, so a long-lived worker binding ever new
+#: natives does not grow this map.
+_TABLE_SITE_KEYS: Dict[Tuple[str, str], Tuple[tuple, tuple, tuple]] = {}
+
+
+def _site_keys(substrate: str, function: str, native: bool):
+    """``(calls, crossing histogram, sampled-out)`` keys of one site."""
+    if not native:
+        keys = _TABLE_SITE_KEYS.get((substrate, function))
+        if keys is not None:
+            return keys
+    labels = {
+        "subsystem": "pipeline",
+        "substrate": substrate,
+        "function": function,
+        "direction": _DIR_NATIVE if native else _DIR_FUNCTION,
+    }
+    keys = (
+        counter_key("ffi_calls_total", **labels),
+        histogram_key("ffi_crossing_ns", **labels),
+        counter_key("ffi_sampled_out_total", **labels),
+    )
+    if not native:
+        _TABLE_SITE_KEYS[(substrate, function)] = keys
+    return keys
 
 
 class TelemetryTap(Interceptor):
@@ -47,7 +81,7 @@ class TelemetryTap(Interceptor):
     def __init__(self, hub: ObsHub, *, substrate: str = "jni"):
         self.hub = hub
         self.substrate = substrate
-        #: (function, native) -> eligible machine-check count, filled by
+        #: function -> eligible machine-check count, taken by
         #: :meth:`configure` from the dispatch index; -1 when unknown.
         self._machines: Dict[str, int] = {}
         self._native_machines = -1
@@ -55,29 +89,17 @@ class TelemetryTap(Interceptor):
     # -- plan wiring -----------------------------------------------------
 
     def configure(self, registry, function_table=None) -> None:
-        """Resolve per-site eligible-machine counts from the index.
+        """Take per-site eligible-machine counts from the index.
 
-        Uses the shared :data:`~repro.core.cache.WRAPPER_CACHE` dispatch
-        index, so configuring a tap costs one cache hit after the first
-        plan for a spec set.
+        The shared :data:`~repro.core.cache.WRAPPER_CACHE` dispatch
+        index carries the counts, so configuring a tap costs one cache
+        hit after the first plan for a spec set.
         """
         from repro.core.cache import WRAPPER_CACHE
-        from repro.fsm.events import Direction
 
         index = WRAPPER_CACHE.dispatch_for(registry, function_table)
-        if function_table is None:
-            from repro.jni import functions
-
-            function_table = functions.FUNCTIONS
-        counts: Dict[str, int] = {}
-        for name in function_table:
-            counts[name] = len(
-                index.machines(name, Direction.CALL_NATIVE_TO_MANAGED)
-            ) + len(index.machines(name, Direction.RETURN_MANAGED_TO_NATIVE))
-        self._machines = counts
-        self._native_machines = len(
-            index.native_machines(Direction.CALL_MANAGED_TO_NATIVE)
-        ) + len(index.native_machines(Direction.RETURN_NATIVE_TO_MANAGED))
+        self._machines = index.site_machines
+        self._native_machines = index.native_site_machines
 
     def machines_at(self, function: str, native: bool) -> int:
         if native:
@@ -102,20 +124,14 @@ class TelemetryTap(Interceptor):
 
     def fused_site(self, function: str, native: bool):
         """``(calls cell, hist cell, bins, sampled cell, machines)``."""
-        hub = self.hub
-        direction = _DIR_NATIVE if native else _DIR_FUNCTION
-        labels = {
-            "subsystem": "pipeline",
-            "substrate": self.substrate,
-            "function": function,
-            "direction": direction,
-        }
-        hist = hub.metrics.histogram("ffi_crossing_ns", **labels).cell
+        calls, crossing, sampled = _site_keys(self.substrate, function, native)
+        cell = self.hub.metrics.cell
+        hist = cell(crossing)
         return (
-            hub.metrics.counter("ffi_calls_total", **labels).cell,
+            cell(calls),
             hist,
             hist[2],
-            hub.metrics.counter("ffi_sampled_out_total", **labels).cell,
+            cell(sampled),
             self.machines_at(function, native),
         )
 
@@ -128,13 +144,8 @@ class TelemetryTap(Interceptor):
         hook then does no duration work for them.
         """
         hub = self.hub
-        cell = hub.metrics.counter(
-            "ffi_calls_total",
-            subsystem="pipeline",
-            substrate=self.substrate,
-            function=function,
-            direction=_DIR_NATIVE if native else _DIR_FUNCTION,
-        ).cell
+        calls, _, _ = _site_keys(self.substrate, function, native)
+        cell = hub.metrics.cell(calls)
         clock = hub.clock_ns
         viol_count = hub._viol_count
         mask = hub._sample_mask
@@ -152,21 +163,9 @@ class TelemetryTap(Interceptor):
     def return_hook(self, function: str, native: bool):
         """``fn(token, checked)``: close the crossing's histogram/span."""
         hub = self.hub
-        direction = _DIR_NATIVE if native else _DIR_FUNCTION
-        hist = hub.metrics.histogram(
-            "ffi_crossing_ns",
-            subsystem="pipeline",
-            substrate=self.substrate,
-            function=function,
-            direction=direction,
-        ).cell
-        sampled = hub.metrics.counter(
-            "ffi_sampled_out_total",
-            subsystem="pipeline",
-            substrate=self.substrate,
-            function=function,
-            direction=direction,
-        ).cell
+        _, crossing, sampled_key = _site_keys(self.substrate, function, native)
+        hist = hub.metrics.cell(crossing)
+        sampled = hub.metrics.cell(sampled_key)
         clock = hub.clock_ns
         ring, capacity, span_count = hub.spans.ring_parts()
         viol_count = hub._viol_count

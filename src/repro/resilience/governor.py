@@ -170,25 +170,39 @@ class OverheadGovernor:
 
     # -- the control law -------------------------------------------------
 
-    def share(self) -> float:
-        """Estimated checking share of boundary time this window."""
+    def _window_pairs(self) -> List[PairState]:
+        """The pairs with any window counter set, in binding order.
+
+        Every pair is bound at attach but a window touches few; the
+        rest add nothing to the share, the hot scan or the reset.
+        """
+        return [
+            s
+            for s in self.pairs.values()
+            if s.window_calls or s.checked_calls or s.raw_calls
+        ]
+
+    @staticmethod
+    def _share(states) -> float:
         overhead = 0.0
         total = 0.0
-        for state in self.pairs.values():
+        for state in states:
             overhead += state.overhead_ns()
             total += state.checked_ns + state.raw_ns
         return overhead / total if total else 0.0
+
+    def share(self) -> float:
+        """Estimated checking share of boundary time this window."""
+        return self._share(self._window_pairs())
 
     def _rebalance(self) -> None:
         self._tick[0] = 0
         self._rebalances += 1
         policy = self.policy
-        share = self.share()
-        hot = [
-            s
-            for s in self.pairs.values()
-            if s.window_calls >= policy.hot_min
-        ]
+        # Not window_calls alone: the trigger meters its call after the reset.
+        touched = self._window_pairs()
+        share = self._share(touched)
+        hot = [s for s in touched if s.window_calls >= policy.hot_min]
         if share > policy.budget and hot:
             # Degrade the hottest pair by estimated overhead; name is
             # the tiebreak so equal measurements stay deterministic.
@@ -206,7 +220,7 @@ class OverheadGovernor:
                 lucky.period //= 2
                 if lucky.period < policy.sample_period:
                     lucky.period = 1
-        for state in self.pairs.values():
+        for state in touched:
             state.new_window()
 
     # -- reporting -------------------------------------------------------

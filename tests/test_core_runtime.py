@@ -90,6 +90,16 @@ class TestFingerprint:
         assert builtin.names() == custom.names()
         assert builtin.fingerprint() != custom.fingerprint()
 
+    def test_register_invalidates_the_memoized_fingerprint(self):
+        full = build_registry()
+        partial = full.without("nullness")
+        before = partial.fingerprint()
+        partial.register(NullnessSpec())
+        assert partial.fingerprint() != before
+        assert partial.fingerprint() == SpecRegistry(
+            list(full.without("nullness")) + [NullnessSpec()]
+        ).fingerprint()
+
 
 class TestWrapperCache:
     def test_fingerprint_identical_registries_share_a_module(self):

@@ -339,6 +339,40 @@ class TestExport:
             top_sites(snap, by="bogus")
 
 
+def _without_cache_gauges(snapshot):
+    """Drop the ``wrapper_cache_*`` gauges: the cache is process-global
+    by design, so its hit counters grow across runs in one process."""
+    gauges = snapshot["metrics"]["gauges"]
+    for flat in [k for k in gauges if k.startswith("wrapper_cache_")]:
+        del gauges[flat]
+    return snapshot
+
+
+#: SHA-256 of the canonical JSON of ``observed_run(seed,
+#: substrate=..., repeats=4, clock=FakeClock())``: its snapshot without
+#: the cache gauges, and its governor report.  Pinned across commits,
+#: so a change to what an attach creates (every site's series, the
+#: machine counts spans carry) or to a governor decision shows.
+PINNED_OBSERVED = {
+    ("jni", 7): (
+        "5c079456fbbf98ab9ffc41f97d33eaef31aad5708fe437ba2174ed19bc7f80a4",
+        "35ec51c752b0fbafdc6f133014085c9a316b401cfbc4fc272651cf9756adf088",
+    ),
+    ("jni", 2026): (
+        "27d4a2cfbc85eb69064919dd527b78bf105335e28c64a0201d6c1e4835f5f333",
+        "015e6a424cf6a4645439139d0498f27c4605564ff05182bf3ed1b0f4ebf9dbdf",
+    ),
+    ("pyc", 7): (
+        "ad0e16e5aac823a4f8f78799ef0e99e1a65ed4ced2b04fe8276f2021b7bdf449",
+        "75068cc938140741d949e44e37e7b5f2012ca03a8113a79d0957f75f56d45f4e",
+    ),
+    ("pyc", 2026): (
+        "03107aba294377bcd731d2b3fd6ad2c4d4a7c0d66bf4a6588d9f84c99594c165",
+        "ed379940dacc29fe530761893cbfb3c72c589366b8dcdc4160d7da4bce61b89c",
+    ),
+}
+
+
 class TestObservedEndToEnd:
     def test_same_seed_fake_clock_snapshots_identical(self):
         from repro.obs import observed_run
@@ -348,14 +382,26 @@ class TestObservedEndToEnd:
             report = observed_run(
                 7, substrate="pyc", repeats=2, clock=FakeClock()
             )
-            snap = report["snapshot"]
-            # The wrapper cache is process-global by design; its hit
-            # counters grow across runs in one process.
-            gauges = snap["metrics"]["gauges"]
-            for flat in [k for k in gauges if k.startswith("wrapper_cache_")]:
-                del gauges[flat]
+            snap = _without_cache_gauges(report["snapshot"])
             texts.append(canonical_json(snap))
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("substrate,seed", sorted(PINNED_OBSERVED))
+    def test_snapshot_and_governor_report_pinned(self, substrate, seed):
+        import hashlib
+
+        from repro.obs import observed_run
+
+        report = observed_run(
+            seed, substrate=substrate, repeats=4, clock=FakeClock()
+        )
+        digests = tuple(
+            hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+            for doc in (
+                _without_cache_gauges(report["snapshot"]), report["governor"]
+            )
+        )
+        assert digests == PINNED_OBSERVED[(substrate, seed)]
 
     def test_violating_crossing_attributes_span(self):
         from repro.jinn.agent import JinnAgent
@@ -378,3 +424,57 @@ class TestObservedEndToEnd:
             s for s in hub.spans.spans() if cluster.id in s.violations
         ]
         assert attributed, "the violating crossing should carry its cluster"
+
+
+class TestAttach:
+    """Attaching the tap and the governor: every series, constant work."""
+
+    def test_fresh_jni_attach_creates_every_site_series(self):
+        from repro.jinn.agent import JinnAgent
+        from repro.jvm import JavaVM
+
+        hub = ObsHub()
+        vm = JavaVM(agents=[JinnAgent(telemetry=hub)])
+        metrics = hub.snapshot()["metrics"]
+        vm.shutdown()
+        # Calls and sampled-out counters plus a crossing histogram for
+        # each of the 229 table sites, crossed or not.
+        assert len(metrics["counters"]) == 458
+        assert not any(metrics["counters"].values())
+        assert len(metrics["histograms"]) == 229
+
+    def test_second_observed_attach_sorts_no_labels_and_hashes_once(
+        self, monkeypatch
+    ):
+        import hashlib
+        import types
+
+        import repro.fsm.registry
+        import repro.obs.metrics
+        from repro.jinn.agent import JinnAgent
+        from repro.jvm import JavaVM
+        from repro.resilience.governor import OverheadGovernor
+
+        def attach():
+            return JavaVM(agents=[JinnAgent(
+                telemetry=ObsHub(), governor=OverheadGovernor()
+            )])
+
+        attach().shutdown()  # the process's first observed attach
+        label_sorts = []
+        label_key = repro.obs.metrics.label_key
+        monkeypatch.setattr(
+            repro.obs.metrics, "label_key",
+            lambda labels: label_sorts.append(labels) or label_key(labels),
+        )
+        hashes = []
+        monkeypatch.setattr(
+            repro.fsm.registry, "hashlib",
+            types.SimpleNamespace(
+                sha256=lambda: hashes.append(1) or hashlib.sha256()
+            ),
+        )
+        vm = attach()
+        assert label_sorts == []
+        assert len(hashes) <= 1
+        vm.shutdown()

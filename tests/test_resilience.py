@@ -345,12 +345,13 @@ class _CostRuntime:
     """The runtime a synthetic governed entry binds to.
 
     ``now`` is the fake clock: the one machine check advances it by
-    ``check_ns`` and the raw function by 1.
+    ``check_ns`` and the raw function by ``raw_ns``.
     """
 
     def __init__(self):
         self.now = 0
         self.check_ns = 1000
+        self.raw_ns = 1
         self.checks = 0
 
     def clock(self):
@@ -395,7 +396,7 @@ def governed_entries(gov, names):
     gov._clock = rt.clock  # before the build: entries pre-bind it
 
     def raw(env):
-        rt.now += 1
+        rt.now += rt.raw_ns
         return "raw"
 
     table = {name: FunctionMeta(name, "test", (), "void") for name in names}
@@ -455,6 +456,30 @@ class TestGovernor:
         for _ in range(400):
             entries["fn"](None)
         assert gov.pairs["fn"].period < degraded_period
+
+    def test_rebalance_keeps_the_triggering_calls_tail(self):
+        """The entry that triggers a rebalance meters its own call after
+        the window reset, so that time belongs to the next window even
+        though the pair's ``window_calls`` there is 0."""
+        gov = OverheadGovernor(
+            GovernorPolicy(budget=0.3, window=16, hot_min=4)
+        )
+        entries, rt = governed_entries(gov, ("A", "B"))
+        rt.raw_ns = 100  # a sampled-out call: 100 ns raw
+        for _ in range(6):
+            rt.check_ns = 20  # B: 120 ns checked
+            for _ in range(15):
+                entries["B"](None)
+            rt.check_ns = 99900  # A: 100000 ns checked, the 16th call
+            entries["A"](None)
+        report = gov.report()
+        assert report["rebalances"] == 6
+        # Only A's tail is left in the open window.
+        assert report["share"] == 1.0
+        assert report["degraded"] == ["B"]
+        assert report["pairs"]["B"]["period"] == 128
+        assert report["pairs"]["B"]["degraded_windows"] == 6
+        assert report["pairs"]["A"]["period"] == 1
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
