@@ -13,10 +13,9 @@ job for CPU amplification:
   unavailable on a single-CPU container at any software layer).  The
   full 1/2/4 scaling curve is reported for EXPERIMENTS.md E15.
 
-- **determinism** (``stream_identical_ok``) — the 4-worker merged
-  violation stream must be byte-identical to the single-process
-  ``replay_sharded`` baseline, and identical across every worker
-  count, steal interleaving notwithstanding.
+- **determinism** (``stream_identical_ok``) — the merged violation
+  stream at every worker count must be byte-identical to the stream
+  pinned in the corpus manifest, steal interleaving notwithstanding.
 
 - **queue recovery** (``recovery_ok``) — a worker process draining a
   persistent queue is SIGKILLed mid-run; reopening the queue and
@@ -94,16 +93,6 @@ while True:
     if acks == 3:
         os.kill(os.getpid(), 9)
 """
-
-
-def _corpus_paths():
-    from repro.fuzz.corpus import load_manifest
-
-    manifest = load_manifest(CORPUS_DIR)
-    return [
-        os.path.join(CORPUS_DIR, entry["trace"])
-        for entry in manifest["entries"]
-    ]
 
 
 def _measure_workers(paths, workers):
@@ -344,7 +333,7 @@ def _throughput_gate(seed=23, jobs=THROUGHPUT_JOBS) -> dict:
     }
 
 
-def _batched_identity_gate(paths, baseline) -> dict:
+def _batched_identity_gate(paths, stream) -> dict:
     """1/2/4-worker stream identity in group-commit + batched mode."""
     import tempfile
 
@@ -364,13 +353,13 @@ def _batched_identity_gate(paths, baseline) -> dict:
             )
             streams[workers] = violation_stream(report)
     identical = all(
-        streams[workers] == baseline.violations for workers in WORKER_COUNTS
+        streams[workers] == stream for workers in WORKER_COUNTS
     )
     return {
         "worker_counts": WORKER_COUNTS,
         "sync": "group",
         "batch": 4,
-        "violations": len(baseline.violations),
+        "violations": len(stream),
         "ok": identical,
     }
 
@@ -415,9 +404,9 @@ def _plan_cache_gate() -> dict:
 
 
 def run_fleet_quick(out_path: str) -> dict:
-    from repro.trace.replay import replay_sharded
+    from repro.fuzz.corpus import corpus_baseline
 
-    paths = _corpus_paths()
+    paths, stream, events = corpus_baseline(CORPUS_DIR)
     report = {
         "corpus": os.path.relpath(CORPUS_DIR, _ROOT),
         "traces": len(paths),
@@ -427,8 +416,7 @@ def run_fleet_quick(out_path: str) -> dict:
         "cpu_count": os.cpu_count(),
     }
 
-    baseline = replay_sharded(paths, shards=1)
-    report["baseline_events"] = baseline.event_count
+    report["baseline_events"] = events
 
     curve = []
     streams = {}
@@ -443,17 +431,17 @@ def run_fleet_quick(out_path: str) -> dict:
 
     four = next(t for t in curve if t["workers"] == 4)
     stream_identical = all(
-        streams[workers] == baseline.violations for workers in WORKER_COUNTS
+        streams[workers] == stream for workers in WORKER_COUNTS
     )
     report["stream_identical"] = stream_identical
-    report["violations"] = len(baseline.violations)
+    report["violations"] = len(stream)
     report["recovery"] = _recovery_gate()
     report["compaction"] = _compaction_gate()
     report["chaos"] = _chaos_gate()
     report["chaos_group"] = _chaos_gate(sync="group")
     report["throughput"] = {
         "drain": _throughput_gate(),
-        "batched_identity": _batched_identity_gate(paths, baseline),
+        "batched_identity": _batched_identity_gate(paths, stream),
         "plan_cache": _plan_cache_gate(),
     }
     throughput = report["throughput"]

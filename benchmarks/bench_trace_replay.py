@@ -6,14 +6,14 @@ not transfer to this substrate, the bound that *does* hold is gated and
 the raw substrate numbers are reported alongside — the same convention
 ``bench_table3_overhead.py`` uses for Table 3's overhead claims.
 
-- **replay speed** (``replay_rate_ok``) — the sharded replay's
+- **replay speed** (``replay_rate_ok``) — the fleet replay's
   critical-path event rate must be >= 5x the live pipeline's event
   rate.  The live pipeline rate is what producing the trace costs
   end-to-end (checked run with the recorder attached, plus encode and
   write at ``close()``): offline re-checking earns its keep when
   replaying a trace N times — against N candidate spec registries —
-  beats recording N live runs.  The single-shard wall rate is reported
-  too.
+  beats recording N live runs.  The serial (one ``replay_path`` per
+  file) wall rate is reported too.
 
 - **record overhead** (``record_overhead_ok``) — recording must cost
   nothing on a *plain* run, i.e. when no recorder is attached.  The
@@ -31,13 +31,16 @@ the raw substrate numbers are reported alongside — the same convention
   time; it does not transfer to a substrate whose workloads are 100%
   transitions, so it is reported rather than asserted.
 
-- **shard speedup** (``shard_speedup_ok``) — sharded replay must cut
-  the critical path: total in-worker CPU seconds over the slowest
-  single worker's CPU seconds must exceed 1.0.  CPU time is the
-  scheduler-independent measure; the wall-clock speedup is reported
-  alongside with the machine's CPU count, because on a single-CPU
-  container (this one) concurrent workers timeshare one core and a
-  wall speedup is physically unavailable at any software layer.
+- **shard speedup** (``shard_speedup_ok``) — replaying the files on
+  the fleet (:func:`repro.fleet.fleet_replay`, ``QUICK_WORKERS``
+  processes, one job per file) must cut the critical path: the serial
+  loop's CPU seconds over the busiest worker's CPU seconds
+  (``FleetReport.worker_busy_seconds``) must exceed 1.0.  This is
+  critical-path *accounting*, not a measured wall-clock win: CPU time
+  is the scheduler-independent measure, and the wall-clock speedup is
+  reported alongside with the machine's CPU count, because on a host
+  with fewer CPUs than workers concurrent workers timeshare and a wall
+  speedup is physically unavailable at any software layer.
 """
 
 import json
@@ -49,9 +52,9 @@ from benchmarks.conftest import write_bench_json
 
 #: Corpus benchmarks: eight distinct operation mixes.  Each records a
 #: fixed event *target* (rather than paper-scaled transition counts) so
-#: the trace files are comparably sized: sharded replay's critical path
-#: is the largest file, so even files at fine granularity are what let
-#: sharding cut it.
+#: the trace files are comparably sized: the fleet replay's critical
+#: path is the largest file, so even files at fine granularity are what
+#: let one job per file cut it.
 QUICK_BENCHMARKS = [
     "luindex",
     "jess",
@@ -64,7 +67,7 @@ QUICK_BENCHMARKS = [
 ]
 QUICK_EVENTS_PER_TRACE = 6000
 QUICK_TRIALS = 3
-QUICK_SHARDS = 8
+QUICK_WORKERS = 8
 
 
 def _iterations(name: str) -> int:
@@ -116,14 +119,15 @@ def _record_run(name: str, path: str) -> int:
 
 def run_replay_quick(out_path: str) -> dict:
     """Measure the three gates; write and return the JSON report."""
-    from repro.trace.replay import replay_path, replay_sharded
+    from repro.fleet import fleet_replay
+    from repro.trace.replay import replay_path
     from repro.workloads.dacapo import run_workload
 
     report = {
         "benchmarks": QUICK_BENCHMARKS,
         "events_per_trace_target": QUICK_EVENTS_PER_TRACE,
         "trials": QUICK_TRIALS,
-        "shards": QUICK_SHARDS,
+        "workers": QUICK_WORKERS,
         "cpu_count": os.cpu_count(),
     }
     with tempfile.TemporaryDirectory() as corpus_dir:
@@ -190,44 +194,46 @@ def run_replay_quick(out_path: str) -> dict:
         report["record"]["attached_overhead"] = attached_seconds / unobserved
         report["record"]["pipeline_overhead"] = pipeline_seconds / unobserved
 
-        # -- replay: serial, then sharded.  Wall and CPU metrics each
-        # take their own best over trials.
+        # -- replay: a serial replay_path loop, then the fleet.  Wall
+        # and CPU metrics each take their own best over trials.
         serial_seconds = None
         serial_cpu = None
         serial = None
         for _ in range(QUICK_TRIALS):
+            cpu_start = time.process_time()
             start = time.perf_counter()
-            serial = replay_sharded(paths, shards=1)
+            serial = [replay_path(path) for path in paths]
             wall = time.perf_counter() - start
-            cpu = sum(serial.worker_seconds)
+            cpu = time.process_time() - cpu_start
             if serial_seconds is None or wall < serial_seconds:
                 serial_seconds = wall
             if serial_cpu is None or cpu < serial_cpu:
                 serial_cpu = cpu
-        assert serial.event_count == events
-        sharded_wall = None
+        assert sum(result.event_count for result in serial) == events
+        fleet_wall = None
         critical = None
-        sharded = None
+        merged = None
         for _ in range(QUICK_TRIALS):
             start = time.perf_counter()
-            sharded = replay_sharded(paths, shards=QUICK_SHARDS)
+            merged, fleet = fleet_replay(paths, workers=QUICK_WORKERS)
             wall = time.perf_counter() - start
-            if sharded_wall is None or wall < sharded_wall:
-                sharded_wall = wall
-            trial_critical = sharded.critical_path_seconds
-            if critical is None or trial_critical < critical:
-                critical = trial_critical
-        assert sharded.event_count == events
-        assert sharded.violations == serial.violations
+            if fleet_wall is None or wall < fleet_wall:
+                fleet_wall = wall
+            if critical is None or fleet.critical_path_seconds < critical:
+                critical = fleet.critical_path_seconds
+        assert merged.event_count == events
+        assert merged.violations == [
+            report for result in serial for report in result.violations
+        ]
         report["replay"] = {
             "serial_wall_seconds": serial_seconds,
             "serial_cpu_seconds": serial_cpu,
-            "single_shard_events_per_second": events / serial_seconds,
-            "sharded_wall_seconds": sharded_wall,
+            "serial_events_per_second": events / serial_seconds,
+            "fleet_wall_seconds": fleet_wall,
             "critical_path_seconds": critical,
             "critical_path_events_per_second": events / critical,
             "critical_path_speedup": serial_cpu / critical,
-            "wall_speedup": serial_seconds / sharded_wall,
+            "wall_speedup": serial_seconds / fleet_wall,
         }
         report["replay"]["rate_ratio"] = (
             report["replay"]["critical_path_events_per_second"] / live_rate
@@ -287,11 +293,11 @@ def main(argv=None) -> int:
     )
     print(
         "replay: critical path {:.0f} ev/s vs live pipeline {:.0f} ev/s "
-        "({:.1f}x, gate >= 5x); single-shard {:.0f} ev/s".format(
+        "({:.1f}x, gate >= 5x); serial {:.0f} ev/s".format(
             replay["critical_path_events_per_second"],
             record["pipeline_events_per_second"],
             replay["rate_ratio"],
-            replay["single_shard_events_per_second"],
+            replay["serial_events_per_second"],
         )
     )
     print(
@@ -303,10 +309,10 @@ def main(argv=None) -> int:
         )
     )
     print(
-        "shards: critical-path speedup {:.2f}x with {} shards "
+        "fleet: critical-path speedup {:.2f}x with {} workers "
         "(gate > 1.0x); wall speedup {:.2f}x on {} CPU(s)".format(
             replay["critical_path_speedup"],
-            report["shards"],
+            report["workers"],
             replay["wall_speedup"],
             report["cpu_count"],
         )

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: tests, the benchmark's own tests and its known-answer
 # smoke run (exit 1 on any wrong verdict), bytecode compilation, the
+# regression corpus replayed by `trace replay` in process and on 2
+# fleet workers (exit 1 on drift from the recorded streams), the
 # fixed-seed fuzz smoke,
 # the resilience smoke (chaos containment + crash recovery), the obs
 # CLI smoke on both substrates, the fleet smoke (work-stealing replay
@@ -27,6 +29,11 @@ python -m bench run --smoke
 
 echo "== trace round-trip parity =="
 python -m pytest -q tests/test_trace_replay.py
+
+echo "== corpus trace replay (recorded-stream drift check live) =="
+timeout 300 python -m repro.cli trace replay tests/data/fuzz_corpus/*.trace
+timeout 300 python -m repro.cli trace replay --workers 2 \
+    tests/data/fuzz_corpus/*.trace
 
 echo "== compileall =="
 python -m compileall -q src

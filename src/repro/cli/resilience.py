@@ -65,7 +65,7 @@ def _cmd_resilience_supervise(args) -> int:
     supervisor = Supervisor(
         timeout=args.timeout, retries=args.retries, seed=args.seed
     )
-    report = supervisor.run(shards, parallel=args.parallel)
+    report = supervisor.run(shards)
     print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 
@@ -120,10 +120,6 @@ def add_parsers(sub) -> None:
     supervise.add_argument("--seed", type=int, default=2026)
     supervise.add_argument("--timeout", type=float, default=60.0)
     supervise.add_argument("--retries", type=int, default=1)
-    supervise.add_argument(
-        "--parallel", type=int, default=1,
-        help="run up to N shards concurrently (report order unchanged)",
-    )
     supervise.add_argument(
         "--substrate", choices=("both", "jni", "pyc"), default="pyc"
     )

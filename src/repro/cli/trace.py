@@ -61,11 +61,13 @@ def _cmd_trace_record(args) -> int:
 
 
 def _cmd_trace_replay(args) -> int:
-    from repro.trace.replay import replay_path, replay_sharded
+    from repro.fleet.merge import MissingPayloadError
+    from repro.trace.format import TraceFormatError
+    from repro.trace.replay import replay_path
 
     if getattr(args, "timeout", None) is not None:
-        if len(args.paths) > 1 or args.shards > 1:
-            print("--timeout supervises a single unsharded trace")
+        if len(args.paths) > 1:
+            print("--timeout supervises a single trace")
             return 2
         return supervised_one(
             "replay",
@@ -73,49 +75,52 @@ def _cmd_trace_replay(args) -> int:
             args.timeout,
             ok_is_zero=True,
         )
-    from repro.trace.format import TraceFormatError
+    path, failure = args.paths[0], None
+    if len(args.paths) == 1 and args.workers <= 0:
+        try:
+            files = [(path, replay_path(path, force=args.force))]
+        except (TraceFormatError, OSError) as exc:
+            failure = "{}: {}".format(type(exc).__name__, exc)
+    else:
+        # The fleet is the one parallel runner; with no workers it runs
+        # the same jobs in this process.
+        from repro.fleet import fleet_replay
 
-    try:
-        if getattr(args, "workers", 0) > 0:
-            # Delegate to the fleet fabric: one job per file, merged
-            # deterministically (byte-identical to the paths below).
-            from repro.fleet import fleet_replay
-
-            result, _ = fleet_replay(
+        try:
+            merged, _ = fleet_replay(
                 args.paths, workers=args.workers, force=args.force
             )
-        elif len(args.paths) > 1 or args.shards > 1:
-            result = replay_sharded(
-                args.paths, shards=args.shards, force=args.force
-            )
-        else:
-            result = replay_path(args.paths[0], force=args.force)
-    except TraceFormatError as exc:
-        print("REPLAY FAIL: {}".format(exc))
+            files = merged.files
+        except MissingPayloadError as exc:
+            path = exc.outcome.job.params["path"]
+            failure = exc.outcome.detail
+    if failure is not None:
+        # A failed fleet job's detail reads "<exception type>: <text>",
+        # so both paths print the same line for the same bad file.
+        print("REPLAY FAIL: {}: {}".format(path, failure))
         return 1
-    for line in getattr(result, "log_lines", None) or []:
-        if line.startswith("warning:"):
+    for _, result in files:
+        for line in result.warnings:
             print(line)
-    print(
-        "replayed {} events from {} trace(s)".format(
-            result.event_count, len(args.paths)
-        )
-    )
-    violations = result.violations
+    print("replayed {} events from {} trace(s)".format(
+        sum(result.event_count for _, result in files), len(files)
+    ))
+    violations = [v for _, result in files for v in result.violations]
     print("violations: {}".format(len(violations)))
     for report in violations:
         print("  " + report)
-    recorded = getattr(result, "recorded_reports", None)
-    if recorded:
-        status = "match" if recorded == violations else "DRIFT"
-        print("recorded stream: {} ({} violations)".format(
-            status, len(recorded)
-        ))
-        if status == "DRIFT":
-            # The replayed checker disagrees with what the live checker
-            # logged into this same trace: a checker bug, not a clean run.
-            return 1
-    return 0
+    recorded = sum(len(result.recorded_reports) for _, result in files)
+    if not recorded:
+        return 0
+    drifted = [path for path, result in files if result.drift]
+    print("recorded stream: {} ({} violations)".format(
+        "DRIFT" if drifted else "match", recorded
+    ))
+    for path in drifted:
+        print("  drift: " + path)
+    # A replayed checker that disagrees with what the live checker
+    # logged into the same trace is a checker bug, not a clean run.
+    return 1 if drifted else 0
 
 
 def _cmd_trace_diff(args) -> int:
@@ -184,11 +189,8 @@ def add_parsers(sub) -> None:
     replay = trace_sub.add_parser("replay", help="re-check recorded traces")
     replay.add_argument("paths", nargs="+", help="trace files")
     replay.add_argument(
-        "--shards", type=int, default=1, help="parallel replay processes"
-    )
-    replay.add_argument(
         "--workers", type=int, default=0,
-        help="run on the fleet fabric with N work-stealing workers",
+        help="replay on N fleet worker processes (0: in this process)",
     )
     replay.add_argument(
         "--force",

@@ -223,10 +223,6 @@ class CheckerHealth:
         return lines
 
 
-def _noop_event(ctx) -> None:
-    return None
-
-
 class _InertEncoding:
     """Quarantine stand-in: swallows every semantic call and event.
 

@@ -291,12 +291,17 @@ def _execute_replay_shard(job: Job) -> dict:
         result = replay_path(
             str(params["path"]), force=bool(params.get("force", False))
         )
+    # Everything the one-file CLI checks travels with the payload: the
+    # recorded stream for the drift check, and torn-tail warnings.
     return {
         "kind": job.kind,
         "path": params["path"],
+        "header": result.header,
         "reports": [[seq, text] for seq, text in result.reports],
         "events": result.event_count,
         "violations": result.violations,
+        "recorded_reports": result.recorded_reports,
+        "warnings": result.warnings,
     }
 
 

@@ -4,20 +4,32 @@ Every merge here is keyed by job ID and ordered by the *submitted* job
 list, so the merged violation stream, the assembled fuzz/chaos
 reports, and the ObsHub snapshot are byte-identical whether the fleet
 ran on one worker or sixteen, and regardless of how stealing
-interleaved execution.  Within one replay job, reports carry their
-trace sequence numbers, so even a future thread-sharded split of a
-single file restores stream order by ``(job order, seq)``.
+interleaved execution.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
-from repro.fleet.jobs import Job
-from repro.fleet.scheduler import FleetReport
-from repro.trace.replay import ShardedReplayResult
+from repro.fleet.scheduler import FleetReport, JobOutcome
+from repro.trace.replay import ReplayResult
+
+
+class MissingPayloadError(ValueError):
+    """A job ended without a payload, so its results cannot merge.
+
+    ``outcome`` says which job and why (its classification and detail).
+    """
+
+    def __init__(self, outcome: JobOutcome):
+        super().__init__(
+            "job {} ended {} with no payload; cannot merge".format(
+                outcome.job.describe(), outcome.classification
+            )
+        )
+        self.outcome = outcome
 
 
 def _payloads(report: FleetReport, kind: str) -> List[dict]:
@@ -27,41 +39,49 @@ def _payloads(report: FleetReport, kind: str) -> List[dict]:
         if outcome.job.kind != kind:
             continue
         if outcome.payload is None:
-            raise ValueError(
-                "job {} ended {} with no payload; cannot merge".format(
-                    outcome.job.describe(), outcome.classification
-                )
-            )
+            raise MissingPayloadError(outcome)
         out.append(outcome.payload)
     return out
 
 
-def merge_replay(report: FleetReport) -> ShardedReplayResult:
-    """Fold replay-shard payloads into a :class:`ShardedReplayResult`.
+class MergedReplay:
+    """A multi-file replay: one ``(path, ReplayResult)`` per file.
 
-    Files keep submission order; reports within a file sort by trace
-    seq (several jobs may shard one file).  The result is shaped
-    exactly like :func:`repro.trace.replay.replay_sharded`'s, so the
-    obs publisher and the CLI consume either interchangeably.
+    Files keep submission order.  Each result carries what the one-file
+    baseline :func:`repro.trace.replay.replay_path` reports, recorded
+    stream and warnings included, so callers check one file or many the
+    same way.
     """
-    by_path: Dict[str, List] = {}
-    order: List[str] = []
+
+    def __init__(self, files: List[Tuple[str, ReplayResult]]):
+        self.files = files
+
+    @property
+    def violations(self) -> List[str]:
+        return [
+            report for _, result in self.files for report in result.violations
+        ]
+
+    @property
+    def event_count(self) -> int:
+        return sum(result.event_count for _, result in self.files)
+
+
+def merge_replay(report: FleetReport) -> MergedReplay:
+    """Fold replay-shard payloads into a :class:`MergedReplay`.
+
+    :func:`repro.fleet.jobs.replay_jobs` makes one job per distinct
+    path, so each payload is one whole file.
+    """
+    files = []
     for payload in _payloads(report, "replay-shard"):
-        path = payload["path"]
-        if path not in by_path:
-            by_path[path] = [[], 0]
-            order.append(path)
-        by_path[path][0].extend(
-            (seq, text) for seq, text in payload["reports"]
-        )
-        by_path[path][1] += payload["events"]
-    merged = ShardedReplayResult(report.workers)
-    merged.worker_seconds = list(report.worker_busy_seconds)
-    for path in order:
-        reports, events = by_path[path]
-        reports.sort(key=lambda item: item[0])
-        merged.add(path, reports, events)
-    return merged
+        result = ReplayResult(payload["header"])
+        result.reports = [(seq, text) for seq, text in payload["reports"]]
+        result.event_count = payload["events"]
+        result.recorded_reports = payload["recorded_reports"]
+        result.log_lines = payload["warnings"]
+        files.append((payload["path"], result))
+    return MergedReplay(files)
 
 
 def merge_fuzz(
@@ -136,7 +156,3 @@ def violation_stream(report: FleetReport) -> List[str]:
             out.extend(outcome.violations)
     return out
 
-
-def publish_fleet(hub, report: FleetReport, *, include_load: bool = True):
-    """Convenience wrapper over :meth:`repro.obs.hub.ObsHub.publish_fleet`."""
-    hub.publish_fleet(report, include_load=include_load)

@@ -22,10 +22,11 @@ semantics:
 Lifecycle records after the header:
 
 - ``["q", <job json>]`` — enqueued (idempotent by job ID);
-- ``["l", <job id>, <worker>, <expiry>]`` — leased until ``expiry``;
-- ``["L", [<job id>...], <worker>, <expiry>]`` — a batched lease: K
-  targeted leases folded into one record (one journal append per
-  scheduler round-trip instead of K);
+- ``["L", [<job id>...], <worker>, <expiry>]`` — leased until
+  ``expiry``: one record per lease call, however many jobs it takes
+  (a scheduler batch of K jobs is one journal append, not K).  Older
+  queues also wrote a single-job ``["l", <job id>, <worker>,
+  <expiry>]``; the loader still reads it, nothing writes it;
 - ``["a", <job id>, <worker>]`` — acked (completed);
 - ``["r", <job id>]`` — requeued (lease expired, worker died, or a
   dead-letter job deliberately resurrected);
@@ -34,21 +35,25 @@ Lifecycle records after the header:
 - ``["s", <snapshot>]`` — a compaction snapshot folding the entire
   history before it into one record.
 
-Acks and dead-letters are the durability-critical records.  Two sync
-disciplines govern when they hit the platter:
+Acks and dead-letters are the durability-critical records.  They are
+appended immediately and their fsync is *group-committed*: a
+disposition waits in an open durability window until
+``group_max_batch`` dispositions accumulate, ``group_max_delay_ms``
+elapses (pumped via :meth:`maybe_flush_acks`), or an explicit
+:meth:`flush_acks` barrier.  A disposition that the rolling
+``sync_every`` fsync already covered never enters the window.  An ack
+is only **reported durable** once its batch syncs —
+:meth:`unflushed_ack_ids` names the acks still inside the open window,
+and a crash inside it simply re-runs those jobs: zero
+*reported-durable* acks are ever lost and replays of unreported work
+are absorbed by ack idempotency, so the exactly-once contract holds
+while the fsync is amortised.  The two sync disciplines are two window
+sizes:
 
-- ``sync="eager"`` (default): every final disposition fsyncs before
-  :meth:`ack`/:meth:`dead_letter` returns — one fsync per ack;
-- ``sync="group"``: dispositions are appended immediately but the
-  fsync is *group-committed*: buffered until ``group_max_batch``
-  records accumulate or ``group_max_delay_ms`` elapses (pumped via
-  :meth:`maybe_flush_acks`), or an explicit :meth:`flush_acks`
-  barrier.  An ack is only **reported durable** once its batch syncs
-  — :meth:`unflushed_ack_ids` names the acks still inside the open
-  durability window, and a crash inside that window simply re-runs
-  those jobs: zero *reported-durable* acks are ever lost and replays
-  of unreported work are absorbed by ack idempotency, so group mode
-  preserves the exactly-once contract while amortising the fsync.
+- ``sync="eager"`` (default): a window of one disposition — every
+  final disposition is durable before :meth:`ack`/:meth:`dead_letter`
+  returns;
+- ``sync="group"``: a window of ``group_max_batch`` dispositions.
 
 Enqueues of an already-known job ID are no-ops and duplicate acks are
 rejected and counted — both idempotency properties the at-least-once
@@ -123,7 +128,9 @@ class JobQueue:
         self.path = path
         self.sync_every = max(1, sync_every)
         self.sync = sync
-        self.group_max_batch = max(1, int(group_max_batch))
+        self.group_max_batch = (
+            1 if sync == "eager" else max(1, int(group_max_batch))
+        )
         self.group_max_delay_ms = float(group_max_delay_ms)
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.store = store if store is not None else Store()
@@ -445,6 +452,21 @@ class JobQueue:
         self._write(["q", job.to_json()])
         return True
 
+    def _lease(
+        self,
+        job_ids: List[str],
+        worker: str,
+        ttl: float,
+        now: Optional[float],
+    ) -> None:
+        """The one lease writer: one ``"L"`` record per lease call."""
+        if now is None:
+            now = self.clock.monotonic()
+        expiry = now + ttl
+        for job_id in job_ids:
+            self._leases[job_id] = (worker, expiry)
+        self._write(["L", job_ids, worker, expiry])
+
     def lease(
         self,
         worker: str,
@@ -456,10 +478,7 @@ class JobQueue:
         job_id = self._pending_pop_best()
         if job_id is None:
             return None
-        if now is None:
-            now = self.clock.monotonic()
-        self._leases[job_id] = (worker, now + ttl)
-        self._write(["l", job_id, worker, now + ttl])
+        self._lease([job_id], worker, ttl, now)
         return self._jobs[job_id]
 
     def lease_job(
@@ -476,13 +495,7 @@ class JobQueue:
         this keeps the durable lease record in step with that choice
         instead of forcing queue-head order.
         """
-        if not self._pending_remove(job_id):
-            return False
-        if now is None:
-            now = self.clock.monotonic()
-        self._leases[job_id] = (worker, now + ttl)
-        self._write(["l", job_id, worker, now + ttl])
-        return True
+        return bool(self.lease_jobs([job_id], worker, ttl=ttl, now=now))
 
     def lease_jobs(
         self,
@@ -498,46 +511,32 @@ class JobQueue:
         expiry sweep, a competing lease, an ack, or a dead-letter beat
         us to is silently skipped — and the leased subset is returned
         in the order given, so the caller knows exactly which jobs it
-        owns.  A single-ID batch writes the classic ``"l"`` record;
-        larger batches write one ``"L"`` record.
+        owns.  Leasing nothing writes nothing.
         """
-        if now is None:
-            now = self.clock.monotonic()
-        leased: List[str] = []
-        for job_id in job_ids:
-            if self._pending_remove(job_id):
-                self._leases[job_id] = (worker, now + ttl)
-                leased.append(job_id)
-        if not leased:
-            return []
-        if len(leased) == 1:
-            self._write(["l", leased[0], worker, now + ttl])
-        else:
-            self._write(["L", leased, worker, now + ttl])
+        leased = [job_id for job_id in job_ids if self._pending_remove(job_id)]
+        if leased:
+            self._lease(leased, worker, ttl, now)
         return leased
 
     def _record_disposition(self, record: List[object], job_id: str) -> None:
-        """Append a final-disposition record under the sync discipline."""
+        """Append a final-disposition record inside the durability window."""
         self._write(record)
         self.ack_records += 1
-        if self.sync == "eager":
-            self._sync()
-        elif self._since_sync != 0:
+        if self._since_sync != 0:
             # Not covered by a rolling sync_every fsync inside _write:
-            # the record sits in the open durability window until the
-            # batch/delay threshold, an explicit barrier, or close.
+            # the record waits in the window until the batch/delay
+            # threshold, an explicit barrier, or close.
             self._unflushed_acks.append(job_id)
             if self._oldest_unflushed is None:
                 self._oldest_unflushed = self.clock.monotonic()
-            self._maybe_flush_group()
+            self.maybe_flush_acks()
 
     def ack(self, job_id: str, worker: str) -> bool:
         """Mark a job done.  Duplicate acks are rejected.
 
-        Durability follows the queue's sync discipline: eager mode
-        fsyncs before returning; group mode defers to the durability
-        window and the ack is only *reported* durable once
-        :meth:`flush_acks` (or an automatic batch flush) covers it.
+        The ack is only *reported* durable once an fsync covers it: in
+        eager mode before this returns, in group mode when its window
+        flushes (:meth:`flush_acks`, or an automatic batch flush).
         """
         if job_id not in self._jobs:
             raise KeyError("unknown job {!r}".format(job_id))
@@ -553,31 +552,23 @@ class JobQueue:
 
     # -- the group-commit durability window ------------------------------
 
-    def _maybe_flush_group(self, now: Optional[float] = None) -> List[str]:
+    def maybe_flush_acks(self, now: Optional[float] = None) -> List[str]:
+        """Pump the durability window from a poll loop.
+
+        Flushes once the window holds ``group_max_batch`` dispositions
+        or its oldest has waited ``group_max_delay_ms``; returns the job
+        IDs whose acks just became durable.  An eager window closes on
+        the disposition that opened it, so there this finds nothing.
+        """
         if not self._unflushed_acks:
             return []
         if len(self._unflushed_acks) >= self.group_max_batch:
             return self._sync()
         if now is None:
             now = self.clock.monotonic()
-        if (
-            self._oldest_unflushed is not None
-            and (now - self._oldest_unflushed) * 1000.0
-            >= self.group_max_delay_ms
-        ):
+        if (now - self._oldest_unflushed) * 1000.0 >= self.group_max_delay_ms:
             return self._sync()
         return []
-
-    def maybe_flush_acks(self, now: Optional[float] = None) -> List[str]:
-        """Pump the durability window from a poll loop.
-
-        No-op in eager mode.  In group mode, flushes once the oldest
-        buffered disposition has waited ``group_max_delay_ms``; returns
-        the job IDs whose acks just became durable.
-        """
-        if self.sync != "group" or not self._unflushed_acks:
-            return []
-        return self._maybe_flush_group(now)
 
     def flush_acks(self) -> List[str]:
         """Explicit durability barrier: fsync any buffered dispositions.
@@ -644,8 +635,7 @@ class JobQueue:
 
         Like an ack, a dead-letter record is a final disposition: it
         must survive a crash so the job is not silently retried forever
-        on the next drain.  It shares the ack durability discipline —
-        eager fsync, or the group-commit window.
+        on the next drain.  It shares the ack's durability window.
         """
         if job_id not in self._jobs:
             raise KeyError("unknown job {!r}".format(job_id))

@@ -2,10 +2,12 @@
 
 Each ``fleet_*`` function builds the ordered job list, runs the
 work-stealing scheduler, and merges through :mod:`repro.fleet.merge`.
-The pre-fleet single-process paths (``replay_sharded``, ``fuzz_run``,
-``chaos_run``, ``build_corpus``) stay in the tree as parity baselines,
-and the determinism tests assert the fleet reproduces them byte for
-byte.
+The fleet is the one parallel runner.  ``fuzz_run``, ``chaos_run`` and
+``build_corpus`` are also the one-process paths their CLI commands run
+by default; the parity tests assert the fleet reproduces them byte for
+byte.  Replay's baselines are :func:`repro.trace.replay.replay_path`
+for one file and, for the shipped regression corpus, the violation
+stream and event total pinned in its manifest.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.fleet.jobs import (
     replay_jobs,
 )
 from repro.fleet.merge import (
+    MergedReplay,
     merge_chaos,
     merge_corpus,
     merge_fuzz,
@@ -28,7 +31,6 @@ from repro.fleet.merge import (
 )
 from repro.fleet.queue import JobQueue
 from repro.fleet.scheduler import FleetReport, FleetScheduler
-from repro.trace.replay import ShardedReplayResult
 
 
 def _run(
@@ -69,11 +71,11 @@ def fleet_replay(
     fingerprint: Optional[str] = None,
     queue_path: Optional[str] = None,
     **kwargs,
-) -> Tuple[ShardedReplayResult, FleetReport]:
-    """Replay trace files on the fleet; one job per file.
+) -> Tuple[MergedReplay, FleetReport]:
+    """Replay trace files on the fleet; one job per distinct file.
 
-    Parity baseline: :func:`repro.trace.replay.replay_sharded` over the
-    same paths — identical merged violation stream and event count.
+    ``workers <= 0`` runs the jobs in this process.  Each file's result
+    equals :func:`repro.trace.replay.replay_path` on that file.
     """
     jobs = replay_jobs(
         paths, force=force, fingerprint=fingerprint, repeats=repeats
@@ -171,15 +173,14 @@ def fleet_smoke(
     **kwargs,
 ) -> Dict[str, object]:
     """The CI smoke: replay the regression corpus on the fleet and
-    verify the merged stream matches the single-process baseline.
+    verify the merged stream matches the one pinned in its manifest.
 
     Returns a report dict whose ``ok`` summarizes: every job clean or
     violation (corpus traces *do* re-fire violations), zero crashes or
-    hangs, and a merged violation stream byte-identical to
-    ``replay_sharded`` with one process.
+    hangs, and a merged violation stream and event total equal to the
+    manifest's.
     """
-    from repro.fuzz.corpus import load_manifest
-    from repro.trace.replay import replay_sharded
+    from repro.fuzz.corpus import corpus_baseline
 
     if corpus_dir is None:
         corpus_dir = shipped_corpus_dir()
@@ -187,24 +188,19 @@ def fleet_smoke(
         raise FileNotFoundError(
             "no regression corpus found; pass corpus_dir or run from a checkout"
         )
-    manifest = load_manifest(corpus_dir)
-    paths = [
-        os.path.join(corpus_dir, entry["trace"])
-        for entry in manifest["entries"]
-    ]
+    paths, expected, expected_events = corpus_baseline(corpus_dir)
     merged, report = fleet_replay(
         paths, workers=workers, queue_path=queue_path, **kwargs
     )
-    baseline = replay_sharded(paths, shards=1)
     stream = violation_stream(report)
-    identical = stream == baseline.violations
+    identical = stream == expected
     counts = report.counts
     ok = (
         identical
         and counts["crash"] == 0
         and counts["hang"] == 0
         and counts["expired"] == 0
-        and merged.event_count == baseline.event_count
+        and merged.event_count == expected_events
     )
     return {
         "ok": ok,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.fuzz.faults import FAULTS, faults_for
 from repro.fuzz.shrink import failure_fingerprint, shrink_fault
@@ -75,6 +75,19 @@ def build_corpus(
 def load_manifest(corpus_dir: str) -> Dict[str, object]:
     with open(os.path.join(corpus_dir, MANIFEST_NAME)) as f:
         return json.load(f)
+
+
+def corpus_baseline(corpus_dir: str) -> Tuple[List[str], List[str], int]:
+    """The pinned replay answer for a corpus, in manifest order.
+
+    Returns the trace paths, their concatenated violation stream and
+    their event total, as recorded in the manifest.  Any replay of the
+    corpus, serial or on the fleet, must reproduce the last two.
+    """
+    entries = load_manifest(corpus_dir)["entries"]
+    paths = [os.path.join(corpus_dir, entry["trace"]) for entry in entries]
+    stream = [report for entry in entries for report in entry["violations"]]
+    return paths, stream, sum(entry["events"] for entry in entries)
 
 
 def check_corpus(corpus_dir: str) -> List[str]:

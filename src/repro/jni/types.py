@@ -159,7 +159,3 @@ class NativeBuffer:
             kind, self.source.describe(), len(self.data)
         )
 
-
-def is_reference_handle(value) -> bool:
-    """True for values C code may legally pass where ``jobject`` is due."""
-    return value is None or isinstance(value, JRef)

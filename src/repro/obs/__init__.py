@@ -19,9 +19,9 @@ and bounded:
   JSON snapshots, plus snapshot diffing.
 
 The :class:`ObsHub` ties them together and receives publishes from the
-governor, the wrapper cache, the supervisor, sharded replay, and the
-fuzz engine; the :class:`TelemetryTap` is the hub as a fused pipeline
-stage (default off, byte-identical violation streams when on).
+governor, the wrapper cache and the fleet; the :class:`TelemetryTap` is
+the hub as a fused pipeline stage (default off, byte-identical
+violation streams when on).
 """
 
 from repro.obs.export import (

@@ -1,8 +1,7 @@
 """The observability hub: one place every subsystem publishes into.
 
 Each subsystem historically kept its numbers privately — the governor's
-windowed costs, ``WrapperCache.stats()``, supervisor incident reports,
-replay shard critical-path accounting, fuzz round totals.  An
+windowed costs, ``WrapperCache.stats()``, the fleet's job report.  An
 :class:`ObsHub` unifies them: the hot path (the pipeline's
 :class:`~repro.obs.tap.TelemetryTap`) streams counters, durations, and
 spans in; the cold paths publish their own reports as gauges; violations
@@ -11,9 +10,8 @@ stream through :class:`~repro.obs.triage.ViolationTriage`; and
 CLI consume.
 
 Publish conventions: every series carries a ``subsystem`` label
-(``pipeline``, ``checker``, ``governor``, ``cache``, ``supervisor``,
-``replay``, ``fuzz``) so one scrape tells the whole story and dashboards
-can group by layer.
+(``pipeline``, ``checker``, ``governor``, ``cache``, ``fleet``) so one
+scrape tells the whole story and dashboards can group by layer.
 """
 
 from __future__ import annotations
@@ -143,72 +141,6 @@ class ObsHub:
             self.metrics.gauge(
                 "wrapper_cache_" + key, subsystem="cache"
             ).set(value)
-
-    def publish_supervisor(self, report) -> int:
-        """Merge an :class:`IncidentReport` into triage + counters.
-
-        Returns the number of violation lines folded into clusters.
-        """
-        for classification, count in report.counts.items():
-            self.metrics.gauge(
-                "supervisor_shards",
-                subsystem="supervisor",
-                classification=classification,
-            ).set(count)
-        self.metrics.gauge("supervisor_ok", subsystem="supervisor").set(
-            1 if report.ok else 0
-        )
-        return self.triage.merge_incidents(report)
-
-    def publish_replay(self, sharded_result) -> None:
-        """Mirror a :class:`ShardedReplayResult`'s accounting."""
-        metrics = self.metrics
-        metrics.gauge("replay_shards", subsystem="replay").set(
-            sharded_result.shards
-        )
-        metrics.gauge("replay_files", subsystem="replay").set(
-            len(sharded_result.per_file)
-        )
-        metrics.gauge("replay_events", subsystem="replay").set(
-            sharded_result.event_count
-        )
-        metrics.gauge("replay_violations", subsystem="replay").set(
-            len(sharded_result.violations)
-        )
-        metrics.gauge(
-            "replay_critical_path_seconds", subsystem="replay"
-        ).set(round(sharded_result.critical_path_seconds, 6))
-        metrics.gauge("replay_worker_seconds_total", subsystem="replay").set(
-            round(sum(sharded_result.worker_seconds), 6)
-        )
-
-    def publish_fuzz(self, report: Dict[str, object]) -> None:
-        """Mirror a fuzz report's round counters and detection totals."""
-        metrics = self.metrics
-        totals = report.get("totals", {})
-        metrics.gauge("fuzz_runs", subsystem="fuzz").set(
-            totals.get("runs", 0)
-        )
-        metrics.gauge("fuzz_events", subsystem="fuzz").set(
-            totals.get("events", 0)
-        )
-        valid = report.get("valid", {})
-        metrics.gauge("fuzz_valid_sequences", subsystem="fuzz").set(
-            valid.get("sequences", 0)
-        )
-        metrics.gauge("fuzz_valid_violations", subsystem="fuzz").set(
-            valid.get("violations", 0)
-        )
-        metrics.gauge("fuzz_divergences", subsystem="fuzz").set(
-            valid.get("divergences", 0)
-        )
-        detected = 0
-        runs = 0
-        for stats in report.get("faults", {}).values():
-            detected += stats.get("detected", 0)
-            runs += stats.get("runs", 0)
-        metrics.gauge("fuzz_fault_runs", subsystem="fuzz").set(runs)
-        metrics.gauge("fuzz_fault_detected", subsystem="fuzz").set(detected)
 
     def publish_fleet(self, report, *, include_load: bool = True) -> None:
         """Mirror a :class:`repro.fleet.scheduler.FleetReport`.

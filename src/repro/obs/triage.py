@@ -30,8 +30,8 @@ from repro.fsm.errors import FFIViolation
 #: scrub as decimal runs and the ``0x#`` placeholder is never rescanned.
 _ENTITY = re.compile(r"0x[0-9a-fA-F]+|\d+")
 
-#: ``FFIViolation.report()`` shape, for ingesting report *lines* (the
-#: supervisor ships violations as strings across the process boundary).
+#: ``FFIViolation.report()`` shape, for ingesting report *lines* (fleet
+#: workers ship violations as strings across the process boundary).
 _REPORT = re.compile(
     r"^(?P<message>.*) \[machine=(?P<machine>[^,\]]+), "
     r"state=(?P<state>[^\]]+)\](?: in (?P<function>.+))?$"
@@ -161,19 +161,6 @@ class ViolationTriage:
             message=match.group("message"),
             function=match.group("function"),
         )
-
-    def merge_incidents(self, incident_report) -> int:
-        """Fold a supervisor :class:`IncidentReport`'s violations in.
-
-        Returns how many violation lines were ingested.  Shard order is
-        the report's own (deterministic for a deterministic session).
-        """
-        ingested = 0
-        for shard in incident_report.shards:
-            for line in shard.violations:
-                self.ingest_report_line(line)
-                ingested += 1
-        return ingested
 
     # -- reporting -------------------------------------------------------
 

@@ -52,15 +52,6 @@ class PyCApi:
         """The *current* table — wrappers included, so interposers stack."""
         return dict(self._table)
 
-    def raw_function_table(self) -> Dict[str, Callable]:
-        """The pristine unchecked implementations.
-
-        Unlike :meth:`function_table` this never reflects installed
-        wrappers; use it to compare checked and unchecked behaviour or
-        to restore an uninstrumented API.
-        """
-        return dict(_RAW_TABLE)
-
     def install_function_table(self, table: Dict[str, Callable]) -> None:
         unknown = set(table) - set(PY_FUNCTIONS)
         if unknown:

@@ -225,13 +225,6 @@ class OverheadGovernor:
 
     # -- reporting -------------------------------------------------------
 
-    def report_line(self) -> str:
-        return (
-            "governor: share={:.1%} budget={:.0%} degraded={}".format(
-                self.share(), self.policy.budget, len(self.degraded_pairs())
-            )
-        )
-
     def degraded_pairs(self) -> List[str]:
         return sorted(s.name for s in self.pairs.values() if s.period > 1)
 

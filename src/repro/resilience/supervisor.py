@@ -316,37 +316,18 @@ class Supervisor:
         result.backoffs = backoffs
         return result
 
-    def run(self, shards: List[Shard], *, parallel: int = 1) -> IncidentReport:
-        """Run all shards; merge their results keyed by shard *name*.
+    def run(self, shards: List[Shard]) -> IncidentReport:
+        """Run all shards one after another, in submission order.
 
-        With ``parallel > 1`` up to that many shards run concurrently
-        (each already executes in its own child process; the drivers
-        here are threads).  Results land in completion order, which is
-        nondeterministic — so the merge is keyed by shard name and the
-        report lists shards in the order they were *submitted*, never
-        the order they finished.  Two reruns of the same session
-        therefore serialize byte-identically regardless of scheduling.
-        Shard names must be unique for the keyed merge to be sound.
+        The report lists one result per shard, keyed by shard *name*, so
+        names must be unique.  Parallel supervised work runs on the
+        fleet (``fleet run --kind fuzz|replay --workers N``), which
+        reuses this classification ladder and backoff.
         """
         names = [shard.name for shard in shards]
         if len(set(names)) != len(names):
             raise ValueError("shard names must be unique: {!r}".format(names))
-        if parallel <= 1 or len(shards) <= 1:
-            by_name = {shard.name: self.run_shard(shard) for shard in shards}
-        else:
-            import concurrent.futures
-
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=min(parallel, len(shards))
-            ) as pool:
-                futures = {
-                    shard.name: pool.submit(self.run_shard, shard)
-                    for shard in shards
-                }
-                by_name = {
-                    name: future.result() for name, future in futures.items()
-                }
-        return IncidentReport([by_name[name] for name in names])
+        return IncidentReport([self.run_shard(shard) for shard in shards])
 
 
 def run_with_timeout(

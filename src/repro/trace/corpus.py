@@ -123,11 +123,3 @@ def build_corpus(
         f.write("\n")
     return manifest
 
-
-def manifest_paths(out_dir: str) -> List[str]:
-    """Trace file paths listed by a corpus manifest, in manifest order."""
-    with open(os.path.join(out_dir, MANIFEST_NAME)) as f:
-        manifest = json.load(f)
-    return [
-        os.path.join(out_dir, entry["trace"]) for entry in manifest["traces"]
-    ]

@@ -18,16 +18,13 @@ native wrapper does not return early).  A call record with no matching
 return (the live call raised through the wrapper) simply never reaches
 its post site.
 
-Sharded replay (``--shard N``) splits work across processes: across
-trace *files* (fully sound — each file is an independent stream, and
-violation streams merge back in input order), or within one file by
-*thread* (sound for traces whose threads share no checked entities; the
-leak sweep then runs on shard 0 only).
+One file replays in one engine, in stream order.  Several files replay
+in parallel on the fleet (:func:`repro.fleet.fleet_replay`), one job
+per file; each file is an independent stream, so that split is sound.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cache import WRAPPER_CACHE
@@ -405,6 +402,18 @@ class ReplayResult:
     def violations(self) -> List[str]:
         return [report for _, report in self.reports]
 
+    @property
+    def warnings(self) -> List[str]:
+        """Log lines a user must see, such as a dropped torn tail."""
+        return [line for line in self.log_lines if line.startswith("warning:")]
+
+    @property
+    def drift(self) -> bool:
+        """The re-detected stream differs from the one recorded live."""
+        return bool(self.recorded_reports) and (
+            self.recorded_reports != self.violations
+        )
+
 
 def _default_registry(substrate: str):
     if substrate == "pyc":
@@ -426,11 +435,6 @@ def _function_table(substrate: str):
     return FUNCTIONS
 
 
-def _thread_shard_key(tid) -> int:
-    """Deterministic cross-process shard key for a thread id."""
-    return zlib.crc32(str(tid).encode("utf-8"))
-
-
 class _ReplayEngine:
     def __init__(
         self,
@@ -438,7 +442,6 @@ class _ReplayEngine:
         registry=None,
         *,
         force: bool = False,
-        shard: Optional[Tuple[int, int]] = None,
     ):
         self.header = header
         self.substrate = header.get("substrate", "jni")
@@ -459,7 +462,6 @@ class _ReplayEngine:
         )
         self.decoder = _Decoder(self.host, self.substrate)
         self.result = ReplayResult(header)
-        self.shard = shard
         self._threads: Dict[object, _ReplayThread] = {}
         self._envs: Dict[object, _ReplayEnv] = {}
         self._skip_post: set = set()
@@ -538,12 +540,6 @@ class _ReplayEngine:
         self.host.exc_info = None if exc is None else tuple(exc)
         return self._env_of("pyc-api"), current
 
-    def _in_shard(self, ctx: list) -> bool:
-        if self.shard is None:
-            return True
-        index, count = self.shard
-        return _thread_shard_key(ctx[0]) % count == index
-
     # -- record feed -----------------------------------------------------
 
     def feed(self, record: list) -> None:
@@ -551,13 +547,8 @@ class _ReplayEngine:
         if kind == "c":
             _, seq, name, native, ctx, args = record
             self._last_seq = seq
-            # Decode before the shard filter: first-occurrence ("O")
-            # records may live in any thread's events, and later shards
-            # reference them by token ("U").
             decode = self.decoder.decode
             jargs = tuple(decode(a) for a in args)
-            if not self._in_shard(ctx):
-                return
             self.result.event_count += 1
             env, thread = self._enter(ctx)
             pre, _, meta, default, call_event, _ = self._resolve(name, native)
@@ -580,13 +571,9 @@ class _ReplayEngine:
         elif kind == "r":
             _, seq, call_seq, name, native, ctx, args, result = record
             self._last_seq = seq
-            # Decode unconditionally: interning state and mutable-state
-            # updates must track the full stream even off-shard.
             decode = self.decoder.decode
             jargs = tuple(decode(a) for a in args)
             jresult = decode(result)
-            if not self._in_shard(ctx):
-                return
             self.result.event_count += 1
             env, thread = self._enter(ctx)
             if call_seq in self._skip_post:
@@ -618,9 +605,8 @@ class _ReplayEngine:
         elif kind == "e":
             for capture in record[1]:
                 self.decoder.decode(capture)
-            if self.shard is None or self.shard[0] == 0:
-                self.rt.at_termination()
-                self._collect(self._last_seq + 1)
+            self.rt.at_termination()
+            self._collect(self._last_seq + 1)
         elif kind == "v":
             self.result.recorded_reports.append(record[1])
         else:
@@ -643,20 +629,13 @@ class _ReplayEngine:
         violations = self.rt.violations  # stable list: cleared in place
         handlers = self._handlers
         skip_post = self._skip_post
-        shard = self.shard
-        in_shard = self._in_shard
         collect = self._collect
         for record in records:
             kind = record[0]
             if kind == "c":
                 _, seq, name, native, ctx, args = record
                 self._last_seq = seq
-                # Decode before the shard filter: first-occurrence ("O")
-                # records may live in any thread's events, and later
-                # shards reference them by token ("U").
                 jargs = tuple([decode(a) for a in args])
-                if shard is not None and not in_shard(ctx):
-                    continue
                 result.event_count += 1
                 env, thread = enter(ctx)
                 handler = handlers.get((name, native))
@@ -685,8 +664,6 @@ class _ReplayEngine:
                 self._last_seq = seq
                 jargs = tuple([decode(a) for a in args])
                 jresult = decode(res)
-                if shard is not None and not in_shard(ctx):
-                    continue
                 result.event_count += 1
                 env, thread = enter(ctx)
                 if call_seq in skip_post:
@@ -736,10 +713,9 @@ def replay_trace(
     *,
     registry=None,
     force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> ReplayResult:
     """Replay already-decoded records (in-memory traces, tests)."""
-    engine = _ReplayEngine(header, registry, force=force, shard=shard)
+    engine = _ReplayEngine(header, registry, force=force)
     engine.run(records)
     return engine.finish()
 
@@ -759,7 +735,6 @@ def replay_path(
     *,
     registry=None,
     force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
     batch_size: int = 4096,
 ) -> ReplayResult:
     """Replay one trace file with batched decode.
@@ -771,7 +746,7 @@ def replay_path(
     """
     with open(path) as f:
         header = tfmt.parse_header(f.readline())
-    engine = _ReplayEngine(header, registry, force=force, shard=shard)
+    engine = _ReplayEngine(header, registry, force=force)
 
     def on_torn(line_no: int, line: str) -> None:
         engine.rt.log(
@@ -784,109 +759,3 @@ def replay_path(
     for batch in tfmt.iter_batches(path, batch_size, on_torn=on_torn):
         engine.run(batch)
     return engine.finish()
-
-
-def _file_worker(args) -> Tuple[str, List[Tuple[int, str]], int, float]:
-    from repro.core.clock import SYSTEM_CLOCK
-
-    path, force = args
-    start = SYSTEM_CLOCK.process_time()
-    result = replay_path(path, force=force)
-    seconds = SYSTEM_CLOCK.process_time() - start
-    return path, result.reports, result.event_count, seconds
-
-
-def _thread_shard_worker(args) -> Tuple[int, List[Tuple[int, str]], int, float]:
-    from repro.core.clock import SYSTEM_CLOCK
-
-    path, index, count, force = args
-    start = SYSTEM_CLOCK.process_time()
-    result = replay_path(path, force=force, shard=(index, count))
-    seconds = SYSTEM_CLOCK.process_time() - start
-    return index, result.reports, result.event_count, seconds
-
-
-def replay_sharded(
-    paths: List[str], *, shards: int = 1, force: bool = False, clock=None
-) -> "ShardedReplayResult":
-    """Replay trace files across processes, merging violation streams.
-
-    With several ``paths`` the unit of sharding is the file; violations
-    keep file order (then seq order within a file).  With one path and
-    ``shards > 1`` the file is split by thread — documented sound only
-    for traces whose threads share no checked entities.  CPU accounting
-    reads the injectable clock (:mod:`repro.core.clock`) on the
-    in-process path; pool workers always read the system clock.
-    """
-    from repro.core.clock import SYSTEM_CLOCK
-
-    if clock is None:
-        clock = SYSTEM_CLOCK
-    combined = ShardedReplayResult(shards)
-    if shards <= 1:
-        for path in paths:
-            start = clock.process_time()
-            result = replay_path(path, force=force)
-            combined.worker_seconds.append(clock.process_time() - start)
-            combined.add(path, result.reports, result.event_count)
-        return combined
-    import multiprocessing
-
-    if len(paths) > 1:
-        jobs = [(path, force) for path in paths]
-        with multiprocessing.Pool(processes=min(shards, len(jobs))) as pool:
-            outcomes = pool.map(_file_worker, jobs)
-        by_path = {}
-        for path, reports, count, seconds in outcomes:
-            by_path[path] = (reports, count)
-            combined.worker_seconds.append(seconds)
-        for path in paths:  # merge in input order, not completion order
-            reports, count = by_path[path]
-            combined.add(path, reports, count)
-        return combined
-    path = paths[0]
-    jobs = [(path, index, shards, force) for index in range(shards)]
-    with multiprocessing.Pool(processes=shards) as pool:
-        outcomes = pool.map(_thread_shard_worker, jobs)
-    merged: List[Tuple[int, str]] = []
-    total = 0
-    for _, reports, count, seconds in outcomes:
-        merged.extend(reports)
-        total += count
-        combined.worker_seconds.append(seconds)
-    merged.sort(key=lambda item: item[0])  # seq order restores the stream
-    combined.add(path, merged, total)
-    return combined
-
-
-class ShardedReplayResult:
-    """Merged violation stream of a multi-file / multi-shard replay."""
-
-    def __init__(self, shards: int):
-        self.shards = shards
-        self.per_file: List[Tuple[str, List[Tuple[int, str]], int]] = []
-        #: In-worker replay *CPU* seconds, one entry per unit of work.
-        #: CPU time is scheduler-independent: on a saturated (or
-        #: single-CPU) machine concurrent workers timeshare, so their
-        #: wall spans all stretch to the pool's wall time, while each
-        #: worker's CPU time stays its own work.  ``max(worker_seconds)``
-        #: is the critical path an idle multi-core machine would pay.
-        self.worker_seconds: List[float] = []
-
-    def add(self, path: str, reports, event_count: int) -> None:
-        self.per_file.append((path, list(reports), event_count))
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for _, reports, _ in self.per_file:
-            out.extend(report for _, report in reports)
-        return out
-
-    @property
-    def event_count(self) -> int:
-        return sum(count for _, _, count in self.per_file)
-
-    @property
-    def critical_path_seconds(self) -> float:
-        return max(self.worker_seconds) if self.worker_seconds else 0.0

@@ -81,13 +81,15 @@ class TestTraceSubcommands:
         assert "replayed" in printed
         assert "match" in printed  # replay vs recorded stream
 
-    def test_replay_sharded_multi_file(self, trace_dir, capsys):
+    def test_replay_multi_file(self, trace_dir, capsys):
         paths = [
             str(trace_dir / "micro.trace"),
             str(trace_dir / "pyc.trace"),
         ]
-        assert main(["trace", "replay", "--shards", "2"] + paths) == 0
-        assert "2 trace(s)" in capsys.readouterr().out
+        assert main(["trace", "replay"] + paths) == 0
+        printed = capsys.readouterr().out
+        assert "2 trace(s)" in printed
+        assert "recorded stream: match" in printed
 
     def test_diff_identical_traces(self, trace_dir, capsys):
         path = str(trace_dir / "micro.trace")
@@ -264,15 +266,6 @@ class TestResilienceSubcommands:
         printed = capsys.readouterr().out
         assert '"governor"' in printed
         assert '"budget"' in printed
-
-    def test_supervise_parallel_shards(self, capsys):
-        assert main(
-            ["resilience", "supervise", "fuzz:3", "fuzz:4",
-             "--substrate", "pyc", "--parallel", "2", "--timeout", "120"]
-        ) == 0
-        printed = capsys.readouterr().out
-        assert '"ok": true' in printed
-        assert '"clean": 2' in printed
 
 
 class TestFleetSubcommands:
@@ -557,7 +550,6 @@ PRE_SPLIT_ARGVS = [
     ["demo", "ExceptionState", "--checker", "xcheck", "--vendor", "J9"],
     ["dispatch", "--substrate", "pyc"],
     ["trace", "record", "t", "-o", "x", "--journal", "j", "--sync-every", "4"],
-    ["trace", "replay", "a", "b", "--shards", "2", "--force"],
     ["trace", "replay", "a", "--timeout", "5"],
     ["trace", "diff", "old", "new", "--force"],
     ["trace", "corpus", "-o", "d", "--scale", "10", "--benchmarks", "x"],
@@ -586,8 +578,8 @@ def test_pre_split_surface_still_parses(argv):
     assert args.command == argv[0]
 
 
-#: The fleet-era additions: the fleet group plus the --workers/--parallel
-#: flags grafted onto the pre-existing commands.
+#: The fleet-era additions: the fleet group plus the --workers flags
+#: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
     ["fleet", "run", "--smoke", "--workers", "2", "--queue", "q", "--json"],
     ["fleet", "run", "a", "b", "--kind", "replay", "--workers", "4",
@@ -602,7 +594,6 @@ FLEET_ERA_ARGVS = [
     ["fleet", "drain", "--queue", "q", "--workers", "2", "--json"],
     ["trace", "replay", "a", "b", "--workers", "2", "--force"],
     ["fuzz", "run", "--workers", "2", "--substrate", "pyc"],
-    ["resilience", "supervise", "fuzz:1", "--parallel", "4"],
 ]
 
 #: The fleet-hardening additions: storage chaos, journal compaction,
@@ -628,6 +619,23 @@ def test_fleet_era_surface_parses(argv):
 def test_hardening_surface_parses(argv):
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+#: Parallel runners other than the fleet are gone: `trace replay
+#: --workers N` and `fleet run --kind fuzz|replay --workers N` replace
+#: these flags.
+REMOVED_ARGVS = [
+    ["trace", "replay", "a", "b", "--shards", "2"],
+    ["resilience", "supervise", "fuzz:1", "--parallel", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_ARGVS, ids=lambda a: " ".join(a))
+def test_removed_parallel_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCommandSurfaceIsCovered:

@@ -36,21 +36,12 @@ from repro.fleet import (
 )
 from repro.fleet.queue import QueueFormatError
 from repro.fleet.scheduler import JobOutcome
+from repro.fuzz.corpus import corpus_baseline, load_manifest
 from repro.obs import ObsHub
 from repro.obs.triage import ViolationTriage
 from repro.resilience.supervisor import CLEAN, CRASH, VIOLATION, backoff_delay
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
-
-
-def _corpus_paths():
-    from repro.fuzz.corpus import load_manifest
-
-    manifest = load_manifest(CORPUS_DIR)
-    return [
-        os.path.join(CORPUS_DIR, entry["trace"])
-        for entry in manifest["entries"]
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -419,9 +410,12 @@ def _replay_outcome(path, reports, events=0):
         payload={
             "kind": "replay-shard",
             "path": path,
+            "header": {},
             "reports": [list(item) for item in reports],
             "events": events,
             "violations": [text for _, text in sorted(reports)],
+            "recorded_reports": [],
+            "warnings": [],
         },
     )
 
@@ -523,25 +517,22 @@ class TestWorkStealingDeterminism:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        from repro.trace.replay import replay_sharded
-
-        paths = _corpus_paths()
-        baseline = replay_sharded(paths, shards=1)
+        paths, stream, events = corpus_baseline(CORPUS_DIR)
         results = {
             workers: fleet_replay(paths, workers=workers)
             for workers in self.WORKER_COUNTS
         }
-        return baseline, results
+        return (stream, events), results
 
     def test_streams_identical_across_worker_counts(self, runs):
-        baseline, results = runs
+        (stream, _), results = runs
         for workers, (_, report) in results.items():
-            assert violation_stream(report) == baseline.violations, workers
+            assert violation_stream(report) == stream, workers
 
     def test_event_counts_match_baseline(self, runs):
-        baseline, results = runs
+        (_, events), results = runs
         for workers, (merged, _) in results.items():
-            assert merged.event_count == baseline.event_count, workers
+            assert merged.event_count == events, workers
 
     def test_report_bodies_identical(self, runs):
         _, results = runs
@@ -576,6 +567,38 @@ class TestWorkStealingDeterminism:
             assert counts[CRASH] == 0, workers
             assert counts["hang"] == 0, workers
             assert counts[EXPIRED] == 0, workers
+
+
+class TestCorpusReplay:
+    """Every shipped corpus trace replays to its manifest entry, one file
+    at a time and on the fleet at 0, 1 and 2 workers, termination leak
+    reports included (leak_global, leak_monitor, leak_pinned,
+    under_decref, py_type_confusion)."""
+
+    def test_replay_path_matches_manifest(self):
+        from repro.trace.replay import replay_path
+
+        for entry in load_manifest(CORPUS_DIR)["entries"]:
+            result = replay_path(os.path.join(CORPUS_DIR, entry["trace"]))
+            assert result.violations == entry["violations"], entry["name"]
+            assert result.event_count == entry["events"], entry["name"]
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_fleet_replay_matches_manifest(self, workers):
+        paths, stream, events = corpus_baseline(CORPUS_DIR)
+        merged, report = fleet_replay(paths, workers=workers)
+        assert report.ok
+        assert len(merged.files) == 22
+        assert merged.violations == stream
+        assert violation_stream(report) == stream
+        assert merged.event_count == events
+        entries = load_manifest(CORPUS_DIR)["entries"]
+        for (path, result), entry in zip(merged.files, entries):
+            assert path == os.path.join(CORPUS_DIR, entry["trace"])
+            assert result.violations == entry["violations"], entry["name"]
+            assert result.event_count == entry["events"], entry["name"]
+            assert result.recorded_reports == entry["violations"]
+            assert not result.drift
 
 
 class TestExactlyOnceUnderWorkerDeath:
@@ -681,13 +704,10 @@ class TestBatchedScheduler:
         assert all(o.classification == CLEAN for o in report.outcomes)
 
     def test_process_batched_stream_matches_baseline(self):
-        from repro.trace.replay import replay_sharded
-
-        paths = _corpus_paths()
-        baseline = replay_sharded(paths, shards=1)
+        paths, stream, events = corpus_baseline(CORPUS_DIR)
         merged, report = fleet_replay(paths, workers=2, batch=4)
-        assert violation_stream(report) == baseline.violations
-        assert merged.event_count == baseline.event_count
+        assert violation_stream(report) == stream
+        assert merged.event_count == events
         counts = report.counts
         assert counts[CRASH] == 0
         assert counts["hang"] == 0

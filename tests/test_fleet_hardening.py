@@ -883,6 +883,68 @@ class TestGroupCommit:
         assert reopened.stats()["duplicate_acks"] == 0
         reopened.close()
 
+    def test_eager_covered_disposition_pays_no_second_fsync(self, tmp_path):
+        # Eager is a window of one disposition: when the rolling
+        # sync_every fsync already covered the ack record, the ack is
+        # durable and no second fsync follows.
+        queue = _fresh_queue(tmp_path, sync_every=1)
+        job = _jobs(1)[0]
+        queue.enqueue(job)
+        queue.lease_job(job.job_id, "w0", ttl=60.0, now=0.0)
+        base = queue.fsyncs
+        queue.ack(job.job_id, "w0")
+        assert queue.fsyncs - base == 1
+        assert queue.unflushed_ack_ids() == []
+        assert queue.maybe_flush_acks() == []
+        queue.close()
+
+    def test_every_lease_call_writes_one_batched_record(self, tmp_path):
+        queue = _fresh_queue(tmp_path, sync_every=1)
+        jobs = _jobs(4)
+        for job in jobs:
+            queue.enqueue(job)
+        queue.lease("w0", ttl=60.0, now=0.0)
+        queue.lease_job(jobs[1].job_id, "w0", ttl=60.0, now=0.0)
+        queue.lease_jobs(
+            [j.job_id for j in jobs[2:]], "w1", ttl=60.0, now=0.0
+        )
+        queue.close()
+        with open(queue.path, "rb") as f:
+            lines = scan_journal(f.read()).lines
+        records = [json.loads(line) for line in lines]
+        assert [record[0] for record in records[1:]] == ["q"] * 4 + ["L"] * 3
+        assert records[-3][1] == [jobs[0].job_id]
+        assert records[-2][1] == [jobs[1].job_id]
+        assert records[-1][1] == [j.job_id for j in jobs[2:]]
+
+    def test_legacy_single_lease_record_reopens(self, tmp_path):
+        # Queues written before the lease record had one form hold
+        # single-job "l" records; the loader still reads them.
+        path = str(tmp_path / "legacy.fleetq")
+        leased, pending = _jobs(2)
+        records = [
+            {"format": "fleet-queue", "version": 2},
+            ["q", leased.to_json()],
+            ["q", pending.to_json()],
+            ["l", leased.job_id, "w0", 60.0],
+        ]
+        with open(path, "w") as f:
+            for record in records:
+                f.write(encode_record(
+                    json.dumps(record, sort_keys=True, separators=(",", ":"))
+                ))
+        with JobQueue(path) as queue:
+            assert queue.leased_ids() == [leased.job_id]
+            assert queue._leases[leased.job_id] == ("w0", 60.0)
+            assert queue.pending_ids() == [pending.job_id]
+            assert queue.recover_leases() == [leased.job_id]
+            for job in (leased, pending):
+                assert queue.lease("w1", ttl=60.0, now=0.0) == job
+                assert queue.ack(job.job_id, "w1")
+        with JobQueue(path) as reopened:
+            assert reopened.acked_ids() == [leased.job_id, pending.job_id]
+            assert reopened.depth == 0
+
     def test_batched_lease_record_survives_reopen(self, tmp_path):
         queue = _fresh_queue(tmp_path, sync_every=1)
         jobs = _jobs(3)

@@ -50,7 +50,7 @@ class TestMetricsRegistry:
         reg.histogram("ns").observe(-5)  # clamps to bin 0
         assert reg.snapshot()["histograms"]["ns"]["buckets"]["0"] == 1
 
-    def test_thread_shards_merge_by_summation(self):
+    def test_per_thread_writes_merge_by_summation(self):
         reg = MetricsRegistry()
         reg.counter("calls").inc(10)
 

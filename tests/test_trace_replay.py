@@ -1,4 +1,4 @@
-"""Record/replay round-trip parity, sharding, and the fingerprint guard.
+"""Record/replay round-trip parity, fleet replay, and the fingerprint guard.
 
 The tentpole contract: replaying a trace through the interpretive
 dispatch path re-detects *byte-identical* violation reports, in the
@@ -6,18 +6,30 @@ same order, as the live checker whose run produced the trace — on both
 substrates, for every workload family.
 """
 
+import json
+import os
+
 import pytest
 
+from repro.cli import main
+from repro.fuzz.corpus import corpus_baseline
 from repro.jinn.agent import JinnAgent
 from repro.jinn.machines import build_registry
 from repro.trace import TraceRecorder
 from repro.trace.diff import diff_reports, render_diff
 from repro.trace.format import TraceFingerprintError
-from repro.trace.replay import replay_path, replay_sharded
+from repro.trace.replay import replay_path
 from repro.workloads.dacapo import run_workload
 from repro.workloads.microbench import MICROBENCHMARKS, scenario_by_name
 from repro.workloads.outcomes import run_scenario
 from repro.workloads.pyc_micro import PYC_MICROBENCHMARKS, run_pyc_scenario
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CORPUS = os.path.join(DATA, "fuzz_corpus")
+LEAK_MONITOR = os.path.join(CORPUS, "leak_monitor.trace")
+MIDFILE_CORRUPT = os.path.join(DATA, "resilience", "midfile_corrupt.trace")
+TORN_TAIL = os.path.join(DATA, "resilience", "torn_tail.trace")
 
 
 def record_micro(name, path):
@@ -145,6 +157,8 @@ class TestRecorderLifecycle:
 
 
 class TestShardedReplay:
+    """Multi-file replay runs on the fleet, one replay-shard job per file."""
+
     def _corpus(self, tmp_path):
         paths = []
         expected = []
@@ -156,21 +170,86 @@ class TestShardedReplay:
         return paths, expected
 
     def test_multi_file_shards_merge_in_input_order(self, tmp_path):
-        paths, expected = self._corpus(tmp_path)
-        sharded = replay_sharded(paths, shards=3)
-        assert sharded.violations == expected
-        serial = replay_sharded(paths, shards=1)
-        assert sharded.violations == serial.violations
-        assert sharded.event_count == serial.event_count
+        from repro.fleet import fleet_replay
 
-    def test_single_file_thread_shards_match_unsharded(self, tmp_path):
-        path = tmp_path / "t.trace"
-        live = record_micro("ExceptionState", path)
-        sharded = replay_sharded([str(path)], shards=2)
-        assert sharded.violations == live
+        paths, expected = self._corpus(tmp_path)
+        merged, _ = fleet_replay(paths, workers=3)
+        assert merged.violations == expected
+        serial = [replay_path(path) for path in paths]
+        assert [path for path, _ in merged.files] == paths
+        for (_, result), one in zip(merged.files, serial):
+            assert result.reports == one.reports
+            assert result.recorded_reports == one.recorded_reports
+        assert merged.event_count == sum(one.event_count for one in serial)
 
     def test_workers_report_cpu_seconds(self, tmp_path):
+        from repro.fleet import fleet_replay
+
         paths, _ = self._corpus(tmp_path)
-        sharded = replay_sharded(paths, shards=3)
-        assert len(sharded.worker_seconds) == 3
-        assert sharded.critical_path_seconds == max(sharded.worker_seconds)
+        _, report = fleet_replay(paths, workers=3)
+        assert len(report.worker_busy_seconds) == 3
+        assert report.critical_path_seconds == max(report.worker_busy_seconds)
+
+
+class TestReplayCommand:
+    """``trace replay`` checks every file the same way, whether it runs
+    one file in this process or several on fleet workers."""
+
+    @pytest.mark.parametrize("workers", ["0", "1", "2"])
+    def test_corpus_replays_to_manifest(self, workers, capsys):
+        paths, stream, events = corpus_baseline(CORPUS)
+        assert main(["trace", "replay", "--workers", workers] + paths) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "replayed {} events from 22 trace(s)".format(events) in printed
+        start = printed.index("violations: {}".format(len(stream))) + 1
+        assert [line[2:] for line in printed[start:start + len(stream)]] == (
+            stream
+        )
+        assert printed[start + len(stream)] == (
+            "recorded stream: match ({} violations)".format(len(stream))
+        )
+
+    @pytest.fixture
+    def tampered(self, tmp_path):
+        """leak_global.trace with its recorded violation rewritten."""
+        path = tmp_path / "leak_global.trace"
+        with open(os.path.join(CORPUS, "leak_global.trace")) as f:
+            lines = f.read().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            record = json.loads(line)
+            if record[0] == "v":
+                record[1] = "tampered report"
+                lines[i] = json.dumps(record)
+                break
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("neighbours", [[], [LEAK_MONITOR]],
+                             ids=["one-file", "two-files"])
+    def test_drift_exits_nonzero(self, tampered, neighbours, workers, capsys):
+        argv = ["trace", "replay", "--workers", workers, tampered]
+        assert main(argv + neighbours) == 1
+        printed = capsys.readouterr().out
+        assert "recorded stream: DRIFT" in printed
+        assert "drift: " + tampered in printed
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("neighbours", [[], [LEAK_MONITOR]],
+                             ids=["one-file", "two-files"])
+    def test_bad_trace_exits_nonzero(self, neighbours, workers, capsys):
+        argv = ["trace", "replay", "--force", "--workers", workers]
+        assert main(argv + neighbours + [MIDFILE_CORRUPT]) == 1
+        printed = capsys.readouterr().out
+        assert printed == (
+            "REPLAY FAIL: {}: TraceFormatError: corrupt trace record at "
+            "line 9\n".format(MIDFILE_CORRUPT)
+        )
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_torn_tail_warning_survives_the_merge(self, workers, capsys):
+        argv = ["trace", "replay", "--force", "--workers", workers]
+        assert main(argv + [TORN_TAIL, LEAK_MONITOR]) == 0
+        assert capsys.readouterr().out.startswith(
+            "warning: torn final record at line 17"
+        )
