@@ -2,8 +2,10 @@
 # Tier-1 gate: tests, the benchmark's own tests and its known-answer
 # smoke run (exit 1 on any wrong verdict), bytecode compilation, the
 # regression corpus replayed by `trace replay` in process and on 2
-# fleet workers (exit 1 on drift from the recorded streams), the
-# fixed-seed fuzz smoke,
+# fleet workers (exit 1 on drift from the recorded streams), a journal
+# round trip (a DaCapo kernel recorded with a one-record-per-sync
+# journal must recover to the very bytes its close wrote, and both
+# files replay), the fixed-seed fuzz smoke,
 # the resilience smoke (chaos containment + crash recovery), the obs
 # CLI smoke on both substrates, the fleet smoke (work-stealing replay
 # of the regression
@@ -34,6 +36,17 @@ echo "== corpus trace replay (recorded-stream drift check live) =="
 timeout 300 python -m repro.cli trace replay tests/data/fuzz_corpus/*.trace
 timeout 300 python -m repro.cli trace replay --workers 2 \
     tests/data/fuzz_corpus/*.trace
+
+echo "== trace journal round trip (recovered journal == close-time trace) =="
+journal_dir="$(mktemp -d)"
+timeout 300 python -m repro.cli trace record dacapo/luindex \
+    -o "$journal_dir/a.trace" --journal "$journal_dir/a.journal" --sync-every 1
+timeout 300 python -m repro.cli trace recover "$journal_dir/a.journal" \
+    -o "$journal_dir/b.trace"
+cmp "$journal_dir/a.trace" "$journal_dir/b.trace"
+timeout 300 python -m repro.cli trace replay "$journal_dir/a.trace" \
+    "$journal_dir/b.trace"
+rm -rf "$journal_dir"
 
 echo "== compileall =="
 python -m compileall -q src

@@ -86,10 +86,16 @@ class EntityTypingEncoding(Encoding):
         self.classes = ClassResolver(vm)
         #: JMethod -> (parameter descriptors, return descriptor).
         self.signatures = {}
+        #: Function name -> its :func:`site_check`, for :meth:`check`.
+        self._sites = {}
 
     def check(self, env, function: str, args) -> None:
-        """Run the per-site check of ``function``, deriving its site."""
-        method, site_args = site_check(functions.FUNCTIONS[function])
+        """Run the per-site check of ``function``, deriving its site once."""
+        site = self._sites.get(function)
+        if site is None:
+            site = site_check(functions.FUNCTIONS[function])
+            self._sites[function] = site
+        method, site_args = site
         getattr(self, method)(env, function, args, *site_args)
 
     # -- method calls --------------------------------------------------------

@@ -11,7 +11,7 @@ reference; anything still acquired at termination is a leak.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.fsm import (
     Direction,
@@ -47,6 +47,8 @@ class GlobalRefEncoding(Encoding):
         self.vm = vm
         #: ref serial -> JRef, the Acquired set.
         self.live: Dict[int, JRef] = {}
+        #: Function name -> its reference parameter indices, for ``on_event``.
+        self._ref_params: Dict[str, Tuple[int, ...]] = {}
 
     def acquire(self, env, function: str, result) -> None:
         if isinstance(result, JRef):
@@ -128,10 +130,13 @@ class GlobalRefEncoding(Encoding):
         elif ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED:
             if meta.releases in ("global", "weak"):
                 self.release(ctx.env, meta.name, ctx.args[0], meta.releases)
-            elif meta.reference_param_indices:
-                self.check_use(
-                    ctx.env, meta.name, ctx.args, meta.reference_param_indices
-                )
+                return
+            indices = self._ref_params.get(meta.name)
+            if indices is None:
+                indices = meta.reference_param_indices
+                self._ref_params[meta.name] = indices
+            if indices:
+                self.check_use(ctx.env, meta.name, ctx.args, indices)
 
     def reset(self) -> None:
         self.live.clear()

@@ -19,7 +19,7 @@ twice (or popping with nothing to pop) is a double free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.fsm import (
     Direction,
@@ -96,6 +96,8 @@ class LocalRefEncoding(Encoding):
         #: Live-count time series (Figure 10) when enabled.
         self.record_history = False
         self.history: List[int] = []
+        #: Function name -> its reference parameter indices, for ``on_event``.
+        self._ref_params: Dict[str, Tuple[int, ...]] = {}
 
     # -- frame management ----------------------------------------------------
 
@@ -312,11 +314,13 @@ class LocalRefEncoding(Encoding):
                 self.release_one(env, thread, meta.name, ctx.args[0])
             elif meta.name == "PopLocalFrame":
                 self.pop_frame_check(env, thread, meta.name)
-            elif meta.reference_param_indices:
-                self.check_use(
-                    env, thread, meta.name, ctx.args,
-                    meta.reference_param_indices,
-                )
+            else:
+                indices = self._ref_params.get(meta.name)
+                if indices is None:
+                    indices = meta.reference_param_indices
+                    self._ref_params[meta.name] = indices
+                if indices:
+                    self.check_use(env, thread, meta.name, ctx.args, indices)
         elif direction is Direction.RETURN_MANAGED_TO_NATIVE:
             if meta.name == "PushLocalFrame":
                 self.push_frame(env, thread, meta.name, ctx.args[0], ctx.result)

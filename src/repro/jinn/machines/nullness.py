@@ -34,6 +34,8 @@ class NullnessEncoding(Encoding):
     def __init__(self, spec, vm):
         super().__init__(spec)
         self.vm = vm
+        #: Function name -> (index, name) of each non-null parameter.
+        self._params = {}
 
     def require(self, env, function: str, args, index: int, name: str) -> None:
         value = args[index] if index < len(args) else None
@@ -53,10 +55,14 @@ class NullnessEncoding(Encoding):
         meta = ctx.meta
         if meta is None or ctx.event.direction is not Direction.CALL_NATIVE_TO_MANAGED:
             return
-        for index in meta.nonnull_param_indices:
-            self.require(
-                ctx.env, meta.name, ctx.args, index, meta.params[index].name
+        params = self._params.get(meta.name)
+        if params is None:
+            params = self._params[meta.name] = tuple(
+                (index, meta.params[index].name)
+                for index in meta.nonnull_param_indices
             )
+        for index, name in params:
+            self.require(ctx.env, meta.name, ctx.args, index, name)
 
 
 class NullnessSpec(StateMachineSpec):

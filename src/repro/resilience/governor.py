@@ -126,7 +126,9 @@ class PairState:
             per_call = max(0.0, mean_checked - mean_raw)
         else:
             per_call = mean_checked
-        return per_call * self.checked_calls
+        # Never above the checked time: ``(c / n) * n`` can round past
+        # ``c``, and a share over 1.0 would degrade a pair at budget 1.0.
+        return min(per_call * self.checked_calls, float(self.checked_ns))
 
 
 class OverheadGovernor:

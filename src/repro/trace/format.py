@@ -44,6 +44,7 @@ different fingerprint unless forced.
 from __future__ import annotations
 
 import json
+import json.encoder
 from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Bump on any incompatible schema change.
@@ -124,8 +125,39 @@ def require_fingerprint(header: Dict[str, object], registry, force: bool = False
         )
 
 
-def dump_record(record) -> str:
-    return json.dumps(record, separators=(",", ":"))
+def _record_dumper(make_encoder):
+    """``record -> compact JSON``, with one encoder bound for good.
+
+    ``json.dumps(record, separators=(",", ":"))`` builds a new encoder
+    per call.  This binds one C encoder (``make_encoder`` is
+    ``json.encoder.c_make_encoder``) with the arguments that call would
+    pass it, less the circular-reference check (records are trees), or
+    falls back to one shared :class:`json.JSONEncoder` when the C
+    accelerator is missing.  Same bytes either way.
+    """
+    shared = json.JSONEncoder(separators=(",", ":"))
+    if make_encoder is None:
+        return shared.encode
+    encode = make_encoder(
+        None,  # markers: no circular-reference check
+        shared.default,
+        json.encoder.encode_basestring_ascii,
+        None,  # indent
+        ":",
+        ",",
+        False,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+
+    def dump_record(record) -> str:
+        return "".join(encode(record, 0))
+
+    return dump_record
+
+
+#: One trace record (or header) as one compact JSON line.
+dump_record = _record_dumper(json.encoder.c_make_encoder)
 
 
 def write_trace(path: str, header: Dict[str, object], records) -> int:

@@ -99,50 +99,26 @@ def _register_snapper(tp: type, kind: Optional[str]) -> None:
 for _scalar in _SCALARS:
     _SNAPPERS[_scalar] = lambda v: v
 
-
-_OBJECT_KINDS = frozenset(
-    (
-        tfmt.KIND_REF,
-        tfmt.KIND_OBJ,
-        tfmt.KIND_STR,
-        tfmt.KIND_ARR,
-        tfmt.KIND_THR,
-        tfmt.KIND_MID,
-        tfmt.KIND_FID,
-        tfmt.KIND_BUF,
-        tfmt.KIND_PYO,
-    )
+#: Kinds whose capture carries two event-time fields after the object.
+_PAIR_MUTABLE = frozenset(
+    (tfmt.KIND_OBJ, tfmt.KIND_STR, tfmt.KIND_ARR, tfmt.KIND_THR, tfmt.KIND_PYO)
 )
 
 
-def _walk_objects(capture, seen: Dict[int, object], out: List[object]) -> None:
-    """Collect the distinct model objects a capture references."""
-    if not isinstance(capture, tuple):
-        return
-    kind = capture[0]
-    if kind in ("T", "L"):
-        for item in capture[1]:
-            _walk_objects(item, seen, out)
-        return
-    if kind == "X":
-        return
-    obj = capture[1]
-    if id(obj) not in seen:
-        seen[id(obj)] = obj
-        out.append(capture)
-    if kind == tfmt.KIND_REF:
-        _walk_objects(capture[3], seen, out)
-    elif kind == tfmt.KIND_BUF:
-        _walk_objects(capture[3], seen, out)
-
-
 class _Encoder:
-    """Capture tuples -> tagged JSON values, interning objects."""
+    """Capture tuples -> tagged JSON values, interning objects.
+
+    ``first_visits`` lists each interned object once, in the order the
+    encoder first met it, pre-order: a ref before its target, a buffer
+    before its source.  That is the order of the end-of-trace sync
+    record, so building it needs no second walk over the captures.
+    """
 
     def __init__(self, class_object_names: Dict[int, str]):
         self._tokens: Dict[int, int] = {}
         self._next = 0
         self._class_object_names = class_object_names
+        self.first_visits: List[object] = []
 
     def encode(self, capture):
         if not isinstance(capture, tuple):
@@ -153,25 +129,25 @@ class _Encoder:
         if kind == "X":
             return ["X", capture[1]]
         obj = capture[1]
-        mut = self._mutable(kind, capture)
         token = self._tokens.get(id(obj))
+        if token is None:
+            self.first_visits.append(obj)
+        # A ref's target is encoded (and interned) before the ref takes
+        # its own token: token order is part of the trace bytes.
+        if kind == tfmt.KIND_REF:
+            mut = [capture[2], self.encode(capture[3])]
+        elif kind == tfmt.KIND_BUF:
+            mut = [capture[2]]
+        elif kind in _PAIR_MUTABLE:
+            mut = [capture[2], capture[3]]
+        else:
+            mut = []
         if token is not None:
             return ["U", token, mut]
         token = self._next
         self._next += 1
         self._tokens[id(obj)] = token
         return ["O", token, kind, self._static(kind, obj, capture), mut]
-
-    def _mutable(self, kind, capture):
-        if kind == tfmt.KIND_REF:
-            return [capture[2], self.encode(capture[3])]
-        if kind in (tfmt.KIND_OBJ, tfmt.KIND_STR, tfmt.KIND_ARR, tfmt.KIND_THR):
-            return [capture[2], capture[3]]
-        if kind == tfmt.KIND_BUF:
-            return [capture[2]]
-        if kind == tfmt.KIND_PYO:
-            return [capture[2], capture[3]]
-        return []
 
     def _static(self, kind, obj, capture):
         if kind == tfmt.KIND_REF:
@@ -268,8 +244,10 @@ class JournalWriter:
             self.sync()
 
     def sync(self) -> None:
-        self._f.fsync()
-        self._since_sync = 0
+        """Make every appended record durable; a no-op when they are."""
+        if self._since_sync:
+            self._f.fsync()
+            self._since_sync = 0
 
     def close(self) -> None:
         if not self._f.closed:
@@ -421,7 +399,6 @@ class TraceRecorder:
         if self._journal is not None:
             try:
                 self._flush_journal()
-                self._journal.sync()
             except Exception:
                 pass
         elif self.path is not None:
@@ -443,9 +420,9 @@ class TraceRecorder:
         if not pending:
             return
         self._encoded_upto = len(self._records)
-        for record in self._encode_slice(pending):
-            line = tfmt.dump_record(record)
-            self._encoded_lines.append(line)
+        lines = self._encode_slice(pending)
+        self._encoded_lines.extend(lines)
+        for line in lines:
             journal.append(line)
         journal.sync()
 
@@ -643,27 +620,12 @@ class TraceRecorder:
         The leak sweep reads end-of-run object state (a never-deleted
         global's target, a never-released buffer's source address), so
         the trace closes with a sync record carrying each interned
-        object's final mutable fields.  Building that sync record means
-        walking every capture in the trace — deferred to
-        :meth:`close`, off the live run's clock: the host is dead, no
-        further events fire, and the strong references in the captures
-        pin each object's state until it is read.
+        object's final mutable fields.  It is built in :meth:`close`,
+        off the live run's clock: the host is dead, no further events
+        fire, and the strong references in the captures pin each
+        object's state until it is read.
         """
         self._terminated = True
-
-    def _sync_record(self) -> tuple:
-        """The end-of-trace ("e") record: every object's final state."""
-        seen: Dict[int, object] = {}
-        captures: List[object] = []
-        for record in self._records:
-            if record[0] == "c":
-                for capture in record[5]:
-                    _walk_objects(capture, seen, captures)
-            elif record[0] == "r":
-                for capture in record[6]:
-                    _walk_objects(capture, seen, captures)
-                _walk_objects(record[7], seen, captures)
-        return ("e", [_snap(capture[1]) for capture in captures])
 
     # -- serialization ---------------------------------------------------
 
@@ -699,17 +661,15 @@ class TraceRecorder:
 
             gc.set_threshold(*self._gc_threshold)
             self._gc_threshold = None
-        if self._terminated:
-            self._records.append(self._sync_record())
         pending = self._records[self._encoded_upto :]
         self._encoded_upto = len(self._records)
-        for record in self._encode_slice(pending):
-            line = tfmt.dump_record(record)
-            self._encoded_lines.append(line)
-            if self._journal is not None:
-                self._journal.append(line)
-        if self._journal is not None:
-            self._journal.close()
+        tail = self._encode_slice(pending, sync=self._terminated)
+        self._encoded_lines.extend(tail)
+        journal = self._journal
+        if journal is not None:
+            for line in tail:
+                journal.append(line)
+            journal.close()
         lines = [tfmt.dump_record(self.header())]
         lines.extend(self._encoded_lines)
         self.lines = lines
@@ -719,8 +679,10 @@ class TraceRecorder:
                 f.write("\n")
         return self.event_count
 
-    def _encode_slice(self, records: List[tuple]) -> List[list]:
-        """Encode a run of captured records, advancing shared state.
+    def _encode_slice(
+        self, records: List[tuple], sync: bool = False
+    ) -> List[str]:
+        """Encode a run of captured records into trace lines.
 
         Captures carry their event-time mutable state inside the tuple,
         so encoding a slice mid-run produces exactly the lines a single
@@ -729,63 +691,60 @@ class TraceRecorder:
         from the live class at flush time, so a journal flushed early
         may record fewer members than a close-time encode; the replay
         decoder resolves late members on demand either way.
+
+        The host cannot change while a slice is encoded, so class
+        objects that appeared since the last slice are resolved once,
+        up front.  Each record is dumped as soon as it is encoded, so
+        its lists die young instead of piling up for the collector.
+        With ``sync`` the slice ends with the end-of-trace ("e")
+        record.
         """
         if self._enc is None:
             self._enc = _Encoder({})
         encoder = self._enc
+        encode = encoder.encode
         names = encoder._class_object_names
-        class_list: List = (
-            list(self._host.classes.values())
-            if self._substrate == "jni"
-            else []
-        )
-        out: List[list] = []
+        jni = self._substrate == "jni"
+        class_list: List = list(self._host.classes.values()) if jni else []
+        if self._pending_class_objects:
+            self._resolve_class_objects(names)
+        dump = tfmt.dump_record
+        out: List[str] = []
+        append = out.append
+        events = 0
         for record in records:
             kind = record[0]
-            if kind in ("c", "r"):
-                ctx = record[4] if kind == "c" else record[5]
-                epoch = ctx[3] if self._substrate == "jni" else 0
-                while self._emitted_classes < min(epoch, len(class_list)):
-                    out.append(self._emit_class(class_list, names))
-                if self._pending_class_objects:
-                    self._resolve_class_objects(names)
-                self.event_count += 1
             if kind == "c":
                 _, seq, name, native, ctx, args = record
-                out.append(
-                    [
-                        "c",
-                        seq,
-                        name,
-                        native,
-                        self._encode_ctx(ctx),
-                        [encoder.encode(a) for a in args],
-                    ]
-                )
             elif kind == "r":
                 _, seq, callseq, name, native, ctx, args, result = record
-                out.append(
-                    [
-                        "r",
-                        seq,
-                        callseq,
-                        name,
-                        native,
-                        self._encode_ctx(ctx),
-                        [encoder.encode(a) for a in args],
-                        encoder.encode(result),
-                    ]
-                )
-            elif kind == "e":
-                # Classes defined after the last event still matter to
-                # the sweep (and to late snapshots): flush the rest.
-                while self._emitted_classes < len(class_list):
-                    out.append(self._emit_class(class_list, names))
-                if self._pending_class_objects:
-                    self._resolve_class_objects(names)
-                out.append(["e", [encoder.encode(c) for c in record[1]]])
             else:  # "t", "v"
-                out.append(list(record))
+                append(dump(list(record)))
+                continue
+            events += 1
+            if jni:
+                epoch = min(ctx[3], len(class_list))
+                while self._emitted_classes < epoch:
+                    append(dump(self._emit_class(class_list, names)))
+                ctx = [ctx[0], ctx[1], ctx[2]]
+            else:
+                ctx = list(ctx)
+            args = [encode(a) for a in args]
+            if kind == "c":
+                append(dump(["c", seq, name, native, ctx, args]))
+            else:
+                result = encode(result)
+                append(dump(["r", seq, callseq, name, native, ctx, args, result]))
+        self.event_count += events
+        if sync:
+            # Classes defined after the last event still matter to the
+            # sweep (and to late snapshots): flush the rest.
+            while self._emitted_classes < len(class_list):
+                append(dump(self._emit_class(class_list, names)))
+            # Every object the stream interned, in first-visit order,
+            # snapped at its final state before any of it is encoded.
+            final = [_snap(obj) for obj in encoder.first_visits]
+            append(dump(["e", [encode(capture) for capture in final]]))
         return out
 
     def _emit_class(self, class_list: List, names: Dict[int, str]) -> list:
@@ -807,11 +766,6 @@ class TraceRecorder:
             else:
                 still_pending.append(jclass)
         self._pending_class_objects = still_pending
-
-    def _encode_ctx(self, ctx) -> list:
-        if self._substrate == "jni":
-            return [ctx[0], ctx[1], ctx[2]]
-        return list(ctx)
 
     def _class_record(self, jclass) -> list:
         return [

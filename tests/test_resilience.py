@@ -470,6 +470,19 @@ class TestGovernor:
         assert report["pairs"]["B"]["degraded_windows"] == 6
         assert report["pairs"]["A"]["period"] == 1
 
+    def test_budget_one_never_degrades(self):
+        """At budget 1.0 the governor only meters: the share of a pair
+        at full checking is its whole checked time over itself, even
+        when ``(checked_ns / calls) * calls`` rounds past ``checked_ns``
+        (100000 ns over 38 calls does)."""
+        gov = OverheadGovernor(GovernorPolicy(budget=1.0, hot_min=32))
+        state = gov.fused_binding("fn")
+        state.window_calls = state.checked_calls = 38
+        state.checked_ns = 100000
+        assert state.overhead_ns() <= state.checked_ns
+        gov._rebalance()
+        assert gov.degraded_pairs() == []
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             GovernorPolicy(budget=1.5)

@@ -15,11 +15,13 @@ import textwrap
 import pytest
 
 from repro.core.journal import crc32_hex
+from repro.core.store import Fault, FaultyStore, InjectedFault, Store, StoreHandle
 from repro.resilience import Shard, Supervisor, recover_journal
 from repro.resilience.recover import journaled_fuzz_record, parse_journal
 from repro.trace import format as tfmt
 from repro.trace.recorder import JournalWriter
 from repro.trace.replay import replay_path
+from tests.test_trace_bytes import record_kernel
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "resilience")
 
@@ -88,6 +90,192 @@ class TestJournalFormat:
     def test_sync_every_validation(self, tmp_path):
         with pytest.raises(ValueError):
             JournalWriter(str(tmp_path / "x"), sync_every=0)
+
+
+class _CountingStore(Store):
+    """The real filesystem, counting fsyncs."""
+
+    def __init__(self):
+        self.fsyncs = 0
+
+    def open(self, path, mode="a"):
+        handle = super().open(path, mode)
+        fsync = handle.fsync
+
+        def counted():
+            self.fsyncs += 1
+            fsync()
+
+        handle.fsync = counted
+        return handle
+
+
+class TestFsyncCount:
+    def test_sync_after_a_full_batch_is_free(self, tmp_path):
+        store = _CountingStore()
+        writer = JournalWriter(str(tmp_path / "j"), sync_every=64, store=store)
+        for i in range(64):
+            writer.append('["t",{},"main",0]'.format(i))
+        assert store.fsyncs == 1  # the 64th append synced the batch
+        writer.sync()
+        writer.close()
+        assert store.fsyncs == 1
+        assert writer.records_written == 64
+
+    def test_sync_makes_a_partial_batch_durable(self, tmp_path):
+        store = _CountingStore()
+        writer = JournalWriter(str(tmp_path / "j"), sync_every=64, store=store)
+        writer.append('["t",1,"main",0]')
+        writer.sync()
+        writer.sync()
+        assert store.fsyncs == 1
+        writer.append('["t",2,"main",0]')
+        writer.close()
+        assert store.fsyncs == 2
+
+    def test_failed_fsync_is_retried(self, tmp_path):
+        store = FaultyStore([Fault("fsync", 1, "error")])
+        writer = JournalWriter(str(tmp_path / "j"), sync_every=64, store=store)
+        writer.append('["t",1,"main",0]')
+        with pytest.raises(InjectedFault):
+            writer.sync()
+        writer.sync()  # the record is still owed its fsync
+        assert store.fsync_ops == 2
+
+    @pytest.mark.parametrize("kernel", ["compress", "hsqldb", "jython", "luindex"])
+    def test_recorder_pays_one_fsync_per_batch(self, kernel, tmp_path, monkeypatch):
+        fsyncs = []
+        fsync = StoreHandle.fsync
+
+        def counted(handle):
+            fsyncs.append(1)
+            fsync(handle)
+
+        monkeypatch.setattr(StoreHandle, "fsync", counted)
+        recorder = record_kernel(kernel, tmp_path, sync_every=64)
+        appends = recorder._journal.records_written
+        # One fsync per 64 appends, plus the batches cut short: the
+        # header is synced alone at attach, and a flush that also
+        # writes class records ends mid-batch.  A second fsync after
+        # each full batch (~78 here) fails this.
+        assert len(fsyncs) <= -(-appends // 64) + 2
+
+
+# ----------------------------------------------------------------------
+# Storage faults under a trace journal
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def luindex_lines(tmp_path_factory):
+    """A recorded DaCapo trace's lines: header first, "e" last."""
+    return record_kernel("luindex", tmp_path_factory.mktemp("luindex")).lines
+
+
+def _write_through(lines, path, fault, sync_every=64):
+    """Append ``lines`` to a journal on a store that fires ``fault``.
+
+    Returns ``(store, raised)``: the fault surfaces to the caller as
+    :class:`InjectedFault`, or the journal closes cleanly.
+    """
+    store = FaultyStore([fault])
+    writer = JournalWriter(path, sync_every, store=store)
+    try:
+        for line in lines:
+            writer.append(line)
+        writer.close()
+    except InjectedFault as exc:
+        return store, exc
+    return store, None
+
+
+def _recovered_lines(report):
+    with open(report.out_path) as f:
+        return f.read().splitlines()
+
+
+class TestJournalStorageChaos:
+    """Every storage fault class, driven through ``JournalWriter``.
+
+    Recovery keeps a byte-exact prefix of what was appended, or fails
+    loudly; it never loads past damage.
+    """
+
+    def test_short_write_is_a_torn_tail(self, luindex_lines, tmp_path):
+        at = len(luindex_lines) // 2
+        journal = str(tmp_path / "j")
+        store, raised = _write_through(
+            luindex_lines, journal, Fault("write", at, "short")
+        )
+        assert isinstance(raised, InjectedFault)
+        store.crash()
+        report = recover_journal(journal, str(tmp_path / "rec.trace"))
+        assert report.dropped_bytes > 0
+        note = "dropped {} torn trailing byte(s)".format(report.dropped_bytes)
+        assert note in report.notes
+        assert not report.complete
+        recovered = _recovered_lines(report)
+        assert recovered == luindex_lines[: at - 1]
+        full = replay_path(self._plain(luindex_lines, tmp_path))
+        prefix = replay_path(report.out_path)
+        assert prefix.violations == full.violations[: len(prefix.violations)]
+        assert prefix.event_count == report.event_records > 0
+
+    def test_crash_loses_at_most_one_batch(self, luindex_lines, tmp_path):
+        sync_every = 64
+        at = len(luindex_lines) // 2
+        assert (at - 1) % sync_every  # the crash lands mid-batch
+        journal = str(tmp_path / "j")
+        store, raised = _write_through(
+            luindex_lines, journal, Fault("write", at, "crash"), sync_every
+        )
+        assert isinstance(raised, InjectedFault)
+        store.crash()
+        report = recover_journal(journal, str(tmp_path / "rec.trace"))
+        assert report.dropped_bytes == 0  # a clean prefix, no tear
+        recovered = _recovered_lines(report)
+        assert recovered == luindex_lines[: len(recovered)]
+        lost = (at - 1) - len(recovered)
+        assert 0 < lost <= sync_every
+
+    def test_bitflip_mid_journal_is_fatal(self, luindex_lines, tmp_path):
+        journal = str(tmp_path / "j")
+        at = len(luindex_lines) // 2
+        _, raised = _write_through(
+            luindex_lines, journal, Fault("write", at, "bitflip")
+        )
+        assert raised is None  # the flipped write itself "succeeds"
+        out = tmp_path / "rec.trace"
+        with pytest.raises(tfmt.TraceFormatError, match="mid-file corruption"):
+            recover_journal(journal, str(out))
+        assert not out.exists()
+
+    def test_bitflip_in_final_record_reads_as_torn(self, luindex_lines, tmp_path):
+        journal = str(tmp_path / "j")
+        at = len(luindex_lines)
+        _, raised = _write_through(
+            luindex_lines, journal, Fault("write", at, "bitflip")
+        )
+        assert raised is None
+        report = recover_journal(journal, str(tmp_path / "rec.trace"))
+        assert report.dropped_bytes > 0
+        assert not report.complete  # the damaged record was the "e"
+        assert _recovered_lines(report) == luindex_lines[:-1]
+
+    @pytest.mark.parametrize(
+        "fault", [Fault("write", 100, "enospc"), Fault("fsync", 1, "error")],
+        ids=["enospc", "fsync-error"],
+    )
+    def test_refused_write_or_fsync_surfaces(self, luindex_lines, tmp_path, fault):
+        store, raised = _write_through(luindex_lines, str(tmp_path / "j"), fault)
+        assert isinstance(raised, InjectedFault)
+        assert store.fired == [(fault.op, fault.at, fault.kind)]
+
+    @staticmethod
+    def _plain(lines, tmp_path):
+        path = tmp_path / "full.trace"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
 
 
 # ----------------------------------------------------------------------
