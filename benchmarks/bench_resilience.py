@@ -21,7 +21,9 @@ convention — wall-clock numbers are reported alongside but never gated:
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import tempfile
 import time
 
@@ -58,7 +60,7 @@ def _chaos_section() -> dict:
 
 
 def _recovery_section() -> dict:
-    from repro.resilience import Shard, Supervisor, recover_journal
+    from repro.resilience import recover_journal
     from repro.resilience.recover import journaled_fuzz_record
     from repro.trace.replay import replay_path
 
@@ -66,12 +68,17 @@ def _recovery_section() -> dict:
         journal = os.path.join(d, "crash.journal")
         full_trace = os.path.join(d, "full.trace")
         start = time.perf_counter()
-        supervisor = Supervisor(timeout=300.0, retries=0)
-        shard = supervisor.run_shard(Shard("record", "record", {
+        params = {
             "seed": RECOVERY_SEED, "substrate": "pyc", "journal": journal,
             "sync_every": 8, "faults": ["over_decref"], "die": True,
-        }))
-        crashed = shard.classification == "crash"
+        }
+        child = multiprocessing.Process(
+            target=journaled_fuzz_record, args=(params,), daemon=True
+        )
+        child.start()
+        child.join(300.0)
+        code = child.exitcode  # None: still running after the join
+        crashed = code == -signal.SIGKILL
         report = recover_journal(journal, os.path.join(d, "rec.trace"))
         journaled_fuzz_record({
             "seed": RECOVERY_SEED, "substrate": "pyc", "trace": full_trace,
@@ -91,7 +98,10 @@ def _recovery_section() -> dict:
         return {
             "seed": RECOVERY_SEED,
             "seconds": seconds,
-            "crash_detail": shard.detail,
+            "crash_detail": (
+                "killed by signal {}".format(-code) if crashed
+                else "exit code {}".format(code)
+            ),
             "recovered_records": report.recovered_records,
             "dropped_bytes": report.dropped_bytes,
             "recovered_violations": n,

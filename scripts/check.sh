@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: tests, the benchmark's own tests and its known-answer
 # smoke run (exit 1 on any wrong verdict), bytecode compilation, the
-# regression corpus replayed by `trace replay` in process and on 2
-# fleet workers (exit 1 on drift from the recorded streams), a journal
+# regression corpus replayed by `trace replay` in process, on 2 fleet
+# workers, and as watched jobs under the fleet's watchdog (`--timeout`)
+# (exit 1 on drift from the recorded streams), a journal
 # round trip (a DaCapo kernel recorded with a one-record-per-sync
 # journal must recover to the very bytes its close wrote, and both
 # files replay), the fixed-seed fuzz smoke,
@@ -35,6 +36,8 @@ python -m pytest -q tests/test_trace_replay.py
 echo "== corpus trace replay (recorded-stream drift check live) =="
 timeout 300 python -m repro.cli trace replay tests/data/fuzz_corpus/*.trace
 timeout 300 python -m repro.cli trace replay --workers 2 \
+    tests/data/fuzz_corpus/*.trace
+timeout 300 python -m repro.cli trace replay --timeout 60 \
     tests/data/fuzz_corpus/*.trace
 
 echo "== trace journal round trip (recovered journal == close-time trace) =="

@@ -17,8 +17,8 @@ Gives downstream users the paper's artifacts without writing code:
   ``diff``, ``corpus``, and ``recover`` subcommands;
 - ``fuzz``       — spec-driven FFI fuzzing: ``run``, ``shrink``,
   ``corpus``, ``faults``, ``graph``;
-- ``resilience`` — supervised checking sessions: ``chaos``,
-  ``supervise``, ``recover``, ``status``;
+- ``resilience`` — checker containment, crash recovery, governor:
+  ``chaos``, ``recover``, ``status``;
 - ``fleet``      — the work-stealing execution fabric: ``run``,
   ``status``, ``workers``, ``drain``;
 - ``obs``        — observe a checked run: ``snapshot``, ``top``,

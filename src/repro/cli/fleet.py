@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
+
+def fleet_options(workers: int, timeout: Optional[float]) -> dict:
+    """``fleet_*`` options for a command's ``--workers`` / ``--timeout``.
+
+    A ``--timeout`` run is watched work: at least one worker process
+    (only a process can be killed), each job killed after ``timeout``
+    seconds and never retried.
+    """
+    if timeout is None:
+        return {"workers": workers}
+    return {"workers": max(workers, 1), "timeout": timeout, "retries": 0}
+
 
 def _print_load(report) -> None:
     load = report.load_json()
@@ -24,14 +38,7 @@ def _print_load(report) -> None:
 def _cmd_fleet_run(args) -> int:
     import json as _json
 
-    from repro.fleet import (
-        fleet_chaos,
-        fleet_corpus,
-        fleet_fuzz,
-        fleet_replay,
-        fleet_smoke,
-        violation_stream,
-    )
+    from repro.fleet import fleet_chaos, fleet_corpus, fleet_fuzz, fleet_smoke
 
     if args.smoke:
         smoke = fleet_smoke(
@@ -51,35 +58,6 @@ def _cmd_fleet_run(args) -> int:
             )
         print("gate: " + ("PASS" if smoke["ok"] else "FAIL"))
         return 0 if smoke["ok"] else 1
-    if args.kind == "replay":
-        if not args.paths:
-            print("fleet run --kind replay needs trace paths")
-            return 2
-        merged, report = fleet_replay(
-            args.paths,
-            workers=args.workers,
-            force=args.force,
-            queue_path=args.queue,
-            sync=args.sync,
-            batch=args.batch,
-        )
-        if args.json:
-            print(_json.dumps(
-                {
-                    "report": report.to_json(),
-                    "violations": violation_stream(report),
-                    "load": report.load_json(),
-                },
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print("replayed {} events from {} trace(s)".format(
-                merged.event_count, len(args.paths)
-            ))
-            for line in violation_stream(report):
-                print("  " + line)
-            _print_load(report)
-        return 0 if report.ok else 1
     if args.kind == "fuzz":
         from repro.fuzz import fuzz_gate
 
@@ -401,12 +379,12 @@ def add_parsers(sub) -> None:
     run = fleet_sub.add_parser(
         "run", help="run a checking workload across fleet workers"
     )
-    run.add_argument(
-        "paths", nargs="*", help="trace files (for --kind replay)"
-    )
-    run.add_argument(
-        "--kind", choices=("replay", "fuzz", "chaos", "corpus"),
-        default="replay",
+    # Trace files replay through `trace replay --workers N`.
+    workload = run.add_mutually_exclusive_group(required=True)
+    workload.add_argument("--kind", choices=("fuzz", "chaos", "corpus"))
+    workload.add_argument(
+        "--smoke", action="store_true",
+        help="replay the regression corpus; gate on stream identity (CI)",
     )
     run.add_argument("--workers", type=int, default=2)
     run.add_argument("--seed", type=int, default=2026)
@@ -415,7 +393,6 @@ def add_parsers(sub) -> None:
         "--substrate", choices=("both", "jni", "pyc"), default="both"
     )
     run.add_argument("-o", "--output", default="fuzz_corpus")
-    run.add_argument("--force", action="store_true")
     run.add_argument(
         "--queue", default=None,
         help="mirror job lifecycle into a crash-safe persistent queue",
@@ -427,10 +404,6 @@ def add_parsers(sub) -> None:
     run.add_argument(
         "--batch", type=int, default=1,
         help="jobs leased/shipped per worker round-trip",
-    )
-    run.add_argument(
-        "--smoke", action="store_true",
-        help="replay the regression corpus; gate on stream identity (CI)",
     )
     run.add_argument("--json", action="store_true")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.common import supervised_one
+from repro.cli.fleet import fleet_options
 
 
 def _cmd_fuzz_run(args) -> int:
@@ -10,28 +10,24 @@ def _cmd_fuzz_run(args) -> int:
 
     from repro.fuzz import fuzz_gate, fuzz_run
 
-    if getattr(args, "timeout", None) is not None:
-        return supervised_one(
-            "fuzz",
-            {
-                "seed": args.seed,
-                "rounds": 1 if args.smoke else args.rounds,
-                "substrate": args.substrate,
-            },
-            args.timeout,
-        )
     rounds = 1 if args.smoke else args.rounds
-    if getattr(args, "workers", 0) > 0:
+    options = fleet_options(args.workers, args.timeout)
+    if options["workers"] > 0:
         # Fleet path: campaign slices across workers, merged to the
         # byte-identical canonical report.
         from repro.fleet import fleet_fuzz
+        from repro.fleet.merge import MissingPayloadError
+        from repro.fleet.scheduler import HANG
 
-        report, _ = fleet_fuzz(
-            args.seed,
-            rounds=rounds,
-            substrate=args.substrate,
-            workers=args.workers,
-        )
+        try:
+            report, _ = fleet_fuzz(
+                args.seed, rounds=rounds, substrate=args.substrate, **options
+            )
+        except MissingPayloadError as exc:
+            print("FUZZ FAIL: {}: {}".format(
+                exc.outcome.job.describe(), exc.outcome.detail
+            ))
+            return 124 if exc.outcome.classification == HANG else 1
     else:
         report = fuzz_run(args.seed, rounds=rounds, substrate=args.substrate)
     failures = fuzz_gate(report)
@@ -166,7 +162,8 @@ def add_parsers(sub) -> None:
     )
     fuzz_run.add_argument(
         "--timeout", type=float, default=None,
-        help="watchdog seconds; a hang exits 124 with a partial JSON result",
+        help="watchdog seconds per campaign job (not the whole run), on "
+        "at least one fleet worker; a killed job exits 124",
     )
 
     fuzz_shrink = fuzz_sub.add_parser(

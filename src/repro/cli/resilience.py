@@ -1,4 +1,4 @@
-"""The ``resilience`` command group: supervised checking sessions."""
+"""The ``resilience`` command group: containment, recovery, governor."""
 
 from __future__ import annotations
 
@@ -37,39 +37,6 @@ def _cmd_resilience_chaos(args) -> int:
     return 0
 
 
-def _cmd_resilience_supervise(args) -> int:
-    import json as _json
-    import os as _os
-
-    from repro.resilience import Shard, Supervisor
-
-    specs = args.targets or ["fuzz:{}".format(args.seed)]
-    shards = []
-    for spec in specs:
-        kind, _, rest = spec.partition(":")
-        if kind == "fuzz":
-            seed = int(rest) if rest else args.seed
-            shards.append(Shard(
-                "fuzz-{}".format(seed), "fuzz",
-                {"seed": seed, "rounds": 1, "substrate": args.substrate},
-            ))
-        elif kind == "replay":
-            shards.append(Shard(
-                "replay-{}".format(_os.path.basename(rest)), "replay",
-                {"path": rest},
-            ))
-        else:
-            print("unknown shard spec {!r} (want fuzz:<seed> or "
-                  "replay:<path>)".format(spec))
-            return 2
-    supervisor = Supervisor(
-        timeout=args.timeout, retries=args.retries, seed=args.seed
-    )
-    report = supervisor.run(shards)
-    print(_json.dumps(report.to_json(), indent=2, sort_keys=True))
-    return 0 if report.ok else 1
-
-
 def _cmd_resilience_status(args) -> int:
     import json as _json
 
@@ -92,7 +59,7 @@ def _cmd_resilience(args) -> int:
 
 def add_parsers(sub) -> None:
     resilience = sub.add_parser(
-        "resilience", help="supervised checking sessions"
+        "resilience", help="checker containment, crash recovery, governor"
     )
     res_sub = resilience.add_subparsers(
         dest="resilience_command", required=True
@@ -108,20 +75,6 @@ def add_parsers(sub) -> None:
     )
     chaos.add_argument(
         "--json", action="store_true", help="print the canonical report"
-    )
-
-    supervise = res_sub.add_parser(
-        "supervise", help="run shards in watched child processes"
-    )
-    supervise.add_argument(
-        "targets", nargs="*",
-        help="shard specs: fuzz:<seed> or replay:<trace path>",
-    )
-    supervise.add_argument("--seed", type=int, default=2026)
-    supervise.add_argument("--timeout", type=float, default=60.0)
-    supervise.add_argument("--retries", type=int, default=1)
-    supervise.add_argument(
-        "--substrate", choices=("both", "jni", "pyc"), default="pyc"
     )
 
     res_recover = res_sub.add_parser(
@@ -144,7 +97,6 @@ def add_parsers(sub) -> None:
 
 SUBCOMMANDS = {
     "chaos": _cmd_resilience_chaos,
-    "supervise": _cmd_resilience_supervise,
     "recover": _cmd_trace_recover,
     "status": _cmd_resilience_status,
 }

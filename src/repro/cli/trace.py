@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.common import supervised_one
+from repro.cli.fleet import fleet_options
 
 
 def _trace_record_one(target: str, observer):
@@ -65,40 +65,33 @@ def _cmd_trace_replay(args) -> int:
     from repro.trace.format import TraceFormatError
     from repro.trace.replay import replay_path
 
-    if getattr(args, "timeout", None) is not None:
-        if len(args.paths) > 1:
-            print("--timeout supervises a single trace")
-            return 2
-        return supervised_one(
-            "replay",
-            {"path": args.paths[0], "force": args.force},
-            args.timeout,
-            ok_is_zero=True,
-        )
-    path, failure = args.paths[0], None
-    if len(args.paths) == 1 and args.workers <= 0:
+    path, failure, code = args.paths[0], None, 1
+    options = fleet_options(args.workers, args.timeout)
+    if len(args.paths) == 1 and options["workers"] <= 0:
         try:
             files = [(path, replay_path(path, force=args.force))]
         except (TraceFormatError, OSError) as exc:
             failure = "{}: {}".format(type(exc).__name__, exc)
     else:
-        # The fleet is the one parallel runner; with no workers it runs
-        # the same jobs in this process.
+        # The fleet is the one runner: with no workers it runs the same
+        # jobs in this process; under --timeout each file is a watched
+        # job on a worker process, since only a process can be killed.
         from repro.fleet import fleet_replay
+        from repro.fleet.scheduler import HANG
 
         try:
-            merged, _ = fleet_replay(
-                args.paths, workers=args.workers, force=args.force
-            )
+            merged, _ = fleet_replay(args.paths, force=args.force, **options)
             files = merged.files
         except MissingPayloadError as exc:
             path = exc.outcome.job.params["path"]
             failure = exc.outcome.detail
+            if exc.outcome.classification == HANG:
+                code = 124
     if failure is not None:
         # A failed fleet job's detail reads "<exception type>: <text>",
         # so both paths print the same line for the same bad file.
         print("REPLAY FAIL: {}: {}".format(path, failure))
-        return 1
+        return code
     for _, result in files:
         for line in result.warnings:
             print(line)
@@ -199,7 +192,8 @@ def add_parsers(sub) -> None:
     )
     replay.add_argument(
         "--timeout", type=float, default=None,
-        help="watchdog seconds; a hang exits 124 with a partial JSON result",
+        help="watchdog seconds per file, on at least one fleet worker; "
+        "a killed file prints REPLAY FAIL and exits 124",
     )
 
     recover = trace_sub.add_parser(

@@ -24,8 +24,8 @@ import time
 class Clock:
     """Monotonic clock protocol.
 
-    ``monotonic_ns`` is the original hot-path surface (PR 7).  The
-    fleet scheduler and the supervisor watchdog added three cold-path
+    ``monotonic_ns`` is the original hot-path surface.  The fleet
+    scheduler's watchdog and retry backoff added three cold-path
     members: ``monotonic`` (seconds, for watchdog/lease arithmetic),
     ``process_time`` (CPU seconds, for critical-path accounting), and
     ``sleep`` (so retry backoff is a no-op wait on a :class:`FakeClock`

@@ -6,8 +6,12 @@ campaigns, chaos rounds, bench trials, corpus builds — becomes a typed
 crash-safe persistent :class:`~repro.fleet.queue.JobQueue` (the same
 length-prefixed journal format trace recovery reads), and executes on
 a :class:`~repro.fleet.scheduler.FleetScheduler`: per-worker local
-deques, steal-half work stealing, capped-backoff retry with the
-supervisor's classification ladder, and bounded in-flight backpressure.
+deques, steal-half work stealing, a wall-clock watchdog per job,
+classified exits (clean / violation / crash / hang / expired) with
+capped-backoff retry, and bounded in-flight backpressure.  The
+scheduler is the one runner for parallel and watched work alike:
+``trace replay --workers N`` / ``--timeout T`` and ``fuzz run
+--workers N`` / ``--timeout T`` run here.
 
 The fabric's core invariant is *merge determinism*: results are merged
 keyed by job ID in submission order (:mod:`repro.fleet.merge`), never

@@ -8,16 +8,21 @@ dumb executors — a child process looping ``inbox.get() ->
 execute_job -> results.put`` — so all scheduling state lives in one
 place and the merge layer can be exact.
 
-Failure handling reuses the supervisor's classification ladder
-(``clean`` / ``violation`` / ``crash`` / ``hang``, plus ``expired``
-for jobs whose deadline passed before dispatch): a worker that dies
-mid-job crashes the *oldest* in-flight job and requeues the rest; a
-job over the watchdog timeout hangs; both retry with the supervisor's
-capped deterministic backoff (:func:`repro.resilience.supervisor
-.backoff_delay`), scheduled non-blockingly so other jobs keep flowing.
-Backpressure is a bounded in-flight count per worker (default 1, which
-also makes crash attribution exact — with more, the non-oldest
-in-flight jobs are requeued, not blamed).
+The scheduler is the one runner for watched work: in process mode
+every job runs in a worker process under a wall-clock watchdog, and
+``trace replay --timeout`` / ``fuzz run --timeout`` are fleet runs with
+``retries=0``.  Exits are classified by construction — the
+classification ladder ``clean`` / ``violation`` (from the payload),
+``crash`` (a raised error or a dead worker), ``hang`` (a watchdog
+kill), plus ``expired`` for jobs whose deadline passed before
+dispatch: a worker that dies mid-job crashes the *oldest*
+in-flight job and requeues the rest; a job over the watchdog timeout
+hangs; both retry with capped deterministic backoff
+(:func:`backoff_delay`), scheduled non-blockingly so other jobs keep
+flowing.  Backpressure is a bounded in-flight count per worker: one
+dispatch chunk (``batch``, default 1, which also makes crash
+attribution exact — with more, the non-oldest in-flight jobs are
+requeued, not blamed).
 
 Poison handling: a job whose failures exhaust its attempt budget
 (``job.max_attempts``, else scheduler ``retries``) is *dead-lettered* —
@@ -25,7 +30,7 @@ finished with its failure classification, flagged ``dead_lettered``,
 and recorded in the queue's dead-letter section instead of acked — so
 one poison job can neither retry forever nor block ``fleet drain``.
 Per-worker circuit breakers complement the ladder: consecutive
-crash/hang blame against one worker slot past ``breaker_threshold``
+crash/hang blame against one worker slot past ``BREAKER_THRESHOLD``
 opens its breaker — the slot stops leasing (and a dead process slot is
 not respawned) until a capped deterministic backoff elapses, then
 half-opens with one strike left.  One bad host degrades throughput
@@ -64,16 +69,21 @@ from typing import Callable, Dict, List, Optional
 from repro.core.clock import SYSTEM_CLOCK, Clock
 from repro.fleet.jobs import Job, execute_job
 from repro.fleet.queue import JobQueue
-from repro.resilience.supervisor import (
-    CLEAN,
-    CRASH,
-    HANG,
-    VIOLATION,
-    backoff_delay,
-)
+from repro.fuzz.engine import task_rng
 
-#: Deadline passed before dispatch — the fleet's own classification.
+#: Exit classifications, in merge-severity order.
+CLEAN = "clean"
+VIOLATION = "violation"
+CRASH = "crash"
+HANG = "hang"
+#: Deadline passed before dispatch.
 EXPIRED = "expired"
+
+#: Consecutive crash/hang blames that open a worker slot's breaker, and
+#: the capped backoff (seconds) it stays open for.
+BREAKER_THRESHOLD = 3
+BREAKER_BASE = 0.25
+BREAKER_CAP = 30.0
 
 #: How long a parent result-wait blocks before re-checking liveness.
 _POLL_SECONDS = 0.05
@@ -232,6 +242,20 @@ class FleetReport:
         }
 
 
+def backoff_delay(
+    seed: int, name: str, attempt: int, *, base: float, cap: float
+) -> float:
+    """Capped exponential backoff with deterministic jitter.
+
+    Jitter derives from ``(seed, name, attempt)``: two runs of the same
+    job set schedule identical retries, so retry timing never makes a
+    report irreproducible.
+    """
+    rng = task_rng(seed, "backoff", name, attempt)
+    delay = min(cap, base * (2 ** attempt))
+    return round(delay * (1.0 + 0.25 * rng.random()), 6)
+
+
 # ----------------------------------------------------------------------
 # Worker child
 # ----------------------------------------------------------------------
@@ -330,15 +354,10 @@ class FleetScheduler:
         *,
         workers: int = 2,
         seed: int = 0,
-        max_inflight: int = 1,
         retries: int = 1,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        breaker_threshold: int = 3,
-        breaker_base: float = 0.25,
-        breaker_cap: float = 30.0,
         timeout: float = 120.0,
-        lease_ttl: Optional[float] = None,
         batch: int = 1,
         clock: Optional[Clock] = None,
         queue: Optional[JobQueue] = None,
@@ -351,15 +370,10 @@ class FleetScheduler:
         self.jobs = list(jobs)
         self.workers = max(1, workers)
         self.seed = seed
-        self.max_inflight = max(1, max_inflight)
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.breaker_threshold = max(1, breaker_threshold)
-        self.breaker_base = breaker_base
-        self.breaker_cap = breaker_cap
         self.timeout = timeout
-        self.lease_ttl = lease_ttl if lease_ttl is not None else timeout * 2
         self.batch = max(1, int(batch))
         self.spawn_seconds = 0.0
         self.clock = clock if clock is not None else SYSTEM_CLOCK
@@ -442,15 +456,15 @@ class FleetScheduler:
         """One crash/hang blamed on ``worker``; trip past the threshold."""
         self._blame[worker] += 1
         if (
-            self._blame[worker] >= self.breaker_threshold
+            self._blame[worker] >= BREAKER_THRESHOLD
             and not self._breaker_open[worker]
         ):
             delay = backoff_delay(
                 self.seed,
                 "breaker:w{}".format(worker),
                 self.breaker_trips[worker],
-                base=self.breaker_base,
-                cap=self.breaker_cap,
+                base=BREAKER_BASE,
+                cap=BREAKER_CAP,
             )
             self.breaker_trips[worker] += 1
             self._breaker_open[worker] = True
@@ -474,7 +488,7 @@ class FleetScheduler:
             if now < self._breaker_until[worker]:
                 continue
             self._breaker_open[worker] = False
-            self._blame[worker] = self.breaker_threshold - 1
+            self._blame[worker] = BREAKER_THRESHOLD - 1
             proc = self._procs[worker]
             if proc is not None and not proc.alive():
                 self._procs[worker] = proc.respawn()
@@ -567,9 +581,6 @@ class FleetScheduler:
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(self, worker: int, job: Job, now: float, started: float):
-        return bool(self._dispatch_chunk(worker, [job], now, started))
-
     def _dispatch_chunk(
         self, worker: int, chunk: List[Job], now: float, started: float
     ) -> List[Job]:
@@ -600,7 +611,7 @@ class FleetScheduler:
             self.queue.lease_jobs(
                 [job.job_id for job in live],
                 "w{}".format(worker),
-                ttl=self.lease_ttl,
+                ttl=2 * self.timeout,
                 now=now,
             )
         for job in live:
@@ -750,7 +761,6 @@ class FleetScheduler:
         ]
         self.spawn_seconds = self.clock.monotonic() - spawn_start
         by_id = {job.job_id: job for job in self.jobs}
-        capacity = max(self.max_inflight, self.batch)
         try:
             while len(self._outcomes) < len(self.jobs):
                 now = self.clock.monotonic()
@@ -762,12 +772,11 @@ class FleetScheduler:
                     proc = self._procs[worker]
                     if self._breaker_blocks(worker, now) or not proc.alive():
                         continue
-                    while len(self._inflight[worker]) < capacity:
+                    while len(self._inflight[worker]) < self.batch:
                         chunk = []
                         while (
-                            len(chunk) < self.batch
-                            and len(self._inflight[worker]) + len(chunk)
-                            < capacity
+                            len(self._inflight[worker]) + len(chunk)
+                            < self.batch
                         ):
                             job = self._next_job(worker)
                             if job is None:

@@ -1,4 +1,4 @@
-"""Supervised checking sessions: the robustness layer.
+"""Resilient checking sessions: the robustness layer.
 
 Four cooperating pieces keep long unattended checking runs alive and
 honest:
@@ -9,15 +9,16 @@ honest:
   killing the host workload;
 - **chaos** (:mod:`repro.resilience.chaos`): fault injectors aimed at
   the checker itself prove containment works;
-- **supervision** (:mod:`repro.resilience.supervisor`): shards run in
-  child processes under a watchdog, with classified exits, deterministic
-  retry backoff, and a merged incident report;
 - **journaling + recovery** (:mod:`repro.trace.recorder`,
   :mod:`repro.resilience.recover`): crash-safe trace journals
   recoverable up to the last complete record;
 - **governing** (:mod:`repro.resilience.governor`): an adaptive
   overhead governor keeps the checking share of boundary time inside a
   budget by sampling hot pairs.
+
+Watched work — a child process under a wall-clock watchdog, with
+classified exits and deterministic retry backoff — runs on the fleet
+(:class:`repro.fleet.scheduler.FleetScheduler`).
 """
 
 from repro.resilience.chaos import (
@@ -37,18 +38,6 @@ from repro.resilience.recover import (
     parse_journal,
     recover_journal,
 )
-from repro.resilience.supervisor import (
-    CLEAN,
-    CRASH,
-    HANG,
-    VIOLATION,
-    IncidentReport,
-    Shard,
-    ShardResult,
-    Supervisor,
-    backoff_delay,
-    run_with_timeout,
-)
 
 __all__ = [
     "InternalFaultInjector",
@@ -62,14 +51,4 @@ __all__ = [
     "journaled_fuzz_record",
     "parse_journal",
     "recover_journal",
-    "CLEAN",
-    "CRASH",
-    "HANG",
-    "VIOLATION",
-    "IncidentReport",
-    "Shard",
-    "ShardResult",
-    "Supervisor",
-    "backoff_delay",
-    "run_with_timeout",
 ]

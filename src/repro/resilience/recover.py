@@ -132,14 +132,14 @@ def recover_journal(
 
 
 # ----------------------------------------------------------------------
-# Journaled recording bodies (run in supervisor children or in-process)
+# Journaled recording (run in a child process or in-process)
 # ----------------------------------------------------------------------
 
 
-def journaled_fuzz_record(params: dict) -> dict:
+def journaled_fuzz_record(params: dict) -> None:
     """Record a deterministic fuzz workload through a journal.
 
-    Driven by ``params`` so it can run as a supervisor shard body:
+    Driven by ``params`` so it can run as a child process's target:
 
     - ``seed``, ``substrate``: pick the generated workload;
     - ``faults``: fault-class names to inject (so the recorded run has
@@ -181,17 +181,8 @@ def journaled_fuzz_record(params: dict) -> dict:
         journal_path=params.get("journal"),
         sync_every=params.get("sync_every", 64),
     )
-    ops = [tuple(op) for op in sequence.ops]
     runner = run_pyc_ops if substrate == "pyc" else run_jni_ops
-    outcome = runner(ops, observer=recorder)
+    runner([tuple(op) for op in sequence.ops], observer=recorder)
     if params.get("die"):
         os.kill(os.getpid(), signal.SIGKILL)
-    events = recorder.close()
-    return {
-        "kind": "record",
-        "violations": list(outcome.reports),
-        "outcome": outcome.outcome,
-        "events": events,
-        "ops": len(ops),
-        "lines": list(recorder.lines or []),
-    }
+    recorder.close()

@@ -153,14 +153,13 @@ class TestTraceSubcommands:
         assert "2 trace(s)" in capsys.readouterr().out
 
     def test_replay_with_timeout_completes(self, trace_dir, capsys):
-        # The recorded pyc trace carries a violation, so the shard
-        # classifies as "violation" — still a completed run (exit 0);
-        # only hang (124) and crash (1) are nonzero here.
+        # The recorded pyc trace carries a violation that replay
+        # re-detects: a watched run prints the same report and exits 0.
         path = str(trace_dir / "pyc.trace")
         assert main(["trace", "replay", path, "--timeout", "120"]) == 0
         printed = capsys.readouterr().out
-        assert '"classification": "violation"' in printed
-        assert '"partial": false' in printed
+        assert "replayed" in printed
+        assert "recorded stream: match" in printed
 
 
 class TestFuzzSubcommands:
@@ -214,9 +213,7 @@ class TestFuzzSubcommands:
             ["fuzz", "run", "--smoke", "--substrate", "pyc",
              "--seed", "3", "--timeout", "120"]
         ) == 0
-        printed = capsys.readouterr().out
-        assert '"classification": "clean"' in printed
-        assert '"partial": false' in printed
+        assert "gate: PASS" in capsys.readouterr().out
 
     def test_run_on_fleet_workers(self, capsys):
         assert main(
@@ -236,16 +233,28 @@ class TestResilienceSubcommands:
         assert "quarantined" in printed
 
     def test_supervise_fuzz_shard(self, capsys):
-        assert main(
-            ["resilience", "supervise", "fuzz:3", "--substrate", "pyc",
-             "--timeout", "120"]
-        ) == 0
-        printed = capsys.readouterr().out
-        assert '"ok": true' in printed
-        assert '"clean": 1' in printed
+        # `resilience supervise fuzz:3` is now the watched one-round
+        # campaign `fuzz run --seed 3 --rounds 1 --timeout T`: a fleet
+        # job under the watchdog that prints what an unwatched run does.
+        import json
+
+        argv = ["fuzz", "run", "--seed", "3", "--rounds", "1",
+                "--substrate", "pyc", "--json"]
+        gate = "gate: PASS\n"
+        assert main(argv + ["--timeout", "120"]) == 0
+        watched = capsys.readouterr().out
+        assert watched.endswith(gate)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == watched
+        report = json.loads(watched[: -len(gate)])
+        assert report["totals"]["runs"] > 0
 
     def test_supervise_rejects_unknown_spec(self, capsys):
-        assert main(["resilience", "supervise", "bogus:thing"]) == 2
+        # The command is gone, so every spec is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["resilience", "supervise", "bogus:thing"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_recover_alias(self, tmp_path, capsys):
         trace = str(tmp_path / "j.trace")
@@ -275,20 +284,11 @@ class TestFleetSubcommands:
         assert "stream identical" in printed
         assert "gate: PASS" in printed
 
-    def test_run_replay_kind(self, trace_dir, capsys):
-        paths = [
-            str(trace_dir / "micro.trace"),
-            str(trace_dir / "pyc.trace"),
-        ]
-        assert main(
-            ["fleet", "run", "--kind", "replay", "--workers", "2"] + paths
-        ) == 0
-        printed = capsys.readouterr().out
-        assert "replayed" in printed
-        assert "utilization" in printed
-
-    def test_run_replay_kind_needs_paths(self, capsys):
-        assert main(["fleet", "run", "--kind", "replay"]) == 2
+    def test_run_needs_kind_or_smoke(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "run"])
+        assert exc.value.code == 2
+        assert "usage: repro fleet run" in capsys.readouterr().err
 
     def test_run_fuzz_kind_json(self, capsys):
         import json
@@ -564,8 +564,6 @@ PRE_SPLIT_ARGVS = [
     ["fuzz", "graph"],
     ["resilience", "chaos", "--seed", "1", "--rounds", "2",
      "--substrate", "both", "--json"],
-    ["resilience", "supervise", "fuzz:1", "--seed", "1", "--timeout", "5",
-     "--retries", "2", "--substrate", "pyc"],
     ["resilience", "recover", "j", "-o", "t"],
     ["resilience", "status", "--seed", "1", "--substrate", "jni",
      "--budget", "0.5", "--window", "32", "--repeats", "2"],
@@ -582,8 +580,6 @@ def test_pre_split_surface_still_parses(argv):
 #: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
     ["fleet", "run", "--smoke", "--workers", "2", "--queue", "q", "--json"],
-    ["fleet", "run", "a", "b", "--kind", "replay", "--workers", "4",
-     "--force"],
     ["fleet", "run", "--kind", "fuzz", "--seed", "1", "--rounds", "2",
      "--substrate", "pyc"],
     ["fleet", "run", "--kind", "chaos", "--substrate", "both"],
@@ -622,20 +618,42 @@ def test_hardening_surface_parses(argv):
 
 
 #: Parallel runners other than the fleet are gone: `trace replay
-#: --workers N` and `fleet run --kind fuzz|replay --workers N` replace
-#: these flags.
+#: --workers N` and `fleet run --kind fuzz --workers N` replace these
+#: flags.  Each argv comes with the error argparse rejects it with.
 REMOVED_ARGVS = [
-    ["trace", "replay", "a", "b", "--shards", "2"],
-    ["resilience", "supervise", "fuzz:1", "--parallel", "4"],
+    (["trace", "replay", "a", "b", "--shards", "2"],
+     "unrecognized arguments"),
+    # The command went with its flag.
+    (["resilience", "supervise", "fuzz:1", "--parallel", "4"],
+     "invalid choice"),
+]
+
+#: Watched work runs on the fleet, and `trace replay` is the one replay
+#: surface: `fuzz run --timeout T` and `trace replay [--timeout T]
+#: [--workers N]` replace these commands.
+REMOVED_COMMANDS = [
+    ["resilience", "supervise", "fuzz:1"],
+    ["fleet", "run", "--kind", "replay", "a"],
 ]
 
 
-@pytest.mark.parametrize("argv", REMOVED_ARGVS, ids=lambda a: " ".join(a))
-def test_removed_parallel_flags_are_rejected(argv, capsys):
+@pytest.mark.parametrize(
+    "argv,error", REMOVED_ARGVS,
+    ids=[" ".join(argv) for argv, _ in REMOVED_ARGVS],
+)
+def test_removed_parallel_flags_are_rejected(argv, error, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", REMOVED_COMMANDS, ids=lambda a: " ".join(a))
+def test_removed_commands_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommandSurfaceIsCovered:
@@ -654,7 +672,7 @@ class TestCommandSurfaceIsCovered:
         assert smoked == set(_FUZZ_COMMANDS)
 
     def test_every_resilience_subcommand_is_smoked(self):
-        smoked = {"chaos", "supervise", "recover", "status"}
+        smoked = {"chaos", "recover", "status"}
         assert smoked == set(_RESILIENCE_COMMANDS)
 
     def test_every_fleet_subcommand_is_smoked(self):

@@ -35,11 +35,17 @@ from repro.fleet import (
     violation_stream,
 )
 from repro.fleet.queue import QueueFormatError
-from repro.fleet.scheduler import JobOutcome
+from repro.fleet.scheduler import (
+    CLEAN,
+    CRASH,
+    HANG,
+    VIOLATION,
+    JobOutcome,
+    backoff_delay,
+)
 from repro.fuzz.corpus import corpus_baseline, load_manifest
 from repro.obs import ObsHub
 from repro.obs.triage import ViolationTriage
-from repro.resilience.supervisor import CLEAN, CRASH, VIOLATION, backoff_delay
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
 
@@ -274,6 +280,12 @@ class TestInlineScheduler:
         # The backoff waited on the injected clock, not a real stall.
         assert 0 < clock.slept <= delay
         assert calls[job.job_id] == 2
+
+    def test_backoff_delay_deterministic_and_capped(self):
+        a = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
+        b = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
+        assert a == b
+        assert a <= 0.2 * 1.25
 
     def test_exhausted_retries_classify_crash(self):
         job = bench_trial_jobs(4, 1)[0]
@@ -636,6 +648,49 @@ class TestExactlyOnceUnderWorkerDeath:
         assert smoke["ok"]
         assert smoke["stream_identical"]
         assert smoke["counts"][CRASH] == 0
+
+
+# ----------------------------------------------------------------------
+# The process-mode watchdog: how `--timeout` runs see failures
+# ----------------------------------------------------------------------
+
+
+class TestProcessWatchdog:
+    """One worker process, no retries: the ``--timeout`` settings."""
+
+    def test_hung_job_is_killed_and_the_next_job_completes(self, tmp_path):
+        # Opening a FIFO for reading blocks until a writer comes: the
+        # replay job hangs until the watchdog kills its worker.
+        fifo = str(tmp_path / "hang.trace")
+        os.mkfifo(fifo)
+        good = os.path.join(CORPUS_DIR, "leak_monitor.trace")
+        report = FleetScheduler(
+            replay_jobs([fifo, good]), workers=1, timeout=1.0, retries=0
+        ).run()
+        hung, after = report.outcomes
+        assert hung.classification == HANG
+        assert hung.detail == "watchdog killed after 1.0s"
+        assert hung.attempts == 1
+        assert report.counts[HANG] == 1
+        assert not report.ok
+        # Wall-clock time stays out of the deterministic body.
+        assert "seconds" not in json.dumps(report.to_json())
+        # Queued behind the hang, it runs on the respawned worker.
+        assert after.classification == VIOLATION
+        assert after.payload["path"] == good
+
+    def test_raising_job_is_a_crash_with_detail(self, tmp_path):
+        job = Job(
+            kind="bench-trial",
+            params={"substrate": "pyc", "trial": 0,
+                    "raise_once": str(tmp_path / "raise.marker")},
+        )
+        report = FleetScheduler([job], workers=1, retries=0).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == CRASH
+        assert outcome.detail.startswith("RuntimeError:")
+        assert outcome.attempts == 1
+        assert not report.ok
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.fleet import (
     storage_chaos_gate,
 )
 from repro.fleet.queue import QueueCorruptionError, QueueFormatError
-from repro.resilience.supervisor import CLEAN, CRASH
+from repro.fleet.scheduler import CLEAN, CRASH
 
 
 def v1_record(json_line):
@@ -544,7 +544,7 @@ class TestCircuitBreaker:
         scheduler = FleetScheduler(
             jobs, workers=1, seed=13, retries=0, backoff_base=0.01,
             backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=always_fail, breaker_threshold=3,
+            executor=always_fail,
         )
         report = scheduler.run()
         assert sum(report.breaker_trips) >= 1
@@ -564,7 +564,7 @@ class TestCircuitBreaker:
         scheduler = FleetScheduler(
             jobs, workers=1, seed=14, retries=0, backoff_base=0.01,
             backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=sometimes_fail, breaker_threshold=3,
+            executor=sometimes_fail,
         )
         report = scheduler.run()
         # Two failures, a success, one failure: blame never reaches 3.
@@ -581,8 +581,7 @@ class TestCircuitBreaker:
         scheduler = FleetScheduler(
             jobs, workers=1, seed=15, retries=0, backoff_base=0.01,
             backoff_cap=0.05, clock=clock, inline=True,
-            executor=always_fail, breaker_threshold=3,
-            breaker_base=0.25, breaker_cap=30.0,
+            executor=always_fail,
         )
         report = scheduler.run()
         # 8 failures on one slot: trip at 3, then half-open re-trips on
@@ -600,7 +599,7 @@ class TestCircuitBreaker:
             scheduler = FleetScheduler(
                 jobs, workers=1, seed=16, retries=0, backoff_base=0.01,
                 backoff_cap=0.05, clock=FakeClock(), inline=True,
-                executor=always_fail, breaker_threshold=2,
+                executor=always_fail,
             )
             return scheduler.run()
 

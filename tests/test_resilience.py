@@ -1,4 +1,8 @@
-"""Supervised checking sessions: containment, chaos, supervisor, governor.
+"""Resilient checking sessions: containment, chaos, watched work, governor.
+
+Watched work (watchdog, exit classification, retry backoff) runs on
+the fleet's process workers; the scheduler's own tests are in
+``tests/test_fleet.py``.
 
 The containment tests drive *real* checked runs (the fuzz op
 interpreters with chaos injectors installed through the ``setup``
@@ -7,6 +11,8 @@ wrappers call it — not against mocks.
 """
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -18,6 +24,9 @@ from repro.core.runtime import (
     CheckerHealth,
     ContainmentPolicy,
 )
+from repro.core.clock import FakeClock
+from repro.fleet import FleetScheduler, Job, fuzz_jobs, replay_jobs
+from repro.fleet.scheduler import CLEAN, CRASH, HANG, backoff_delay
 from repro.fsm.events import Direction
 from repro.fsm.machine import (
     EntitySelector,
@@ -35,16 +44,9 @@ from repro.fuzz.ops import run_jni_ops, run_pyc_ops
 from repro.jinn.synthesizer import Synthesizer
 from repro.jni.functions import FunctionMeta
 from repro.resilience import (
-    CLEAN,
-    CRASH,
-    HANG,
-    VIOLATION,
     GovernorPolicy,
     InternalFaultInjector,
     OverheadGovernor,
-    Shard,
-    Supervisor,
-    backoff_delay,
     chaos_gate,
     chaos_run,
     governed_run,
@@ -212,117 +214,139 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# The supervisor
+# Watched work: fleet jobs under the process-mode watchdog
 # ----------------------------------------------------------------------
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
+
+
+def _die_job(tmp_path):
+    """A job whose worker SIGKILLs itself on the first attempt."""
+    return Job(
+        kind="bench-trial",
+        params={"substrate": "pyc", "trial": 0,
+                "die_once": str(tmp_path / "die.marker")},
+    )
+
+
+def _hang_job(tmp_path):
+    """A replay job that blocks until the watchdog kills its worker:
+    opening a FIFO for reading waits for a writer that never comes."""
+    fifo = str(tmp_path / "hang.trace")
+    os.mkfifo(fifo)
+    return replay_jobs([fifo])[0]
 
 
 class TestSupervisor:
+    """One job on one worker process under the watchdog, the way
+    ``fuzz run --timeout`` and ``trace replay --timeout`` run theirs."""
+
     def test_clean_shard(self):
-        sup = Supervisor(timeout=120.0, retries=0)
-        result = sup.run_shard(Shard("ok", "fuzz", {
-            "seed": 3, "rounds": 1, "substrate": "pyc",
-        }))
-        assert result.classification == CLEAN
-        assert result.attempts == 1
-        assert result.payload["totals"]["runs"] > 0
+        job = fuzz_jobs(3, rounds=1, substrate="pyc")[0]
+        assert job.params["campaign"] == "valid"
+        report = FleetScheduler(
+            [job], workers=1, timeout=120.0, retries=0
+        ).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == CLEAN
+        assert outcome.attempts == 1
+        assert outcome.payload["part"]["runs"] > 0
 
-    def test_crash_shard_classified_by_signal(self):
-        sup = Supervisor(timeout=30.0, retries=0)
-        result = sup.run_shard(Shard("dead", "crash", {}))
-        assert result.classification == CRASH
-        assert "signal 9" in result.detail
-
-    def test_raising_body_is_a_crash_with_detail(self):
-        sup = Supervisor(timeout=30.0, retries=0)
-        result = sup.run_shard(Shard("boom", "raise", {"message": "nope"}))
-        assert result.classification == CRASH
-        assert "RuntimeError: nope" in result.detail
-
-    def test_hang_shard_killed_by_watchdog(self):
-        sup = Supervisor(timeout=0.5, retries=0)
-        result = sup.run_shard(Shard("stuck", "hang", {"seconds": 60}))
-        assert result.classification == HANG
-        assert "watchdog" in result.detail
-
-    def test_retries_with_deterministic_backoff(self):
-        sup = Supervisor(
-            timeout=30.0, retries=2, backoff_base=0.01, backoff_cap=0.05,
-            seed=42,
+    def test_crash_shard_classified_by_signal(self, tmp_path):
+        report = FleetScheduler(
+            [_die_job(tmp_path)], workers=1, timeout=30.0, retries=0
+        ).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == CRASH
+        assert outcome.detail == "worker 0 died (exitcode {})".format(
+            -signal.SIGKILL
         )
-        result = sup.run_shard(Shard("dead", "crash", {}))
-        assert result.classification == CRASH
-        assert result.attempts == 3
+
+    def test_hang_shard_killed_by_watchdog(self, tmp_path):
+        # A retried hang is killed again: the classification is the
+        # last attempt's.
+        report = FleetScheduler(
+            [_hang_job(tmp_path)], workers=1, timeout=0.5, retries=1,
+            backoff_base=0.01, backoff_cap=0.05,
+        ).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == HANG
+        assert "watchdog" in outcome.detail
+        assert outcome.attempts == 2
+
+    def test_retries_with_deterministic_backoff(self, tmp_path):
+        # Replaying a missing file raises on every attempt.
+        job = replay_jobs([str(tmp_path / "missing.trace")])[0]
+        report = FleetScheduler(
+            [job], workers=1, timeout=30.0, retries=2, backoff_base=0.01,
+            backoff_cap=0.05, seed=42,
+        ).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == CRASH
+        assert outcome.detail.startswith("FileNotFoundError:")
+        assert outcome.attempts == 3
         expected = [
-            backoff_delay(42, "dead", attempt, base=0.01, cap=0.05)
+            backoff_delay(42, job.job_id, attempt, base=0.01, cap=0.05)
             for attempt in range(2)
         ]
-        assert result.backoffs == expected
+        assert outcome.backoffs == expected
 
-    def test_incident_report_merges_and_redacts_timing(self):
-        sup = Supervisor(timeout=0.5, retries=0)
-        report = sup.run(
-            [
-                Shard("dead", "crash", {}),
-                Shard("stuck", "hang", {"seconds": 60}),
-            ]
-        )
+    def test_incident_report_merges_and_redacts_timing(self, tmp_path):
+        report = FleetScheduler(
+            [_die_job(tmp_path), _hang_job(tmp_path)], workers=1,
+            timeout=0.5, retries=0,
+        ).run()
         assert report.counts[CRASH] == 1
         assert report.counts[HANG] == 1
         assert not report.ok
         body = json.dumps(report.to_json())
         assert "seconds" not in body
 
-    def test_backoff_delay_deterministic_and_capped(self):
-        a = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
-        b = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
-        assert a == b
-        assert a <= 0.2 * 1.25
-
     def test_backoff_sleeps_on_injected_clock(self):
-        from repro.core.clock import FakeClock
+        # Only inline mode sleeps between retries; process mode waits
+        # for results and schedules retries without blocking.
+        def always_crash(job):
+            raise RuntimeError("injected")
 
         clock = FakeClock()
-        sup = Supervisor(
-            timeout=30.0, retries=2, backoff_base=0.01, backoff_cap=0.05,
-            seed=7, clock=clock,
-        )
-        result = sup.run_shard(Shard("dead", "crash", {}))
-        assert result.classification == CRASH
+        report = FleetScheduler(
+            [Job(kind="bench-trial", params={"trial": 0})], workers=1,
+            retries=2, backoff_base=0.01, backoff_cap=0.05, seed=7,
+            clock=clock, inline=True, executor=always_crash,
+        ).run()
+        outcome = report.outcomes[0]
+        assert outcome.classification == CRASH
         # Retry delays went through the injectable clock, not time.sleep.
-        assert clock.slept == pytest.approx(sum(result.backoffs))
+        assert clock.slept == pytest.approx(sum(outcome.backoffs))
         assert clock.slept > 0
 
 
 class TestSupervisorParallel:
-    """``Supervisor.run`` reports one result per shard name, in
-    submission order.  The shards run one after another; parallel
-    supervised work runs on the fleet (``tests/test_fleet.py``)."""
-
-    def _shards(self):
-        shards = []
-        for index in range(4):
-            sequence = generate_sequence(
-                task_rng(9, "test-parallel", index), "pyc"
-            )
-            shards.append(Shard(
-                "ops-{}".format(index), "ops",
-                {"ops": [list(op) for op in sequence.ops],
-                 "substrate": "pyc"},
-            ))
-        return shards
+    """Watched jobs on several worker processes report one outcome per
+    job ID, in submission order, whichever finishes first."""
 
     def test_report_lists_shards_in_submission_order(self):
-        sup = Supervisor(timeout=60.0, retries=0)
-        report = sup.run(self._shards())
-        assert [shard.name for shard in report.shards] == [
-            "ops-0", "ops-1", "ops-2", "ops-3",
-        ]
+        paths = [
+            os.path.join(CORPUS_DIR, name)
+            for name in sorted(os.listdir(CORPUS_DIR))
+            if name.endswith(".trace")
+        ][:4]
+        jobs = replay_jobs(paths)
+        report = FleetScheduler(
+            jobs, workers=2, timeout=60.0, retries=0
+        ).run()
+        assert [outcome.payload["path"] for outcome in report.outcomes] == (
+            paths
+        )
+        assert report.ok
 
     def test_duplicate_shard_names_rejected(self):
-        sup = Supervisor(timeout=60.0, retries=0)
-        shards = [Shard("same", "crash", {}), Shard("same", "crash", {})]
+        # Equal content means an equal job ID, even for separate objects.
+        same = [
+            Job(kind="bench-trial", params={"trial": 0}) for _ in range(2)
+        ]
         with pytest.raises(ValueError):
-            sup.run(shards)
+            FleetScheduler(same, workers=2, timeout=60.0, retries=0)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ cannot be faked in-process.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.journal import crc32_hex
 from repro.core.store import Fault, FaultyStore, InjectedFault, Store, StoreHandle
-from repro.resilience import Shard, Supervisor, recover_journal
+from repro.resilience import recover_journal
 from repro.resilience.recover import journaled_fuzz_record, parse_journal
 from repro.trace import format as tfmt
 from repro.trace.recorder import JournalWriter
@@ -366,13 +367,16 @@ class TestCrashRecovery:
     def test_sigkilled_run_recovers_violation_prefix(self, tmp_path):
         journal = str(tmp_path / "crash.journal")
         full_trace = str(tmp_path / "full.trace")
-        supervisor = Supervisor(timeout=120.0, retries=0)
-        result = supervisor.run_shard(Shard("rec", "record", {
+        params = {
             "seed": 7, "substrate": "pyc", "journal": journal,
             "sync_every": 8, "faults": ["over_decref"], "die": True,
-        }))
-        assert result.classification == "crash"
-        assert "signal 9" in result.detail
+        }
+        child = multiprocessing.Process(
+            target=journaled_fuzz_record, args=(params,), daemon=True
+        )
+        child.start()
+        child.join(120.0)
+        assert child.exitcode == -signal.SIGKILL
         report = recover_journal(journal, str(tmp_path / "rec.trace"))
         assert not report.complete
         assert report.recovered_records > 0

@@ -191,9 +191,19 @@ class TestShardedReplay:
         assert report.critical_path_seconds == max(report.worker_busy_seconds)
 
 
+#: How ``trace replay`` runs its files: in this process, on two fleet
+#: workers, or as watched fleet jobs under ``--timeout``.
+RUN_MODES = pytest.mark.parametrize(
+    "run",
+    [["--workers", "0"], ["--workers", "2"], ["--timeout", "60"]],
+    ids=["0", "2", "timeout"],
+)
+
+
 class TestReplayCommand:
     """``trace replay`` checks every file the same way, whether it runs
-    one file in this process or several on fleet workers."""
+    one file in this process, several on fleet workers, or each as a
+    watched job under ``--timeout``."""
 
     @pytest.mark.parametrize("workers", ["0", "1", "2"])
     def test_corpus_replays_to_manifest(self, workers, capsys):
@@ -224,21 +234,21 @@ class TestReplayCommand:
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
+    @RUN_MODES
     @pytest.mark.parametrize("neighbours", [[], [LEAK_MONITOR]],
                              ids=["one-file", "two-files"])
-    def test_drift_exits_nonzero(self, tampered, neighbours, workers, capsys):
-        argv = ["trace", "replay", "--workers", workers, tampered]
+    def test_drift_exits_nonzero(self, tampered, neighbours, run, capsys):
+        argv = ["trace", "replay"] + run + [tampered]
         assert main(argv + neighbours) == 1
         printed = capsys.readouterr().out
         assert "recorded stream: DRIFT" in printed
         assert "drift: " + tampered in printed
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
+    @RUN_MODES
     @pytest.mark.parametrize("neighbours", [[], [LEAK_MONITOR]],
                              ids=["one-file", "two-files"])
-    def test_bad_trace_exits_nonzero(self, neighbours, workers, capsys):
-        argv = ["trace", "replay", "--force", "--workers", workers]
+    def test_bad_trace_exits_nonzero(self, neighbours, run, capsys):
+        argv = ["trace", "replay", "--force"] + run
         assert main(argv + neighbours + [MIDFILE_CORRUPT]) == 1
         printed = capsys.readouterr().out
         assert printed == (
@@ -246,10 +256,21 @@ class TestReplayCommand:
             "line 9\n".format(MIDFILE_CORRUPT)
         )
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
-    def test_torn_tail_warning_survives_the_merge(self, workers, capsys):
-        argv = ["trace", "replay", "--force", "--workers", workers]
+    @RUN_MODES
+    def test_torn_tail_warning_survives_the_merge(self, run, capsys):
+        argv = ["trace", "replay", "--force"] + run
         assert main(argv + [TORN_TAIL, LEAK_MONITOR]) == 0
         assert capsys.readouterr().out.startswith(
             "warning: torn final record at line 17"
+        )
+
+    def test_watchdog_kill_exits_124(self, tmp_path, capsys):
+        # Opening a FIFO for reading blocks until a writer comes: the
+        # replay job hangs until the watchdog kills it.
+        fifo = str(tmp_path / "hang.trace")
+        os.mkfifo(fifo)
+        argv = ["trace", "replay", "--timeout", "1", fifo, LEAK_MONITOR]
+        assert main(argv) == 124
+        assert capsys.readouterr().out == (
+            "REPLAY FAIL: {}: watchdog killed after 1.0s\n".format(fifo)
         )
