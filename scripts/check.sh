@@ -13,7 +13,9 @@
 # corpus on 2 workers, gated on stream identity), the fleet storage
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
-# and the quick
+# the ablation bench (the none, interpose and generated configurations
+# end to end, per-machine costs from interleaved kernel pairs, the
+# local-frame capacity sweep), and the quick
 # benchmark gates (write BENCH_trace_replay.json, BENCH_fuzz.json,
 # BENCH_resilience.json, BENCH_obs.json, and BENCH_fleet.json).
 #
@@ -84,6 +86,10 @@ echo "== fleet storage chaos smoke (group-commit durability window) =="
 timeout 300 python -m repro.cli fleet chaos --smoke --sync group
 
 if [[ "${1:-}" != "--no-bench" ]]; then
+    echo "== ablation bench (configurations, per-machine pairs, capacity) =="
+    timeout 600 python -m pytest -q benchmarks/bench_ablation.py \
+        --benchmark-disable
+
     echo "== trace replay bench gate (quick) =="
     python benchmarks/bench_trace_replay.py --quick
 

@@ -12,13 +12,13 @@ Gives downstream users the paper's artifacts without writing code:
 - ``fig11``      — the Python/C dangling-borrow demonstration;
 - ``demo``       — run one microbenchmark under a chosen configuration;
 - ``dispatch``   — the (function, direction) dispatch-index statistics;
-- ``pipeline``   — inspect the compiled interceptor pipeline: ``show``;
+- ``pipeline``   — inspect the compiled call pipeline: ``show``;
 - ``trace``      — FFI event record/replay: ``record``, ``replay``,
   ``diff``, ``corpus``, and ``recover`` subcommands;
 - ``fuzz``       — spec-driven FFI fuzzing: ``run``, ``shrink``,
   ``corpus``, ``faults``, ``graph``;
-- ``resilience`` — checker containment, crash recovery, governor:
-  ``chaos``, ``recover``, ``status``;
+- ``resilience`` — checker containment and the overhead governor:
+  ``chaos``, ``status``;
 - ``fleet``      — the work-stealing execution fabric: ``run``,
   ``status``, ``workers``, ``drain``;
 - ``obs``        — observe a checked run: ``snapshot``, ``top``,

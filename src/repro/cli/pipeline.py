@@ -1,8 +1,8 @@
-"""The ``pipeline`` command group: inspect the compiled interceptor plan.
+"""The ``pipeline`` command group: inspect the compiled plan.
 
 ``repro pipeline show`` builds a real checker for the chosen substrate,
 resolves its :class:`repro.pipeline.PipelinePlan` through the shared
-wrapper cache, and prints the compiled picture: the interceptor stack,
+wrapper cache, and prints the compiled picture: the stage stack,
 per-function fused op lists, and the cache statistics — so tooling no
 longer scrapes ``WrapperCache.stats()`` from ``dispatch`` stdout.
 """
@@ -75,7 +75,7 @@ def _cmd_pipeline(args) -> int:
 
 def add_parsers(sub) -> None:
     pipeline = sub.add_parser(
-        "pipeline", help="inspect the fused interceptor pipeline"
+        "pipeline", help="inspect the fused call pipeline"
     )
     pipe_sub = pipeline.add_subparsers(dest="pipeline_command", required=True)
 
@@ -87,7 +87,7 @@ def add_parsers(sub) -> None:
     )
     show.add_argument(
         "--mode",
-        choices=("generated", "interpose", "interpretive"),
+        choices=("generated", "interpose"),
         default="generated",
     )
     show.add_argument(

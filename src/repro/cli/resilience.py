@@ -1,8 +1,6 @@
-"""The ``resilience`` command group: containment, recovery, governor."""
+"""The ``resilience`` command group: containment and the governor."""
 
 from __future__ import annotations
-
-from repro.cli.trace import _cmd_trace_recover
 
 
 def _cmd_resilience_chaos(args) -> int:
@@ -59,7 +57,7 @@ def _cmd_resilience(args) -> int:
 
 def add_parsers(sub) -> None:
     resilience = sub.add_parser(
-        "resilience", help="checker containment, crash recovery, governor"
+        "resilience", help="checker containment and the overhead governor"
     )
     res_sub = resilience.add_subparsers(
         dest="resilience_command", required=True
@@ -77,12 +75,6 @@ def add_parsers(sub) -> None:
         "--json", action="store_true", help="print the canonical report"
     )
 
-    res_recover = res_sub.add_parser(
-        "recover", help="rebuild a replayable trace from a crashed journal"
-    )
-    res_recover.add_argument("journal", help="journal file from --journal")
-    res_recover.add_argument("-o", "--output", default=None)
-
     status = res_sub.add_parser(
         "status", help="run one governed workload; print the governor report"
     )
@@ -97,7 +89,6 @@ def add_parsers(sub) -> None:
 
 SUBCOMMANDS = {
     "chaos": _cmd_resilience_chaos,
-    "recover": _cmd_trace_recover,
     "status": _cmd_resilience_status,
 }
 

@@ -9,13 +9,13 @@ layers:
   violation log, termination leak sweep, reset; the substrate plugs in
   only its failure protocol (pend a Java exception vs. raise).
 - :class:`DispatchIndex` — the (function, direction) -> machines index
-  from Algorithm 1's cross product, used by the interpretive engine so
-  events reach only the machines that observe them.
+  from Algorithm 1's cross product, used by replay (the interpretive
+  path) so events reach only the machines that observe them.
 - :class:`WrapperCache` — compiled plan modules keyed on full spec
   identity (:meth:`~repro.fsm.registry.SpecRegistry.fingerprint`),
   shared by every agent and checker in the process.
 - The unified return-kind defaults table consumed by both the
-  synthesizer (literals) and the interpretive engine (values).
+  synthesizer (literals) and replay (values).
 """
 
 from repro.core.cache import (

@@ -3,13 +3,14 @@
 Algorithm 1's cross product of state transitions and FFI functions tells
 the synthesizer which machines instrument which wrapper.  The generated
 wrappers get that specialization for free — each wrapper contains only
-the checks that apply to its function.  The *interpretive* engine
-historically did not: every boundary crossing fanned out to every
-machine encoding, which each re-derived "does this event concern me?"
-from the event context.  :class:`DispatchIndex` precomputes the same
-cross product once, so interpretive checking (and any event-driven
-backend) touches only the machines whose language transitions actually
-match the crossing.
+the checks that apply to its function.  Interpretive checking — offline
+replay, the one path that drives the machines' ``on_event`` handlers —
+would otherwise fan every crossing out to every machine encoding, each
+re-deriving "does this event concern me?" from the event context.
+:class:`DispatchIndex` precomputes the same cross product once, so
+replay touches only the machines whose language transitions actually
+match the crossing.  The telemetry tap reads its per-site machine
+counts from the same index.
 
 The index is substrate-neutral: it is built from a
 :class:`~repro.fsm.registry.SpecRegistry` and a static function table

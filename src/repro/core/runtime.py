@@ -26,8 +26,8 @@ class FailurePolicy:
 
     ``handle`` receives the runtime, the foreign environment of the
     faulting call, the violation, and the wrapper's default result; what
-    it returns is what the (generated or interpretive) wrapper hands back
-    to the caller instead of performing the unsafe raw call.
+    it returns is what the generated wrapper hands back to the caller
+    instead of performing the unsafe raw call.
     """
 
     def handle(self, runtime: "CheckerRuntime", env, violation, default):
@@ -52,8 +52,8 @@ class RaiseViolationPolicy(FailurePolicy):
 # injected chaos fault) is the checker failing at its job.  In the
 # paper's deployment model the checker rides inside production VMs, so
 # the second kind must never take the host down: every check site — the
-# generated wrappers, the interpretive wrappers, the replay engine, the
-# termination sweep — hands internal errors to
+# generated wrappers, the replay engine, the termination sweep — hands
+# internal errors to
 # :meth:`CheckerRuntime.contain`, which converts them to structured
 # diagnostics and walks the degradation ladder
 #
@@ -413,9 +413,9 @@ class CheckerRuntime:
         """Swap one machine for a stand-in at every dispatch surface.
 
         Generated wrappers resolve ``rt.<name>`` per event, so the
-        attribute and ``encodings`` swap covers them; interpretive and
-        replay dispatch pre-bind the *instance*, so its ``on_event`` is
-        patched in place to the stand-in's.
+        attribute and ``encodings`` swap covers them; replay's dispatch
+        pre-binds the *instance*, so its ``on_event`` is patched in
+        place to the stand-in's.
         """
         original = self._original_encodings.get(name)
         if original is not None:

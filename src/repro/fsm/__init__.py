@@ -21,8 +21,8 @@ The central classes are:
   factory, and a code-generation hook used by the synthesizer.
 - :class:`~repro.fsm.machine.Encoding` — the runtime representation of the
   machine's state ("state machine encoding" in the paper), with a generic
-  interpretive entry point ``on_event`` used when running without generated
-  code.
+  interpretive entry point ``on_event`` that offline replay drives (live
+  runs call the generated checks instead).
 """
 
 from repro.fsm.errors import FFIViolation, SpecificationError

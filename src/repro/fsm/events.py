@@ -74,9 +74,10 @@ class LanguageEvent:
 class EventContext:
     """Everything an encoding may inspect when handling an event.
 
-    Instances are created by the interposition agent at every boundary
-    crossing and passed to :meth:`repro.fsm.machine.Encoding.on_event`
-    (interpretive mode) or consulted by generated wrapper code.
+    Instances are created by the replay engine at every recorded
+    boundary crossing and passed to
+    :meth:`repro.fsm.machine.Encoding.on_event` (the interpretive path);
+    generated wrapper code passes the same facts as arguments instead.
 
     Attributes:
         event: the boundary crossing itself.

@@ -4,9 +4,8 @@ A :class:`StateMachineSpec` declares its shape as a flat sequence of
 directed edges; everything that wants to *navigate* that shape — the
 fuzz sequence generators walking machines to produce valid call
 sequences, the fault injectors aiming at a particular error state, and
-diagnostic tooling — needs a graph view: which edges leave a state,
-which labels are safe (never entering an error state), and which label,
-fired from which state, reaches which error.
+diagnostic tooling — needs a graph view: which edges leave a state and
+which label, fired from which state, reaches which error.
 
 The view is read-only and computed once per spec; it never mutates the
 specification.  Per the registration convention used throughout the
@@ -16,8 +15,7 @@ state.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fsm.errors import SpecificationError
 from repro.fsm.machine import State, StateMachineSpec, StateTransition
@@ -76,21 +74,6 @@ class TransitionGraph:
                 seen.append(st.label)
         return seen
 
-    def safe_labels(self) -> List[str]:
-        """Labels that can fire without *necessarily* entering an error.
-
-        A label is safe when at least one edge carrying it targets a
-        non-error state: the same label often appears on both a benign
-        edge and an error edge (e.g. ``local_ref``'s "acquire" is both
-        Before->Acquired and Acquired->Error: overflow) — whether the
-        error fires depends on the encoding's counters, not the label.
-        """
-        safe: List[str] = []
-        for st in self._transitions:
-            if not st.target.is_error and st.label not in safe:
-                safe.append(st.label)
-        return safe
-
     def error_profile(self) -> Dict[str, List[str]]:
         """Map each error state's name to the labels that reach it.
 
@@ -130,39 +113,6 @@ class TransitionGraph:
             path.append(edge)
             state = edge.target
         return path
-
-    def shortest_path(
-        self, target: State, *, start: Optional[State] = None
-    ) -> Optional[List[StateTransition]]:
-        """BFS path from ``start`` (default initial) to ``target``.
-
-        Error states may appear only as the final node (a path *into*
-        an error is meaningful; a path *through* one is not).  Returns
-        None when the target is unreachable.
-        """
-        source = start if start is not None else self.initial
-        if source == target:
-            return []
-        queue = deque([source])
-        parent: Dict[State, StateTransition] = {}
-        while queue:
-            state = queue.popleft()
-            for edge in self._out.get(state, []):
-                nxt = edge.target
-                if nxt in parent or nxt == source:
-                    continue
-                parent[nxt] = edge
-                if nxt == target:
-                    path: List[StateTransition] = []
-                    while nxt != source:
-                        edge = parent[nxt]
-                        path.append(edge)
-                        nxt = edge.source
-                    path.reverse()
-                    return path
-                if not nxt.is_error:
-                    queue.append(nxt)
-        return None
 
     def describe(self) -> str:
         """Multi-line adjacency dump (diagnostics and the CLI)."""

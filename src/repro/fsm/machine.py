@@ -116,10 +116,10 @@ class Encoding:
 
     One instance exists per interposition agent (it internally keys its
     data structures by entity: thread, reference, resource, ...).  Concrete
-    machines override the semantic methods they need; the default
-    ``on_event`` implements the *interpretive* checking mode used by the
-    ablation study — generated wrappers instead call the semantic methods
-    directly.
+    machines override the semantic methods they need; ``on_event``
+    implements *interpretive* checking, which offline replay drives
+    (:mod:`repro.trace.replay`) — generated wrappers instead call the
+    semantic methods directly.
     """
 
     def __init__(self, spec: "StateMachineSpec"):
@@ -254,7 +254,7 @@ def functions_matching(
 
     ``meta`` is an FFI function metadata record, or None for a native
     method.  Used by both the synthesizer (to decide which machines
-    instrument which wrapper) and the interpretive engine.
+    instrument which wrapper) and the dispatch index replay reads.
     """
     hits: List[StateMachineSpec] = []
     for spec in specs:

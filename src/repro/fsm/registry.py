@@ -1,6 +1,6 @@
 """Registry of state machine specifications.
 
-The synthesizer and the interpretive engine both operate on a registry: an
+The synthesizer and the replay engine both operate on a registry: an
 ordered collection of validated :class:`StateMachineSpec` instances.  Order
 matters — machines are applied in registration order, which the Jinn specs
 use to check JVM-state constraints (env pointer, exceptions, critical

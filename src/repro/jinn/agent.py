@@ -11,19 +11,13 @@ the simulator's ``-agentlib:jinn``).  The agent then:
    native-method entry;
 4. at VM death, asks every resource machine for leaks.
 
-Three modes support the paper's measurements: ``generated`` (full Jinn),
-``interpose`` (empty wrappers — Table 3's framework-overhead column), and
-``interpretive`` (no code generation; every event walks the machine
-specifications — the codegen-vs-interpretation ablation).
-
-Every mode installs its entries through one fused
+Two modes support the paper's measurements: ``generated`` (full Jinn)
+and ``interpose`` (empty wrappers — Table 3's framework-overhead
+column).  Both install their entries through one fused
 :class:`repro.pipeline.PipelinePlan`: recorder tap, governor meter,
 machine checks and containment arms compiled into one flat entry per
-crossing.  Interpretive entries dispatch through the core's
-:class:`~repro.core.dispatch.DispatchIndex`, so each crossing consults
-only the machines whose language transitions match that (function,
-direction) pair — the specialization the generated entries get from
-Algorithm 1.
+crossing.  Walking the machine specifications event by event is what
+offline replay does (:mod:`repro.trace.replay`); it is not a live mode.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from repro.jinn.machines import build_registry
 from repro.jinn.runtime import ASSERTION_FAILURE_CLASS, JinnRuntime
 from repro.jvm.jvmti import JVMTIAgent
 
-_MODES = ("generated", "interpose", "interpretive")
+_MODES = ("generated", "interpose")
 
 
 class JinnAgent(JVMTIAgent):

@@ -1,9 +1,9 @@
 """Jinn's runtime: the JNI failure protocol over the shared checker core.
 
-The generated wrappers (and the interpretive engine) call semantic
-methods on ``rt.<machine_name>``; when a machine reaches an error state it
-raises :class:`~repro.fsm.errors.FFIViolation`, and the wrapper hands it
-to :meth:`CheckerRuntime.fail`.  Everything up to that point — encoding
+The generated wrappers call semantic methods on ``rt.<machine_name>``;
+when a machine reaches an error state it raises
+:class:`~repro.fsm.errors.FFIViolation`, and the wrapper hands it to
+:meth:`CheckerRuntime.fail`.  Everything up to that point — encoding
 instantiation, the violation log, the termination leak sweep, reset — is
 substrate-neutral and lives in :class:`repro.core.CheckerRuntime`; this
 module contributes only Jinn's failure *policy*: convert the violation

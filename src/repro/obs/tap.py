@@ -1,19 +1,20 @@
-"""The telemetry tap: the pipeline's fifth interceptor stage.
+"""The telemetry tap: the pipeline's outermost stage.
 
 Default off.  When attached (``telemetry=`` on the agent or checker),
-the :class:`~repro.pipeline.plan.PipelinePlan` compiles its pre-bound
-hooks into the flat entry exactly like the recorder tap's — generated
-modes emit the hook calls as source, interpretive modes close over them
-— as the *outermost* stage, so a crossing's span covers everything the
-crossing paid for (recording, metering, checks, the raw call).
+the :class:`~repro.pipeline.plan.PipelinePlan` binds it as the fused
+entry's *outermost* stage, so a crossing's span covers everything the
+crossing paid for (recording, metering, checks, the raw call).  The
+synthesizer emits the tap's bookkeeping as source;
+:meth:`TelemetryTap.fused_shared` and :meth:`TelemetryTap.fused_site`
+hand the emitted code its cells.
 
 The tap is a pure observer: it never branches the entry's control flow
 and never touches arguments or results, so violation and trace streams
 are byte-identical with the stage on or off (gated by the pipeline
-parity suite).  Span capture runs in lockstep with the governor: the
-fused entry passes ``checked=False`` on the sampled-out raw path, and
-the tap records only a counter there — span overhead rides the
-governor's existing budget instead of adding a knob of its own.
+parity suite).  Span capture runs in lockstep with the governor: on
+the sampled-out raw path the entry bumps only a counter — span
+overhead rides the governor's existing budget instead of adding a knob
+of its own.
 
 Cost discipline: the per-crossing mandatory work is one list-cell
 increment and one mask test.  Duration capture — the two clock reads,
@@ -35,7 +36,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.obs.hub import ObsHub
 from repro.obs.metrics import counter_key, histogram_key
-from repro.pipeline.interceptors import CallSite, Interceptor
 
 #: Direction label per site kind: JNI/API functions are crossed by
 #: native code calling into the managed runtime; natives (and bound
@@ -73,8 +73,8 @@ def _site_keys(substrate: str, function: str, native: bool):
     return keys
 
 
-class TelemetryTap(Interceptor):
-    """The observability hub as an interceptor (outermost stage)."""
+class TelemetryTap:
+    """The observability hub as the fused entry's outermost stage."""
 
     name = "telemetry"
 
@@ -108,10 +108,8 @@ class TelemetryTap(Interceptor):
 
     # -- fused-codegen surface -------------------------------------------
     #
-    # Generated modules inline the tap's bookkeeping as source instead
-    # of calling the closure hooks below — two fewer frames per
-    # crossing.  These accessors hand the emitted code the same cells
-    # the closures close over, so both compilations share state.
+    # Generated modules inline the tap's bookkeeping as source; these
+    # accessors hand the emitted code the hub's cells.
 
     def fused_shared(self):
         """``(clock, viol cell, viols_since, ring, cap, span cell, mask)``."""
@@ -134,77 +132,6 @@ class TelemetryTap(Interceptor):
             cell(sampled),
             self.machines_at(function, native),
         )
-
-    # -- hook factories (bound per site at plan-compile time) ------------
-
-    def call_hook(self, function: str, native: bool):
-        """A zero-arg hook: count the call; ``(t0, viol mark)`` or None.
-
-        Returns None on crossings the timing sampler skips — the return
-        hook then does no duration work for them.
-        """
-        hub = self.hub
-        calls, _, _ = _site_keys(self.substrate, function, native)
-        cell = hub.metrics.cell(calls)
-        clock = hub.clock_ns
-        viol_count = hub._viol_count
-        mask = hub._sample_mask
-        phase = 1 & mask
-
-        def telemetry_call():
-            count = cell[0] + 1
-            cell[0] = count
-            if count & mask == phase:
-                return (clock(), viol_count[0])
-            return None
-
-        return telemetry_call
-
-    def return_hook(self, function: str, native: bool):
-        """``fn(token, checked)``: close the crossing's histogram/span."""
-        hub = self.hub
-        _, crossing, sampled_key = _site_keys(self.substrate, function, native)
-        hist = hub.metrics.cell(crossing)
-        sampled = hub.metrics.cell(sampled_key)
-        clock = hub.clock_ns
-        ring, capacity, span_count = hub.spans.ring_parts()
-        viol_count = hub._viol_count
-        violations_since = hub.violations_since
-        machines = self.machines_at(function, native)
-        bins = hist[2]
-        bins_cap = len(bins) - 1
-
-        def telemetry_return(token, checked):
-            if not checked:
-                sampled[0] += 1
-                return
-            if token is None:
-                return
-            t0, mark = token
-            now = clock()
-            elapsed = now - t0
-            hist[0] += 1
-            hist[1] += elapsed
-            index = elapsed.bit_length()
-            bins[index if index < bins_cap else bins_cap] += 1
-            # Span fields go straight into the ring slot; cluster
-            # refs are resolved only when this crossing fired one.
-            seq = span_count[0]
-            ring[seq % capacity] = (
-                seq, function, native, t0, now, machines,
-                violations_since(mark) if viol_count[0] != mark else (),
-            )
-            span_count[0] = seq + 1
-
-        return telemetry_return
-
-    # -- interceptor protocol --------------------------------------------
-
-    def on_call(self, site: CallSite):
-        return self.call_hook(site.function, site.native)
-
-    def on_return(self, site: CallSite):
-        return self.return_hook(site.function, site.native)
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -1,28 +1,11 @@
 """repro.pipeline — the unified, fused FFI call path.
 
-One compiled plan per (runtime, stage set): the interceptor protocol in
-:mod:`repro.pipeline.interceptors` names the four historic wrapping
-layers (machine dispatch, recorder tap, governor meter, containment
-guard); the compiler in :mod:`repro.pipeline.plan` fuses the active
-ones into a single flat entry per ``(function, direction)`` site.
+One compiled plan per (runtime, stage set): :class:`PipelinePlan`
+binds the synthesizer's emitted module to the attached stages (trace
+recorder, overhead governor, telemetry tap) and hands the agents one
+flat entry per ``(function, direction)`` site.
 """
 
-from repro.pipeline.interceptors import (
-    CallSite,
-    ContainmentGuard,
-    GovernorMeter,
-    Interceptor,
-    MachineDispatchStage,
-    RecorderTap,
-)
 from repro.pipeline.plan import PipelinePlan
 
-__all__ = [
-    "CallSite",
-    "ContainmentGuard",
-    "GovernorMeter",
-    "Interceptor",
-    "MachineDispatchStage",
-    "PipelinePlan",
-    "RecorderTap",
-]
+__all__ = ["PipelinePlan"]

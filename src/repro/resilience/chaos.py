@@ -41,12 +41,12 @@ class InternalFaultInjector:
     """Makes one machine's check methods raise from a start ordinal on.
 
     Every public callable of the encoding (the semantic methods the
-    generated wrappers call, plus ``on_event`` for interpretive
-    dispatch) shares one call counter; from call ``start`` onward each
-    call raises ``error_type``.  Installation patches the *instance*,
-    so quarantine — which swaps the runtime attribute and the pristine
-    instance's ``on_event`` — silences the injector exactly as it
-    silences the real machine.
+    generated wrappers call, plus ``on_event`` for replay's
+    interpretive dispatch) shares one call counter; from call ``start``
+    onward each call raises ``error_type``.  Installation patches the
+    *instance*, so quarantine — which swaps the runtime attribute and
+    the pristine instance's ``on_event`` — silences the injector
+    exactly as it silences the real machine.
     """
 
     def __init__(

@@ -8,8 +8,9 @@ JVM or interpreter in the loop.  The package splits into:
 - :mod:`repro.trace.format` — the versioned JSONL trace schema + codec;
 - :mod:`repro.trace.recorder` — the live tap, attached through the
   observer hook on :class:`repro.core.runtime.CheckerRuntime`;
-- :mod:`repro.trace.replay` — the offline re-checking engine, driving
-  the interpretive :class:`repro.core.dispatch.DispatchIndex` path;
+- :mod:`repro.trace.replay` — the offline re-checking engine and the
+  one interpretive path: each crossing drives the ``on_event``
+  handlers the :class:`repro.core.dispatch.DispatchIndex` selects;
 - :mod:`repro.trace.corpus` — records the benchmark suites into a
   trace corpus with a manifest;
 - :mod:`repro.trace.diff` — compares two replays' violation streams.

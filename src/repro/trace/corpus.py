@@ -34,7 +34,6 @@ def record_dacapo(
     name: str,
     out_dir: str,
     *,
-    mode: str = "generated",
     scale: int = 1000,
     iterations: Optional[int] = None,
 ) -> Dict[str, object]:
@@ -44,7 +43,7 @@ def record_dacapo(
 
     path = os.path.join(out_dir, "dacapo-{}.trace".format(name))
     rec = TraceRecorder(path, workload="dacapo/" + name)
-    agent = JinnAgent(mode=mode, observer=rec)
+    agent = JinnAgent(observer=rec)
     run_workload(
         name, config="jinn", agents=[agent], scale=scale, iterations=iterations
     )
@@ -53,9 +52,7 @@ def record_dacapo(
     return _entry("dacapo", name, path, rec, live)
 
 
-def record_micro(
-    name: str, out_dir: str, *, mode: str = "generated"
-) -> Dict[str, object]:
+def record_micro(name: str, out_dir: str) -> Dict[str, object]:
     """Record one JNI microbenchmark under a checking Jinn run."""
     from repro.workloads.microbench import scenario_by_name
     from repro.workloads.outcomes import run_scenario
@@ -63,9 +60,7 @@ def record_micro(
     scenario = scenario_by_name(name)
     path = os.path.join(out_dir, "micro-{}.trace".format(name))
     rec = TraceRecorder(path, workload="micro/" + name)
-    result = run_scenario(
-        scenario.run, checker="jinn", jinn_mode=mode, observer=rec
-    )
+    result = run_scenario(scenario.run, checker="jinn", observer=rec)
     rec.close()
     return _entry("micro", name, path, rec, result.violations)
 
@@ -88,7 +83,6 @@ def build_corpus(
     benchmarks: Optional[List[str]] = None,
     include_micros: bool = True,
     include_pyc: bool = True,
-    mode: str = "generated",
     scale: int = 1000,
     iterations: Optional[int] = None,
 ) -> Dict[str, object]:
@@ -101,19 +95,17 @@ def build_corpus(
     entries: List[Dict[str, object]] = []
     for name in benchmarks if benchmarks is not None else BENCHMARK_NAMES:
         entries.append(
-            record_dacapo(
-                name, out_dir, mode=mode, scale=scale, iterations=iterations
-            )
+            record_dacapo(name, out_dir, scale=scale, iterations=iterations)
         )
     if include_micros:
         for scenario in MICROBENCHMARKS + EXTRA_SCENARIOS:
-            entries.append(record_micro(scenario.name, out_dir, mode=mode))
+            entries.append(record_micro(scenario.name, out_dir))
     if include_pyc:
         for scenario in PYC_MICROBENCHMARKS:
             entries.append(record_pyc_micro(scenario.name, out_dir))
     manifest = {
         "corpus_version": 1,
-        "mode": mode,
+        "mode": "generated",
         "scale": scale,
         "traces": entries,
         "total_events": sum(entry["events"] for entry in entries),

@@ -1,14 +1,19 @@
 """Deterministic offline re-checking of recorded FFI event streams.
 
-The replay engine streams a trace back through the interpretive
-dispatch path — :meth:`repro.core.dispatch.DispatchIndex.encodings`
-resolves each recorded crossing to exactly the machines that observe
-it — without any simulated JVM or interpreter in the loop.  The decoder
-rebuilds *real* model instances (``JRef``, ``JObject``, ``PyObj``, ...)
-via ``object.__new__`` so the machine encodings run unchanged, and a
-minimal replay host supplies the few bits of VM surface the machines
-consult (``current_thread``, ``find_class``, ``local_frame_capacity``,
-``class_of_class_object``).
+Replay is the interpretive checking path.  Live runs execute the
+synthesized checks; the replay engine streams a trace back through the
+machines' ``on_event`` handlers instead —
+:meth:`repro.core.dispatch.DispatchIndex.encodings` resolves each
+recorded crossing to exactly the machines that observe it — without
+any simulated JVM or interpreter in the loop.  A replayed stream equal
+to the recorded one therefore checks the generated code against its
+specifications.
+
+The decoder rebuilds *real* model instances (``JRef``, ``JObject``,
+``PyObj``, ...) via ``object.__new__`` so the machine encodings run
+unchanged, and a minimal replay host supplies the few bits of VM
+surface the machines consult (``current_thread``, ``find_class``,
+``local_frame_capacity``, ``class_of_class_object``).
 
 Control flow mirrors the live wrappers exactly: a pre-check violation
 on an FFI function skips that call's post site (the generated wrapper
@@ -543,56 +548,9 @@ class _ReplayEngine:
     # -- record feed -----------------------------------------------------
 
     def feed(self, record: list) -> None:
+        """Apply one non-crossing record (thread, class, end, verdict)."""
         kind = record[0]
-        if kind == "c":
-            _, seq, name, native, ctx, args = record
-            self._last_seq = seq
-            decode = self.decoder.decode
-            jargs = tuple(decode(a) for a in args)
-            self.result.event_count += 1
-            env, thread = self._enter(ctx)
-            pre, _, meta, default, call_event, _ = self._resolve(name, native)
-            context = EventContext(call_event, env, thread, jargs, {}, None, meta)
-            try:
-                for encoding in pre:
-                    try:
-                        encoding.on_event(context)
-                    except FFIViolation:
-                        raise
-                    except Exception as exc:
-                        self.rt.contain(encoding.spec.name, exc, name, "pre")
-            except FFIViolation as v:
-                self.rt.fail(env, v, default)
-                if not native:
-                    # The live FFI wrapper returned the default without
-                    # running its post block.
-                    self._skip_post.add(seq)
-            self._collect(seq)
-        elif kind == "r":
-            _, seq, call_seq, name, native, ctx, args, result = record
-            self._last_seq = seq
-            decode = self.decoder.decode
-            jargs = tuple(decode(a) for a in args)
-            jresult = decode(result)
-            self.result.event_count += 1
-            env, thread = self._enter(ctx)
-            if call_seq in self._skip_post:
-                self._skip_post.discard(call_seq)
-                return
-            _, post, meta, _, _, ret_event = self._resolve(name, native)
-            context = EventContext(ret_event, env, thread, jargs, {}, jresult, meta)
-            try:
-                for encoding in post:
-                    try:
-                        encoding.on_event(context)
-                    except FFIViolation:
-                        raise
-                    except Exception as exc:
-                        self.rt.contain(encoding.spec.name, exc, name, "post")
-            except FFIViolation as v:
-                self.rt.fail(env, v)
-            self._collect(seq)
-        elif kind == "t":
+        if kind == "t":
             _, tid, name, env_token = record
             env = self._env_of(env_token)
             thread = _ReplayThread(tid, name, env)
@@ -615,10 +573,10 @@ class _ReplayEngine:
     def run(self, records) -> None:
         """Feed a stream of records through a hoisted-locals hot loop.
 
-        Equivalent to calling :meth:`feed` per record; the "c"/"r" fast
-        paths are inlined here with every per-record attribute lookup
-        hoisted, which is worth ~15% on large traces.  Rare record
-        kinds fall back to :meth:`feed`.
+        This loop is the only code that drives the machines'
+        ``on_event`` handlers: each "c"/"r" crossing runs its pre-bound
+        encodings here, with every per-record attribute lookup hoisted.
+        Rare record kinds go to :meth:`feed`.
         """
         decode = self.decoder.decode
         resolve = self._resolve

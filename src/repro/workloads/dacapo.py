@@ -181,10 +181,9 @@ def run_workload(
 ) -> WorkloadResult:
     """Run one benchmark under one Table 3 configuration, timed.
 
-    ``agents`` overrides the config's default agent set — used by the
-    dispatch-index benchmark to time custom JinnAgent variants (e.g.
-    interpretive mode with index vs fan-out dispatch) on the same
-    kernels.  ``config`` still controls ``-Xcheck:jni``.
+    ``agents`` overrides the config's default agent set — used to run
+    a custom JinnAgent (e.g. one with a trace recorder attached) on the
+    same kernels.  ``config`` still controls ``-Xcheck:jni``.
     """
     if config not in CONFIGS:
         raise ValueError("unknown config " + config)

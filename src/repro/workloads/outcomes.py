@@ -70,7 +70,6 @@ def run_scenario(
     *,
     vendor: VendorSpec = HOTSPOT,
     checker: str = "none",
-    jinn_mode: str = "generated",
     local_frame_capacity: int = 16,
     observer=None,
 ) -> RunResult:
@@ -81,7 +80,6 @@ def run_scenario(
             drives the buggy program (exceptions propagate out).
         checker: "none" (production), "xcheck" (the vendor's built-in
             ``-Xcheck:jni``), or "jinn".
-        jinn_mode: Jinn's mode when ``checker == "jinn"``.
         observer: optional event-stream observer (a
             ``repro.trace.TraceRecorder``) attached to the Jinn agent.
     """
@@ -90,7 +88,7 @@ def run_scenario(
     jinn_agent: Optional[JinnAgent] = None
     agents = []
     if checker == "jinn":
-        jinn_agent = JinnAgent(mode=jinn_mode, observer=observer)
+        jinn_agent = JinnAgent(observer=observer)
         agents.append(jinn_agent)
     vm = JavaVM(
         vendor=vendor,

@@ -136,7 +136,7 @@ class TestCorrectGallery:
         assert vm.agent_host.agents[0].reports == 0
         vm.shutdown()
 
-    @pytest.mark.parametrize("mode", ["generated", "interpretive"])
+    @pytest.mark.parametrize("mode", ["generated"])
     def test_runs_clean_under_jinn(self, mode):
         agent = JinnAgent(mode=mode)
         vm = JavaVM(agents=[agent])
@@ -145,6 +145,25 @@ class TestCorrectGallery:
         vm.shutdown()
         assert agent.rt.violations == []
         assert agent.termination_violations == []
+
+    def test_replay_of_the_clean_run_is_clean(self, tmp_path):
+        """Replay, the interpretive path, walks the machines' handlers
+        over the recorded run and must find nothing either."""
+        from repro.trace import TraceRecorder
+        from repro.trace.replay import replay_path
+
+        path = tmp_path / "gallery.trace"
+        recorder = TraceRecorder(str(path), workload="app/gallery")
+        agent = JinnAgent(observer=recorder)
+        vm = JavaVM(agents=[agent])
+        build_gallery(vm, buggy=False)
+        assert drive(vm) == 15
+        vm.shutdown()
+        recorder.close()
+        assert agent.rt.violations == []
+        replayed = replay_path(str(path))
+        assert replayed.event_count > 0
+        assert replayed.violations == []
 
     def test_callbacks_counted_through_the_boundary(self, vm):
         build_gallery(vm, buggy=False)

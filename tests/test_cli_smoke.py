@@ -50,7 +50,6 @@ SIMPLE_COMMANDS = [
     ["dispatch", "--json"],
     ["pipeline", "show"],
     ["pipeline", "show", "--substrate", "pyc"],
-    ["pipeline", "show", "--mode", "interpretive"],
     ["pipeline", "show", "--json"],
     ["pipeline", "show", "--function", "DeleteLocalRef"],
 ]
@@ -255,17 +254,6 @@ class TestResilienceSubcommands:
             main(["resilience", "supervise", "bogus:thing"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_recover_alias(self, tmp_path, capsys):
-        trace = str(tmp_path / "j.trace")
-        journal = str(tmp_path / "j.journal")
-        assert main(
-            ["trace", "record", "pyc/DanglingBorrow", "-o", trace,
-             "--journal", journal]
-        ) == 0
-        capsys.readouterr()
-        assert main(["resilience", "recover", journal]) == 0
-        assert '"recovered_records"' in capsys.readouterr().out
 
     def test_status_governed_run(self, capsys):
         assert main(
@@ -564,7 +552,6 @@ PRE_SPLIT_ARGVS = [
     ["fuzz", "graph"],
     ["resilience", "chaos", "--seed", "1", "--rounds", "2",
      "--substrate", "both", "--json"],
-    ["resilience", "recover", "j", "-o", "t"],
     ["resilience", "status", "--seed", "1", "--substrate", "jni",
      "--budget", "0.5", "--window", "32", "--repeats", "2"],
 ]
@@ -630,10 +617,14 @@ REMOVED_ARGVS = [
 
 #: Watched work runs on the fleet, and `trace replay` is the one replay
 #: surface: `fuzz run --timeout T` and `trace replay [--timeout T]
-#: [--workers N]` replace these commands.
+#: [--workers N]` replace the first two commands.  `trace recover`
+#: replaces `resilience recover`, and interpretive checking is replay's,
+#: not a live `--mode`.
 REMOVED_COMMANDS = [
     ["resilience", "supervise", "fuzz:1"],
     ["fleet", "run", "--kind", "replay", "a"],
+    ["resilience", "recover", "j", "-o", "t"],
+    ["pipeline", "show", "--mode", "interpretive"],
 ]
 
 
@@ -672,7 +663,7 @@ class TestCommandSurfaceIsCovered:
         assert smoked == set(_FUZZ_COMMANDS)
 
     def test_every_resilience_subcommand_is_smoked(self):
-        smoked = {"chaos", "recover", "status"}
+        smoked = {"chaos", "status"}
         assert smoked == set(_RESILIENCE_COMMANDS)
 
     def test_every_fleet_subcommand_is_smoked(self):

@@ -28,8 +28,8 @@ from repro.pyc.spec import PY_FUNCTIONS
 class TestReturnDefaults:
     def test_every_jni_return_kind_has_consistent_views(self):
         """For every return kind the JNI table uses, the source literal
-        the synthesizer embeds must evaluate to the value the
-        interpretive engine passes to ``fail`` — the two views of the
+        the synthesizer embeds must evaluate to the value replay, the
+        interpretive path, passes to ``fail`` — the two views of the
         defaults table may never drift apart."""
         kinds = {meta.returns for meta in FUNCTIONS.values()}
         assert kinds  # sanity: the table is populated

@@ -231,6 +231,41 @@ class TestObsHub:
         assert hub.violation_mark() == 0
 
 
+#: The ``GetVersion`` site's call counter, as a snapshot names it.
+GET_VERSION = (
+    'ffi_calls_total{direction="native_to_managed",'
+    'function="GetVersion",substrate="jni",subsystem="pipeline"}'
+)
+
+
+def _observed_env(sample_period, governor=None):
+    """A JNI env whose generated entries carry a telemetry tap."""
+    from repro.jinn.agent import JinnAgent
+    from repro.jvm import HOTSPOT, JavaVM
+
+    hub = ObsHub(clock=FakeClock(), sample_period=sample_period)
+    agent = JinnAgent(telemetry=hub, governor=governor)
+    vm = JavaVM(vendor=HOTSPOT, agents=[agent])
+    return hub, vm.current_thread.env
+
+
+def _crossings(hub, function, count):
+    """Write ``count`` timed crossings of one JNI site into the hub."""
+    labels = {
+        "subsystem": "pipeline",
+        "substrate": "jni",
+        "function": function,
+        "direction": "native_to_managed",
+    }
+    hub.metrics.counter("ffi_calls_total", **labels).inc(count)
+    crossing = hub.metrics.histogram("ffi_crossing_ns", **labels)
+    for _ in range(count):
+        t0 = hub.clock_ns()
+        t1 = hub.clock_ns()
+        crossing.observe(t1 - t0)
+        hub.spans.append(function, False, t0, t1, 0)
+
+
 class TestTapWiring:
     def test_as_tap_normalizes(self):
         hub = ObsHub(clock=FakeClock())
@@ -242,46 +277,40 @@ class TestTapWiring:
             as_tap(object(), substrate="jni")
 
     def test_closure_hooks_sample_and_record(self):
-        hub = ObsHub(clock=FakeClock(), sample_period=1)
-        tap = TelemetryTap(hub, substrate="jni")
-        call = tap.call_hook("NewObject", False)
-        ret = tap.return_hook("NewObject", False)
+        from repro.resilience import GovernorPolicy, OverheadGovernor
+
+        # No rebalance: the window is far larger than this workload.
+        governor = OverheadGovernor(GovernorPolicy(window=10**6))
+        hub, env = _observed_env(sample_period=1, governor=governor)
         for _ in range(3):
-            ret(call(), True)
-        ret(call(), False)  # governor sampled this crossing out
+            env.GetVersion()
+        # Period 2 samples the pair's next crossing out: raw call only.
+        governor.fused_binding("GetVersion").period = 2
+        env.GetVersion()
         snap = hub.snapshot()
-        flat = (
-            'ffi_calls_total{direction="native_to_managed",'
-            'function="NewObject",substrate="jni",subsystem="pipeline"}'
-        )
-        assert snap["metrics"]["counters"][flat] == 4
+        assert snap["metrics"]["counters"][GET_VERSION] == 4
         assert snap["spans"]["recorded"] == 3  # no span on the raw path
-        sampled = flat.replace("ffi_calls_total", "ffi_sampled_out_total")
+        sampled = GET_VERSION.replace(
+            "ffi_calls_total", "ffi_sampled_out_total"
+        )
         assert snap["metrics"]["counters"][sampled] == 1
 
     def test_closure_hooks_skip_duration_between_samples(self):
-        hub = ObsHub(clock=FakeClock(), sample_period=4)
-        tap = TelemetryTap(hub, substrate="jni")
-        call = tap.call_hook("NewObject", False)
-        ret = tap.return_hook("NewObject", False)
-        tokens = [call() for _ in range(8)]
-        # Period 4: calls 1 and 5 are sampled, the rest return None.
-        assert [t is not None for t in tokens] == [
-            True, False, False, False, True, False, False, False,
-        ]
-        for token in tokens:
-            ret(token, True)
+        hub, env = _observed_env(sample_period=4)
+        for _ in range(8):
+            env.GetVersion()
+        # Period 4: calls 1 and 5 are timed, the rest only counted.
+        snap = hub.snapshot()
+        assert snap["metrics"]["counters"][GET_VERSION] == 8
         assert hub.spans.recorded == 2
+        crossing = GET_VERSION.replace("ffi_calls_total", "ffi_crossing_ns")
+        assert snap["metrics"]["histograms"][crossing]["count"] == 2
 
 
 class TestExport:
     def _snapshot(self):
         hub = ObsHub(clock=FakeClock(), sample_period=1)
-        tap = TelemetryTap(hub, substrate="jni")
-        call = tap.call_hook("NewObject", False)
-        ret = tap.return_hook("NewObject", False)
-        for _ in range(4):
-            ret(call(), True)
+        _crossings(hub, "NewObject", 4)
         hub.on_violation(_StubViolation())
         return hub.snapshot()
 
@@ -304,11 +333,7 @@ class TestExport:
     def test_diff_reports_deltas_and_new_clusters(self):
         before = self._snapshot()
         hub = ObsHub(clock=FakeClock(), sample_period=1)
-        tap = TelemetryTap(hub, substrate="jni")
-        call = tap.call_hook("NewObject", False)
-        ret = tap.return_hook("NewObject", False)
-        for _ in range(6):
-            ret(call(), True)
+        _crossings(hub, "NewObject", 6)
         hub.on_violation(_StubViolation())
         hub.on_violation(_StubViolation())  # count 2 > before's 1: grown
         hub.on_violation(_StubViolation(machine="global_ref"))
@@ -325,12 +350,8 @@ class TestExport:
 
     def test_top_sites_ranking(self):
         hub = ObsHub(clock=FakeClock(), sample_period=1)
-        tap = TelemetryTap(hub, substrate="jni")
         for name, calls in (("Hot", 5), ("Cold", 2)):
-            call = tap.call_hook(name, False)
-            ret = tap.return_hook(name, False)
-            for _ in range(calls):
-                ret(call(), True)
+            _crossings(hub, name, calls)
         snap = hub.snapshot()
         by_calls = top_sites(snap, by="calls")
         assert [row["function"] for row in by_calls] == ["Hot", "Cold"]

@@ -1,4 +1,4 @@
-"""Unit tests for the interceptor protocol and the plan compiler."""
+"""Unit tests for the plan compiler and its stage description."""
 
 import pytest
 
@@ -8,15 +8,7 @@ from repro.jinn.agent import JinnAgent
 from repro.jinn.machines import build_registry
 from repro.jni.functions import FUNCTIONS
 from repro.jvm import HOTSPOT, JavaVM
-from repro.pipeline import (
-    CallSite,
-    ContainmentGuard,
-    GovernorMeter,
-    Interceptor,
-    MachineDispatchStage,
-    PipelinePlan,
-    RecorderTap,
-)
+from repro.pipeline import PipelinePlan
 
 
 def jni_runtime():
@@ -25,82 +17,15 @@ def jni_runtime():
     return agent
 
 
-class TestInterceptorProtocol:
-    def test_base_defaults(self):
-        stage = Interceptor()
-        site = CallSite("GetVersion")
-        assert stage.on_call(site) is None
-        assert stage.on_return(site) is None
-        assert stage.describe() == {"name": "interceptor"}
-
-    def test_callsite_governor_key(self):
-        assert CallSite("NewStringUTF").governor_key() == "NewStringUTF"
-        assert (
-            CallSite("Java_Lib_work", native=True).governor_key()
-            == "native:Java_Lib_work"
-        )
-
-    def test_recorder_tap_hands_out_hooks(self):
-        from repro.trace import TraceRecorder
-
-        agent = jni_runtime()
-        recorder = TraceRecorder()
-        recorder.attach_jinn(agent.rt, agent.vm)
-        try:
-            tap = RecorderTap(recorder)
-            site = CallSite("GetVersion")
-            assert callable(tap.on_call(site))
-            assert callable(tap.on_return(site))
-            assert tap.describe() == {"name": "recorder", "journal": False}
-        finally:
-            recorder.close()
-
-    def test_governor_meter_shares_pair_state(self):
-        from repro.resilience import OverheadGovernor
-
-        governor = OverheadGovernor()
-        meter = GovernorMeter(governor)
-        state = meter.binding(CallSite("NewStringUTF"))
-        # The same PairState object the governor reports on.
-        assert state is governor.fused_binding("NewStringUTF")
-        clock, tick, window, rebalance = meter.shared()
-        assert tick is governor._tick
-        assert window == governor.policy.window
-
-    def test_machine_stage_resolves_encodings(self):
-        from repro.fsm.events import Direction
-
-        agent = jni_runtime()
-        index = WrapperCache().dispatch_for(agent.registry)
-        stage = MachineDispatchStage(agent.rt, agent.registry, index=index)
-        pre = stage.encodings(
-            "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
-        )
-        assert [e.spec.name for e in pre] == list(
-            index.machines("DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED)
-        )
-        assert 0 < len(pre) < len(agent.registry.names())
-        unchecked = MachineDispatchStage(
-            agent.rt, agent.registry, index=index, checking=False
-        )
-        assert unchecked.encodings(
-            "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
-        ) == []
-
-    def test_containment_guard_reports_health(self):
-        agent = jni_runtime()
-        guard = ContainmentGuard(agent.rt)
-        described = guard.describe()
-        assert described["name"] == "containment"
-        assert described["enabled"] is True
-        assert described["level"] == "full"
+def stages(plan):
+    return plan.describe()["interceptors"]
 
 
 class TestPlanComposition:
     def test_bare_stack(self):
         agent = jni_runtime()
         plan = PipelinePlan(agent.rt, agent.registry)
-        assert [s.name for s in plan.interceptors()] == [
+        assert [s["name"] for s in stages(plan)] == [
             "machines", "containment",
         ]
 
@@ -111,23 +36,53 @@ class TestPlanComposition:
         agent = jni_runtime()
         recorder = TraceRecorder()
         recorder.attach_jinn(agent.rt, agent.vm)
+        governor = OverheadGovernor()
         try:
             plan = PipelinePlan(
                 agent.rt,
                 agent.registry,
                 recorder=recorder,
-                governor=OverheadGovernor(),
+                governor=governor,
             )
-            assert [s.name for s in plan.interceptors()] == [
+            described = stages(plan)
+            assert [s["name"] for s in described] == [
                 "recorder", "governor", "machines", "containment",
             ]
+            recorder_stage, governor_stage, _, containment = described
+            assert recorder_stage == {"name": "recorder", "journal": False}
+            assert governor_stage == {
+                "name": "governor",
+                "budget": governor.policy.budget,
+                "window": governor.policy.window,
+            }
+            assert containment == {
+                "name": "containment", "enabled": True, "level": "full",
+            }
         finally:
             recorder.close()
 
+    def test_machine_stage_resolves_encodings(self):
+        """A site's machines, resolved to this runtime's encodings by
+        the dispatch index replay drives, are a strict subset."""
+        from repro.fsm.events import Direction
+
+        agent = jni_runtime()
+        index = WrapperCache().dispatch_for(agent.registry)
+        pre = index.encodings(
+            agent.rt, "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
+        )
+        assert [e.spec.name for e in pre] == list(
+            index.machines("DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED)
+        )
+        assert all(e is agent.rt.encodings[e.spec.name] for e in pre)
+        assert 0 < len(pre) < len(agent.registry.names())
+
     def test_rejects_unknown_mode_and_dispatch(self):
         agent = jni_runtime()
-        with pytest.raises(ValueError, match="mode"):
-            PipelinePlan(agent.rt, agent.registry, mode="jit")
+        # Interpretive checking is replay's, not a live mode.
+        for mode in ("jit", "interpretive"):
+            with pytest.raises(ValueError, match="mode"):
+                PipelinePlan(agent.rt, agent.registry, mode=mode)
         # One call path, one dispatch strategy: neither option exists.
         from repro.pyc import PyCChecker
 
@@ -164,16 +119,6 @@ class TestPlanEntries:
         entry = plan.native_entry("Java_Lib_work", impl)
         assert callable(entry)
 
-    def test_interpretive_entries_match_generated_surface(self):
-        agent = jni_runtime()
-        thread = agent.vm.current_thread
-        raw = thread.env.function_table()
-        generated = PipelinePlan(agent.rt, agent.registry).entries(raw)
-        interpretive = PipelinePlan(
-            agent.rt, agent.registry, mode="interpretive"
-        ).entries(raw)
-        assert set(generated) == set(interpretive)
-
 
 class TestPlanDescribe:
     def test_generated_describe(self):
@@ -198,20 +143,6 @@ class TestPlanDescribe:
             steps == ["raw"]
             for steps in described["per_function"].values()
         )
-
-    def test_interpretive_describe_follows_the_index(self):
-        from repro.fsm.events import Direction
-
-        agent = jni_runtime()
-        plan = PipelinePlan(agent.rt, agent.registry, mode="interpretive")
-        steps = plan.describe()["per_function"]["DeleteLocalRef"]
-        indexed = plan.interceptors()[0].index.machines(
-            "DeleteLocalRef", Direction.CALL_NATIVE_TO_MANAGED
-        )
-        assert [s for s in steps if s.endswith(":pre")] == [
-            "check:{}:pre".format(m) for m in indexed
-        ]
-        assert 0 < len(indexed) < len(agent.registry.names())
 
     def test_stage_flags_show_in_op_lists(self):
         from repro.resilience import OverheadGovernor

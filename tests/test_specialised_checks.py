@@ -2,12 +2,11 @@
 
 The synthesized entries call the typing and per-thread machines with
 their site baked in (call mode, result kind, payload form, field flags,
-fixed type, the crossing's thread); the interpretive and replay paths
-derive the same arguments from the event.  Each case below drives one
+fixed type, the crossing's thread); replay, the interpretive path,
+derives the same arguments from the event.  Each case below drives one
 bug those specialised checks catch through the generated agent (while
-recording a trace), the interpretive agent, and a replay of the trace,
-and requires the same ``(machine, error_state, function, entity,
-message)`` stream from all three.
+recording a trace) and a replay of the trace, and requires the same
+``(machine, error_state, function, entity, message)`` stream from both.
 """
 
 import json
@@ -44,9 +43,9 @@ def _keys(violations):
     ]
 
 
-def run_live(body, mode, trace_path=None):
-    recorder = TraceRecorder(str(trace_path)) if trace_path else None
-    agent = JinnAgent(mode=mode, observer=recorder)
+def run_live(body, trace_path):
+    recorder = TraceRecorder(str(trace_path))
+    agent = JinnAgent(observer=recorder)
     vm = JavaVM(agents=[agent])
     _define_classes(vm)
     vm.register_native(HOST, "run", "()V", lambda env, clazz: body(vm, env))
@@ -55,8 +54,7 @@ def run_live(body, mode, trace_path=None):
     except (JavaException, FatalJNIError, SimulatedCrash):
         pass
     vm.shutdown()
-    if recorder is not None:
-        recorder.close()
+    recorder.close()
     return _keys(agent.rt.violations)
 
 
@@ -185,14 +183,12 @@ CASES = [
 )
 def test_error_path_parity(program, machine, text, tmp_path):
     trace = tmp_path / "t.trace"
-    generated = run_live(program, "generated", trace)
-    interpretive = run_live(program, "interpretive")
+    generated = run_live(program, trace)
     replayed = run_replay(trace)
     assert generated, program.__name__
     first_machine, _, _, _, first_message = generated[0]
     assert first_machine == machine
     assert text in first_message
-    assert interpretive == generated
     assert replayed == generated
 
 

@@ -1,13 +1,13 @@
 """Substrate and mode parity over the shared checker core.
 
-The refactor's contract: the generated entries, the interpretive engine
-with the dispatch index, and a brute-force fan-out reference (every
-machine sees every crossing) all implement the *same* specifications,
-so any misuse scenario must yield the identical violation stream — same
-machines, same error states, same faulting functions, in the same
-order.  And moving the
-Python/C checker onto :class:`repro.core.CheckerRuntime` must not change
-its raise-at-the-faulting-call protocol.
+The refactor's contract: the generated entries, replay (the
+interpretive path) with the dispatch index, and replay with a
+brute-force fan-out reference (every machine sees every crossing) all
+implement the *same* specifications, so any misuse scenario must yield
+the identical violation stream — same machines, same error states, same
+faulting functions, in the same order.  And moving the Python/C checker
+onto :class:`repro.core.CheckerRuntime` must not change its
+raise-at-the-faulting-call protocol.
 """
 
 import pytest
@@ -25,7 +25,9 @@ from repro.jvm import (
     JavaVM,
     SimulatedCrash,
 )
+from repro.trace.replay import replay_path
 from repro.workloads.microbench import MICROBENCHMARKS, scenario_by_name
+from tests.test_trace_replay import record_micro
 
 
 def violation_stream(scenario, mode):
@@ -58,23 +60,32 @@ class TestModeParity:
     @pytest.mark.parametrize(
         "scenario", MICROBENCHMARKS, ids=lambda s: s.name
     )
-    def test_generated_and_interpretive_streams_identical(self, scenario):
-        generated = violation_stream(scenario.run, "generated")
-        interpretive = violation_stream(scenario.run, "interpretive")
-        assert generated == interpretive, scenario.name
-        assert generated, scenario.name  # every micro demonstrates a bug
+    def test_generated_and_interpretive_streams_identical(
+        self, scenario, tmp_path
+    ):
+        """Replay, the interpretive path, walks the indexed machines'
+        ``on_event`` handlers over the generated run's trace and must
+        re-detect its stream."""
+        path = tmp_path / "t.trace"
+        live = record_micro(scenario.name, path)
+        assert live, scenario.name  # every micro demonstrates a bug
+        assert replay_path(str(path)).violations == live, scenario.name
 
     @pytest.mark.parametrize(
         "scenario", MICROBENCHMARKS, ids=lambda s: s.name
     )
-    def test_dispatch_index_matches_fanout(self, scenario, monkeypatch):
+    def test_dispatch_index_matches_fanout(
+        self, scenario, monkeypatch, tmp_path
+    ):
         """The index is an optimization, not a semantics change: a
         machine the index leaves out of a bucket must ignore that
-        crossing, so the stream equals a fan-out to every machine."""
-        indexed = violation_stream(scenario.run, "interpretive")
+        crossing, so a replay that fans every crossing out to every
+        machine re-detects the same live stream the indexed replay
+        does (the test above)."""
+        path = tmp_path / "t.trace"
+        live = record_micro(scenario.name, path)
         monkeypatch.setattr(WRAPPER_CACHE, "dispatch_for", _fanout_index)
-        fanout = violation_stream(scenario.run, "interpretive")
-        assert indexed == fanout, scenario.name
+        assert replay_path(str(path)).violations == live, scenario.name
 
     def test_interpose_mode_sees_nothing(self):
         scenario = scenario_by_name("Nullness")

@@ -27,6 +27,7 @@ from repro.workloads.pyc_micro import PYC_MICROBENCHMARKS, run_pyc_scenario
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "fuzz_corpus")
+LEAK_GLOBAL = os.path.join(CORPUS, "leak_global.trace")
 LEAK_MONITOR = os.path.join(CORPUS, "leak_monitor.trace")
 MIDFILE_CORRUPT = os.path.join(DATA, "resilience", "midfile_corrupt.trace")
 TORN_TAIL = os.path.join(DATA, "resilience", "torn_tail.trace")
@@ -98,6 +99,43 @@ class TestRoundTripParity:
         diff = diff_reports(first.violations, second.violations)
         assert not diff["drift"]
         assert "zero drift" in render_diff(diff)
+
+
+def replay_with_fault(path, machine):
+    """Replay one trace with every call into ``machine`` raising."""
+    from repro.resilience.chaos import InternalFaultInjector
+    from repro.trace.format import read_trace
+    from repro.trace.replay import _ReplayEngine
+
+    header, records = read_trace(path)
+    engine = _ReplayEngine(header)
+    injector = InternalFaultInjector(machine)
+    injector.install(engine.rt)
+    engine.run(records)
+    return engine, injector, engine.finish()
+
+
+class TestReplayContainment:
+    """Replay pre-binds each machine's encoding instance, so quarantine
+    must patch the instance's ``on_event`` in place to reach it."""
+
+    def test_quarantined_machine_takes_no_more_faults(self):
+        engine, injector, result = replay_with_fault(LEAK_GLOBAL, "global_ref")
+        policy = engine.rt.health.policy
+        assert engine.rt.health.quarantined == ["global_ref"]
+        # Quarantined at its third fault; the rest of the trace never
+        # reaches the faulting handler again.
+        assert injector.fired == policy.quarantine_after == 3
+        assert any(
+            line.startswith("replay: containment:")
+            for line in result.log_lines
+        )
+
+    def test_other_machines_keep_checking(self):
+        engine, injector, result = replay_with_fault(LEAK_GLOBAL, "local_ref")
+        assert engine.rt.health.quarantined == ["local_ref"]
+        assert injector.fired == 3
+        assert any("machine=global_ref" in r for r in result.violations)
 
 
 class TestFingerprintGuard:
