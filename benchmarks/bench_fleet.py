@@ -15,7 +15,7 @@ job for CPU amplification:
 
 - **determinism** (``stream_identical_ok``) — the merged violation
   stream at every worker count must be byte-identical to the stream
-  pinned in the corpus manifest, steal interleaving notwithstanding.
+  pinned in the corpus manifest, whatever order the jobs finished in.
 
 - **queue recovery** (``recovery_ok``) — a worker process draining a
   persistent queue is SIGKILLed mid-run; reopening the queue and
@@ -111,7 +111,6 @@ def _measure_workers(paths, workers):
             "serial_cpu_seconds": report.serial_cpu_seconds,
             "critical_path_seconds": report.critical_path_seconds,
             "utilization": report.utilization,
-            "steals": report.steals,
             "wall_seconds": wall,
             "events": merged.event_count,
             "stream": violation_stream(report),
@@ -494,9 +493,9 @@ def main(argv=None) -> int:
     for trial in report["scaling"]:
         print(
             "  {} worker(s): critical path {:.3f}s, speedup {:.2f}x, "
-            "utilization {:.0%}, {} steal(s)".format(
+            "utilization {:.0%}".format(
                 trial["workers"], trial["critical_path_seconds"],
-                trial["speedup"], trial["utilization"], trial["steals"],
+                trial["speedup"], trial["utilization"],
             )
         )
     print("stream: {} across {} worker counts".format(

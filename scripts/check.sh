@@ -8,9 +8,9 @@
 # journal must recover to the very bytes its close wrote, and both
 # files replay), the fixed-seed fuzz smoke,
 # the resilience smoke (chaos containment + crash recovery), the obs
-# CLI smoke on both substrates, the fleet smoke (work-stealing replay
-# of the regression
-# corpus on 2 workers, gated on stream identity), the fleet storage
+# CLI smoke on both substrates, the fleet smoke (the regression corpus
+# replayed on 2 fleet workers, one job per dispatch and in chunks of 4,
+# gated on stream identity), the fleet storage
 # chaos smoke (fault-injected queue journals, gated on zero lost acks
 # and every corruption detected — run in both ack durability modes),
 # the ablation bench (the none, interpose and generated configurations
@@ -78,6 +78,7 @@ timeout 300 python -m repro.cli status --repeats 2 --substrate jni
 
 echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
 timeout 300 python -m repro.cli fleet run --smoke --workers 2
+timeout 300 python -m repro.cli fleet run --smoke --workers 2 --batch 4
 
 echo "== fleet storage chaos smoke (fault-injected queue journals) =="
 timeout 300 python -m repro.cli fleet chaos --smoke

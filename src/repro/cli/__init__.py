@@ -19,7 +19,7 @@ Gives downstream users the paper's artifacts without writing code:
   ``corpus``, ``faults``, ``graph``;
 - ``resilience`` — checker containment and the overhead governor:
   ``chaos``, ``status``;
-- ``fleet``      — the work-stealing execution fabric: ``run``,
+- ``fleet``      — the multi-process execution fabric: ``run``,
   ``status``, ``workers``, ``drain``;
 - ``obs``        — observe a checked run: ``snapshot``, ``top``,
   ``diff``, ``export``;

@@ -1,4 +1,4 @@
-"""The ``fleet`` command group: the work-stealing execution fabric."""
+"""The ``fleet`` command group: the multi-process execution fabric."""
 
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ def fleet_options(workers: int, timeout: Optional[float]) -> dict:
 def _print_load(report) -> None:
     load = report.load_json()
     print(
-        "fleet    : {} worker(s), {} steal(s) ({} job(s) moved), "
-        "{} requeue(s)".format(
-            load["workers"], load["steals"], load["stolen_jobs"],
-            load["requeues"],
+        "fleet    : {} worker(s), {} requeue(s)".format(
+            load["workers"], load["requeues"]
         )
     )
     print(
@@ -372,7 +370,7 @@ def _cmd_fleet(args) -> int:
 
 def add_parsers(sub) -> None:
     fleet = sub.add_parser(
-        "fleet", help="work-stealing multi-process execution fabric"
+        "fleet", help="multi-process execution fabric"
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 

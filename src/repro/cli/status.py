@@ -45,7 +45,7 @@ def _fleet_section(seed: int) -> dict:
 
     Generated workloads only (no file dependencies), two inline
     workers, and a throwaway persistent queue — so ``repro status``
-    shows real queue depth / steal / requeue / utilization numbers
+    shows real queue depth / requeue / utilization numbers
     without touching the working directory.
     """
     import os
@@ -76,7 +76,6 @@ def _fleet_section(seed: int) -> dict:
         "queue_acked": stats["acked"],
         "queue_dead": stats["dead"],
         "queue_compactions": stats["compactions"],
-        "steals": report.steals,
         "requeues": report.requeues,
         "breaker_trips": sum(report.breaker_trips),
         "utilization": report.utilization,
@@ -158,11 +157,11 @@ def _cmd_status(args) -> int:
     fleet = status["fleet"]
     print(
         "fleet    : {} job(s) {}, queue depth {} ({} acked, {} dead), "
-        "{} steal(s), {} requeue(s), {} breaker trip(s), "
+        "{} requeue(s), {} breaker trip(s), "
         "utilization {:.0%}".format(
             fleet["jobs"], "ok" if fleet["ok"] else "NOT OK",
             fleet["queue_depth"], fleet["queue_acked"],
-            fleet["queue_dead"], fleet["steals"], fleet["requeues"],
+            fleet["queue_dead"], fleet["requeues"],
             fleet["breaker_trips"], fleet["utilization"],
         )
     )

@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 #: Every kind the fabric knows how to execute.
@@ -93,9 +94,13 @@ class Job:
             max_attempts=data.get("max_attempts"),
         )
 
-    @property
+    @cached_property
     def job_id(self) -> str:
-        """Deterministic content-derived ID (canonical-JSON sha1)."""
+        """Deterministic content-derived ID (canonical-JSON sha1).
+
+        Computed once per job: the envelope is frozen and nothing
+        mutates ``params`` after construction.
+        """
         canonical = json.dumps(
             self.to_json(), sort_keys=True, separators=(",", ":")
         )

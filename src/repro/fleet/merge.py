@@ -3,8 +3,7 @@
 Every merge here is keyed by job ID and ordered by the *submitted* job
 list, so the merged violation stream, the assembled fuzz/chaos
 reports, and the ObsHub snapshot are byte-identical whether the fleet
-ran on one worker or sixteen, and regardless of how stealing
-interleaved execution.
+ran on one worker or sixteen, and whatever order its jobs finished in.
 """
 
 from __future__ import annotations

@@ -491,9 +491,9 @@ class JobQueue:
     ) -> bool:
         """Targeted lease: the scheduler picks, the journal records.
 
-        The work-stealing scheduler selects jobs from its own deques;
-        this keeps the durable lease record in step with that choice
-        instead of forcing queue-head order.
+        The scheduler selects jobs from its own pending deque; this
+        keeps the durable lease record in step with that choice instead
+        of forcing queue-head order.
         """
         return bool(self.lease_jobs([job_id], worker, ttl=ttl, now=now))
 

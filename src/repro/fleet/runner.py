@@ -1,7 +1,7 @@
 """High-level fleet entry points: workloads in, merged reports out.
 
-Each ``fleet_*`` function builds the ordered job list, runs the
-work-stealing scheduler, and merges through :mod:`repro.fleet.merge`.
+Each ``fleet_*`` function builds the ordered job list, runs the fleet
+dispatcher, and merges through :mod:`repro.fleet.merge`.
 The fleet is the one parallel runner.  ``fuzz_run``, ``chaos_run`` and
 ``build_corpus`` are also the one-process paths their CLI commands run
 by default; the parity tests assert the fleet reproduces them byte for
@@ -210,6 +210,5 @@ def fleet_smoke(
         "violations": len(stream),
         "stream_identical": identical,
         "counts": counts,
-        "steals": report.steals,
         "load": report.load_json(),
     }

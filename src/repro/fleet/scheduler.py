@@ -1,12 +1,12 @@
-"""The work-stealing scheduler: jobs onto multiprocessing workers.
+"""The fleet dispatcher: jobs onto worker slots.
 
-Topology: the parent owns one deque per worker; jobs distribute
-round-robin by submission index, and a worker that drains its own
-deque steals the back half of the richest victim's deque (classic
-steal-half, ties to the lowest worker index).  Workers themselves are
-dumb executors — a child process looping ``inbox.get() ->
-execute_job -> results.put`` — so all scheduling state lives in one
-place and the merge layer can be exact.
+Topology: the parent owns one pending deque, in submission order, and
+one duplex pipe per worker slot.  Each pass of the one run loop hands
+every free, unblocked slot up to ``batch`` jobs from the head of the
+deque; due retries and requeued jobs go to the back.  Workers are dumb
+executors — a child process looping ``recv chunk -> execute_job ->
+send result`` — so all scheduling state lives in one place and the
+merge layer can be exact.
 
 The scheduler is the one runner for watched work: in process mode
 every job runs in a worker process under a wall-clock watchdog, and
@@ -15,14 +15,14 @@ every job runs in a worker process under a wall-clock watchdog, and
 classification ladder ``clean`` / ``violation`` (from the payload),
 ``crash`` (a raised error or a dead worker), ``hang`` (a watchdog
 kill), plus ``expired`` for jobs whose deadline passed before
-dispatch: a worker that dies mid-job crashes the *oldest*
-in-flight job and requeues the rest; a job over the watchdog timeout
-hangs; both retry with capped deterministic backoff
-(:func:`backoff_delay`), scheduled non-blockingly so other jobs keep
-flowing.  Backpressure is a bounded in-flight count per worker: one
-dispatch chunk (``batch``, default 1, which also makes crash
-attribution exact — with more, the non-oldest in-flight jobs are
-requeued, not blamed).
+dispatch.  A worker sends each job's result the moment that job
+finishes, so a worker that dies loses no finished result and its
+*oldest* in-flight job is the one that was running: that job crashes
+and the rest are requeued.  A job over the watchdog timeout hangs;
+both retry with capped deterministic backoff (:func:`backoff_delay`),
+scheduled non-blockingly so other jobs keep flowing.  Backpressure is
+a bounded in-flight count per worker: one dispatch chunk (``batch``,
+default 1).
 
 Poison handling: a job whose failures exhaust its attempt budget
 (``job.max_attempts``, else scheduler ``retries``) is *dead-lettered* —
@@ -38,31 +38,33 @@ instead of poisoning outcomes.
 
 Batched IPC (``batch=K``): the parent gathers up to K jobs per
 dispatch — one targeted :meth:`JobQueue.lease_jobs` journal append and
-one inbox message for the whole chunk — and the worker ships the
-chunk's results back as one message, cutting the per-job round-trip
+one pipe message for the whole chunk — cutting the per-job dispatch
 and journal cost to ~1/K on many-small-jobs workloads.  Batching is
-pure transport: jobs still execute one at a time in the child, the
-watchdog and blame-the-oldest crash attribution see each chunk member
-as an individual in-flight entry, and the report stays keyed by job ID
-in submission order, so violation streams are byte-identical across
-batch sizes and worker counts.  With a group-commit queue the run loop
-pumps :meth:`JobQueue.maybe_flush_acks` each poll and drains the
-durability window with a :meth:`JobQueue.flush_acks` barrier before
-the report is built — the report never claims completions the journal
-has not fsynced.
+pure transport: jobs still execute one at a time in the child, each
+result comes back on its own, the watchdog and blame-the-oldest crash
+attribution see each chunk member as an individual in-flight entry,
+and the report stays keyed by job ID in submission order, so violation
+streams are byte-identical across batch sizes and worker counts.  With
+a group-commit queue the run loop pumps
+:meth:`JobQueue.maybe_flush_acks` each pass and drains the durability
+window with a :meth:`JobQueue.flush_acks` barrier before the report is
+built — the report never claims completions the journal has not
+fsynced.
 
 Determinism: the report lists jobs in submission order keyed by job
-ID, never completion order; steal counts, busy seconds, worker
+ID, never completion order; requeues, busy seconds, worker
 attribution, and breaker trips are load telemetry, excluded from the
-deterministic body.  Inline mode (``inline=True``) runs the same
-deque/steal/backoff/breaker logic synchronously in-process against an
-injectable executor and clock, so scheduler tests run on a
+deterministic body.  Inline mode (``inline=True``) puts an in-process
+slot in each worker's place: its ``send`` runs the chunk through an
+injectable executor at once, and the same run loop, backoff and
+breakers drive it on an injectable clock, so scheduler tests run on a
 :class:`repro.core.clock.FakeClock` with no real processes or stalls.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -129,9 +131,9 @@ class FleetReport:
     """Merged outcome of one fleet run.
 
     ``outcomes`` is in job submission order.  :meth:`to_json` is the
-    deterministic body — byte-identical across worker counts and steal
-    interleavings; :meth:`load_json` is the telemetry sidecar (steals,
-    busy seconds, utilization) that legitimately varies run to run.
+    deterministic body — byte-identical across worker counts and batch
+    sizes; :meth:`load_json` is the telemetry sidecar (requeues, busy
+    seconds, utilization) that legitimately varies run to run.
     """
 
     def __init__(
@@ -139,8 +141,6 @@ class FleetReport:
         outcomes: List[JobOutcome],
         *,
         workers: int,
-        steals: int = 0,
-        stolen_jobs: int = 0,
         requeues: int = 0,
         skipped_acked: int = 0,
         skipped_dead: int = 0,
@@ -151,8 +151,6 @@ class FleetReport:
     ):
         self.outcomes = outcomes
         self.workers = workers
-        self.steals = steals
-        self.stolen_jobs = stolen_jobs
         self.requeues = requeues
         self.skipped_acked = skipped_acked
         self.skipped_dead = skipped_dead
@@ -225,8 +223,6 @@ class FleetReport:
     def load_json(self) -> dict:
         return {
             "workers": self.workers,
-            "steals": self.steals,
-            "stolen_jobs": self.stolen_jobs,
             "requeues": self.requeues,
             "skipped_acked": self.skipped_acked,
             "skipped_dead": self.skipped_dead,
@@ -257,87 +253,114 @@ def backoff_delay(
 
 
 # ----------------------------------------------------------------------
-# Worker child
+# Worker slots
 # ----------------------------------------------------------------------
 
 
-def _run_one(job: Job, clock) -> tuple:
-    """Execute one job; (job_id, status, payload-or-error, busy)."""
+def _run_one(executor: Callable[[Job], dict], job: Job, clock) -> tuple:
+    """Execute one job; (status, payload-or-error, busy CPU seconds)."""
     start = clock.process_time()
     try:
-        payload = execute_job(job)
-    except BaseException as exc:
+        payload = executor(job)
+    except Exception as exc:
         return (
-            job.job_id,
             "error",
             "{}: {}".format(type(exc).__name__, exc),
             clock.process_time() - start,
         )
-    return (job.job_id, "ok", payload, clock.process_time() - start)
+    return ("ok", payload, clock.process_time() - start)
 
 
-def _worker_main(worker_index: int, inbox, results) -> None:
-    from repro.core.clock import SYSTEM_CLOCK as clock
-
+def _worker_main(conn) -> None:
+    """The child: one chunk in, one message out per finished job."""
     while True:
-        item = inbox.get()
-        if item is None:
+        chunk = conn.recv()
+        if chunk is None:
             break
-        if isinstance(item, list):
-            # A batched dispatch: execute sequentially, ship one
-            # result message for the whole chunk.
-            jobs = [Job.from_json(entry) for entry in item]
-            results.put(
-                (worker_index, [_run_one(job, clock) for job in jobs])
+        for entry in chunk:
+            conn.send(
+                _run_one(execute_job, Job.from_json(entry), SYSTEM_CLOCK)
             )
-            continue
-        job_id, status, payload, busy = _run_one(Job.from_json(item), clock)
-        results.put((worker_index, job_id, status, payload, busy))
 
 
-class _ProcessWorker:
-    """One child process plus its private inbox."""
+class _ProcessSlot:
+    """One child process and the parent's end of its pipe."""
 
-    def __init__(self, index: int, results):
+    def __init__(self):
         import multiprocessing
 
-        self.index = index
-        self._results = results
-        self.inbox = multiprocessing.Queue()
+        self.conn, child = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
-            target=_worker_main,
-            args=(index, self.inbox, results),
-            daemon=True,
+            target=_worker_main, args=(child,), daemon=True
         )
         self.proc.start()
+        # The child now holds the only copy of its end: its death reads
+        # as EOF here.
+        child.close()
 
     def alive(self) -> bool:
         return self.proc.is_alive()
 
-    def send(self, job: Job) -> None:
-        self.inbox.put(job.to_json())
+    def send(self, jobs: List[Job]) -> None:
+        # A child that died since the last liveness check cannot take
+        # the chunk; it is in flight already, so that check
+        # reclassifies it like any other death.
+        with suppress(OSError):
+            self.conn.send([job.to_json() for job in jobs])
 
-    def send_batch(self, jobs: List[Job]) -> None:
-        """One inbox message carrying a whole chunk of jobs."""
-        self.inbox.put([job.to_json() for job in jobs])
+    def results(self) -> List[tuple]:
+        """Every result on the pipe, in the order the jobs finished."""
+        out = []
+        try:
+            while self.conn.poll():
+                out.append(self.conn.recv())
+        except (EOFError, OSError):
+            pass  # the child is gone: its finished results are above
+        return out
 
-    def respawn(self) -> "_ProcessWorker":
-        """A fresh process + inbox in the same slot (old inbox dropped)."""
+    def respawn(self) -> "_ProcessSlot":
+        """A fresh process and pipe in the same slot."""
         self.stop(kill=True)
-        return _ProcessWorker(self.index, self._results)
+        return _ProcessSlot()
 
     def stop(self, *, kill: bool = False) -> None:
         if self.proc.is_alive():
             if kill:
                 self.proc.kill()
             else:
-                self.inbox.put(None)
+                with suppress(OSError):
+                    self.conn.send(None)
             self.proc.join(5.0)
             if self.proc.is_alive():
                 self.proc.kill()
                 self.proc.join()
-        self.inbox.close()
-        self.inbox.join_thread()
+        self.conn.close()
+
+
+class _InlineSlot:
+    """A worker slot in this process: ``send`` runs the chunk at once."""
+
+    def __init__(self, executor: Callable[[Job], dict], clock: Clock):
+        self._executor = executor
+        self._clock = clock
+        self._done: List[tuple] = []
+
+    def alive(self) -> bool:
+        return True
+
+    def send(self, jobs: List[Job]) -> None:
+        for job in jobs:
+            self._done.append(_run_one(self._executor, job, self._clock))
+
+    def results(self) -> List[tuple]:
+        done, self._done = self._done, []
+        return done
+
+    def respawn(self) -> "_InlineSlot":
+        return self
+
+    def stop(self, *, kill: bool = False) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +369,7 @@ class _ProcessWorker:
 
 
 class FleetScheduler:
-    """Run a job list on ``workers`` processes with work stealing."""
+    """Run a job list on ``workers`` slots fed from one pending deque."""
 
     def __init__(
         self,
@@ -381,7 +404,8 @@ class FleetScheduler:
         self.inline = inline
         self.executor = executor if executor is not None else execute_job
         # -- scheduling state --
-        self._deques: List[deque] = [deque() for _ in range(self.workers)]
+        self._pending: deque = deque()
+        #: Per slot, (job, dispatch time) in dispatch order.
         self._inflight: List[List[tuple]] = [[] for _ in range(self.workers)]
         self._outcomes: Dict[str, JobOutcome] = {}
         self._attempts: Dict[str, int] = {}
@@ -389,61 +413,27 @@ class FleetScheduler:
         #: (ready time, submission ordinal, job) — pending retries.
         self._retry_wait: List[tuple] = []
         self._ordinal = {job.job_id: index for index, job in enumerate(jobs)}
-        self.steals = 0
-        self.stolen_jobs = 0
         self.requeues = 0
         self.skipped_acked = 0
         self.skipped_dead = 0
         self._busy: List[float] = [0.0] * self.workers
-        self._procs: List[Optional[_ProcessWorker]] = [None] * self.workers
+        self._slots: list = []
         # -- circuit breaker state (per worker slot) --
         self._blame: List[int] = [0] * self.workers
         self._breaker_open: List[bool] = [False] * self.workers
         self._breaker_until: List[float] = [0.0] * self.workers
         self.breaker_trips: List[int] = [0] * self.workers
 
-    # -- deque mechanics -------------------------------------------------
-
-    def _distribute(self) -> None:
-        for index, job in enumerate(self.jobs):
-            self._deques[index % self.workers].append(job)
-
-    def _steal(self, thief: int) -> bool:
-        """Move the back half of the richest victim's deque to ``thief``."""
-        victim = -1
-        richest = 0
-        for index, dq in enumerate(self._deques):
-            if index != thief and len(dq) > richest:
-                victim = index
-                richest = len(dq)
-        if victim < 0:
-            return False
-        take = (richest + 1) // 2
-        chunk = [self._deques[victim].pop() for _ in range(take)]
-        chunk.reverse()  # keep the stolen run in original order
-        self._deques[thief].extend(chunk)
-        self.steals += 1
-        self.stolen_jobs += take
-        return True
-
-    def _next_job(self, worker: int) -> Optional[Job]:
-        dq = self._deques[worker]
-        if not dq and not self._steal(worker):
-            return None
-        return dq.popleft()
+    # -- retries ---------------------------------------------------------
 
     def _push_retry_ready(self, now: float) -> None:
-        """Move due retries onto the emptiest deque."""
+        """Move due retries to the back of the pending deque."""
         due = [item for item in self._retry_wait if item[0] <= now]
         if not due:
             return
         due.sort(key=lambda item: (item[0], item[1]))
         self._retry_wait = [item for item in self._retry_wait if item[0] > now]
-        for _, _, job in due:
-            target = min(
-                range(self.workers), key=lambda w: len(self._deques[w])
-            )
-            self._deques[target].append(job)
+        self._pending.extend(job for _, _, job in due)
 
     def _next_retry_at(self) -> Optional[float]:
         if not self._retry_wait:
@@ -489,9 +479,9 @@ class FleetScheduler:
                 continue
             self._breaker_open[worker] = False
             self._blame[worker] = BREAKER_THRESHOLD - 1
-            proc = self._procs[worker]
-            if proc is not None and not proc.alive():
-                self._procs[worker] = proc.respawn()
+            slot = self._slots[worker]
+            if not slot.alive():
+                self._slots[worker] = slot.respawn()
 
     def _next_breaker_at(self) -> Optional[float]:
         until = [
@@ -581,16 +571,27 @@ class FleetScheduler:
 
     # -- dispatch --------------------------------------------------------
 
+    def _fill(self, now: float, started: float) -> None:
+        """Hand every free, unblocked slot jobs from the pending head."""
+        for worker, slot in enumerate(self._slots):
+            if self._breaker_blocks(worker, now) or not slot.alive():
+                continue
+            inflight = self._inflight[worker]
+            while self._pending and len(inflight) < self.batch:
+                take = min(self.batch - len(inflight), len(self._pending))
+                chunk = [self._pending.popleft() for _ in range(take)]
+                self._dispatch_chunk(worker, chunk, now, started)
+
     def _dispatch_chunk(
         self, worker: int, chunk: List[Job], now: float, started: float
-    ) -> List[Job]:
-        """Dispatch a chunk: one lease record, one IPC message.
+    ) -> None:
+        """Dispatch a chunk: one lease record, one message to the slot.
 
         Deadline-expired jobs are finished on the spot; the surviving
         jobs are leased in one batched journal append, entered
         individually into the in-flight ledger (so the watchdog and
-        crash attribution see them one by one), and shipped as a single
-        inbox message.  Returns the jobs actually dispatched.
+        crash attribution see them one by one), and sent to the slot
+        as one message.
         """
         live = []
         for job in chunk:
@@ -606,7 +607,7 @@ class FleetScheduler:
             else:
                 live.append(job)
         if not live:
-            return []
+            return
         if self.queue is not None:
             self.queue.lease_jobs(
                 [job.job_id for job in live],
@@ -616,14 +617,110 @@ class FleetScheduler:
             )
         for job in live:
             self._inflight[worker].append((job, now))
-        if not self.inline:
-            if len(live) == 1:
-                self._procs[worker].send(live[0])
-            else:
-                self._procs[worker].send_batch(live)
-        return live
+        self._slots[worker].send(live)
 
-    # -- the run loops ---------------------------------------------------
+    # -- results ---------------------------------------------------------
+
+    def _collect(self) -> None:
+        """Wait briefly on busy process pipes, then absorb every result."""
+        busy = [w for w in range(self.workers) if self._inflight[w]]
+        if not self.inline:
+            from multiprocessing.connection import wait
+
+            wait([self._slots[w].conn for w in busy], timeout=_POLL_SECONDS)
+        for worker in busy:
+            self._absorb(worker, self._slots[worker].results())
+
+    def _absorb(self, worker: int, results: List[tuple]) -> None:
+        """Finish or retry ``worker``'s finished jobs, oldest first."""
+        inflight = self._inflight[worker]
+        for status, payload, busy in results:
+            # A slot runs its jobs in dispatch order, so each result
+            # belongs to its oldest job still in flight.
+            job, _ = inflight.pop(0)
+            self._busy[worker] += busy
+            if status == "ok":
+                self._note_success(worker)
+                self._finish(
+                    job,
+                    self._classify_payload(payload),
+                    payload=payload,
+                    worker=worker,
+                    busy=busy,
+                )
+            else:
+                now = self.clock.monotonic()
+                self._note_failure(worker, now)
+                self._retry_or_finish(
+                    job,
+                    CRASH,
+                    detail=payload,
+                    worker=worker,
+                    busy=busy,
+                    now=now,
+                )
+
+    def _check_liveness(self) -> None:
+        """Handle dead workers and watchdog-expired jobs.
+
+        A slot whose breaker trips here is quarantined: its in-flight
+        work is reclassified (blame the oldest, requeue the rest) but
+        the process is *not* respawned until the breaker half-opens —
+        a flapping host gets capped deterministic backoff, not a
+        respawn-crash hot loop.
+        """
+        now = self.clock.monotonic()
+        for worker, slot in enumerate(self._slots):
+            inflight = self._inflight[worker]
+            if not slot.alive():
+                # Take what the dead child finished first: the oldest
+                # job left in flight is then the one that was running.
+                self._absorb(worker, slot.results())
+                if inflight:
+                    self._blame_oldest(
+                        worker,
+                        CRASH,
+                        "worker {} died (exitcode {})".format(
+                            worker, slot.proc.exitcode
+                        ),
+                        now,
+                    )
+                if not self._breaker_blocks(worker, now):
+                    self._slots[worker] = slot.respawn()
+            elif inflight and now - inflight[0][1] > self.timeout:
+                self._blame_oldest(
+                    worker,
+                    HANG,
+                    "watchdog killed after {:.1f}s".format(self.timeout),
+                    now,
+                )
+                # A hung process must die to reclaim the slot; whether
+                # the fresh process may lease is the breaker's call.
+                self._slots[worker] = slot.respawn()
+
+    def _blame_oldest(
+        self, worker: int, classification: str, detail: str, now: float
+    ) -> None:
+        """Fail ``worker``'s oldest in-flight job; requeue the rest."""
+        inflight = self._inflight[worker]
+        (victim, _), rest = inflight[0], inflight[1:]
+        inflight.clear()
+        for job, _ in rest:
+            self.requeues += 1
+            if self.queue is not None:
+                self.queue.requeue(job.job_id)
+            self._pending.append(job)
+        self._note_failure(worker, now)
+        self._retry_or_finish(
+            victim,
+            classification,
+            detail=detail,
+            worker=worker,
+            busy=0.0,
+            now=now,
+        )
+
+    # -- the run loop ----------------------------------------------------
 
     def run(self) -> FleetReport:
         if self.queue is not None:
@@ -651,12 +748,21 @@ class FleetScheduler:
                     1 for job_id in self._ordinal
                     if job_id in dead and job_id not in kept
                 )
-        self._distribute()
+        self._pending = deque(self.jobs)
         started = self.clock.monotonic()
         if self.inline:
-            self._run_inline(started)
+            self._slots = [
+                _InlineSlot(self.executor, self.clock)
+                for _ in range(self.workers)
+            ]
         else:
-            self._run_processes(started)
+            self._slots = [_ProcessSlot() for _ in range(self.workers)]
+            self.spawn_seconds = self.clock.monotonic() - started
+        try:
+            self._loop(started)
+        finally:
+            for slot in self._slots:
+                slot.stop()
         if self.queue is not None:
             # Durability barrier: the report below claims completions,
             # so any open group-commit window must reach the platter
@@ -667,8 +773,6 @@ class FleetScheduler:
         return FleetReport(
             outcomes,
             workers=self.workers,
-            steals=self.steals,
-            stolen_jobs=self.stolen_jobs,
             requeues=self.requeues,
             skipped_acked=self.skipped_acked,
             skipped_dead=self.skipped_dead,
@@ -678,235 +782,26 @@ class FleetScheduler:
             spawn_seconds=self.spawn_seconds,
         )
 
-    # -- inline mode (deterministic, FakeClock-friendly) -----------------
-
-    def _run_inline(self, started: float) -> None:
-        cursor = 0
+    def _loop(self, started: float) -> None:
+        """Push due retries, reopen breakers, pump the ack window, fill
+        free slots, collect results, check liveness; until done."""
         while len(self._outcomes) < len(self.jobs):
             now = self.clock.monotonic()
             self._push_retry_ready(now)
             self._reopen_breakers(now)
             if self.queue is not None:
                 self.queue.maybe_flush_acks()
-            chunk: List[Job] = []
-            worker = cursor
-            for offset in range(self.workers):
-                candidate = (cursor + offset) % self.workers
-                if self._breaker_blocks(candidate, now):
-                    continue
-                while len(chunk) < self.batch:
-                    job = self._next_job(candidate)
-                    if job is None:
-                        break
-                    chunk.append(job)
-                if chunk:
-                    worker = candidate
-                    break
-            if not chunk:
+            self._fill(now, started)
+            if any(self._inflight):
+                self._collect()
+            else:
+                # Nothing running and nothing dispatchable: wait on the
+                # clock for the next retry or breaker reopen.
                 waits = [
                     at
                     for at in (self._next_retry_at(), self._next_breaker_at())
                     if at is not None
                 ]
-                if not waits:
-                    break  # unreachable: every job has an outcome path
-                self.clock.sleep(max(0.0, min(waits) - now))
-                continue
-            live = self._dispatch_chunk(worker, chunk, now, started)
-            for job in live:
-                self._inflight[worker] = [
-                    pair
-                    for pair in self._inflight[worker]
-                    if pair[0] is not job
-                ]
-                start_cpu = self.clock.process_time()
-                try:
-                    payload = self.executor(job)
-                except Exception as exc:
-                    busy = self.clock.process_time() - start_cpu
-                    self._busy[worker] += busy
-                    now = self.clock.monotonic()
-                    self._note_failure(worker, now)
-                    self._retry_or_finish(
-                        job,
-                        CRASH,
-                        detail="{}: {}".format(type(exc).__name__, exc),
-                        worker=worker,
-                        busy=busy,
-                        now=now,
-                    )
-                else:
-                    busy = self.clock.process_time() - start_cpu
-                    self._busy[worker] += busy
-                    self._note_success(worker)
-                    self._finish(
-                        job,
-                        self._classify_payload(payload),
-                        payload=payload,
-                        worker=worker,
-                        busy=busy,
-                    )
-            cursor = (worker + 1) % self.workers
-
-    # -- process mode ----------------------------------------------------
-
-    def _run_processes(self, started: float) -> None:
-        import multiprocessing
-        import queue as stdqueue
-
-        results = multiprocessing.Queue()
-        spawn_start = self.clock.monotonic()
-        self._procs = [
-            _ProcessWorker(index, results) for index in range(self.workers)
-        ]
-        self.spawn_seconds = self.clock.monotonic() - spawn_start
-        by_id = {job.job_id: job for job in self.jobs}
-        try:
-            while len(self._outcomes) < len(self.jobs):
-                now = self.clock.monotonic()
-                self._push_retry_ready(now)
-                self._reopen_breakers(now)
-                if self.queue is not None:
-                    self.queue.maybe_flush_acks()
-                for worker in range(self.workers):
-                    proc = self._procs[worker]
-                    if self._breaker_blocks(worker, now) or not proc.alive():
-                        continue
-                    while len(self._inflight[worker]) < self.batch:
-                        chunk = []
-                        while (
-                            len(self._inflight[worker]) + len(chunk)
-                            < self.batch
-                        ):
-                            job = self._next_job(worker)
-                            if job is None:
-                                break
-                            chunk.append(job)
-                        if not chunk:
-                            break
-                        self._dispatch_chunk(worker, chunk, now, started)
-                try:
-                    item = results.get(timeout=_POLL_SECONDS)
-                except stdqueue.Empty:
-                    self._check_liveness(by_id)
-                    continue
-                worker = item[0]
-                if len(item) == 2:
-                    chunk_results = item[1]
-                else:
-                    chunk_results = [item[1:]]
-                for job_id, status, payload, busy in chunk_results:
-                    entry = next(
-                        (
-                            pair
-                            for pair in self._inflight[worker]
-                            if pair[0].job_id == job_id
-                        ),
-                        None,
-                    )
-                    self._busy[worker] += busy
-                    if entry is None:
-                        # The dispatch behind this result was already
-                        # reclassified by _check_liveness (worker death
-                        # or watchdog) and the job finished, awaits a
-                        # retry, or was requeued.  Finishing from the
-                        # stale result would leave that duplicate retry
-                        # to re-run and overwrite the outcome, so drop
-                        # it.
-                        continue
-                    self._inflight[worker].remove(entry)
-                    job = by_id[job_id]
-                    if job_id in self._outcomes:
-                        continue  # late duplicate from a pre-kill put
-                    if status == "ok":
-                        self._note_success(worker)
-                        self._finish(
-                            job,
-                            self._classify_payload(payload),
-                            payload=payload,
-                            worker=worker,
-                            busy=busy,
-                        )
-                    else:
-                        now = self.clock.monotonic()
-                        self._note_failure(worker, now)
-                        self._retry_or_finish(
-                            job,
-                            CRASH,
-                            detail=payload,
-                            worker=worker,
-                            busy=busy,
-                            now=now,
-                        )
-        finally:
-            for proc in self._procs:
-                if proc is not None:
-                    proc.stop()
-            results.close()
-            results.join_thread()
-
-    def _check_liveness(self, by_id: Dict[str, Job]) -> None:
-        """Handle dead workers and watchdog-expired jobs.
-
-        A slot whose breaker trips here is quarantined: its in-flight
-        work is reclassified (blame the oldest, requeue the rest) but
-        the process is *not* respawned until the breaker half-opens —
-        a flapping host gets capped deterministic backoff, not a
-        respawn-crash hot loop.
-        """
-        now = self.clock.monotonic()
-        for worker in range(self.workers):
-            proc = self._procs[worker]
-            inflight = self._inflight[worker]
-            if not proc.alive():
-                if inflight:
-                    # Blame the oldest in-flight job; requeue the rest
-                    # (they were behind it in the dead worker's inbox).
-                    inflight.sort(key=lambda pair: pair[1])
-                    (victim, _), rest = inflight[0], inflight[1:]
-                    self._inflight[worker] = []
-                    for job, _ in rest:
-                        self.requeues += 1
-                        if self.queue is not None:
-                            self.queue.requeue(job.job_id)
-                        self._deques[worker].append(job)
-                    self._note_failure(worker, now)
-                    self._retry_or_finish(
-                        victim,
-                        CRASH,
-                        detail="worker {} died (exitcode {})".format(
-                            worker, proc.proc.exitcode
-                        ),
-                        worker=worker,
-                        busy=0.0,
-                        now=now,
-                    )
-                if self._breaker_blocks(worker, now):
-                    continue  # quarantined: respawn deferred to reopen
-                self._procs[worker] = proc.respawn()
-                continue
-            hung = [
-                pair for pair in inflight if now - pair[1] > self.timeout
-            ]
-            if hung:
-                self._inflight[worker] = []
-                for job, _ in inflight:
-                    if job is not hung[0][0]:
-                        self.requeues += 1
-                        if self.queue is not None:
-                            self.queue.requeue(job.job_id)
-                        self._deques[worker].append(job)
-                self._note_failure(worker, now)
-                self._retry_or_finish(
-                    hung[0][0],
-                    HANG,
-                    detail="watchdog killed after {:.1f}s".format(
-                        self.timeout
-                    ),
-                    worker=worker,
-                    busy=0.0,
-                    now=now,
-                )
-                # A hung process must die to reclaim the slot; whether
-                # the fresh process may lease is the breaker's call.
-                self._procs[worker] = proc.respawn()
+                if waits:
+                    self.clock.sleep(max(0.0, min(waits) - now))
+            self._check_liveness()

@@ -148,7 +148,7 @@ class ObsHub:
         The deterministic series (job counts by classification, merged
         violations, events) are always published — they are part of the
         snapshot byte-identity surface across worker counts.  The load
-        series (steals, requeues, busy seconds, utilization) genuinely
+        series (requeues, busy seconds, utilization) genuinely
         vary with scheduling, so determinism gates publish with
         ``include_load=False`` and compare the rest.
         """
@@ -172,10 +172,6 @@ class ObsHub:
         metrics.gauge("fleet_workers", subsystem="fleet").set(report.workers)
         metrics.gauge("fleet_breaker_trips", subsystem="fleet").set(
             sum(report.breaker_trips)
-        )
-        metrics.gauge("fleet_steals", subsystem="fleet").set(report.steals)
-        metrics.gauge("fleet_stolen_jobs", subsystem="fleet").set(
-            report.stolen_jobs
         )
         metrics.gauge("fleet_requeues", subsystem="fleet").set(report.requeues)
         metrics.gauge("fleet_serial_cpu_seconds", subsystem="fleet").set(

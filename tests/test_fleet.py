@@ -1,5 +1,5 @@
 """The fleet fabric: job envelopes, the crash-safe queue, the
-work-stealing scheduler, order-independent merging.
+one-deque dispatcher, order-independent merging.
 
 The determinism class is the acceptance surface from the issue: the
 same seed and job set run on 1, 2, and 4 real worker processes must
@@ -12,6 +12,7 @@ exactly once.
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -334,24 +335,22 @@ class TestInlineScheduler:
         assert report.violations == ["machine=x state=bad"]
         assert report.ok  # violations are results, not infrastructure
 
-    def test_steal_takes_back_half_in_order(self):
-        jobs = bench_trial_jobs(6, 4)
-        scheduler = FleetScheduler(
-            jobs, workers=2, clock=FakeClock(), inline=True,
-            executor=lambda job: {"violations": [], "events": 0},
-        )
-        # Pile everything onto worker 0's deque, then steal for worker 1.
-        scheduler._distribute()
-        scheduler._deques[0].extend(scheduler._deques[1])
-        scheduler._deques[1].clear()
-        piled = list(scheduler._deques[0])
-        assert scheduler._steal(1) is True
-        assert scheduler.steals == 1
-        assert scheduler.stolen_jobs == 2
-        # Steal-half: the victim keeps its front, the thief gets the
-        # back half in original order.
-        assert list(scheduler._deques[0]) == piled[:2]
-        assert list(scheduler._deques[1]) == piled[2:]
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slots_take_jobs_in_submission_order(self, workers, batch):
+        jobs = bench_trial_jobs(6, 6)
+        ran = []
+
+        def record(job):
+            ran.append(job.job_id)
+            return {"violations": [], "events": 0}
+
+        FleetScheduler(
+            jobs, workers=workers, batch=batch, clock=FakeClock(),
+            inline=True, executor=record,
+        ).run()
+        # One pending deque: every free slot takes from its head.
+        assert ran == [job.job_id for job in jobs]
 
     def test_duplicate_job_ids_rejected_at_submission(self):
         job = bench_trial_jobs(7, 1)[0]
@@ -524,7 +523,7 @@ def _deterministic_snapshot(report):
     return hub.snapshot()
 
 
-class TestWorkStealingDeterminism:
+class TestWorkerCountDeterminism:
     WORKER_COUNTS = (1, 2, 4)
 
     @pytest.fixture(scope="class")
@@ -679,6 +678,36 @@ class TestProcessWatchdog:
         assert after.classification == VIOLATION
         assert after.payload["path"] == good
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_worker_death_blames_the_job_that_was_running(
+        self, tmp_path, retries
+    ):
+        # One chunk of two: the first job finishes, the second SIGKILLs
+        # its worker.  The finished result must survive the death, and
+        # the blame must land on the job that was running.
+        ok = Job(kind="bench-trial", params={"substrate": "pyc", "trial": 0})
+        killer = Job(
+            kind="bench-trial",
+            params={"substrate": "pyc", "trial": 1,
+                    "die_once": str(tmp_path / "die.marker")},
+        )
+        report = FleetScheduler(
+            [ok, killer], workers=1, batch=2, retries=retries,
+            backoff_base=0.01, backoff_cap=0.02,
+        ).run()
+        healthy, victim = report.outcomes
+        assert healthy.classification == CLEAN
+        assert healthy.attempts == 1
+        if retries:
+            assert victim.classification in (CLEAN, VIOLATION)
+            assert victim.attempts == 2
+        else:
+            assert victim.classification == CRASH
+            assert victim.detail == "worker 0 died (exitcode {})".format(
+                -signal.SIGKILL
+            )
+            assert victim.attempts == 1
+
     def test_raising_job_is_a_crash_with_detail(self, tmp_path):
         job = Job(
             kind="bench-trial",
@@ -723,7 +752,7 @@ class TestObsIntegration:
 
 
 # ----------------------------------------------------------------------
-# Batched lease/steal/result IPC
+# Batched lease/dispatch IPC
 # ----------------------------------------------------------------------
 
 
