@@ -37,15 +37,16 @@ QUICK_ROUNDS = 2
 
 
 def run_fuzz_quick(out_path: str) -> dict:
-    from repro.fuzz import FAULTS, fuzz_gate, fuzz_run, shrink, shrink_fault
+    from repro.fleet import fleet_fuzz
+    from repro.fuzz import FAULTS, fuzz_gate, shrink, shrink_fault
 
     report = {"seed": QUICK_SEED, "rounds": QUICK_ROUNDS}
 
-    # -- the fuzz loop, twice (throughput + bit-reproducibility) -------
+    # -- the fuzz loop in process, twice (throughput + reproducibility) -
     start = time.perf_counter()
-    first = fuzz_run(QUICK_SEED, rounds=QUICK_ROUNDS)
+    first, _ = fleet_fuzz(QUICK_SEED, rounds=QUICK_ROUNDS, workers=0)
     loop_seconds = time.perf_counter() - start
-    second = fuzz_run(QUICK_SEED, rounds=QUICK_ROUNDS)
+    second, _ = fleet_fuzz(QUICK_SEED, rounds=QUICK_ROUNDS, workers=0)
     reproducible = json.dumps(first, sort_keys=True) == json.dumps(
         second, sort_keys=True
     )

@@ -6,7 +6,8 @@
 # (exit 1 on drift from the recorded streams), a journal
 # round trip (a DaCapo kernel recorded with a one-record-per-sync
 # journal must recover to the very bytes its close wrote, and both
-# files replay), the fixed-seed fuzz smoke,
+# files replay), the fixed-seed fuzz smoke (its JSON report in process
+# and on 2 fleet workers must be the same bytes), the regression corpus check,
 # the resilience smoke (chaos containment + crash recovery), the obs
 # CLI smoke on both substrates, the fleet smoke (the regression corpus
 # replayed on 2 fleet workers, one job per dispatch and in chunks of 4,
@@ -56,8 +57,10 @@ rm -rf "$journal_dir"
 echo "== compileall =="
 python -m compileall -q src
 
-echo "== fuzz smoke (fixed seed) =="
+echo "== fuzz smoke (fixed seed; same report in process and on 2 workers) =="
 python -m repro.cli fuzz run --smoke
+cmp <(python -m repro.cli fuzz run --smoke --json) \
+    <(python -m repro.cli fuzz run --smoke --json --workers 2)
 python -m repro.cli fuzz corpus -o tests/data/fuzz_corpus --check
 
 echo "== resilience smoke (fixed-seed chaos + crash recovery) =="

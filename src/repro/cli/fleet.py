@@ -36,93 +36,25 @@ def _print_load(report) -> None:
 def _cmd_fleet_run(args) -> int:
     import json as _json
 
-    from repro.fleet import fleet_chaos, fleet_corpus, fleet_fuzz, fleet_smoke
+    from repro.fleet import fleet_smoke
 
-    if args.smoke:
-        smoke = fleet_smoke(
-            workers=args.workers, queue_path=args.queue,
-            sync=args.sync, batch=args.batch,
-        )
-        if args.json:
-            print(_json.dumps(smoke, indent=2, sort_keys=True))
-        else:
-            print(
-                "smoke: {} trace(s) on {} worker(s): {} events, "
-                "{} violation(s), stream {}".format(
-                    smoke["traces"], smoke["workers"], smoke["events"],
-                    smoke["violations"],
-                    "identical" if smoke["stream_identical"] else "DRIFT",
-                )
-            )
-        print("gate: " + ("PASS" if smoke["ok"] else "FAIL"))
-        return 0 if smoke["ok"] else 1
-    if args.kind == "fuzz":
-        from repro.fuzz import fuzz_gate
-
-        merged, report = fleet_fuzz(
-            args.seed,
-            rounds=args.rounds,
-            substrate=args.substrate,
-            workers=args.workers,
-            queue_path=args.queue,
-            sync=args.sync,
-            batch=args.batch,
-        )
-        failures = fuzz_gate(merged)
-        if args.json:
-            print(_json.dumps(merged, indent=2, sort_keys=True))
-        else:
-            print("fuzz seed {}: {} runs, {} events".format(
-                args.seed, merged["totals"]["runs"], merged["totals"]["events"]
-            ))
-            _print_load(report)
-        for failure in failures:
-            print("GATE FAIL: " + failure)
-        return 1 if failures else 0
-    if args.kind == "chaos":
-        from repro.resilience import chaos_gate
-
-        merged, report = fleet_chaos(
-            args.seed,
-            substrate=args.substrate,
-            rounds=args.rounds,
-            workers=args.workers,
-            queue_path=args.queue,
-            sync=args.sync,
-            batch=args.batch,
-        )
-        gate = chaos_gate(merged)
-        if args.json:
-            print(_json.dumps(merged, indent=2, sort_keys=True))
-        else:
-            print(
-                "chaos seed {}: {} run(s), {} host crash(es), "
-                "{} unanswered".format(
-                    args.seed, len(merged["runs"]), merged["host_crashes"],
-                    merged["unanswered_faults"],
-                )
-            )
-            _print_load(report)
-        failures = [name for name, ok in sorted(gate.items()) if not ok]
-        for name in failures:
-            print("GATE FAIL: " + name)
-        return 1 if failures else 0
-    # corpus
-    manifest, report = fleet_corpus(
-        args.output,
-        args.seed,
-        substrate=args.substrate,
-        workers=args.workers,
-        queue_path=args.queue,
-        sync=args.sync,
-        batch=args.batch,
+    smoke = fleet_smoke(
+        workers=args.workers, queue_path=args.queue,
+        sync=args.sync, batch=args.batch,
     )
-    print("wrote {} minimized traces -> {}/".format(
-        len(manifest["entries"]), args.output
-    ))
-    if not args.json:
-        _print_load(report)
-    return 0 if report.ok else 1
+    if args.json:
+        print(_json.dumps(smoke, indent=2, sort_keys=True))
+    else:
+        print(
+            "smoke: {} trace(s) on {} worker(s): {} events, "
+            "{} violation(s), stream {}".format(
+                smoke["traces"], smoke["workers"], smoke["events"],
+                smoke["violations"],
+                "identical" if smoke["stream_identical"] else "DRIFT",
+            )
+        )
+    print("gate: " + ("PASS" if smoke["ok"] else "FAIL"))
+    return 0 if smoke["ok"] else 1
 
 
 def _cmd_fleet_status(args) -> int:
@@ -375,22 +307,15 @@ def add_parsers(sub) -> None:
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     run = fleet_sub.add_parser(
-        "run", help="run a checking workload across fleet workers"
+        "run", help="the fleet smoke: the regression corpus on fleet workers"
     )
-    # Trace files replay through `trace replay --workers N`.
-    workload = run.add_mutually_exclusive_group(required=True)
-    workload.add_argument("--kind", choices=("fuzz", "chaos", "corpus"))
-    workload.add_argument(
-        "--smoke", action="store_true",
+    # Trace files replay through `trace replay --workers N`, and fuzz
+    # campaigns run through `fuzz run --workers N`.
+    run.add_argument(
+        "--smoke", action="store_true", required=True,
         help="replay the regression corpus; gate on stream identity (CI)",
     )
     run.add_argument("--workers", type=int, default=2)
-    run.add_argument("--seed", type=int, default=2026)
-    run.add_argument("--rounds", type=int, default=1)
-    run.add_argument(
-        "--substrate", choices=("both", "jni", "pyc"), default="both"
-    )
-    run.add_argument("-o", "--output", default="fuzz_corpus")
     run.add_argument(
         "--queue", default=None,
         help="mirror job lifecycle into a crash-safe persistent queue",

@@ -8,28 +8,24 @@ from repro.cli.fleet import fleet_options
 def _cmd_fuzz_run(args) -> int:
     import json as _json
 
-    from repro.fuzz import fuzz_gate, fuzz_run
+    from repro.fleet import fleet_fuzz
+    from repro.fleet.merge import MissingPayloadError
+    from repro.fleet.scheduler import HANG
+    from repro.fuzz import fuzz_gate
 
     rounds = 1 if args.smoke else args.rounds
-    options = fleet_options(args.workers, args.timeout)
-    if options["workers"] > 0:
-        # Fleet path: campaign slices across workers, merged to the
-        # byte-identical canonical report.
-        from repro.fleet import fleet_fuzz
-        from repro.fleet.merge import MissingPayloadError
-        from repro.fleet.scheduler import HANG
-
-        try:
-            report, _ = fleet_fuzz(
-                args.seed, rounds=rounds, substrate=args.substrate, **options
-            )
-        except MissingPayloadError as exc:
-            print("FUZZ FAIL: {}: {}".format(
-                exc.outcome.job.describe(), exc.outcome.detail
-            ))
-            return 124 if exc.outcome.classification == HANG else 1
-    else:
-        report = fuzz_run(args.seed, rounds=rounds, substrate=args.substrate)
+    # Campaign slices on the fleet (in this process at --workers 0),
+    # merged to the canonical report.
+    try:
+        report, _ = fleet_fuzz(
+            args.seed, rounds=rounds, substrate=args.substrate,
+            **fleet_options(args.workers, args.timeout),
+        )
+    except MissingPayloadError as exc:
+        print("FUZZ FAIL: {}: {}".format(
+            exc.outcome.job.describe(), exc.outcome.detail
+        ))
+        return 124 if exc.outcome.classification == HANG else 1
     failures = fuzz_gate(report)
     if args.json:
         print(_json.dumps(report, indent=2, sort_keys=True))
@@ -155,7 +151,8 @@ def add_parsers(sub) -> None:
     )
     fuzz_run.add_argument(
         "--workers", type=int, default=0,
-        help="run campaign slices on the fleet fabric with N workers",
+        help="run campaign slices on N fleet worker processes "
+        "(0: in this process)",
     )
     fuzz_run.add_argument(
         "--json", action="store_true", help="print the canonical report"

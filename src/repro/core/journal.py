@@ -160,14 +160,3 @@ def scan_journal(data: bytes) -> JournalScan:
         scan.offsets.append(pos)
         pos = next_pos
     return scan
-
-
-def scan_length_prefixed(data: bytes) -> Tuple[List[str], int]:
-    """Compatibility shim for the historic scanner signature.
-
-    Returns ``(lines, dropped_bytes)`` with no damage classification —
-    callers that must distinguish torn tails from mid-file corruption
-    use :func:`scan_journal` directly.
-    """
-    scan = scan_journal(data)
-    return scan.lines, scan.dropped_bytes

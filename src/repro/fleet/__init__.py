@@ -1,11 +1,12 @@
 """repro.fleet: a multi-process execution fabric.
 
-Every checking workload the repo can run — replay shards, fuzz
-campaigns, chaos rounds, bench trials, corpus builds — becomes a typed
-:class:`~repro.fleet.jobs.Job` with a deterministic ID, flows through a
-crash-safe persistent :class:`~repro.fleet.queue.JobQueue` (the same
-length-prefixed journal format trace recovery reads), and executes on
-a :class:`~repro.fleet.scheduler.FleetScheduler`: one pending deque
+The fleet's workloads — replay shards, fuzz campaigns and bench
+trials — are typed :class:`~repro.fleet.jobs.Job` envelopes with
+deterministic IDs.  Jobs may flow through a crash-safe persistent
+:class:`~repro.fleet.queue.JobQueue` (the same length-prefixed journal
+format trace recovery reads); of the high-level runners only replay
+takes one.  Every job executes on a
+:class:`~repro.fleet.scheduler.FleetScheduler`: one pending deque
 feeding every worker slot in submission order, one pipe per worker, a
 wall-clock watchdog per job, classified exits (clean / violation /
 crash / hang / expired) with capped-backoff retry, and bounded
@@ -25,32 +26,18 @@ from repro.fleet.jobs import (
     JOB_KINDS,
     Job,
     bench_trial_jobs,
-    chaos_jobs,
-    corpus_jobs,
     execute_job,
     fuzz_jobs,
     replay_jobs,
 )
-from repro.fleet.merge import (
-    merge_chaos,
-    merge_corpus,
-    merge_fuzz,
-    merge_replay,
-    violation_stream,
-)
+from repro.fleet.merge import merge_fuzz, merge_replay, violation_stream
 from repro.fleet.queue import (
     SYNC_MODES,
     JobQueue,
     QueueCorruptionError,
     QueueFormatError,
 )
-from repro.fleet.runner import (
-    fleet_chaos,
-    fleet_corpus,
-    fleet_fuzz,
-    fleet_replay,
-    fleet_smoke,
-)
+from repro.fleet.runner import fleet_fuzz, fleet_replay, fleet_smoke
 from repro.fleet.scheduler import EXPIRED, FleetReport, FleetScheduler
 
 __all__ = [
@@ -70,18 +57,12 @@ __all__ = [
     "storage_chaos",
     "storage_chaos_gate",
     "bench_trial_jobs",
-    "chaos_jobs",
-    "corpus_jobs",
     "execute_job",
     "fuzz_jobs",
     "replay_jobs",
-    "merge_chaos",
-    "merge_corpus",
     "merge_fuzz",
     "merge_replay",
     "violation_stream",
-    "fleet_chaos",
-    "fleet_corpus",
     "fleet_fuzz",
     "fleet_replay",
     "fleet_smoke",

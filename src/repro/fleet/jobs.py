@@ -28,13 +28,7 @@ from functools import cached_property
 from typing import Dict, List, Optional
 
 #: Every kind the fabric knows how to execute.
-JOB_KINDS = (
-    "replay-shard",
-    "fuzz-campaign",
-    "chaos-round",
-    "bench-trial",
-    "corpus-build",
-)
+JOB_KINDS = ("replay-shard", "fuzz-campaign", "bench-trial")
 
 
 @dataclass(frozen=True)
@@ -157,11 +151,13 @@ def fuzz_jobs(
     substrate: str = "both",
     segments: Optional[int] = None,
 ) -> List[Job]:
-    """One valid-campaign job per substrate plus one job per fault class.
+    """A fuzz campaign as an ordered list of slices.
 
-    The order matches :func:`repro.fuzz.engine.fuzz_run`'s loop
-    (substrates, then each substrate's faults), so the merged report
-    assembles byte-identically.
+    Per substrate (jni, then pyc), one valid-sequence job, then one job
+    per fault class in :func:`repro.fuzz.faults.faults_for` order.  This
+    list is the one definition of a campaign's slices and their order:
+    :func:`repro.fleet.merge.merge_fuzz` folds the payloads in
+    submission order, so the report is the same at any worker count.
     """
     from repro.fuzz.engine import _substrates
     from repro.fuzz.faults import faults_for
@@ -194,45 +190,6 @@ def fuzz_jobs(
                 )
             )
     return jobs
-
-
-def chaos_jobs(
-    seed: int,
-    *,
-    substrate: str = "both",
-    rounds: int = 1,
-) -> List[Job]:
-    """One chaos-round job per substrate, in ``_substrates`` order."""
-    from repro.fuzz.engine import _substrates
-
-    return [
-        Job(
-            kind="chaos-round",
-            params={"substrate": sub, "rounds": rounds},
-            seed=seed,
-        )
-        for sub in _substrates(substrate)
-    ]
-
-
-def corpus_jobs(
-    seed: int,
-    *,
-    substrate: str = "both",
-    segments: Optional[int] = None,
-) -> List[Job]:
-    """One corpus-build job per fault class, in registry order."""
-    from repro.fuzz.faults import FAULTS, faults_for
-
-    faults = list(FAULTS) if substrate == "both" else faults_for(substrate)
-    return [
-        Job(
-            kind="corpus-build",
-            params={"fault": fault.name, "segments": segments},
-            seed=seed,
-        )
-        for fault in faults
-    ]
 
 
 def bench_trial_jobs(
@@ -345,23 +302,6 @@ def _execute_fuzz_campaign(job: Job) -> dict:
     }
 
 
-def _execute_chaos_round(job: Job) -> dict:
-    from repro.resilience.chaos import chaos_run
-
-    params = job.params
-    report = chaos_run(
-        job.seed,
-        substrate=str(params["substrate"]),
-        rounds=int(params.get("rounds", 1)),
-    )
-    return {
-        "kind": job.kind,
-        "report": report,
-        "violations": [],
-        "events": 0,
-    }
-
-
 def _execute_bench_trial(job: Job) -> dict:
     from repro.fuzz.engine import run_ops, task_rng
     from repro.fuzz.gen import generate_sequence
@@ -393,48 +333,10 @@ def _execute_bench_trial(job: Job) -> dict:
     }
 
 
-def _execute_corpus_build(job: Job) -> dict:
-    from repro.fuzz.faults import fault_by_name
-    from repro.fuzz.ops import run_jni_ops, run_pyc_ops
-    from repro.fuzz.shrink import shrink_fault
-    from repro.trace import TraceRecorder
-
-    params = job.params
-    fault = fault_by_name(str(params["fault"]))
-    shrunk = shrink_fault(fault, job.seed, segments=params.get("segments"))
-    recorder = TraceRecorder(workload="fuzz:" + fault.name)
-    runner = run_pyc_ops if fault.substrate == "pyc" else run_jni_ops
-    final = runner(shrunk.sequence.ops, observer=recorder)
-    events = recorder.close()
-    entry = {
-        "name": fault.name,
-        "substrate": fault.substrate,
-        "machine": fault.machine,
-        "trace": fault.name + ".trace",
-        "fingerprint": list(shrunk.fingerprint),
-        "ops": [list(op) for op in shrunk.sequence.ops],
-        "original_ops": shrunk.original_ops,
-        "shrunk_ops": shrunk.shrunk_ops,
-        "shrink_runs": shrunk.runs,
-        "events": events,
-        "violations": final.reports,
-    }
-    return {
-        "kind": job.kind,
-        "entry": entry,
-        "trace_lines": list(recorder.lines or []),
-        # Corpus entries *record* violations by design; not incidents.
-        "violations": [],
-        "events": events,
-    }
-
-
 _EXECUTORS = {
     "replay-shard": _execute_replay_shard,
     "fuzz-campaign": _execute_fuzz_campaign,
-    "chaos-round": _execute_chaos_round,
     "bench-trial": _execute_bench_trial,
-    "corpus-build": _execute_corpus_build,
 }
 
 

@@ -1,15 +1,13 @@
 """Order-independent result merging: arrival order never leaks out.
 
 Every merge here is keyed by job ID and ordered by the *submitted* job
-list, so the merged violation stream, the assembled fuzz/chaos
-reports, and the ObsHub snapshot are byte-identical whether the fleet
-ran on one worker or sixteen, and whatever order its jobs finished in.
+list, so the merged violation stream, the assembled fuzz report, and
+the ObsHub snapshot are byte-identical whether the fleet ran on one
+worker or sixteen, and whatever order its jobs finished in.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Tuple
 
 from repro.fleet.scheduler import FleetReport, JobOutcome
@@ -88,9 +86,9 @@ def merge_fuzz(
 ) -> Dict[str, object]:
     """Assemble fuzz-campaign payloads into the canonical fuzz report.
 
-    Byte-identical to :func:`repro.fuzz.engine.fuzz_run` because the
-    job builder emits campaigns in ``fuzz_run``'s own loop order and
-    this merge preserves submission order.
+    The parts reach :func:`repro.fuzz.engine.assemble_report` in
+    :func:`repro.fleet.jobs.fuzz_jobs` order whatever order the jobs
+    finished in, so the report is byte-identical at any worker count.
     """
     from repro.fuzz.engine import assemble_report
 
@@ -102,43 +100,6 @@ def merge_fuzz(
         else:
             fault_parts.append(payload["part"])
     return assemble_report(seed, rounds, substrate, valid_parts, fault_parts)
-
-
-def merge_chaos(report: FleetReport, substrate: str) -> Dict[str, object]:
-    """Merge per-substrate chaos reports; field-identical to one run."""
-    from repro.resilience.chaos import merge_reports
-
-    return merge_reports(
-        [payload["report"] for payload in _payloads(report, "chaos-round")],
-        substrate,
-    )
-
-
-def merge_corpus(
-    report: FleetReport, out_dir: str, seed: int
-) -> Dict[str, object]:
-    """Write corpus-build payloads as a corpus directory + manifest.
-
-    Entries land in job submission order (the fault registry order the
-    builder used), so the manifest is byte-identical to
-    :func:`repro.fuzz.corpus.build_corpus` over the same faults.
-    """
-    from repro.fuzz.corpus import MANIFEST_NAME
-
-    os.makedirs(out_dir, exist_ok=True)
-    entries: List[dict] = []
-    for payload in _payloads(report, "corpus-build"):
-        entry = payload["entry"]
-        with open(os.path.join(out_dir, entry["trace"]), "w") as f:
-            for line in payload["trace_lines"]:
-                f.write(line)
-                f.write("\n")
-        entries.append(entry)
-    manifest = {"seed": seed, "entries": entries}
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return manifest
 
 
 def violation_stream(report: FleetReport) -> List[str]:

@@ -1,13 +1,13 @@
 """High-level fleet entry points: workloads in, merged reports out.
 
 Each ``fleet_*`` function builds the ordered job list, runs the fleet
-dispatcher, and merges through :mod:`repro.fleet.merge`.
-The fleet is the one parallel runner.  ``fuzz_run``, ``chaos_run`` and
-``build_corpus`` are also the one-process paths their CLI commands run
-by default; the parity tests assert the fleet reproduces them byte for
-byte.  Replay's baselines are :func:`repro.trace.replay.replay_path`
-for one file and, for the shipped regression corpus, the violation
-stream and event total pinned in its manifest.
+dispatcher, and merges through :mod:`repro.fleet.merge`.  The fleet is
+the one runner for replay and fuzz work: multi-file ``trace replay``
+runs :func:`fleet_replay` and ``fuzz run`` runs :func:`fleet_fuzz`, in
+this process at ``workers <= 0``.  Only replay takes a queue.  The
+pinned answers are :func:`repro.trace.replay.replay_path` for one file,
+the violation stream and event total in the shipped regression
+corpus's manifest, and the fuzz report digests in the tests.
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.fleet.jobs import (
-    chaos_jobs,
-    corpus_jobs,
-    fuzz_jobs,
-    replay_jobs,
-)
+from repro.fleet.jobs import fuzz_jobs, replay_jobs
 from repro.fleet.merge import (
     MergedReplay,
-    merge_chaos,
-    merge_corpus,
     merge_fuzz,
     merge_replay,
     violation_stream,
@@ -33,33 +26,10 @@ from repro.fleet.queue import JobQueue
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
-def _run(
-    jobs,
-    *,
-    workers: int,
-    seed: int = 0,
-    queue_path: Optional[str] = None,
-    inline: bool = False,
-    sync: str = "eager",
-    **kwargs,
-) -> FleetReport:
-    # ``sync`` is queue policy, not scheduler policy (the scheduler's
-    # ``batch`` knob rides through **kwargs); without a queue path the
-    # run has no journal and the knob is inert.
-    queue = JobQueue(queue_path, sync=sync) if queue_path else None
-    try:
-        scheduler = FleetScheduler(
-            jobs,
-            workers=workers,
-            seed=seed,
-            queue=queue,
-            inline=inline or workers <= 0,
-            **kwargs,
-        )
-        return scheduler.run()
-    finally:
-        if queue is not None:
-            queue.close()
+def _run(jobs, *, workers: int, **kwargs) -> FleetReport:
+    return FleetScheduler(
+        jobs, workers=workers, inline=workers <= 0, **kwargs
+    ).run()
 
 
 def fleet_replay(
@@ -70,17 +40,25 @@ def fleet_replay(
     repeats: int = 1,
     fingerprint: Optional[str] = None,
     queue_path: Optional[str] = None,
+    sync: str = "eager",
     **kwargs,
 ) -> Tuple[MergedReplay, FleetReport]:
     """Replay trace files on the fleet; one job per distinct file.
 
     ``workers <= 0`` runs the jobs in this process.  Each file's result
     equals :func:`repro.trace.replay.replay_path` on that file.
+    ``queue_path`` mirrors the job lifecycle into a persistent
+    :class:`~repro.fleet.queue.JobQueue` with ack durability ``sync``.
     """
     jobs = replay_jobs(
         paths, force=force, fingerprint=fingerprint, repeats=repeats
     )
-    report = _run(jobs, workers=workers, queue_path=queue_path, **kwargs)
+    queue = JobQueue(queue_path, sync=sync) if queue_path else None
+    try:
+        report = _run(jobs, workers=workers, queue=queue, **kwargs)
+    finally:
+        if queue is not None:
+            queue.close()
     return merge_replay(report), report
 
 
@@ -91,61 +69,21 @@ def fleet_fuzz(
     substrate: str = "both",
     segments: Optional[int] = None,
     workers: int = 2,
-    queue_path: Optional[str] = None,
     **kwargs,
 ) -> Tuple[Dict[str, object], FleetReport]:
-    """Run a fuzz campaign on the fleet; one job per campaign slice.
+    """Run a fuzz campaign; one job per :func:`fuzz_jobs` slice.
 
-    Parity baseline: :func:`repro.fuzz.engine.fuzz_run` — the merged
-    report is byte-identical JSON.
+    Per round and substrate: one valid sequence (expected to produce
+    zero violations and zero replay drift), then every registered fault
+    class injected into its own fresh valid sequence (expected to be
+    detected by the tagged machine, again with zero drift).  Returns
+    the canonical (deterministic) report and the fleet report.
     """
     jobs = fuzz_jobs(seed, rounds=rounds, substrate=substrate, segments=segments)
-    report = _run(
-        jobs, workers=workers, seed=seed, queue_path=queue_path, **kwargs
-    )
+    # No queue: campaign payloads are not journaled, so a campaign
+    # resumed from one could never merge.
+    report = _run(jobs, workers=workers, seed=seed, queue=None, **kwargs)
     return merge_fuzz(report, seed, rounds, substrate), report
-
-
-def fleet_chaos(
-    seed: int,
-    *,
-    substrate: str = "both",
-    rounds: int = 1,
-    workers: int = 2,
-    queue_path: Optional[str] = None,
-    **kwargs,
-) -> Tuple[Dict[str, object], FleetReport]:
-    """Run chaos rounds on the fleet; one job per substrate.
-
-    Parity baseline: :func:`repro.resilience.chaos.chaos_run`.
-    """
-    jobs = chaos_jobs(seed, substrate=substrate, rounds=rounds)
-    report = _run(
-        jobs, workers=workers, seed=seed, queue_path=queue_path, **kwargs
-    )
-    return merge_chaos(report, substrate), report
-
-
-def fleet_corpus(
-    out_dir: str,
-    seed: int,
-    *,
-    substrate: str = "both",
-    segments: Optional[int] = None,
-    workers: int = 2,
-    queue_path: Optional[str] = None,
-    **kwargs,
-) -> Tuple[Dict[str, object], FleetReport]:
-    """Build the regression corpus on the fleet; one job per fault.
-
-    Parity baseline: :func:`repro.fuzz.corpus.build_corpus` — identical
-    manifest and trace files.
-    """
-    jobs = corpus_jobs(seed, substrate=substrate, segments=segments)
-    report = _run(
-        jobs, workers=workers, seed=seed, queue_path=queue_path, **kwargs
-    )
-    return merge_corpus(report, out_dir, seed), report
 
 
 def shipped_corpus_dir() -> Optional[str]:

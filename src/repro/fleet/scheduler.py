@@ -42,7 +42,8 @@ one pipe message for the whole chunk — cutting the per-job dispatch
 and journal cost to ~1/K on many-small-jobs workloads.  Batching is
 pure transport: jobs still execute one at a time in the child, each
 result comes back on its own, the watchdog and blame-the-oldest crash
-attribution see each chunk member as an individual in-flight entry,
+attribution see each chunk member as an individual in-flight entry
+(a job's watchdog clock starts when the job ahead of it finishes),
 and the report stays keyed by job ID in submission order, so violation
 streams are byte-identical across batch sizes and worker counts.  With
 a group-commit queue the run loop pumps
@@ -63,6 +64,7 @@ breakers drive it on an injectable clock, so scheduler tests run on a
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -272,11 +274,21 @@ def _run_one(executor: Callable[[Job], dict], job: Job, clock) -> tuple:
 
 
 def _worker_main(conn) -> None:
-    """The child: one chunk in, one message out per finished job."""
+    """The child: one chunk in, one message out per finished job.
+
+    It waits by polling, and leaves once re-parented: this child and
+    every sibling forked after it hold copies of this pipe's parent
+    end, so a dead parent does not read as EOF here.
+    """
+    parent = os.getppid()
     while True:
+        if not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+            continue
         chunk = conn.recv()
         if chunk is None:
-            break
+            return
         for entry in chunk:
             conn.send(
                 _run_one(execute_job, Job.from_json(entry), SYSTEM_CLOCK)
@@ -405,7 +417,8 @@ class FleetScheduler:
         self.executor = executor if executor is not None else execute_job
         # -- scheduling state --
         self._pending: deque = deque()
-        #: Per slot, (job, dispatch time) in dispatch order.
+        #: Per slot, (job, watchdog start) in dispatch order: the head
+        #: job's clock starts at dispatch or when the job ahead ends.
         self._inflight: List[List[tuple]] = [[] for _ in range(self.workers)]
         self._outcomes: Dict[str, JobOutcome] = {}
         self._attempts: Dict[str, int] = {}
@@ -638,6 +651,10 @@ class FleetScheduler:
             # A slot runs its jobs in dispatch order, so each result
             # belongs to its oldest job still in flight.
             job, _ = inflight.pop(0)
+            if inflight:
+                # The slot starts its next job as this one ends: that
+                # job's watchdog clock starts now, not at dispatch.
+                inflight[0] = (inflight[0][0], self.clock.monotonic())
             self._busy[worker] += busy
             if status == "ok":
                 self._note_success(worker)

@@ -15,9 +15,11 @@ leaves open (it evaluates Jinn only against hand-seeded bugs):
   ``DeleteLocalRef``, swap a jclass for a jobject, call across threads,
   leak a pinned buffer, over/under-decref, ...), each tagged with the
   machine expected to fire;
-- :mod:`repro.fuzz.engine` runs the seeded, reproducible fuzz loop that
-  cross-checks live detection against :mod:`repro.trace` replay — any
-  divergence between the two checkers is itself a bug;
+- :mod:`repro.fuzz.engine` holds the seeded, reproducible campaign
+  slices that cross-check live detection against :mod:`repro.trace`
+  replay — any divergence between the two checkers is itself a bug —
+  and the report they fold into; :func:`repro.fleet.fleet_fuzz` runs
+  them;
 - :mod:`repro.fuzz.shrink` reduces a failing sequence to a minimal
   failure slice with delta debugging, preserving the violation
   fingerprint;
@@ -25,7 +27,7 @@ leaves open (it evaluates Jinn only against hand-seeded bugs):
   traces in a regression corpus.
 """
 
-from repro.fuzz.engine import fuzz_gate, fuzz_run, run_ops, task_rng
+from repro.fuzz.engine import fuzz_gate, run_ops, task_rng
 from repro.fuzz.faults import FAULTS, fault_by_name, faults_for
 from repro.fuzz.gen import generate_sequence, generator_machines
 from repro.fuzz.ops import FuzzSequence, run_jni_ops, run_pyc_ops
@@ -44,7 +46,6 @@ __all__ = [
     "faults_for",
     "fingerprint_of_report",
     "fuzz_gate",
-    "fuzz_run",
     "generate_sequence",
     "generator_machines",
     "run_jni_ops",

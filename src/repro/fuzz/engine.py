@@ -1,4 +1,4 @@
-"""The seeded, reproducible fuzz loop.
+"""The seeded, reproducible fuzz campaign: its slices and its report.
 
 Every run is parameterized by a single integer seed.  Each generation
 or injection step derives its own :func:`task_rng` from the seed plus a
@@ -6,7 +6,11 @@ string tag, so sequences are independent of iteration order and the
 whole report is a pure function of ``(seed, rounds, substrate)`` —
 ``repro fuzz run --seed N`` twice produces byte-identical JSON (the
 report carries no timing, and the model's addresses/serials are
-deterministic per VM).
+deterministic per VM).  A campaign is the slice list of
+:func:`repro.fleet.jobs.fuzz_jobs` — one :func:`valid_campaign` per
+substrate, one :func:`fault_campaign` per fault class — folded by
+:func:`assemble_report`; :func:`repro.fleet.fleet_fuzz` runs it, in
+process or on worker processes.
 
 Each sequence is executed once, live, with a trace recorder attached;
 the captured trace is immediately replayed offline and the two
@@ -22,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.fuzz.faults import fault_by_name, faults_for
+from repro.fuzz.faults import fault_by_name
 from repro.fuzz.gen import generate_sequence, generator_machines
 from repro.fuzz.ops import RunOutcome, run_jni_ops, run_pyc_ops
 
@@ -81,12 +85,11 @@ def valid_campaign(
     *,
     segments: Optional[int] = None,
 ) -> Dict[str, object]:
-    """The valid-sequence half of one substrate's fuzz loop.
+    """The valid-sequence slice of one substrate's campaign.
 
     A pure function of its arguments (every round derives its own
-    :func:`task_rng`), so the loop splits freely across fleet workers:
-    :func:`fuzz_run` and ``repro fleet``'s ``fuzz-campaign`` jobs both
-    call this and merge identically.
+    :func:`task_rng`), so the slices split freely across fleet workers
+    and merge identically.
     """
     valid: Dict[str, object] = {
         "sequences": 0,
@@ -132,8 +135,8 @@ def fault_campaign(
     """All rounds of one fault class: generate → inject → run → check.
 
     Same split-and-merge contract as :func:`valid_campaign`; the
-    ``detection_rate`` is left to the merge step (:func:`fuzz_run` or
-    the fleet runner) so partial campaigns stay summable.
+    ``detection_rate`` is left to :func:`assemble_report` so partial
+    campaigns stay summable.
     """
     fault = fault_by_name(fault_name)
     stats: Dict[str, object] = {
@@ -175,10 +178,10 @@ def assemble_report(
     """Fold campaign parts into the canonical fuzz report.
 
     ``valid_parts`` must arrive in :func:`_substrates` order and
-    ``fault_parts`` in per-substrate :func:`faults_for` order — the
-    order :func:`fuzz_run` produces and the fleet merge (keyed by job
-    ID over an ordered job list) reproduces — so the assembled report
-    is byte-identical either way.
+    ``fault_parts`` in per-substrate
+    :func:`repro.fuzz.faults.faults_for` order — the order of
+    :func:`repro.fleet.jobs.fuzz_jobs`, which the fleet merge (keyed by
+    job ID over that list) keeps at any worker count.
     """
     names = {sub: generator_machines(sub) for sub in _substrates(substrate)}
     valid: Dict[str, object] = {
@@ -217,31 +220,6 @@ def assemble_report(
         "faults": fault_stats,
         "totals": {"runs": total_runs, "events": total_events},
     }
-
-
-def fuzz_run(
-    seed: int,
-    *,
-    rounds: int = 3,
-    substrate: str = "both",
-    segments: Optional[int] = None,
-) -> Dict[str, object]:
-    """The full fuzz loop; returns the canonical (deterministic) report.
-
-    Per round and substrate: one valid sequence (expected to produce
-    zero violations and zero replay drift), then every registered fault
-    class injected into its own fresh valid sequence (expected to be
-    detected by the tagged machine, again with zero drift).
-    """
-    valid_parts: List[Dict[str, object]] = []
-    fault_parts: List[Dict[str, object]] = []
-    for sub in _substrates(substrate):
-        valid_parts.append(valid_campaign(seed, rounds, sub, segments=segments))
-        for fault in faults_for(sub):
-            fault_parts.append(
-                fault_campaign(seed, rounds, fault.name, segments=segments)
-            )
-    return assemble_report(seed, rounds, substrate, valid_parts, fault_parts)
 
 
 def fuzz_gate(report: Dict[str, object]) -> List[str]:

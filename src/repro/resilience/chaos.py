@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.runtime import ContainmentPolicy
-from repro.fuzz.engine import task_rng
-from repro.fuzz.gen import generate_sequence, generator_machines
+from repro.fuzz.engine import _substrates, task_rng
+from repro.fuzz.gen import generate_sequence
 from repro.fuzz.ops import run_jni_ops, run_pyc_ops
 
 #: Internal-error types chaos picks from — none of them FFIViolation,
@@ -119,14 +119,6 @@ def injector_plan(
     )
 
 
-def _substrates(substrate: str) -> List[str]:
-    if substrate == "both":
-        return ["jni", "pyc"]
-    if substrate in ("jni", "pyc"):
-        return [substrate]
-    raise ValueError("unknown substrate: {!r}".format(substrate))
-
-
 def _registry_machines(substrate: str) -> List[str]:
     if substrate == "pyc":
         from repro.pyc.machines import build_pyc_registry
@@ -206,12 +198,7 @@ def chaos_run(
 
 
 def _finalize_report(report: Dict[str, object], substrate: str) -> None:
-    """Recompute the machine-level aggregates from ``report["runs"]``.
-
-    A pure function of the runs list, so a report assembled from
-    per-substrate fleet jobs (:func:`merge_reports`) finalizes to the
-    same aggregates as a single-process :func:`chaos_run`.
-    """
+    """Compute the machine-level aggregates from ``report["runs"]``."""
     faulted = set()
     quarantined = set()
     for entry in report["runs"]:
@@ -228,44 +215,6 @@ def _finalize_report(report: Dict[str, object], substrate: str) -> None:
         )
         - faulted
     )
-
-
-def merge_reports(
-    reports: List[Dict[str, object]], substrate: str
-) -> Dict[str, object]:
-    """Merge per-substrate chaos reports into one combined report.
-
-    ``reports`` must be keyed/ordered by substrate in
-    :func:`_substrates` order (the fleet runner merges by job ID, which
-    pins that order) and share seed/rounds/policy.  The result is
-    field-for-field identical to a single :func:`chaos_run` over the
-    combined ``substrate``.
-    """
-    if not reports:
-        raise ValueError("nothing to merge")
-    merged: Dict[str, object] = {
-        "seed": reports[0]["seed"],
-        "substrate": substrate,
-        "rounds": reports[0]["rounds"],
-        "policy": dict(reports[0]["policy"]),
-        "runs": [],
-        "host_crashes": 0,
-        "unanswered_faults": 0,
-        "machines_faulted": 0,
-        "machines_quarantined": 0,
-    }
-    for report in reports:
-        if (
-            report["seed"] != merged["seed"]
-            or report["rounds"] != merged["rounds"]
-            or report["policy"] != merged["policy"]
-        ):
-            raise ValueError("cannot merge chaos reports from different runs")
-        merged["runs"].extend(report["runs"])
-        merged["host_crashes"] += report["host_crashes"]
-        merged["unanswered_faults"] += report["unanswered_faults"]
-    _finalize_report(merged, substrate)
-    return merged
 
 
 def _summarize(sub, round_no, target, injectors, outcome) -> dict:

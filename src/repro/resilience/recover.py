@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.journal import scan_journal, scan_length_prefixed  # noqa: F401  (re-exported)
+from repro.core.journal import scan_journal
 from repro.trace import format as tfmt
 
 
@@ -52,11 +52,6 @@ class RecoveryReport:
             "complete": self.complete,
             "notes": self.notes,
         }
-
-
-# The byte-exact length-prefixed scan lives in repro.core.journal now
-# (shared with the fleet's persistent job queue); scan_length_prefixed
-# is re-exported above for callers of the historic name.
 
 
 def parse_journal(path: str) -> Tuple[Dict[str, object], List[str], int]:

@@ -273,20 +273,11 @@ class TestFleetSubcommands:
         assert "gate: PASS" in printed
 
     def test_run_needs_kind_or_smoke(self, capsys):
+        # `--smoke` is required: `fleet run` is only the CI smoke.
         with pytest.raises(SystemExit) as exc:
             main(["fleet", "run"])
         assert exc.value.code == 2
         assert "usage: repro fleet run" in capsys.readouterr().err
-
-    def test_run_fuzz_kind_json(self, capsys):
-        import json
-
-        assert main(
-            ["fleet", "run", "--kind", "fuzz", "--workers", "2",
-             "--substrate", "pyc", "--seed", "7", "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["valid"]["violations"] == 0
 
     def test_workers_inline(self, capsys):
         assert main(
@@ -567,10 +558,6 @@ def test_pre_split_surface_still_parses(argv):
 #: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
     ["fleet", "run", "--smoke", "--workers", "2", "--queue", "q", "--json"],
-    ["fleet", "run", "--kind", "fuzz", "--seed", "1", "--rounds", "2",
-     "--substrate", "pyc"],
-    ["fleet", "run", "--kind", "chaos", "--substrate", "both"],
-    ["fleet", "run", "--kind", "corpus", "-o", "d", "--seed", "1"],
     ["fleet", "status", "--queue", "q", "--json"],
     ["fleet", "workers", "--workers", "0", "--trials", "2",
      "--substrate", "jni", "--seed", "1"],
@@ -605,24 +592,34 @@ def test_hardening_surface_parses(argv):
 
 
 #: Parallel runners other than the fleet are gone: `trace replay
-#: --workers N` and `fleet run --kind fuzz --workers N` replace these
-#: flags.  Each argv comes with the error argparse rejects it with.
+#: --workers N` and `fuzz run --workers N` replace these flags, and
+#: `fleet run` is only the smoke.  Chaos and corpus builds run in one
+#: process (`resilience chaos`, `fuzz corpus`).  Each argv comes with
+#: the error argparse rejects it with.
 REMOVED_ARGVS = [
     (["trace", "replay", "a", "b", "--shards", "2"],
      "unrecognized arguments"),
     # The command went with its flag.
     (["resilience", "supervise", "fuzz:1", "--parallel", "4"],
      "invalid choice"),
+    (["fleet", "run", "--kind", "fuzz", "--seed", "1", "--rounds", "2",
+      "--substrate", "pyc"],
+     "required: --smoke"),
+    (["fleet", "run", "--kind", "chaos", "--substrate", "both"],
+     "required: --smoke"),
+    (["fleet", "run", "--kind", "corpus", "-o", "d", "--seed", "1"],
+     "required: --smoke"),
+    (["fleet", "run", "--kind", "replay", "a"], "required: --smoke"),
+    (["fleet", "run", "--smoke", "--kind", "fuzz"],
+     "unrecognized arguments"),
 ]
 
-#: Watched work runs on the fleet, and `trace replay` is the one replay
-#: surface: `fuzz run --timeout T` and `trace replay [--timeout T]
-#: [--workers N]` replace the first two commands.  `trace recover`
+#: Watched work runs on the fleet: `fuzz run --timeout T` and `trace
+#: replay --timeout T` replace the first command.  `trace recover`
 #: replaces `resilience recover`, and interpretive checking is replay's,
 #: not a live `--mode`.
 REMOVED_COMMANDS = [
     ["resilience", "supervise", "fuzz:1"],
-    ["fleet", "run", "--kind", "replay", "a"],
     ["resilience", "recover", "j", "-o", "t"],
     ["pipeline", "show", "--mode", "interpretive"],
 ]

@@ -10,9 +10,16 @@ worker mid-job and proves the persistent queue still acks every job
 exactly once.
 """
 
+import hashlib
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from contextlib import suppress
 
 import pytest
 
@@ -24,9 +31,6 @@ from repro.fleet import (
     Job,
     JobQueue,
     bench_trial_jobs,
-    corpus_jobs,
-    fleet_chaos,
-    fleet_corpus,
     fleet_fuzz,
     fleet_replay,
     fleet_smoke,
@@ -82,7 +86,7 @@ class TestJobEnvelope:
             Job(kind="mine-bitcoin")
 
     def test_describe_names_kind_and_id(self):
-        job = Job(kind="chaos-round", seed=3)
+        job = Job(kind="fuzz-campaign", seed=3)
         assert job.kind in job.describe()
         assert job.job_id in job.describe()
 
@@ -107,14 +111,6 @@ class TestJobEnvelope:
             job.params["campaign"] == "fault" for job in jobs[1:]
         )
         assert all(job.seed == 7 for job in jobs)
-
-    def test_corpus_builder_covers_every_fault(self):
-        from repro.fuzz.faults import FAULTS
-
-        jobs = corpus_jobs(5, substrate="both")
-        assert [job.params["fault"] for job in jobs] == [
-            fault.name for fault in FAULTS
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -457,49 +453,49 @@ class TestMerge:
 
 
 # ----------------------------------------------------------------------
-# Parity: the fleet reproduces the single-process baselines byte for byte
+# Parity: the fuzz report is pinned, in process and on worker processes
 # ----------------------------------------------------------------------
+
+#: SHA-256 of each report's canonical JSON, taken when a one-process
+#: fuzz loop still ran beside the fleet's.
+PINNED_FUZZ_DIGESTS = {
+    (7, 1, "pyc"):
+        "e9236dbfb24c20fd498f4c9ab14c083c2f9aa44e83e2ea240bf1e32a5b1ba00a",
+    (2026, 1, "both"):
+        "a1b569ae1024ce038c92dd059e5e3d411b6c8be9b5ff26521d6c0c4d322684da",
+}
 
 
 class TestSingleProcessParity:
     def test_fuzz_report_byte_identical(self):
-        from repro.fuzz import fuzz_run
+        for (seed, rounds, substrate), digest in PINNED_FUZZ_DIGESTS.items():
+            for workers in (0, 2):
+                merged, report = fleet_fuzz(
+                    seed, rounds=rounds, substrate=substrate,
+                    workers=workers,
+                )
+                assert report.ok
+                canonical = json.dumps(
+                    merged, sort_keys=True, separators=(",", ":")
+                )
+                assert hashlib.sha256(
+                    canonical.encode("utf-8")
+                ).hexdigest() == digest, (seed, substrate, workers)
 
-        baseline = fuzz_run(7, rounds=1, substrate="pyc")
-        merged, report = fleet_fuzz(
-            7, rounds=1, substrate="pyc", workers=0
-        )
-        assert report.ok
-        assert json.dumps(merged, sort_keys=True) == json.dumps(
-            baseline, sort_keys=True
-        )
-
-    def test_chaos_report_identical(self):
-        from repro.resilience import chaos_run
-
-        baseline = chaos_run(3, substrate="pyc", rounds=1)
-        merged, report = fleet_chaos(3, substrate="pyc", workers=0)
-        assert report.ok
-        assert merged == baseline
-
-    def test_corpus_byte_identical(self, tmp_path):
-        from repro.fuzz.corpus import MANIFEST_NAME, build_corpus
-
-        baseline_dir = str(tmp_path / "baseline")
-        fleet_dir = str(tmp_path / "fleet")
-        build_corpus(baseline_dir, 5, substrate="pyc")
-        manifest, report = fleet_corpus(
-            fleet_dir, 5, substrate="pyc", workers=0
-        )
-        assert report.ok
-        baseline_files = sorted(os.listdir(baseline_dir))
-        assert sorted(os.listdir(fleet_dir)) == baseline_files
-        assert MANIFEST_NAME in baseline_files
-        for name in baseline_files:
-            with open(os.path.join(baseline_dir, name), "rb") as f:
-                expected = f.read()
-            with open(os.path.join(fleet_dir, name), "rb") as f:
-                assert f.read() == expected, name
+    def test_fuzz_campaign_takes_no_queue(self, tmp_path):
+        # Campaign payloads are not journaled: a campaign resumed from
+        # a queue would skip its acked slices and could never merge.
+        path = str(tmp_path / "fleet.queue")
+        for option in ({"queue_path": path}, {"sync": "group"}):
+            with pytest.raises(TypeError):
+                fleet_fuzz(7, rounds=1, substrate="pyc", workers=0, **option)
+        assert not os.path.exists(path)
+        with JobQueue(path) as queue:
+            with pytest.raises(TypeError):
+                fleet_fuzz(
+                    7, rounds=1, substrate="pyc", workers=0, queue=queue
+                )
+            assert queue.depth == 0
 
 
 # ----------------------------------------------------------------------
@@ -654,6 +650,15 @@ class TestExactlyOnceUnderWorkerDeath:
 # ----------------------------------------------------------------------
 
 
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie counts: nobody reaps it)."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 class TestProcessWatchdog:
     """One worker process, no retries: the ``--timeout`` settings."""
 
@@ -677,6 +682,84 @@ class TestProcessWatchdog:
         # Queued behind the hang, it runs on the respawned worker.
         assert after.classification == VIOLATION
         assert after.payload["path"] == good
+
+    def test_watchdog_clock_starts_when_the_job_starts(self, tmp_path):
+        # One chunk of two FIFO jobs on one worker.  Each blocks on open
+        # until a writer comes and goes, then reads an empty trace.  The
+        # second job starts at ~0.6 s and is released at ~1.3 s: 0.7 s of
+        # its own, under the 1 s timeout, though 1.3 s after dispatch.
+        fifos = [str(tmp_path / "{}.trace".format(n)) for n in (1, 2)]
+        for fifo in fifos:
+            os.mkfifo(fifo)
+        started = time.monotonic()
+
+        def release():
+            for fifo, at in zip(fifos, (0.6, 1.3)):
+                time.sleep(max(0.0, at - (time.monotonic() - started)))
+                # Non-blocking: with no reader waiting, fail, don't hang.
+                with suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+        writer = threading.Thread(target=release, daemon=True)
+        writer.start()
+        report = FleetScheduler(
+            replay_jobs(fifos), workers=1, batch=2, timeout=1.0, retries=0
+        ).run()
+        writer.join(5.0)
+        assert not writer.is_alive()
+        for outcome in report.outcomes:
+            assert outcome.classification == CRASH
+            assert outcome.detail.startswith("TraceFormatError")
+            assert "watchdog" not in outcome.detail
+
+    def test_idle_worker_exits_when_its_parent_dies(self, tmp_path):
+        # A parent runs [trial, FIFO] on two workers and SIGKILLs itself
+        # once the trial is done.  Slot 1, forked after slot 0, holds a
+        # copy of slot 0's parent end: idle slot 0 reads no EOF even if
+        # it closed its own copy.
+        fifo = str(tmp_path / "hang.trace")
+        os.mkfifo(fifo)
+        pids_path = str(tmp_path / "pids.json")
+        script = textwrap.dedent("""
+            import json, os, signal, sys, threading, time
+            from repro.fleet import FleetScheduler, bench_trial_jobs
+            from repro.fleet import replay_jobs
+            jobs = bench_trial_jobs(1, 1, noop=True)
+            jobs += replay_jobs([sys.argv[1]])
+            scheduler = FleetScheduler(jobs, workers=2, timeout=600.0)
+
+            def die_once_idle():
+                while not scheduler._outcomes:
+                    time.sleep(0.01)
+                pids = [slot.proc.pid for slot in scheduler._slots]
+                with open(sys.argv[2], "w") as f:
+                    json.dump(pids, f)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            threading.Thread(target=die_once_idle, daemon=True).start()
+            scheduler.run()
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__
+        )))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, fifo, pids_path],
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        with open(pids_path) as f:
+            idle, hung = json.load(f)
+        try:
+            deadline = time.monotonic() + 5.0
+            while not _gone(idle) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _gone(idle)
+        finally:
+            # A worker hung inside a job still outlives its parent.
+            for pid in (idle, hung):
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("retries", [0, 1])
     def test_worker_death_blames_the_job_that_was_running(

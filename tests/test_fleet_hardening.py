@@ -19,12 +19,7 @@ import warnings
 import pytest
 
 from repro.core.clock import FakeClock
-from repro.core.journal import (
-    crc32_hex,
-    encode_record,
-    scan_journal,
-    scan_length_prefixed,
-)
+from repro.core.journal import crc32_hex, encode_record, scan_journal
 from repro.core.store import (
     Fault,
     FaultyStore,
@@ -125,13 +120,6 @@ class TestJournalFormat:
         record = v1_record('["deadbeef", 1]')
         scan = scan_journal(record.encode("utf-8"))
         assert scan.lines == ['["deadbeef", 1]']
-
-    def test_compat_shim_matches_classified_scan(self):
-        good = encode_record('{"a":1}')
-        torn = "17 {incompl"
-        lines, dropped = scan_length_prefixed((good + torn).encode())
-        assert lines == ['{"a":1}']
-        assert dropped == len(torn)
 
     def test_offsets_are_byte_exact(self):
         a = encode_record('{"a":1}')

@@ -5,12 +5,12 @@ import json
 
 import pytest
 
+from repro.fleet import fleet_fuzz
 from repro.fuzz import (
     FAULTS,
     fault_by_name,
     faults_for,
     fuzz_gate,
-    fuzz_run,
     generate_sequence,
     run_ops,
     task_rng,
@@ -69,17 +69,22 @@ class TestCatalog:
         }
 
 
+def _fuzz_report(seed, **kwargs):
+    report, _ = fleet_fuzz(seed, workers=0, **kwargs)
+    return report
+
+
 class TestFuzzLoop:
     def test_report_is_bit_reproducible_and_gate_passes(self):
-        first = fuzz_run(2026, rounds=1, substrate="pyc")
-        second = fuzz_run(2026, rounds=1, substrate="pyc")
+        first = _fuzz_report(2026, rounds=1, substrate="pyc")
+        second = _fuzz_report(2026, rounds=1, substrate="pyc")
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
         assert fuzz_gate(first) == []
 
     def test_gate_flags_missed_detection_and_divergence(self):
-        report = fuzz_run(2026, rounds=1, substrate="pyc")
+        report = _fuzz_report(2026, rounds=1, substrate="pyc")
         report["faults"]["over_decref"]["detected"] = 0
         report["faults"]["under_decref"]["divergences"] = 1
         report["valid"]["violations"] = 2
@@ -90,4 +95,4 @@ class TestFuzzLoop:
 
     def test_unknown_substrate_rejected(self):
         with pytest.raises(ValueError):
-            fuzz_run(1, substrate="jvm")
+            _fuzz_report(1, substrate="jvm")
