@@ -14,38 +14,9 @@ job for CPU amplification:
   full 1/2/4 scaling curve is reported for EXPERIMENTS.md E15.
 
 - **determinism** (``stream_identical_ok``) — the merged violation
-  stream at every worker count must be byte-identical to the stream
-  pinned in the corpus manifest, whatever order the jobs finished in.
-
-- **queue recovery** (``recovery_ok``) — a worker process draining a
-  persistent queue is SIGKILLed mid-run; reopening the queue and
-  draining the remainder must lose zero acked jobs and duplicate zero
-  results (the acked sets before and after partition the job set
-  exactly; zero duplicate acks observed).
-
-- **compaction** (``compaction_ok``) — a churned queue (every job
-  enqueued, leased, and acked) compacts to a journal whose reopen
-  scans O(live jobs) records instead of O(history), shrinks on disk,
-  and preserves pending/leased/acked/dead-letter state exactly.
-
-- **storage chaos** (``chaos_ok``) — the fault-injection driver
-  (:func:`repro.fleet.storage_chaos`) replays enqueue/lease/ack/crash
-  schedules under SIGKILL, short writes, fsync failures, ENOSPC, and
-  bit flips: zero acked jobs lost, zero duplicate completions, every
-  injected corruption detected (quarantined, never silently loaded),
-  and the poison job dead-lettered instead of blocking the drain.
-  The driver runs in **both** durability modes: per-ack ``eager``
-  fsync and ``group`` commit, where crash points land inside
-  half-written ack batches.
-
-- **throughput** (``throughput_ok``) — many small jobs (noop
-  bench trials, i.e. pure transport-cost probes) drained by 2 process
-  workers must run >= 2x faster in the fast path (``sync="group"``,
-  ``batch=8``) than the safe default (``sync="eager"``, ``batch=1``),
-  measured in jobs/sec over wall time minus worker spawn.  Group mode
-  must additionally amortize fsyncs below 0.5 per final-disposition
-  record, and the 1/2/4-worker merged violation stream must stay
-  byte-identical in group+batched mode.
+  stream at every worker count, one job per dispatch and in chunks of
+  ``BATCH`` jobs, must be byte-identical to the stream pinned in the
+  corpus manifest, whatever order the jobs finished in.
 
 - **plan cache** (``plan_cache_ok``) — a cold fused-pipeline build
   (full synthesizer cross-product) against a fresh on-disk plan cache
@@ -54,10 +25,7 @@ job for CPU amplification:
   invocations skip synthesis.
 """
 
-import json
 import os
-import subprocess
-import sys
 import time
 
 from benchmarks.conftest import write_bench_json
@@ -66,33 +34,12 @@ WORKER_COUNTS = [1, 2, 4]
 REPEATS = 20
 TRIALS = 2
 SPEEDUP_MIN = 2.5
-THROUGHPUT_JOBS = 200
-THROUGHPUT_RATIO_MIN = 2.0
-FSYNCS_PER_ACK_MAX = 0.5
+#: Jobs per dispatch chunk in the batched stream-identity runs.
+BATCH = 4
 PLAN_WARM_RATIO_MIN = 3.0
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(_ROOT, "tests", "data", "fuzz_corpus")
-
-#: Child body for the recovery gate: drain a queue, die after 3 acks.
-_RECOVERY_CHILD = """
-import os, sys
-from repro.fleet import JobQueue, bench_trial_jobs
-from repro.fleet.jobs import execute_job
-queue = JobQueue(sys.argv[1])
-for job in bench_trial_jobs(int(sys.argv[2]), int(sys.argv[3])):
-    queue.enqueue(job)
-acks = 0
-while True:
-    job = queue.lease("w0", ttl=60.0)
-    if job is None:
-        break
-    execute_job(job)
-    queue.ack(job.job_id, "w0")
-    acks += 1
-    if acks == 3:
-        os.kill(os.getpid(), 9)
-"""
 
 
 def _measure_workers(paths, workers):
@@ -124,243 +71,15 @@ def _measure_workers(paths, workers):
     return best
 
 
-def _recovery_gate(seed=11, jobs=8) -> dict:
-    """SIGKILL a queue-draining worker; verify exactly-once recovery."""
-    import tempfile
-
-    from repro.fleet import JobQueue
-    from repro.fleet.jobs import execute_job
-
-    with tempfile.TemporaryDirectory() as tmp:
-        queue_path = os.path.join(tmp, "fleet.queue")
-        child = subprocess.run(
-            [sys.executable, "-c", _RECOVERY_CHILD, queue_path,
-             str(seed), str(jobs)],
-            env=dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src")),
-        )
-        queue = JobQueue(queue_path)
-        acked_before = set(queue.acked_ids())
-        orphans = queue.recover_leases()
-        drained = []
-        duplicate_results = 0
-        while True:
-            job = queue.lease("w1", ttl=60.0)
-            if job is None:
-                break
-            execute_job(job)
-            if queue.ack(job.job_id, "w1"):
-                drained.append(job.job_id)
-            else:
-                duplicate_results += 1
-        acked_after = set(queue.acked_ids())
-        stats = queue.stats()
-        queue.close()
-    lost_acked = sorted(acked_before - acked_after)
-    return {
-        "child_exit": child.returncode,
-        "jobs": jobs,
-        "acked_before_crash": len(acked_before),
-        "orphaned_leases": len(orphans),
-        "drained_after_recovery": len(drained),
-        "acked_total": len(acked_after),
-        "lost_acked_jobs": lost_acked,
-        "duplicate_results": duplicate_results,
-        "duplicate_acks": stats["duplicate_acks"],
-        "ok": (
-            child.returncode == -9
-            and not lost_acked
-            and duplicate_results == 0
-            and stats["duplicate_acks"] == 0
-            and len(acked_after) == jobs
-            and len(acked_before) + len(drained) == jobs
-        ),
-    }
-
-
-def _compaction_gate(seed=17, jobs=64) -> dict:
-    """Churn a queue, compact, verify shrinkage + O(live) reopen."""
-    import tempfile
-
-    from repro.fleet import JobQueue, bench_trial_jobs
-
-    with tempfile.TemporaryDirectory() as tmp:
-        queue_path = os.path.join(tmp, "fleet.queue")
-        queue = JobQueue(queue_path, compact_threshold=None)
-        job_set = bench_trial_jobs(seed, jobs)
-        for job in job_set:
-            queue.enqueue(job)
-        # Churn: lease + ack all but the last three; leave one leased,
-        # one dead-lettered, one pending — compaction must keep all.
-        for job in job_set[:-3]:
-            queue.lease_job(job.job_id, "w0", ttl=60.0)
-            queue.ack(job.job_id, "w0")
-        queue.lease_job(job_set[-3].job_id, "w1", ttl=60.0)
-        queue.dead_letter(job_set[-2].job_id, "w0", "poison")
-        records_churned = queue.records_scanned  # pre-compact history
-        state_before = {
-            "pending": queue.pending_ids(),
-            "leased": queue.leased_ids(),
-            "acked": queue.acked_ids(),
-            "dead": queue.dead_ids(),
-        }
-        result = queue.compact()
-        queue.close()
-        reopened = JobQueue(queue_path, compact_threshold=None)
-        state_after = {
-            "pending": reopened.pending_ids(),
-            "leased": reopened.leased_ids(),
-            "acked": reopened.acked_ids(),
-            "dead": reopened.dead_ids(),
-        }
-        reopen_records = reopened.records_scanned
-        reopened.close()
-    return {
-        "jobs": jobs,
-        "bytes_before": result["bytes_before"],
-        "bytes_after": result["bytes_after"],
-        "records_before": result["records_before"],
-        "reopen_records_scanned": reopen_records,
-        "state_preserved": state_before == state_after,
-        "ok": (
-            result["bytes_after"] < result["bytes_before"]
-            # History had ~3 records/job; the compacted reopen scans 1.
-            and result["records_before"] >= 2 * jobs
-            and reopen_records == 1
-            and state_before == state_after
-        ),
-    }
-
-
-def _chaos_gate(seed=7, rounds=2, jobs=6, sync="eager") -> dict:
-    """Run the storage chaos driver; fold its gate into one verdict."""
-    from repro.fleet import storage_chaos, storage_chaos_gate
-
-    report = storage_chaos(seed, rounds=rounds, jobs=jobs, sync=sync)
-    gate = storage_chaos_gate(report)
-    return {
-        "seed": seed,
-        "rounds": rounds,
-        "jobs_per_schedule": jobs,
-        "sync": sync,
-        "faults_fired": report["faults_fired"],
-        "lost_acks": report["lost_acks"],
-        "duplicate_completions": report["duplicate_completions"],
-        "silently_wrong": report["silently_wrong"],
-        "corruptions_injected": report["corruptions_injected"],
-        "corruptions_detected": report["corruptions_detected"],
-        "poison_dead_lettered": report["poison_dead_lettered"],
-        "gate": gate,
-        "ok": all(gate.values()),
-    }
-
-
-def _throughput_run(job_set, tmp, name, *, sync, batch) -> dict:
-    """One timed drain of ``job_set`` on 2 process workers."""
-    from repro.fleet import FleetScheduler, JobQueue
-
-    best = None
-    for trial in range(TRIALS):
-        queue_path = os.path.join(tmp, "{}-{}.queue".format(name, trial))
-        # ``sync_every=64`` on both configs: the rolling non-disposition
-        # fsync cadence is identical, so the ratio isolates the ack
-        # durability discipline + IPC batching under test.
-        queue = JobQueue(
-            queue_path, sync=sync, sync_every=64, group_max_batch=16
-        )
-        try:
-            scheduler = FleetScheduler(
-                job_set, workers=2, queue=queue, batch=batch
-            )
-            start = time.perf_counter()
-            report = scheduler.run()
-            wall = time.perf_counter() - start
-            stats = queue.stats()
-        finally:
-            queue.close()
-        # Jobs/sec over post-spawn wall time: 2-process spawn is a
-        # ~constant cost both configs pay, not part of the per-job
-        # transport cost this gate measures.
-        work = max(1e-9, wall - scheduler.spawn_seconds)
-        counts = report.counts
-        entry = {
-            "sync": sync,
-            "batch": batch,
-            "jobs": len(job_set),
-            "wall_seconds": wall,
-            "spawn_seconds": scheduler.spawn_seconds,
-            "jobs_per_second": len(job_set) / work,
-            "fsyncs": stats["fsyncs"],
-            "ack_records": stats["ack_records"],
-            "ack_flushes": stats["ack_flushes"],
-            "fsyncs_per_ack": (
-                stats["fsyncs"] / max(1, stats["ack_records"])
-            ),
-            "clean": counts.get("clean", 0),
-            "failures": sum(
-                counts.get(kind, 0) for kind in ("crash", "hang", "expired")
-            ),
-        }
-        if best is None or entry["jobs_per_second"] > best["jobs_per_second"]:
-            best = entry
-    return best
-
-
-def _throughput_gate(seed=23, jobs=THROUGHPUT_JOBS) -> dict:
-    """Batched group-commit drain vs the eager per-job baseline."""
-    import tempfile
-
-    from repro.fleet import bench_trial_jobs
-
-    job_set = bench_trial_jobs(seed, jobs, noop=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        eager = _throughput_run(job_set, tmp, "eager", sync="eager", batch=1)
-        fast = _throughput_run(job_set, tmp, "group", sync="group", batch=8)
-    ratio = fast["jobs_per_second"] / max(1e-9, eager["jobs_per_second"])
-    return {
-        "jobs": jobs,
-        "eager": eager,
-        "group": fast,
-        "speedup": ratio,
-        "ok": (
-            ratio >= THROUGHPUT_RATIO_MIN
-            and fast["fsyncs_per_ack"] < FSYNCS_PER_ACK_MAX
-            and eager["clean"] == jobs
-            and fast["clean"] == jobs
-            and eager["failures"] == 0
-            and fast["failures"] == 0
-        ),
-    }
-
-
-def _batched_identity_gate(paths, stream) -> dict:
-    """1/2/4-worker stream identity in group-commit + batched mode."""
-    import tempfile
-
+def _batched_streams(paths) -> dict:
+    """The merged stream at each worker count, ``BATCH`` jobs a chunk."""
     from repro.fleet import fleet_replay, violation_stream
 
     streams = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for workers in WORKER_COUNTS:
-            _, report = fleet_replay(
-                paths,
-                workers=workers,
-                queue_path=os.path.join(
-                    tmp, "identity-{}.queue".format(workers)
-                ),
-                sync="group",
-                batch=4,
-            )
-            streams[workers] = violation_stream(report)
-    identical = all(
-        streams[workers] == stream for workers in WORKER_COUNTS
-    )
-    return {
-        "worker_counts": WORKER_COUNTS,
-        "sync": "group",
-        "batch": 4,
-        "violations": len(stream),
-        "ok": identical,
-    }
+    for workers in WORKER_COUNTS:
+        _, report = fleet_replay(paths, workers=workers, batch=BATCH)
+        streams[workers] = violation_stream(report)
+    return streams
 
 
 def _plan_cache_gate() -> dict:
@@ -429,41 +148,23 @@ def run_fleet_quick(out_path: str) -> dict:
     report["scaling"] = curve
 
     four = next(t for t in curve if t["workers"] == 4)
+    batched = _batched_streams(paths)
     stream_identical = all(
-        streams[workers] == stream for workers in WORKER_COUNTS
+        streams[workers] == stream and batched[workers] == stream
+        for workers in WORKER_COUNTS
     )
     report["stream_identical"] = stream_identical
+    report["batch"] = BATCH
     report["violations"] = len(stream)
-    report["recovery"] = _recovery_gate()
-    report["compaction"] = _compaction_gate()
-    report["chaos"] = _chaos_gate()
-    report["chaos_group"] = _chaos_gate(sync="group")
-    report["throughput"] = {
-        "drain": _throughput_gate(),
-        "batched_identity": _batched_identity_gate(paths, stream),
-        "plan_cache": _plan_cache_gate(),
-    }
-    throughput = report["throughput"]
+    report["plan_cache"] = _plan_cache_gate()
     report["gate"] = {
         "speedup_ok": four["speedup"] >= SPEEDUP_MIN,
         "stream_identical_ok": stream_identical,
-        "recovery_ok": report["recovery"]["ok"],
-        "compaction_ok": report["compaction"]["ok"],
-        "chaos_ok": report["chaos"]["ok"],
-        "chaos_group_ok": report["chaos_group"]["ok"],
-        "throughput_ok": (
-            throughput["drain"]["ok"] and throughput["batched_identity"]["ok"]
-        ),
-        "plan_cache_ok": throughput["plan_cache"]["ok"],
+        "plan_cache_ok": report["plan_cache"]["ok"],
     }
     write_bench_json(out_path, report, thresholds={
         "four_worker_critical_path_speedup_min": SPEEDUP_MIN,
         "stream_identical": True,
-        "recovery_zero_loss_zero_dup": True,
-        "compaction_reopen_records_max": 1,
-        "chaos_zero_loss_zero_dup_all_corruption_detected": True,
-        "batched_group_drain_speedup_min": THROUGHPUT_RATIO_MIN,
-        "group_fsyncs_per_ack_max": FSYNCS_PER_ACK_MAX,
         "plan_cache_warm_speedup_min": PLAN_WARM_RATIO_MIN,
     })
     return report
@@ -498,58 +199,11 @@ def main(argv=None) -> int:
                 trial["speedup"], trial["utilization"],
             )
         )
-    print("stream: {} across {} worker counts".format(
+    print("stream: {} across {} worker counts, batch 1 and {}".format(
         "identical" if report["stream_identical"] else "DRIFT",
-        len(report["worker_counts"]),
+        len(report["worker_counts"]), report["batch"],
     ))
-    recovery = report["recovery"]
-    print(
-        "recovery: {} acked pre-crash + {} drained = {}/{} jobs, "
-        "{} lost, {} duplicate(s)".format(
-            recovery["acked_before_crash"],
-            recovery["drained_after_recovery"], recovery["acked_total"],
-            recovery["jobs"], len(recovery["lost_acked_jobs"]),
-            recovery["duplicate_results"],
-        )
-    )
-    compaction = report["compaction"]
-    print(
-        "compaction: {} -> {} bytes, {} records -> reopen scans {}, "
-        "state {}".format(
-            compaction["bytes_before"], compaction["bytes_after"],
-            compaction["records_before"],
-            compaction["reopen_records_scanned"],
-            "preserved" if compaction["state_preserved"] else "DAMAGED",
-        )
-    )
-    for key in ("chaos", "chaos_group"):
-        chaos = report[key]
-        print(
-            "chaos[{}]: {} fault(s) fired over {} round(s), {} lost "
-            "ack(s), {} duplicate(s), {}/{} corruption(s) detected".format(
-                chaos["sync"], chaos["faults_fired"], chaos["rounds"],
-                chaos["lost_acks"], chaos["duplicate_completions"],
-                chaos["corruptions_detected"], chaos["corruptions_injected"],
-            )
-        )
-    drain = report["throughput"]["drain"]
-    print(
-        "throughput: {} noop job(s): eager/1 {:.0f} jobs/s -> group/8 "
-        "{:.0f} jobs/s ({:.2f}x), {:.2f} fsync(s)/ack in group mode".format(
-            drain["jobs"], drain["eager"]["jobs_per_second"],
-            drain["group"]["jobs_per_second"], drain["speedup"],
-            drain["group"]["fsyncs_per_ack"],
-        )
-    )
-    identity = report["throughput"]["batched_identity"]
-    print(
-        "batched stream: {} across {} worker counts (sync=group, "
-        "batch={})".format(
-            "identical" if identity["ok"] else "DRIFT",
-            len(identity["worker_counts"]), identity["batch"],
-        )
-    )
-    plan = report["throughput"]["plan_cache"]
+    plan = report["plan_cache"]
     print(
         "plan cache: cold {:.1f}ms -> warm {:.1f}ms ({:.1f}x)".format(
             plan["cold_seconds"] * 1e3, plan["warm_seconds"] * 1e3,

@@ -3,17 +3,17 @@
 # smoke run (exit 1 on any wrong verdict), bytecode compilation, the
 # regression corpus replayed by `trace replay` in process, on 2 fleet
 # workers, and as watched jobs under the fleet's watchdog (`--timeout`)
-# (exit 1 on drift from the recorded streams), a journal
+# (exit 1 on drift from the recorded streams; the three reports must
+# be the same bytes), a journal
 # round trip (a DaCapo kernel recorded with a one-record-per-sync
 # journal must recover to the very bytes its close wrote, and both
 # files replay), the fixed-seed fuzz smoke (its JSON report in process
 # and on 2 fleet workers must be the same bytes), the regression corpus check,
-# the resilience smoke (chaos containment + crash recovery), the obs
+# the resilience smoke (chaos containment + crash recovery, and the
+# trace journal under injected storage faults), the obs
 # CLI smoke on both substrates, the fleet smoke (the regression corpus
 # replayed on 2 fleet workers, one job per dispatch and in chunks of 4,
-# gated on stream identity), the fleet storage
-# chaos smoke (fault-injected queue journals, gated on zero lost acks
-# and every corruption detected — run in both ack durability modes),
+# gated on stream identity),
 # the ablation bench (the none, interpose and generated configurations
 # end to end, per-machine costs from interleaved kernel pairs, the
 # local-frame capacity sweep), and the quick
@@ -37,11 +37,16 @@ echo "== trace round-trip parity =="
 python -m pytest -q tests/test_trace_replay.py
 
 echo "== corpus trace replay (recorded-stream drift check live) =="
-timeout 300 python -m repro.cli trace replay tests/data/fuzz_corpus/*.trace
+replay_dir="$(mktemp -d)"
+timeout 300 python -m repro.cli trace replay tests/data/fuzz_corpus/*.trace \
+    > "$replay_dir/inline.txt"
 timeout 300 python -m repro.cli trace replay --workers 2 \
-    tests/data/fuzz_corpus/*.trace
+    tests/data/fuzz_corpus/*.trace > "$replay_dir/workers.txt"
 timeout 300 python -m repro.cli trace replay --timeout 60 \
-    tests/data/fuzz_corpus/*.trace
+    tests/data/fuzz_corpus/*.trace > "$replay_dir/timeout.txt"
+cmp "$replay_dir/inline.txt" "$replay_dir/workers.txt"
+cmp "$replay_dir/inline.txt" "$replay_dir/timeout.txt"
+rm -rf "$replay_dir"
 
 echo "== trace journal round trip (recovered journal == close-time trace) =="
 journal_dir="$(mktemp -d)"
@@ -83,12 +88,6 @@ echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
 timeout 300 python -m repro.cli fleet run --smoke --workers 2
 timeout 300 python -m repro.cli fleet run --smoke --workers 2 --batch 4
 
-echo "== fleet storage chaos smoke (fault-injected queue journals) =="
-timeout 300 python -m repro.cli fleet chaos --smoke
-
-echo "== fleet storage chaos smoke (group-commit durability window) =="
-timeout 300 python -m repro.cli fleet chaos --smoke --sync group
-
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== ablation bench (configurations, per-machine pairs, capacity) =="
     timeout 600 python -m pytest -q benchmarks/bench_ablation.py \
@@ -106,7 +105,7 @@ if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== observability bench gate (quick) =="
     timeout 600 python benchmarks/bench_obs.py --quick
 
-    echo "== fleet fabric bench gate (quick, incl. throughput + plan cache) =="
+    echo "== fleet fabric bench gate (quick: scaling, stream identity, plan cache) =="
     timeout 600 python benchmarks/bench_fleet.py --quick
 fi
 

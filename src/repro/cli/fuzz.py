@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.fleet import fleet_options
+from repro.cli.fleet import fleet_options, positive
 
 
 def _cmd_fuzz_run(args) -> int:
@@ -158,7 +158,7 @@ def add_parsers(sub) -> None:
         "--json", action="store_true", help="print the canonical report"
     )
     fuzz_run.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=positive(float), default=None,
         help="watchdog seconds per campaign job (not the whole run), on "
         "at least one fleet worker; a killed job exits 124",
     )

@@ -43,39 +43,18 @@ def _pipeline_section(substrate: str) -> dict:
 def _fleet_section(seed: int) -> dict:
     """Exercise the fabric on self-contained trial jobs; report load.
 
-    Generated workloads only (no file dependencies), two inline
-    workers, and a throwaway persistent queue — so ``repro status``
-    shows real queue depth / requeue / utilization numbers
-    without touching the working directory.
+    Generated workloads only (no file dependencies) on two inline
+    workers, so ``repro status`` shows real requeue / utilization
+    numbers without touching the working directory.
     """
-    import os
-    import tempfile
-
-    from repro.fleet import FleetScheduler, JobQueue, bench_trial_jobs
+    from repro.fleet import FleetScheduler, bench_trial_jobs
 
     jobs = bench_trial_jobs(seed, 4)
-    fd, queue_path = tempfile.mkstemp(suffix=".fleetq")
-    os.close(fd)
-    os.unlink(queue_path)
-    queue = JobQueue(queue_path)
-    try:
-        scheduler = FleetScheduler(
-            jobs, workers=2, seed=seed, inline=True, queue=queue
-        )
-        report = scheduler.run()
-        stats = queue.stats()
-    finally:
-        queue.close()
-        if os.path.exists(queue_path):
-            os.unlink(queue_path)
+    report = FleetScheduler(jobs, workers=2, seed=seed, inline=True).run()
     return {
         "jobs": len(jobs),
         "counts": report.counts,
         "ok": report.ok,
-        "queue_depth": stats["depth"],
-        "queue_acked": stats["acked"],
-        "queue_dead": stats["dead"],
-        "queue_compactions": stats["compactions"],
         "requeues": report.requeues,
         "breaker_trips": sum(report.breaker_trips),
         "utilization": report.utilization,
@@ -156,13 +135,11 @@ def _cmd_status(args) -> int:
     )
     fleet = status["fleet"]
     print(
-        "fleet    : {} job(s) {}, queue depth {} ({} acked, {} dead), "
-        "{} requeue(s), {} breaker trip(s), "
+        "fleet    : {} job(s) {}, {} requeue(s), {} breaker trip(s), "
         "utilization {:.0%}".format(
             fleet["jobs"], "ok" if fleet["ok"] else "NOT OK",
-            fleet["queue_depth"], fleet["queue_acked"],
-            fleet["queue_dead"], fleet["requeues"],
-            fleet["breaker_trips"], fleet["utilization"],
+            fleet["requeues"], fleet["breaker_trips"],
+            fleet["utilization"],
         )
     )
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.fleet import fleet_options
+from repro.cli.fleet import fleet_options, positive
 
 
 def _trace_record_one(target: str, observer):
@@ -175,7 +175,7 @@ def add_parsers(sub) -> None:
         "--journal", help="also append to a crash-safe journal file"
     )
     record.add_argument(
-        "--sync-every", type=int, default=64,
+        "--sync-every", type=positive(int), default=64,
         help="fsync the journal every N records (bounds crash loss)",
     )
 
@@ -191,7 +191,7 @@ def add_parsers(sub) -> None:
         help="replay despite a registry fingerprint mismatch",
     )
     replay.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=positive(float), default=None,
         help="watchdog seconds per file, on at least one fleet worker; "
         "a killed file prints REPLAY FAIL and exits 124",
     )

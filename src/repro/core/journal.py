@@ -1,9 +1,8 @@
 """The shared length-prefixed journal format.
 
-Every crash-safe append-only file in the repo — the trace journal
-(:class:`repro.trace.recorder.JournalWriter`) and the fleet's
-persistent job queue (:mod:`repro.fleet.queue`) — writes the same
-record framing, and both decode it through :func:`scan_journal` here.
+The repo's one crash-safe append-only file, the trace journal
+(:class:`repro.trace.recorder.JournalWriter`), writes this record
+framing, and recovery decodes it through :func:`scan_journal` here.
 
 Two record versions share one file format and are detected per record:
 
@@ -13,7 +12,7 @@ Two record versions share one file format and are detected per record:
   flipped anywhere in a record is *detected* instead of silently
   decoded;
 - **v1** (checksum-less, still read): ``"<byte_len> <json>\\n"``, as
-  older releases wrote trace journals and queue journals.
+  older releases wrote trace journals.
 
 Detection is unambiguous because every payload the writers emit is a
 JSON document starting with ``[`` or ``{`` — neither is a lowercase

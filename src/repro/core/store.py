@@ -1,14 +1,12 @@
-"""The storage seam under every journal writer, plus fault injection.
+"""The storage seam under the journal writer, plus fault injection.
 
-:class:`Store` is the narrow waist between journal code (the fleet's
-:class:`~repro.fleet.queue.JobQueue`, the trace
-:class:`~repro.trace.recorder.JournalWriter`) and the filesystem: the
+:class:`Store` is the narrow waist between the trace
+:class:`~repro.trace.recorder.JournalWriter` and the filesystem: the
 handful of operations a crash-consistency argument has to reason about
-— open, append, flush, fsync, atomic replace, truncate.  Production
-code uses the default :class:`Store`; chaos and tests swap in a
-:class:`FaultyStore` that injects faults at deterministic operation
-ordinals, in the spirit of ALICE/CrashMonkey-style systematic fault
-injection over the write log.
+— open, append, flush, fsync.  Production code uses the default
+:class:`Store`; tests swap in a :class:`FaultyStore` that injects
+faults at deterministic operation ordinals, in the spirit of
+ALICE/CrashMonkey-style systematic fault injection over the write log.
 
 The :class:`FaultyStore` models user-space durability precisely: bytes
 written to a handle sit in an in-memory buffer (the page-cache/stdio
@@ -81,12 +79,6 @@ class StoreHandle:
 class Store:
     """The real filesystem, behind the injectable seam."""
 
-    def exists(self, path: str) -> bool:
-        return os.path.exists(path)
-
-    def size(self, path: str) -> int:
-        return os.path.getsize(path)
-
     def read(self, path: str) -> bytes:
         with open(path, "rb") as f:
             return f.read()
@@ -95,15 +87,6 @@ class Store:
         if mode not in ("a", "w"):
             raise ValueError("journal handles append or rewrite, not " + mode)
         return StoreHandle(open(path, mode + "b"))
-
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
-    def truncate(self, path: str, size: int) -> None:
-        with open(path, "r+b") as f:
-            f.truncate(size)
-            f.flush()
-            os.fsync(f.fileno())
 
 
 def flip_bit(path: str, offset: int, mask: int = 0x01) -> None:

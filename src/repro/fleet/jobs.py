@@ -3,8 +3,8 @@
 A :class:`Job` is a frozen, JSON-round-trippable description of one
 unit of checking work.  Its identity is content-derived — the sha1 of
 the canonical JSON of the envelope — so the same work submitted twice
-gets the same ID, persistent-queue enqueues are naturally idempotent,
-and the merge layer can key results by ID with no registration step.
+gets the same ID, and the merge layer can key results by ID with no
+registration step.
 
 Jobs are *seeded* (every kind that generates work carries the run
 seed explicitly) and *fingerprint-pinned* (replay jobs may carry the
@@ -35,23 +35,17 @@ JOB_KINDS = ("replay-shard", "fuzz-campaign", "bench-trial")
 class Job:
     """One schedulable unit of checking work.
 
-    ``priority`` orders queue leases (lower leases first; ties break by
-    enqueue order).  ``deadline`` is a seconds budget from scheduler
-    start: a job not *dispatched* before its deadline is classified
-    ``expired`` without running — late work on a reproducibility fleet
-    is wrong work, not slow work.  ``max_attempts`` caps total
-    executions before the job is dead-lettered as poison; ``None``
-    defers to the scheduler's ``retries`` default, and is omitted from
-    the canonical JSON so pre-existing job IDs are unchanged.
+    ``deadline`` is a seconds budget from scheduler start: a job not
+    *dispatched* before its deadline is classified ``expired`` without
+    running — late work on a reproducibility fleet is wrong work, not
+    slow work.
     """
 
     kind: str
     params: Dict[str, object] = field(default_factory=dict)
     seed: int = 0
     fingerprint: Optional[str] = None
-    priority: int = 0
     deadline: Optional[float] = None
-    max_attempts: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
@@ -60,21 +54,15 @@ class Job:
                     self.kind, ", ".join(JOB_KINDS)
                 )
             )
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1 when set")
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "params": self.params,
             "seed": self.seed,
             "fingerprint": self.fingerprint,
-            "priority": self.priority,
             "deadline": self.deadline,
         }
-        if self.max_attempts is not None:
-            out["max_attempts"] = self.max_attempts
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "Job":
@@ -83,9 +71,7 @@ class Job:
             params=dict(data.get("params", {})),
             seed=data.get("seed", 0),
             fingerprint=data.get("fingerprint"),
-            priority=data.get("priority", 0),
             deadline=data.get("deadline"),
-            max_attempts=data.get("max_attempts"),
         )
 
     @cached_property
@@ -115,7 +101,6 @@ def replay_jobs(
     force: bool = False,
     fingerprint: Optional[str] = None,
     repeats: int = 1,
-    priority: int = 0,
 ) -> List[Job]:
     """One replay-shard job per trace file, in input order.
 
@@ -138,7 +123,6 @@ def replay_jobs(
                 kind="replay-shard",
                 params={"path": path, "force": force, "repeats": repeats},
                 fingerprint=fingerprint,
-                priority=priority,
             )
         )
     return jobs
@@ -198,8 +182,8 @@ def bench_trial_jobs(
     """Self-contained generated-workload trials (no file dependencies).
 
     ``noop=True`` yields transport-cost probes: jobs whose execution is
-    a constant-time return, so a throughput benchmark measures the
-    scheduler/queue/IPC overhead per job rather than checker CPU.
+    a constant-time return, so a throughput measurement sees the
+    scheduler and IPC overhead per job rather than checker CPU.
     """
     params = {"substrate": substrate}
     if noop:
@@ -225,7 +209,7 @@ def _fault_hooks(params: Dict[str, object]) -> None:
     ``die_once``/``raise_once`` name a path: the first execution to get
     there creates the marker and dies (SIGKILL) or raises; retries and
     requeues find the marker and proceed — the single-fault pattern
-    the lease-expiry and retry tests drive.
+    the worker-death and retry tests drive.
     """
     for key, action in (("die_once", "die"), ("raise_once", "raise")):
         marker = params.get(key)
@@ -309,9 +293,8 @@ def _execute_bench_trial(job: Job) -> dict:
     params = job.params
     substrate = str(params.get("substrate", "pyc"))
     if params.get("noop"):
-        # Transport-cost probe: the throughput benchmark uses noop
-        # trials so jobs/sec measures IPC + journal overhead, not the
-        # fuzz workload itself.
+        # Transport-cost probe: noop trials make jobs/sec measure the
+        # dispatch and IPC overhead, not the fuzz workload itself.
         return {
             "kind": job.kind,
             "trial": params.get("trial", 0),

@@ -4,10 +4,11 @@ Each ``fleet_*`` function builds the ordered job list, runs the fleet
 dispatcher, and merges through :mod:`repro.fleet.merge`.  The fleet is
 the one runner for replay and fuzz work: multi-file ``trace replay``
 runs :func:`fleet_replay` and ``fuzz run`` runs :func:`fleet_fuzz`, in
-this process at ``workers <= 0``.  Only replay takes a queue.  The
-pinned answers are :func:`repro.trace.replay.replay_path` for one file,
-the violation stream and event total in the shipped regression
-corpus's manifest, and the fuzz report digests in the tests.
+this process at ``workers <= 0``.  A run keeps its state in memory,
+and a run that dies is run again.  The pinned answers are
+:func:`repro.trace.replay.replay_path` for one file, the violation
+stream and event total in the shipped regression corpus's manifest,
+and the fuzz report digests in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.fleet.merge import (
     merge_replay,
     violation_stream,
 )
-from repro.fleet.queue import JobQueue
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 
@@ -39,26 +39,17 @@ def fleet_replay(
     force: bool = False,
     repeats: int = 1,
     fingerprint: Optional[str] = None,
-    queue_path: Optional[str] = None,
-    sync: str = "eager",
     **kwargs,
 ) -> Tuple[MergedReplay, FleetReport]:
     """Replay trace files on the fleet; one job per distinct file.
 
     ``workers <= 0`` runs the jobs in this process.  Each file's result
     equals :func:`repro.trace.replay.replay_path` on that file.
-    ``queue_path`` mirrors the job lifecycle into a persistent
-    :class:`~repro.fleet.queue.JobQueue` with ack durability ``sync``.
     """
     jobs = replay_jobs(
         paths, force=force, fingerprint=fingerprint, repeats=repeats
     )
-    queue = JobQueue(queue_path, sync=sync) if queue_path else None
-    try:
-        report = _run(jobs, workers=workers, queue=queue, **kwargs)
-    finally:
-        if queue is not None:
-            queue.close()
+    report = _run(jobs, workers=workers, **kwargs)
     return merge_replay(report), report
 
 
@@ -80,9 +71,7 @@ def fleet_fuzz(
     the canonical (deterministic) report and the fleet report.
     """
     jobs = fuzz_jobs(seed, rounds=rounds, substrate=substrate, segments=segments)
-    # No queue: campaign payloads are not journaled, so a campaign
-    # resumed from one could never merge.
-    report = _run(jobs, workers=workers, seed=seed, queue=None, **kwargs)
+    report = _run(jobs, workers=workers, seed=seed, **kwargs)
     return merge_fuzz(report, seed, rounds, substrate), report
 
 
@@ -107,7 +96,6 @@ def fleet_smoke(
     *,
     workers: int = 2,
     corpus_dir: Optional[str] = None,
-    queue_path: Optional[str] = None,
     **kwargs,
 ) -> Dict[str, object]:
     """The CI smoke: replay the regression corpus on the fleet and
@@ -127,9 +115,7 @@ def fleet_smoke(
             "no regression corpus found; pass corpus_dir or run from a checkout"
         )
     paths, expected, expected_events = corpus_baseline(corpus_dir)
-    merged, report = fleet_replay(
-        paths, workers=workers, queue_path=queue_path, **kwargs
-    )
+    merged, report = fleet_replay(paths, workers=workers, **kwargs)
     stream = violation_stream(report)
     identical = stream == expected
     counts = report.counts

@@ -24,33 +24,28 @@ scheduled non-blockingly so other jobs keep flowing.  Backpressure is
 a bounded in-flight count per worker: one dispatch chunk (``batch``,
 default 1).
 
-Poison handling: a job whose failures exhaust its attempt budget
-(``job.max_attempts``, else scheduler ``retries``) is *dead-lettered* —
-finished with its failure classification, flagged ``dead_lettered``,
-and recorded in the queue's dead-letter section instead of acked — so
-one poison job can neither retry forever nor block ``fleet drain``.
-Per-worker circuit breakers complement the ladder: consecutive
-crash/hang blame against one worker slot past ``BREAKER_THRESHOLD``
-opens its breaker — the slot stops leasing (and a dead process slot is
-not respawned) until a capped deterministic backoff elapses, then
-half-opens with one strike left.  One bad host degrades throughput
-instead of poisoning outcomes.
+A job whose failures exhaust the scheduler's ``retries`` budget ends
+with its failure classification, so one poison job can neither retry
+forever nor hold up the rest of the run.  Per-worker circuit breakers
+complement the ladder: consecutive crash/hang blame against one worker
+slot past ``BREAKER_THRESHOLD`` opens its breaker — the slot stops
+taking jobs (and a dead process slot is not respawned) until a capped
+deterministic backoff elapses, then half-opens with one strike left.
+One bad host degrades throughput instead of poisoning outcomes.
 
 Batched IPC (``batch=K``): the parent gathers up to K jobs per
-dispatch — one targeted :meth:`JobQueue.lease_jobs` journal append and
-one pipe message for the whole chunk — cutting the per-job dispatch
-and journal cost to ~1/K on many-small-jobs workloads.  Batching is
-pure transport: jobs still execute one at a time in the child, each
-result comes back on its own, the watchdog and blame-the-oldest crash
-attribution see each chunk member as an individual in-flight entry
-(a job's watchdog clock starts when the job ahead of it finishes),
-and the report stays keyed by job ID in submission order, so violation
-streams are byte-identical across batch sizes and worker counts.  With
-a group-commit queue the run loop pumps
-:meth:`JobQueue.maybe_flush_acks` each pass and drains the durability
-window with a :meth:`JobQueue.flush_acks` barrier before the report is
-built — the report never claims completions the journal has not
-fsynced.
+dispatch into one pipe message, cutting the per-job dispatch cost on
+many-small-jobs workloads.  Batching is pure transport: jobs still
+execute one at a time in the child, each result comes back on its own,
+the watchdog and blame-the-oldest crash attribution see each chunk
+member as an individual in-flight entry (a job's watchdog clock starts
+when the job ahead of it finishes), and the report stays keyed by job
+ID in submission order, so violation streams are byte-identical across
+batch sizes and worker counts.
+
+A run keeps all of its state in memory.  Nothing is journaled: a run
+that dies is run again from the start, the one recovery that yields
+the pinned answer.
 
 Determinism: the report lists jobs in submission order keyed by job
 ID, never completion order; requeues, busy seconds, worker
@@ -72,7 +67,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.clock import SYSTEM_CLOCK, Clock
 from repro.fleet.jobs import Job, execute_job
-from repro.fleet.queue import JobQueue
 from repro.fuzz.engine import task_rng
 
 #: Exit classifications, in merge-severity order.
@@ -103,9 +97,6 @@ class JobOutcome:
     backoffs: List[float] = field(default_factory=list)
     payload: Optional[dict] = None
     detail: Optional[str] = None
-    #: True when the job exhausted its attempt budget and moved to the
-    #: dead-letter section instead of acking.
-    dead_lettered: bool = False
     #: Load telemetry (worker slot, CPU seconds) — never gated.
     worker: Optional[int] = None
     busy_seconds: float = 0.0
@@ -125,7 +116,6 @@ class JobOutcome:
             "backoffs": self.backoffs,
             "violations": self.violations,
             "detail": self.detail,
-            "dead_lettered": self.dead_lettered,
         }
 
 
@@ -144,8 +134,6 @@ class FleetReport:
         *,
         workers: int,
         requeues: int = 0,
-        skipped_acked: int = 0,
-        skipped_dead: int = 0,
         breaker_trips: Optional[List[int]] = None,
         worker_busy_seconds: Optional[List[float]] = None,
         wall_seconds: float = 0.0,
@@ -154,8 +142,6 @@ class FleetReport:
         self.outcomes = outcomes
         self.workers = workers
         self.requeues = requeues
-        self.skipped_acked = skipped_acked
-        self.skipped_dead = skipped_dead
         self.breaker_trips = breaker_trips or []
         self.worker_busy_seconds = worker_busy_seconds or []
         self.wall_seconds = wall_seconds
@@ -163,14 +149,9 @@ class FleetReport:
 
     @property
     def counts(self) -> Dict[str, int]:
-        out = {
-            CLEAN: 0, VIOLATION: 0, CRASH: 0, HANG: 0, EXPIRED: 0,
-            "dead_letter": 0,
-        }
+        out = {CLEAN: 0, VIOLATION: 0, CRASH: 0, HANG: 0, EXPIRED: 0}
         for outcome in self.outcomes:
             out[outcome.classification] += 1
-            if outcome.dead_lettered:
-                out["dead_letter"] += 1
         return out
 
     @property
@@ -226,8 +207,6 @@ class FleetReport:
         return {
             "workers": self.workers,
             "requeues": self.requeues,
-            "skipped_acked": self.skipped_acked,
-            "skipped_dead": self.skipped_dead,
             "breaker_trips": list(self.breaker_trips),
             "worker_busy_seconds": [
                 round(seconds, 6) for seconds in self.worker_busy_seconds
@@ -395,7 +374,6 @@ class FleetScheduler:
         timeout: float = 120.0,
         batch: int = 1,
         clock: Optional[Clock] = None,
-        queue: Optional[JobQueue] = None,
         inline: bool = False,
         executor: Optional[Callable[[Job], dict]] = None,
     ):
@@ -412,7 +390,6 @@ class FleetScheduler:
         self.batch = max(1, int(batch))
         self.spawn_seconds = 0.0
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        self.queue = queue
         self.inline = inline
         self.executor = executor if executor is not None else execute_job
         # -- scheduling state --
@@ -427,8 +404,6 @@ class FleetScheduler:
         self._retry_wait: List[tuple] = []
         self._ordinal = {job.job_id: index for index, job in enumerate(jobs)}
         self.requeues = 0
-        self.skipped_acked = 0
-        self.skipped_dead = 0
         self._busy: List[float] = [0.0] * self.workers
         self._slots: list = []
         # -- circuit breaker state (per worker slot) --
@@ -483,7 +458,7 @@ class FleetScheduler:
         """Half-open elapsed breakers: one strike re-trips immediately.
 
         In process mode a quarantined slot whose process died was not
-        respawned while open; respawn it now that it may lease again.
+        respawned while open; respawn it now that it may take jobs again.
         """
         for worker in range(self.workers):
             if not self._breaker_open[worker]:
@@ -517,7 +492,6 @@ class FleetScheduler:
         busy: float = 0.0,
     ) -> None:
         job_id = job.job_id
-        failed = classification in (CRASH, HANG, EXPIRED)
         self._outcomes[job_id] = JobOutcome(
             job=job,
             classification=classification,
@@ -525,21 +499,9 @@ class FleetScheduler:
             backoffs=self._backoffs.get(job_id, []),
             payload=payload,
             detail=detail,
-            dead_lettered=failed,
             worker=worker,
             busy_seconds=busy,
         )
-        worker_name = "w{}".format(worker if worker is not None else 0)
-        if self.queue is not None:
-            if failed:
-                # A job that exhausted its attempts is poison: record
-                # it in the dead-letter section, not as completed, so
-                # the next drain neither re-runs it nor blocks on it.
-                self.queue.dead_letter(
-                    job_id, worker_name, detail or classification
-                )
-            else:
-                self.queue.ack(job_id, worker_name)
 
     def _retry_or_finish(
         self,
@@ -553,12 +515,7 @@ class FleetScheduler:
     ) -> None:
         job_id = job.job_id
         attempt = self._attempts.get(job_id, 0)
-        budget = (
-            self.retries
-            if job.max_attempts is None
-            else max(0, job.max_attempts - 1)
-        )
-        if attempt < budget:
+        if attempt < self.retries:
             delay = backoff_delay(
                 self.seed,
                 job_id,
@@ -571,8 +528,6 @@ class FleetScheduler:
             self._retry_wait.append(
                 (now + delay, self._ordinal[job_id], job)
             )
-            if self.queue is not None:
-                self.queue.requeue(job_id)
             return
         self._attempts[job_id] = attempt
         self._finish(
@@ -598,13 +553,12 @@ class FleetScheduler:
     def _dispatch_chunk(
         self, worker: int, chunk: List[Job], now: float, started: float
     ) -> None:
-        """Dispatch a chunk: one lease record, one message to the slot.
+        """Dispatch a chunk: one message to the slot.
 
         Deadline-expired jobs are finished on the spot; the surviving
-        jobs are leased in one batched journal append, entered
-        individually into the in-flight ledger (so the watchdog and
-        crash attribution see them one by one), and sent to the slot
-        as one message.
+        jobs are entered individually into the in-flight ledger (so the
+        watchdog and crash attribution see them one by one) and sent to
+        the slot as one message.
         """
         live = []
         for job in chunk:
@@ -621,13 +575,6 @@ class FleetScheduler:
                 live.append(job)
         if not live:
             return
-        if self.queue is not None:
-            self.queue.lease_jobs(
-                [job.job_id for job in live],
-                "w{}".format(worker),
-                ttl=2 * self.timeout,
-                now=now,
-            )
         for job in live:
             self._inflight[worker].append((job, now))
         self._slots[worker].send(live)
@@ -712,7 +659,7 @@ class FleetScheduler:
                     now,
                 )
                 # A hung process must die to reclaim the slot; whether
-                # the fresh process may lease is the breaker's call.
+                # the fresh process may take jobs is the breaker's call.
                 self._slots[worker] = slot.respawn()
 
     def _blame_oldest(
@@ -724,8 +671,6 @@ class FleetScheduler:
         inflight.clear()
         for job, _ in rest:
             self.requeues += 1
-            if self.queue is not None:
-                self.queue.requeue(job.job_id)
             self._pending.append(job)
         self._note_failure(worker, now)
         self._retry_or_finish(
@@ -740,31 +685,6 @@ class FleetScheduler:
     # -- the run loop ----------------------------------------------------
 
     def run(self) -> FleetReport:
-        if self.queue is not None:
-            for job in self.jobs:
-                self.queue.enqueue(job)
-            acked = set(self.queue.acked_ids())
-            dead = set(self.queue.dead_ids())
-            if acked or dead:
-                # Resuming on an existing journal: jobs it already
-                # recorded as acked are complete — re-running them
-                # would duplicate results (every re-completion lands
-                # as a duplicate ack) — and dead-lettered jobs are
-                # poison until deliberately requeued (fleet dlq).
-                self.jobs = [
-                    job
-                    for job in self.jobs
-                    if job.job_id not in acked and job.job_id not in dead
-                ]
-                kept = {job.job_id for job in self.jobs}
-                self.skipped_acked = sum(
-                    1 for job_id in self._ordinal
-                    if job_id in acked and job_id not in kept
-                )
-                self.skipped_dead = sum(
-                    1 for job_id in self._ordinal
-                    if job_id in dead and job_id not in kept
-                )
         self._pending = deque(self.jobs)
         started = self.clock.monotonic()
         if self.inline:
@@ -780,19 +700,12 @@ class FleetScheduler:
         finally:
             for slot in self._slots:
                 slot.stop()
-        if self.queue is not None:
-            # Durability barrier: the report below claims completions,
-            # so any open group-commit window must reach the platter
-            # first.
-            self.queue.flush_acks()
         wall = self.clock.monotonic() - started
         outcomes = [self._outcomes[job.job_id] for job in self.jobs]
         return FleetReport(
             outcomes,
             workers=self.workers,
             requeues=self.requeues,
-            skipped_acked=self.skipped_acked,
-            skipped_dead=self.skipped_dead,
             breaker_trips=list(self.breaker_trips),
             worker_busy_seconds=list(self._busy),
             wall_seconds=wall,
@@ -800,14 +713,12 @@ class FleetScheduler:
         )
 
     def _loop(self, started: float) -> None:
-        """Push due retries, reopen breakers, pump the ack window, fill
-        free slots, collect results, check liveness; until done."""
+        """Push due retries, reopen breakers, fill free slots, collect
+        results, check liveness; until done."""
         while len(self._outcomes) < len(self.jobs):
             now = self.clock.monotonic()
             self._push_retry_ready(now)
             self._reopen_breakers(now)
-            if self.queue is not None:
-                self.queue.maybe_flush_acks()
             self._fill(now, started)
             if any(self._inflight):
                 self._collect()

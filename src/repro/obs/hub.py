@@ -164,9 +164,6 @@ class ObsHub:
             len(report.violations)
         )
         metrics.gauge("fleet_events", subsystem="fleet").set(report.events)
-        metrics.gauge("fleet_dead_letter", subsystem="fleet").set(
-            report.counts["dead_letter"]
-        )
         if not include_load:
             return
         metrics.gauge("fleet_workers", subsystem="fleet").set(report.workers)

@@ -1,14 +1,18 @@
 """Journal recovery: turn a crashed run's journal back into a trace.
 
 A journal (:class:`repro.trace.recorder.JournalWriter`) is an
-append-only file of length-prefixed records — ``"<byte_len> <json>\\n"``
-— fsynced every ``sync_every`` appends.  A run killed mid-flight leaves
-a journal whose tail may be torn at any byte; recovery scans forward,
-keeps every record whose length prefix, payload, and terminator all
-check out, and stops at the first damage.  Because the writer is
-append-only, damage can only be truncation: everything before it is the
-exact line sequence a clean close would have produced, so the recovered
-trace replays with full parity up to the crash point.
+append-only file of checksummed, length-prefixed records —
+``"<byte_len> <crc32:08x> <json>\\n"``, the framing of
+:mod:`repro.core.journal` (checksum-less ``"<byte_len> <json>\\n"``
+records are still read) — fsynced every ``sync_every`` appends.  A run
+killed mid-flight leaves a journal whose tail may be torn at any byte;
+recovery scans forward, keeps every record whose length prefix,
+checksum, payload, and terminator all check out, and stops at the
+first damage.  Damage with nothing valid after it is a torn tail:
+everything before it is the exact line sequence a clean close would
+have produced, so the recovered trace replays with full parity up to
+the crash point.  Damage *followed* by a valid record is mid-file
+corruption, and :func:`parse_journal` raises instead of recovering.
 
 The recovered trace has no end-of-trace ("e") record — the run never
 terminated — so replay runs no leak sweep: its violation stream is a

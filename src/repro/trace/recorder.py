@@ -212,8 +212,8 @@ class JournalWriter:
     last sync.
 
     All file traffic goes through an injectable
-    :class:`repro.core.store.Store`, so storage-fault chaos can drive
-    the writer the same way it drives the fleet queue.
+    :class:`repro.core.store.Store`, so storage-fault tests can swap in
+    a :class:`repro.core.store.FaultyStore`.
     """
 
     def __init__(

@@ -286,117 +286,7 @@ class TestFleetSubcommands:
         printed = capsys.readouterr().out
         assert "trial job(s)" in printed
         assert "busy" in printed
-
-    def test_status_missing_queue(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.queue")
-        assert main(["fleet", "status", "--queue", missing]) == 2
-        assert "no queue" in capsys.readouterr().out
-
-    def test_status_then_drain_roundtrip(self, tmp_path, capsys):
-        import json
-
-        from repro.fleet import JobQueue, bench_trial_jobs
-
-        queue_path = str(tmp_path / "fleet.queue")
-        with JobQueue(queue_path) as queue:
-            for job in bench_trial_jobs(5, 2):
-                queue.enqueue(job)
-        assert main(["fleet", "status", "--queue", queue_path]) == 0
-        assert "2 pending" in capsys.readouterr().out
-        assert main(
-            ["fleet", "drain", "--queue", queue_path, "--workers", "1"]
-        ) == 0
-        assert "ran 2 job(s)" in capsys.readouterr().out
-        assert main(
-            ["fleet", "status", "--queue", queue_path, "--json"]
-        ) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["depth"] == 0
-        assert stats["acked"] == 2
-
-    def test_drain_already_empty_queue(self, tmp_path, capsys):
-        from repro.fleet import JobQueue
-
-        queue_path = str(tmp_path / "empty.queue")
-        JobQueue(queue_path).close()
-        assert main(["fleet", "drain", "--queue", queue_path]) == 0
-        assert "already drained" in capsys.readouterr().out
-
-    def test_chaos_smoke_gate(self, capsys):
-        assert main(["fleet", "chaos", "--smoke", "--seed", "7"]) == 0
-        printed = capsys.readouterr().out
-        assert "storage chaos" in printed
-        assert "gate: PASS" in printed
-
-    def test_compact_roundtrip(self, tmp_path, capsys):
-        import json
-
-        from repro.fleet import JobQueue, bench_trial_jobs
-
-        queue_path = str(tmp_path / "churn.queue")
-        with JobQueue(queue_path, compact_threshold=None) as queue:
-            jobs = bench_trial_jobs(5, 4)
-            for job in jobs:
-                queue.enqueue(job)
-            for job in jobs[:2]:
-                queue.lease_job(job.job_id, "w0", now=0.0)
-                queue.ack(job.job_id, "w0")
-        assert main(["fleet", "compact", "--queue", queue_path]) == 0
-        assert "compacted" in capsys.readouterr().out
-        assert main(
-            ["fleet", "status", "--queue", queue_path, "--json"]
-        ) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["depth"] == 2
-        assert stats["acked"] == 2
-        assert stats["records_scanned"] == 1
-
-    def test_compact_missing_queue(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.queue")
-        assert main(["fleet", "compact", "--queue", missing]) == 2
-        assert "no queue" in capsys.readouterr().out
-
-    def test_dlq_cycle(self, tmp_path, capsys):
-        import json
-
-        from repro.fleet import JobQueue, bench_trial_jobs
-
-        queue_path = str(tmp_path / "dlq.queue")
-        with JobQueue(queue_path) as queue:
-            jobs = bench_trial_jobs(5, 2)
-            for job in jobs:
-                queue.enqueue(job)
-            poison_id = jobs[0].job_id
-            queue.lease_job(poison_id, "w0", now=0.0)
-            queue.dead_letter(poison_id, "w0", "crash x3")
-        assert main(["fleet", "dlq", "list", "--queue", queue_path]) == 0
-        printed = capsys.readouterr().out
-        assert poison_id in printed
-        assert "crash x3" in printed
-        assert main(
-            ["fleet", "dlq", "show", poison_id, "--queue", queue_path]
-        ) == 0
-        shown = json.loads(capsys.readouterr().out)
-        assert shown["dead"]["reason"] == "crash x3"
-        assert main(
-            ["fleet", "dlq", "requeue", poison_id, "--queue", queue_path]
-        ) == 0
-        assert "requeued" in capsys.readouterr().out
-        with JobQueue(queue_path) as queue:
-            assert poison_id in queue.pending_ids()
-            assert queue.dead == 0
-
-    def test_dlq_unknown_job(self, tmp_path, capsys):
-        from repro.fleet import JobQueue
-
-        queue_path = str(tmp_path / "empty.queue")
-        JobQueue(queue_path).close()
-        assert main(
-            ["fleet", "dlq", "show", "feedbeef", "--queue", queue_path]
-        ) == 2
-        assert main(
-            ["fleet", "dlq", "requeue", "--queue", queue_path]
-        ) == 2
+        assert "dead_letter" not in printed
 
 
 class TestObsSubcommands:
@@ -483,7 +373,7 @@ class TestStatusCommand:
         assert status["pipeline"]["pipeline"] == "fused"
         assert status["obs"]["crossings"] > 0
         assert status["fleet"]["ok"] is True
-        assert status["fleet"]["queue_depth"] == 0
+        assert not any(key.startswith("queue_") for key in status["fleet"])
 
 
 class TestJsonSurfaces:
@@ -557,25 +447,11 @@ def test_pre_split_surface_still_parses(argv):
 #: The fleet-era additions: the fleet group plus the --workers flags
 #: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
-    ["fleet", "run", "--smoke", "--workers", "2", "--queue", "q", "--json"],
-    ["fleet", "status", "--queue", "q", "--json"],
+    ["fleet", "run", "--smoke", "--workers", "2", "--batch", "4", "--json"],
     ["fleet", "workers", "--workers", "0", "--trials", "2",
      "--substrate", "jni", "--seed", "1"],
-    ["fleet", "drain", "--queue", "q", "--workers", "2", "--json"],
     ["trace", "replay", "a", "b", "--workers", "2", "--force"],
     ["fuzz", "run", "--workers", "2", "--substrate", "pyc"],
-]
-
-#: The fleet-hardening additions: storage chaos, journal compaction,
-#: and the dead-letter queue.
-HARDENING_ARGVS = [
-    ["fleet", "chaos", "--seed", "7", "--rounds", "2", "--jobs", "5",
-     "--json"],
-    ["fleet", "chaos", "--smoke"],
-    ["fleet", "compact", "--queue", "q", "--json"],
-    ["fleet", "dlq", "list", "--queue", "q"],
-    ["fleet", "dlq", "show", "deadbeef", "--queue", "q", "--json"],
-    ["fleet", "dlq", "requeue", "deadbeef", "--queue", "q"],
 ]
 
 
@@ -585,10 +461,30 @@ def test_fleet_era_surface_parses(argv):
     assert args.command == argv[0]
 
 
-@pytest.mark.parametrize("argv", HARDENING_ARGVS, ids=lambda a: " ".join(a))
-def test_hardening_surface_parses(argv):
-    args = build_parser().parse_args(argv)
-    assert args.command == argv[0]
+#: Watchdog seconds and journal sync intervals must be above zero.
+NON_POSITIVE_ARGVS = [
+    (["trace", "replay", "a", "--timeout", "0"], "--timeout"),
+    (["trace", "replay", "a", "--timeout", "-1"], "--timeout"),
+    (["fuzz", "run", "--smoke", "--timeout", "0"], "--timeout"),
+    (["fuzz", "run", "--smoke", "--timeout", "-1"], "--timeout"),
+    (["trace", "record", "t", "-o", "x", "--sync-every", "0"],
+     "--sync-every"),
+    (["trace", "record", "t", "-o", "x", "--sync-every", "-4"],
+     "--sync-every"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", NON_POSITIVE_ARGVS,
+    ids=[" ".join(argv) for argv, _ in NON_POSITIVE_ARGVS],
+)
+def test_non_positive_values_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "argument {}: must be greater than 0".format(flag) in (
+        capsys.readouterr().err
+    )
 
 
 #: Parallel runners other than the fleet are gone: `trace replay
@@ -612,16 +508,26 @@ REMOVED_ARGVS = [
     (["fleet", "run", "--kind", "replay", "a"], "required: --smoke"),
     (["fleet", "run", "--smoke", "--kind", "fuzz"],
      "unrecognized arguments"),
+    # A fleet run keeps no state on disk: no queue to mirror into.
+    (["fleet", "run", "--smoke", "--queue", "q"], "unrecognized arguments"),
+    (["fleet", "run", "--smoke", "--sync", "group"],
+     "unrecognized arguments"),
 ]
 
 #: Watched work runs on the fleet: `fuzz run --timeout T` and `trace
 #: replay --timeout T` replace the first command.  `trace recover`
 #: replaces `resilience recover`, and interpretive checking is replay's,
-#: not a live `--mode`.
+#: not a live `--mode`.  The job queue went with the five commands that
+#: inspected, drained, fault-injected, compacted and dead-lettered it.
 REMOVED_COMMANDS = [
     ["resilience", "supervise", "fuzz:1"],
     ["resilience", "recover", "j", "-o", "t"],
     ["pipeline", "show", "--mode", "interpretive"],
+    ["fleet", "status", "--queue", "q"],
+    ["fleet", "drain", "--queue", "q"],
+    ["fleet", "chaos", "--smoke"],
+    ["fleet", "compact", "--queue", "q"],
+    ["fleet", "dlq", "list", "--queue", "q"],
 ]
 
 
@@ -664,9 +570,7 @@ class TestCommandSurfaceIsCovered:
         assert smoked == set(_RESILIENCE_COMMANDS)
 
     def test_every_fleet_subcommand_is_smoked(self):
-        smoked = {
-            "run", "status", "workers", "drain", "chaos", "compact", "dlq",
-        }
+        smoked = {"run", "workers"}
         assert smoked == set(_FLEET_COMMANDS)
 
     def test_every_pipeline_subcommand_is_smoked(self):

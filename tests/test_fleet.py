@@ -1,13 +1,13 @@
-"""The fleet fabric: job envelopes, the crash-safe queue, the
-one-deque dispatcher, order-independent merging.
+"""The fleet fabric: job envelopes, the one-deque dispatcher,
+order-independent merging.
 
-The determinism class is the acceptance surface from the issue: the
-same seed and job set run on 1, 2, and 4 real worker processes must
-produce identical merged violation streams, identical deterministic
-report bodies, identical triage cluster IDs, and identical ObsHub
-snapshots (load series excluded).  The exactly-once class SIGKILLs a
-worker mid-job and proves the persistent queue still acks every job
-exactly once.
+The determinism class is the acceptance surface: the same seed and job
+set run on 1, 2, and 4 real worker processes must produce identical
+merged violation streams, identical deterministic report bodies,
+identical triage cluster IDs, and identical ObsHub snapshots (load
+series excluded).  The exactly-once class SIGKILLs a worker mid-job
+and proves the report still holds every job exactly once.  A run keeps
+its state in memory: no runner takes a queue.
 """
 
 import hashlib
@@ -29,7 +29,6 @@ from repro.fleet import (
     FleetReport,
     FleetScheduler,
     Job,
-    JobQueue,
     bench_trial_jobs,
     fleet_fuzz,
     fleet_replay,
@@ -39,7 +38,6 @@ from repro.fleet import (
     replay_jobs,
     violation_stream,
 )
-from repro.fleet.queue import QueueFormatError
 from repro.fleet.scheduler import (
     CLEAN,
     CRASH,
@@ -74,7 +72,6 @@ class TestJobEnvelope:
             kind="replay-shard",
             params={"path": "t.trace", "force": True},
             fingerprint="abc",
-            priority=2,
             deadline=10.0,
         )
         back = Job.from_json(json.loads(json.dumps(job.to_json())))
@@ -111,133 +108,6 @@ class TestJobEnvelope:
             job.params["campaign"] == "fault" for job in jobs[1:]
         )
         assert all(job.seed == 7 for job in jobs)
-
-
-# ----------------------------------------------------------------------
-# The crash-safe queue
-# ----------------------------------------------------------------------
-
-
-class TestJobQueue:
-    def test_enqueue_is_idempotent(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            job = bench_trial_jobs(1, 1)[0]
-            assert queue.enqueue(job) is True
-            assert queue.enqueue(job) is False
-            assert queue.depth == 1
-
-    def test_lease_order_priority_then_fifo(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            low = Job(kind="bench-trial", params={"trial": 0}, priority=1)
-            hi_a = Job(kind="bench-trial", params={"trial": 1}, priority=0)
-            hi_b = Job(kind="bench-trial", params={"trial": 2}, priority=0)
-            for job in (low, hi_a, hi_b):
-                queue.enqueue(job)
-            order = [queue.lease("w0", ttl=60.0).job_id for _ in range(3)]
-            assert order == [hi_a.job_id, hi_b.job_id, low.job_id]
-
-    def test_ack_and_duplicate_ack(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            job = bench_trial_jobs(1, 1)[0]
-            queue.enqueue(job)
-            queue.lease("w0", ttl=60.0)
-            assert queue.ack(job.job_id, "w0") is True
-            assert queue.ack(job.job_id, "w1") is False
-            assert queue.duplicate_acks == 1
-            assert queue.acked == 1
-            assert queue.leased == 0
-
-    def test_ack_unknown_job_raises(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            with pytest.raises(KeyError):
-                queue.ack("deadbeefdeadbeef", "w0")
-
-    def test_requeue_never_moves_acked_jobs(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            job = bench_trial_jobs(1, 1)[0]
-            queue.enqueue(job)
-            queue.lease("w0", ttl=60.0)
-            queue.ack(job.job_id, "w0")
-            assert queue.requeue(job.job_id) is False
-            assert queue.depth == 0
-
-    def test_lease_expiry_requeues(self, tmp_path):
-        with JobQueue(str(tmp_path / "q")) as queue:
-            job = bench_trial_jobs(1, 1)[0]
-            queue.enqueue(job)
-            leased = queue.lease("w0", ttl=5.0, now=100.0)
-            assert leased.job_id == job.job_id
-            assert queue.requeue_expired(now=104.0) == []
-            assert queue.requeue_expired(now=106.0) == [job.job_id]
-            assert queue.depth == 1
-            assert queue.leased == 0
-
-    def test_state_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "q")
-        jobs = bench_trial_jobs(2, 3)
-        with JobQueue(path) as queue:
-            for job in jobs:
-                queue.enqueue(job)
-            done = queue.lease("w0", ttl=60.0)
-            queue.ack(done.job_id, "w0")
-            queue.lease("w1", ttl=60.0)  # left outstanding
-        with JobQueue(path) as queue:
-            assert queue.acked == 1
-            assert queue.leased == 1
-            assert queue.depth == 1
-            assert queue.acked_ids() == [done.job_id]
-            # Crash recovery: the orphaned lease goes back to pending.
-            orphans = queue.recover_leases()
-            assert orphans == [jobs[1].job_id]
-            assert queue.depth == 2
-            assert queue.job(done.job_id).to_json() == jobs[0].to_json()
-
-    def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
-        path = str(tmp_path / "q")
-        with JobQueue(path) as queue:
-            for job in bench_trial_jobs(3, 2):
-                queue.enqueue(job)
-            queue.lease("w0", ttl=60.0)
-        torn = b'999 ["l","truncated mid-rec'
-        with open(path, "ab") as f:
-            f.write(torn)
-        with JobQueue(path) as queue:
-            assert queue.torn_bytes == len(torn)
-            assert queue.stats()["jobs"] == 2
-            assert queue.leased == 1
-            assert queue.depth == 1
-
-    def test_ack_after_torn_recovery_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "q")
-        with JobQueue(path) as queue:
-            for job in bench_trial_jobs(3, 2):
-                queue.enqueue(job)
-        with open(path, "ab") as f:
-            f.write(b'999 ["l","truncated mid-rec')
-        # Reopen truncates the tear, so the ack appended below lands on
-        # valid journal bytes — not behind the torn tail, where the
-        # scan would never reach it.
-        with JobQueue(path) as queue:
-            assert queue.torn_bytes > 0
-            done = queue.lease("w0", ttl=60.0)
-            queue.ack(done.job_id, "w0")
-        with JobQueue(path) as queue:
-            assert queue.torn_bytes == 0
-            assert queue.acked_ids() == [done.job_id]
-            assert queue.depth == 1
-
-    def test_non_queue_file_rejected(self, tmp_path):
-        garbage = tmp_path / "garbage"
-        garbage.write_text("this is not a journal\n")
-        with pytest.raises(QueueFormatError):
-            JobQueue(str(garbage))
-
-    def test_wrong_header_rejected(self, tmp_path):
-        other = tmp_path / "other"
-        line = json.dumps({"format": "trace-journal"})
-        other.write_text("{} {}\n".format(len(line.encode("utf-8")), line))
-        with pytest.raises(QueueFormatError):
-            JobQueue(str(other))
 
 
 # ----------------------------------------------------------------------
@@ -365,44 +235,6 @@ class TestInlineScheduler:
             bodies.append(json.dumps(report.to_json(), sort_keys=True))
         assert bodies[0] == bodies[1] == bodies[2]
 
-    def test_queue_mirrors_scheduler_lifecycle(self, tmp_path):
-        jobs = bench_trial_jobs(9, 3)
-        with JobQueue(str(tmp_path / "q")) as queue:
-            executor, _ = _flaky_executor()
-            report = FleetScheduler(
-                jobs, workers=2, clock=FakeClock(), inline=True,
-                executor=executor, queue=queue,
-            ).run()
-            assert report.ok
-            stats = queue.stats()
-            assert stats["depth"] == 0
-            assert stats["acked"] == 3
-            assert stats["duplicate_acks"] == 0
-
-    def test_rerun_on_existing_queue_skips_acked_jobs(self, tmp_path):
-        path = str(tmp_path / "q")
-        jobs = bench_trial_jobs(10, 3)
-        with JobQueue(path) as queue:
-            executor, _ = _flaky_executor()
-            FleetScheduler(
-                jobs, workers=1, clock=FakeClock(), inline=True,
-                executor=executor, queue=queue,
-            ).run()
-            assert queue.acked == 3
-        # Resume on the same journal: acked jobs are complete and must
-        # not re-execute (each re-completion would be a duplicate ack).
-        with JobQueue(path) as queue:
-            executor, calls = _flaky_executor()
-            report = FleetScheduler(
-                jobs, workers=1, clock=FakeClock(), inline=True,
-                executor=executor, queue=queue,
-            ).run()
-            assert calls == {}
-            assert report.outcomes == []
-            assert report.skipped_acked == 3
-            assert report.load_json()["skipped_acked"] == 3
-            assert queue.duplicate_acks == 0
-
 
 # ----------------------------------------------------------------------
 # Merge: arrival order never leaks out
@@ -482,20 +314,24 @@ class TestSingleProcessParity:
                     canonical.encode("utf-8")
                 ).hexdigest() == digest, (seed, substrate, workers)
 
-    def test_fuzz_campaign_takes_no_queue(self, tmp_path):
-        # Campaign payloads are not journaled: a campaign resumed from
-        # a queue would skip its acked slices and could never merge.
+    def test_runners_take_no_queue(self, tmp_path):
+        # A run keeps its state in memory; one that dies is run again.
         path = str(tmp_path / "fleet.queue")
-        for option in ({"queue_path": path}, {"sync": "group"}):
-            with pytest.raises(TypeError):
-                fleet_fuzz(7, rounds=1, substrate="pyc", workers=0, **option)
-        assert not os.path.exists(path)
-        with JobQueue(path) as queue:
-            with pytest.raises(TypeError):
-                fleet_fuzz(
-                    7, rounds=1, substrate="pyc", workers=0, queue=queue
-                )
-            assert queue.depth == 0
+        trace = os.path.join(CORPUS_DIR, "leak_monitor.trace")
+        runs = (
+            lambda **option: fleet_fuzz(
+                7, rounds=1, substrate="pyc", workers=0, **option
+            ),
+            lambda **option: fleet_replay([trace], workers=0, **option),
+            lambda **option: fleet_smoke(
+                workers=0, corpus_dir=CORPUS_DIR, **option
+            ),
+        )
+        for run in runs:
+            for option in ({"queue_path": path}, {"sync": "group"}):
+                with pytest.raises(TypeError):
+                    run(**option)
+        assert os.listdir(str(tmp_path)) == []
 
 
 # ----------------------------------------------------------------------
@@ -611,32 +447,26 @@ class TestCorpusReplay:
 class TestExactlyOnceUnderWorkerDeath:
     def test_sigkilled_worker_still_acks_exactly_once(self, tmp_path):
         marker = str(tmp_path / "die.marker")
-        queue_path = str(tmp_path / "fleet.queue")
         jobs = bench_trial_jobs(11, 4)
         jobs.append(Job(
             kind="bench-trial",
             params={"substrate": "pyc", "trial": 99, "die_once": marker},
             seed=11,
         ))
-        with JobQueue(queue_path) as queue:
-            report = FleetScheduler(
-                jobs, workers=2, seed=11, retries=1,
-                backoff_base=0.01, backoff_cap=0.02, queue=queue,
-            ).run()
-            assert report.ok
-            victim = report.outcomes[-1]
-            assert victim.classification in (CLEAN, VIOLATION)
-            assert victim.attempts == 2  # died once, recovered once
-            stats = queue.stats()
-            assert stats["acked"] == len(jobs)
-            assert stats["depth"] == 0
-            assert stats["duplicate_acks"] == 0
-            assert stats["requeues"] >= 1  # the death went through requeue
-        # Durability: the acks survive reopen with nothing left to run.
-        with JobQueue(queue_path) as reopened:
-            assert reopened.acked == len(jobs)
-            assert reopened.recover_leases() == []
-            assert reopened.depth == 0
+        report = FleetScheduler(
+            jobs, workers=2, seed=11, retries=1,
+            backoff_base=0.01, backoff_cap=0.02,
+        ).run()
+        assert report.ok
+        # Every job once, in submission order, whatever order they
+        # finished in and though one worker died mid-job.
+        assert [o.job.job_id for o in report.outcomes] == [
+            job.job_id for job in jobs
+        ]
+        for outcome in report.outcomes:
+            assert outcome.classification in (CLEAN, VIOLATION)
+        victim = report.outcomes[-1]
+        assert victim.attempts == 2  # died once, recovered once
 
     def test_smoke_gate_passes_on_two_workers(self):
         smoke = fleet_smoke(workers=2, corpus_dir=CORPUS_DIR)
@@ -835,7 +665,7 @@ class TestObsIntegration:
 
 
 # ----------------------------------------------------------------------
-# Batched lease/dispatch IPC
+# Batched dispatch IPC
 # ----------------------------------------------------------------------
 
 
@@ -879,31 +709,6 @@ class TestBatchedScheduler:
         assert counts[CRASH] == 0
         assert counts["hang"] == 0
         assert counts[EXPIRED] == 0
-
-    def test_batched_group_commit_queue_drain(self, tmp_path):
-        jobs = bench_trial_jobs(11, 8)
-        queue = JobQueue(
-            str(tmp_path / "fleet.queue"), sync="group",
-            group_max_batch=16, group_max_delay_ms=1e12,
-        )
-        with queue:
-            report = FleetScheduler(
-                jobs, workers=2, seed=11, queue=queue, batch=4,
-            ).run()
-            assert report.ok
-            stats = queue.stats()
-            assert stats["acked"] == len(jobs)
-            assert stats["duplicate_acks"] == 0
-            # run() ends with the explicit durability barrier: nothing
-            # may remain in the window once completion is reported.
-            assert stats["unflushed_acks"] == 0
-            assert stats["ack_records"] == len(jobs)
-            # Group commit amortizes: strictly fewer fsyncs than final
-            # dispositions (eager mode pays one per disposition).
-            assert stats["fsyncs"] < stats["ack_records"]
-        with JobQueue(str(tmp_path / "fleet.queue")) as reopened:
-            assert reopened.acked == len(jobs)
-            assert reopened.depth == 0
 
     def test_report_spawn_seconds_roundtrips(self):
         executor, _ = _flaky_executor()
