@@ -89,19 +89,6 @@ class Store:
         return StoreHandle(open(path, mode + "b"))
 
 
-def flip_bit(path: str, offset: int, mask: int = 0x01) -> None:
-    """Flip bit(s) of the byte at ``offset`` in place (test helper)."""
-    with open(path, "r+b") as f:
-        f.seek(offset)
-        byte = f.read(1)
-        if not byte:
-            raise ValueError("offset {} past end of {}".format(offset, path))
-        f.seek(offset)
-        f.write(bytes([byte[0] ^ mask]))
-        f.flush()
-        os.fsync(f.fileno())
-
-
 class _FaultyHandle:
     """Buffers writes so a crash loses exactly the unflushed tail."""
 

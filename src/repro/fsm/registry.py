@@ -18,7 +18,13 @@ from repro.fsm.machine import StateMachineSpec
 
 
 class SpecRegistry:
-    """Ordered, name-indexed collection of state machine specs."""
+    """Ordered, name-indexed collection of state machine specs.
+
+    A registry holds its specs by reference: :meth:`copy` and
+    :meth:`without` share the spec instances, and ``build_registry()``
+    and ``build_pyc_registry()`` hand every caller a copy over one
+    process-wide set.  Specs are immutable once registered.
+    """
 
     def __init__(self, specs: Optional[List[StateMachineSpec]] = None):
         self._specs: List[StateMachineSpec] = []
@@ -97,6 +103,18 @@ class SpecRegistry:
                     digest.update(str(lt).encode())
         self._fingerprint = digest.hexdigest()
         return self._fingerprint
+
+    def copy(self) -> "SpecRegistry":
+        """A new registry over the same spec instances and fingerprint.
+
+        Registering on the copy changes only the copy.  Costs no
+        validation and, once this registry is fingerprinted, no hashing.
+        """
+        clone = SpecRegistry()
+        clone._specs = list(self._specs)
+        clone._by_name = dict(self._by_name)
+        clone._fingerprint = self.fingerprint()
+        return clone
 
     def without(self, *names: str) -> "SpecRegistry":
         """A new registry excluding the named machines (for ablations)."""

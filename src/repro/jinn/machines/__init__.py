@@ -35,9 +35,15 @@ SPEC_CLASSES = (
 )
 
 
+#: The eleven specs, built and validated once per process, at import.
+_REGISTRY = SpecRegistry([cls() for cls in SPEC_CLASSES])
+
+
 def build_registry() -> SpecRegistry:
-    """A fresh, validated registry of all eleven machines."""
-    return SpecRegistry([cls() for cls in SPEC_CLASSES])
+    """A new registry of all eleven machines, validated and fingerprinted
+    once per process; every registry it returns shares the same
+    immutable spec instances (:meth:`SpecRegistry.copy`)."""
+    return _REGISTRY.copy()
 
 
 __all__ = [

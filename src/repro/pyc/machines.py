@@ -742,14 +742,22 @@ class PyExceptionStateSpec(StateMachineSpec):
         ]
 
 
+#: The Python/C specs in checking order, built and validated once per
+#: process, at import.
+_REGISTRY = SpecRegistry(
+    [
+        GILStateSpec(),
+        PyExceptionStateSpec(),
+        PyFixedTypingSpec(),
+        BorrowedRefSpec(),
+        OwnedRefSpec(),
+    ]
+)
+
+
 def build_pyc_registry() -> SpecRegistry:
-    """The Python/C machines in checking order."""
-    return SpecRegistry(
-        [
-            GILStateSpec(),
-            PyExceptionStateSpec(),
-            PyFixedTypingSpec(),
-            BorrowedRefSpec(),
-            OwnedRefSpec(),
-        ]
-    )
+    """A new registry of the Python/C machines in checking order,
+    validated and fingerprinted once per process; every registry it
+    returns shares the same immutable spec instances
+    (:meth:`SpecRegistry.copy`)."""
+    return _REGISTRY.copy()

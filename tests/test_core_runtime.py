@@ -1,5 +1,8 @@
 """Tests for the language-neutral checker core (:mod:`repro.core`)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.cache import WRAPPER_CACHE, WrapperCache
@@ -17,6 +20,7 @@ from repro.fsm.registry import SpecRegistry
 from repro.jinn.machines import build_registry
 from repro.jinn.machines.nullness import NullnessSpec
 from repro.jni.functions import FUNCTIONS
+from repro.pyc.machines import build_pyc_registry
 from repro.pyc.spec import PY_FUNCTIONS
 
 
@@ -99,6 +103,96 @@ class TestFingerprint:
         assert partial.fingerprint() == SpecRegistry(
             list(full.without("nullness")) + [NullnessSpec()]
         ).fingerprint()
+
+
+#: The built-in registries' digests, as the committed corpus trace
+#: headers (``tests/data/fuzz_corpus``) carry them.
+BUILTIN_FINGERPRINTS = {
+    "jni": "d373195f3dffe3508432e9daff47b2d872b5c9e734f61b7198ff3ecc12dd161d",
+    "pyc": "8d87747f41eea13dee42077b1d5bd788322ed3240fe991c26b206b560b77299d",
+}
+BUILD_REGISTRY = {"jni": build_registry, "pyc": build_pyc_registry}
+
+
+def _renamed(spec):
+    """A spec of the same class under a new name."""
+    cls = type(spec)
+    return type(cls.__name__ + "Copy", (cls,), {"name": spec.name + "_copy"})()
+
+
+class TestBuiltRegistries:
+    """Each substrate's spec set is built, validated and fingerprinted
+    once per process; every build after that is a copy."""
+
+    @pytest.mark.parametrize("substrate", sorted(BUILD_REGISTRY))
+    def test_fingerprint_matches_the_corpus_headers(self, substrate):
+        digest = BUILD_REGISTRY[substrate]().fingerprint()
+        assert digest == BUILTIN_FINGERPRINTS[substrate]
+
+    @pytest.mark.parametrize("substrate", sorted(BUILD_REGISTRY))
+    def test_rebuilding_neither_validates_nor_hashes(self, substrate, monkeypatch):
+        build = BUILD_REGISTRY[substrate]
+        build().fingerprint()
+        calls = []
+
+        def counted(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls.append((type(self).__name__, name))
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(StateMachineSpec, "validate")
+        for spec in build():
+            counted(type(spec), "state_transitions")
+        for _ in range(5):
+            build().fingerprint()
+        assert calls == []
+
+    @pytest.mark.parametrize("substrate", sorted(BUILD_REGISTRY))
+    def test_built_registries_are_independent(self, substrate):
+        build, digest = BUILD_REGISTRY[substrate], BUILTIN_FINGERPRINTS[substrate]
+        first, second = build(), build()
+        names = second.names()
+        first.register(_renamed(list(first)[-1]))
+        assert first.names() == names + [names[-1] + "_copy"]
+        assert first.fingerprint() != digest
+        assert second.names() == names
+        assert second.fingerprint() == digest
+        assert second.without(names[0]).fingerprint() != digest
+        assert build().fingerprint() == digest
+
+    @pytest.mark.parametrize("substrate", sorted(BUILD_REGISTRY))
+    def test_threads_racing_the_first_fingerprint_get_whole_registries(
+        self, substrate, monkeypatch
+    ):
+        build = BUILD_REGISTRY[substrate]
+        shared = sys.modules[build.__module__]._REGISTRY
+        monkeypatch.setattr(shared, "_fingerprint", None)
+        built = []
+
+        def build_many():
+            for _ in range(50):
+                registry = build()
+                built.append((tuple(registry.names()), registry.fingerprint()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build_many) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 8 * 50
+        assert set(built) == {
+            (tuple(shared.names()), BUILTIN_FINGERPRINTS[substrate])
+        }
 
 
 class TestWrapperCache:

@@ -21,7 +21,6 @@ from repro.core.store import (
     FaultyStore,
     InjectedFault,
     Store,
-    flip_bit,
 )
 from repro.fleet import FleetScheduler, Job, bench_trial_jobs
 from repro.fleet.scheduler import CLEAN, CRASH
@@ -178,13 +177,6 @@ class TestFaultyStore:
         with pytest.raises(InjectedFault):
             h1.write("3")
         assert store.fired == [("write", 3, "enospc")]
-
-    def test_flip_bit_helper_is_exact(self, tmp_path):
-        path = str(tmp_path / "j")
-        with open(path, "wb") as f:
-            f.write(b"\x00\x00\x00")
-        flip_bit(path, 1, mask=0x80)
-        assert Store().read(path) == b"\x00\x80\x00"
 
 
 # ----------------------------------------------------------------------
