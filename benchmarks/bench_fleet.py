@@ -14,9 +14,8 @@ job for CPU amplification:
   full 1/2/4 scaling curve is reported for EXPERIMENTS.md E15.
 
 - **determinism** (``stream_identical_ok``) — the merged violation
-  stream at every worker count, one job per dispatch and in chunks of
-  ``BATCH`` jobs, must be byte-identical to the stream pinned in the
-  corpus manifest, whatever order the jobs finished in.
+  stream at every worker count must be byte-identical to the stream
+  pinned in the corpus manifest, whatever order the jobs finished in.
 
 - **plan cache** (``plan_cache_ok``) — a cold fused-pipeline build
   (full synthesizer cross-product) against a fresh on-disk plan cache
@@ -34,8 +33,6 @@ WORKER_COUNTS = [1, 2, 4]
 REPEATS = 20
 TRIALS = 2
 SPEEDUP_MIN = 2.5
-#: Jobs per dispatch chunk in the batched stream-identity runs.
-BATCH = 4
 PLAN_WARM_RATIO_MIN = 3.0
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,17 +66,6 @@ def _measure_workers(paths, workers):
         ):
             best = trial
     return best
-
-
-def _batched_streams(paths) -> dict:
-    """The merged stream at each worker count, ``BATCH`` jobs a chunk."""
-    from repro.fleet import fleet_replay, violation_stream
-
-    streams = {}
-    for workers in WORKER_COUNTS:
-        _, report = fleet_replay(paths, workers=workers, batch=BATCH)
-        streams[workers] = violation_stream(report)
-    return streams
 
 
 def _plan_cache_gate() -> dict:
@@ -148,13 +134,10 @@ def run_fleet_quick(out_path: str) -> dict:
     report["scaling"] = curve
 
     four = next(t for t in curve if t["workers"] == 4)
-    batched = _batched_streams(paths)
     stream_identical = all(
-        streams[workers] == stream and batched[workers] == stream
-        for workers in WORKER_COUNTS
+        streams[workers] == stream for workers in WORKER_COUNTS
     )
     report["stream_identical"] = stream_identical
-    report["batch"] = BATCH
     report["violations"] = len(stream)
     report["plan_cache"] = _plan_cache_gate()
     report["gate"] = {
@@ -199,9 +182,9 @@ def main(argv=None) -> int:
                 trial["speedup"], trial["utilization"],
             )
         )
-    print("stream: {} across {} worker counts, batch 1 and {}".format(
+    print("stream: {} across {} worker counts".format(
         "identical" if report["stream_identical"] else "DRIFT",
-        len(report["worker_counts"]), report["batch"],
+        len(report["worker_counts"]),
     ))
     plan = report["plan_cache"]
     print(

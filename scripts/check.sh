@@ -12,8 +12,7 @@
 # the resilience smoke (chaos containment + crash recovery, and the
 # trace journal under injected storage faults), the obs
 # CLI smoke on both substrates, the fleet smoke (the regression corpus
-# replayed on 2 fleet workers, one job per dispatch and in chunks of 4,
-# gated on stream identity),
+# replayed on 2 fleet workers, gated on stream identity),
 # the ablation bench (the none, interpose and generated configurations
 # end to end, per-machine costs from interleaved kernel pairs, the
 # local-frame capacity sweep), and the quick
@@ -86,7 +85,6 @@ timeout 300 python -m repro.cli status --repeats 2 --substrate jni
 
 echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
 timeout 300 python -m repro.cli fleet run --smoke --workers 2
-timeout 300 python -m repro.cli fleet run --smoke --workers 2 --batch 4
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== ablation bench (configurations, per-machine pairs, capacity) =="

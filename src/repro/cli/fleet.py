@@ -40,11 +40,7 @@ def fleet_options(workers: int, timeout: Optional[float]) -> dict:
 
 def _print_load(report) -> None:
     load = report.load_json()
-    print(
-        "fleet    : {} worker(s), {} requeue(s)".format(
-            load["workers"], load["requeues"]
-        )
-    )
+    print("fleet    : {} worker(s)".format(load["workers"]))
     print(
         "cpu      : serial {:.3f}s, critical path {:.3f}s, "
         "utilization {:.0%}".format(
@@ -59,7 +55,7 @@ def _cmd_fleet_run(args) -> int:
 
     from repro.fleet import fleet_smoke
 
-    smoke = fleet_smoke(workers=args.workers, batch=args.batch)
+    smoke = fleet_smoke(workers=args.workers)
     if args.json:
         print(_json.dumps(smoke, indent=2, sort_keys=True))
     else:
@@ -122,10 +118,6 @@ def add_parsers(sub) -> None:
         help="replay the regression corpus; gate on stream identity (CI)",
     )
     run.add_argument("--workers", type=int, default=2)
-    run.add_argument(
-        "--batch", type=int, default=1,
-        help="jobs shipped per worker round-trip",
-    )
     run.add_argument("--json", action="store_true")
 
     workers = fleet_sub.add_parser(

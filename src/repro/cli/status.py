@@ -44,8 +44,8 @@ def _fleet_section(seed: int) -> dict:
     """Exercise the fabric on self-contained trial jobs; report load.
 
     Generated workloads only (no file dependencies) on two inline
-    workers, so ``repro status`` shows real requeue / utilization
-    numbers without touching the working directory.
+    workers, so ``repro status`` shows a real utilization number
+    without touching the working directory.
     """
     from repro.fleet import FleetScheduler, bench_trial_jobs
 
@@ -55,8 +55,6 @@ def _fleet_section(seed: int) -> dict:
         "jobs": len(jobs),
         "counts": report.counts,
         "ok": report.ok,
-        "requeues": report.requeues,
-        "breaker_trips": sum(report.breaker_trips),
         "utilization": report.utilization,
     }
 
@@ -135,10 +133,8 @@ def _cmd_status(args) -> int:
     )
     fleet = status["fleet"]
     print(
-        "fleet    : {} job(s) {}, {} requeue(s), {} breaker trip(s), "
-        "utilization {:.0%}".format(
+        "fleet    : {} job(s) {}, utilization {:.0%}".format(
             fleet["jobs"], "ok" if fleet["ok"] else "NOT OK",
-            fleet["requeues"], fleet["breaker_trips"],
             fleet["utilization"],
         )
     )

@@ -4,20 +4,11 @@ The repo's one crash-safe append-only file, the trace journal
 (:class:`repro.trace.recorder.JournalWriter`), writes this record
 framing, and recovery decodes it through :func:`scan_journal` here.
 
-Two record versions share one file format and are detected per record:
-
-- **v2** (checksummed, the only version written):
-  ``"<byte_len> <crc32:08x> <json>\\n"`` — the CRC32 of the payload
-  bytes sits between the length prefix and the payload, so a bit
-  flipped anywhere in a record is *detected* instead of silently
-  decoded;
-- **v1** (checksum-less, still read): ``"<byte_len> <json>\\n"``, as
-  older releases wrote trace journals.
-
-Detection is unambiguous because every payload the writers emit is a
-JSON document starting with ``[`` or ``{`` — neither is a lowercase
-hex digit, so eight hex characters followed by a space can only be a
-checksum token.
+Every record is ``"<byte_len> <crc32:08x> <json>\\n"``: the CRC32 of
+the payload bytes sits between the length prefix and the payload, so a
+bit flipped anywhere in a record is *detected* instead of silently
+decoded.  A record without that checksum token fails to parse like any
+other damaged record.
 
 Damage classification (the part callers differ on) is mechanical: when
 a record fails to parse, the scanner resynchronises on newlines and
@@ -54,7 +45,7 @@ def crc32_hex(payload: bytes) -> str:
 
 
 def encode_record(json_line: str) -> str:
-    """Frame one JSON line as a v2 (checksummed) journal record."""
+    """Frame one JSON line as a checksummed journal record."""
     payload = json_line.encode("utf-8")
     return "{} {} {}\n".format(len(payload), crc32_hex(payload), json_line)
 
@@ -71,8 +62,6 @@ class JournalScan:
     corrupt_offset: Optional[int] = None
     #: Human-readable reason the damaged record failed to parse.
     corrupt_detail: Optional[str] = None
-    #: Byte offset of each valid record (parallel to ``lines``).
-    offsets: List[int] = field(default_factory=list)
 
     @property
     def corrupt(self) -> bool:
@@ -99,21 +88,19 @@ def _parse_record_at(
         return None, pos, "negative length prefix"
     start = space + 1
     token = data[start : start + 8]
-    crc = None
-    if (
-        len(token) == 8
-        and data[start + 8 : start + 9] == b" "
-        and all(c in b"0123456789abcdef" for c in token)
+    if data[start + 8 : start + 9] != b" " or not all(
+        c in b"0123456789abcdef" for c in token
     ):
-        crc = int(token, 16)
-        start += 9
+        return None, pos, "missing checksum"
+    crc = int(token, 16)
+    start += 9
     end = start + length
     if end + 1 > size:
         return None, pos, "record extends past end of file"
     if data[end : end + 1] != b"\n":
         return None, pos, "missing record terminator"
     payload = data[start:end]
-    if crc is not None and (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
         return None, pos, "checksum mismatch"
     try:
         text = payload.decode("utf-8")
@@ -137,12 +124,13 @@ def _valid_record_after(data: bytes, pos: int, size: int) -> bool:
 def scan_journal(data: bytes) -> JournalScan:
     """Byte-exact scan of journal bytes with damage classification.
 
-    A record is kept only when its length prefix parses, the payload is
-    exactly that many bytes of valid JSON, the terminator is present,
-    and — for v2 records — the CRC32 matches.  The scan stops at the
-    first damage and classifies it (see module docstring): torn tail
-    (``dropped_bytes`` > 0, ``corrupt_offset`` None) versus mid-file
-    corruption (``corrupt_offset`` set).
+    A record is kept only when its length prefix parses, its checksum
+    token is present and matches the CRC32 of the payload, the payload
+    is exactly that many bytes of valid JSON, and the terminator is
+    present.  The scan stops at the first damage and classifies it (see
+    module docstring): torn tail (``dropped_bytes`` > 0,
+    ``corrupt_offset`` None) versus mid-file corruption
+    (``corrupt_offset`` set).
     """
     scan = JournalScan()
     pos = 0
@@ -156,6 +144,5 @@ def scan_journal(data: bytes) -> JournalScan:
                 scan.corrupt_detail = reason
             return scan
         scan.lines.append(text)
-        scan.offsets.append(pos)
         pos = next_pos
     return scan

@@ -33,19 +33,12 @@ JOB_KINDS = ("replay-shard", "fuzz-campaign", "bench-trial")
 
 @dataclass(frozen=True)
 class Job:
-    """One schedulable unit of checking work.
-
-    ``deadline`` is a seconds budget from scheduler start: a job not
-    *dispatched* before its deadline is classified ``expired`` without
-    running — late work on a reproducibility fleet is wrong work, not
-    slow work.
-    """
+    """One schedulable unit of checking work."""
 
     kind: str
     params: Dict[str, object] = field(default_factory=dict)
     seed: int = 0
     fingerprint: Optional[str] = None
-    deadline: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
@@ -61,7 +54,6 @@ class Job:
             "params": self.params,
             "seed": self.seed,
             "fingerprint": self.fingerprint,
-            "deadline": self.deadline,
         }
 
     @classmethod
@@ -71,7 +63,6 @@ class Job:
             params=dict(data.get("params", {})),
             seed=data.get("seed", 0),
             fingerprint=data.get("fingerprint"),
-            deadline=data.get("deadline"),
         )
 
     @cached_property
@@ -177,21 +168,13 @@ def fuzz_jobs(
 
 
 def bench_trial_jobs(
-    seed: int, count: int, *, substrate: str = "pyc", noop: bool = False
+    seed: int, count: int, *, substrate: str = "pyc"
 ) -> List[Job]:
-    """Self-contained generated-workload trials (no file dependencies).
-
-    ``noop=True`` yields transport-cost probes: jobs whose execution is
-    a constant-time return, so a throughput measurement sees the
-    scheduler and IPC overhead per job rather than checker CPU.
-    """
-    params = {"substrate": substrate}
-    if noop:
-        params["noop"] = True
+    """Self-contained generated-workload trials (no file dependencies)."""
     return [
         Job(
             kind="bench-trial",
-            params=dict(params, trial=index),
+            params={"substrate": substrate, "trial": index},
             seed=seed,
         )
         for index in range(count)
@@ -207,9 +190,9 @@ def _fault_hooks(params: Dict[str, object]) -> None:
     """Test-only crash/raise injection, keyed by a marker file.
 
     ``die_once``/``raise_once`` name a path: the first execution to get
-    there creates the marker and dies (SIGKILL) or raises; retries and
-    requeues find the marker and proceed — the single-fault pattern
-    the worker-death and retry tests drive.
+    there creates the marker and dies (SIGKILL) or raises; retries find
+    the marker and proceed — the single-fault pattern the worker-death
+    and retry tests drive.
     """
     for key, action in (("die_once", "die"), ("raise_once", "raise")):
         marker = params.get(key)
@@ -292,16 +275,6 @@ def _execute_bench_trial(job: Job) -> dict:
 
     params = job.params
     substrate = str(params.get("substrate", "pyc"))
-    if params.get("noop"):
-        # Transport-cost probe: noop trials make jobs/sec measure the
-        # dispatch and IPC overhead, not the fuzz workload itself.
-        return {
-            "kind": job.kind,
-            "trial": params.get("trial", 0),
-            "violations": [],
-            "events": 1,
-            "divergent": False,
-        }
     sequence = generate_sequence(
         task_rng(job.seed, "fleet-trial", substrate, params.get("trial", 0)),
         substrate,

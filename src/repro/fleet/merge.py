@@ -1,9 +1,9 @@
 """Order-independent result merging: arrival order never leaks out.
 
 Every merge here is keyed by job ID and ordered by the *submitted* job
-list, so the merged violation stream, the assembled fuzz report, and
-the ObsHub snapshot are byte-identical whether the fleet ran on one
-worker or sixteen, and whatever order its jobs finished in.
+list, so the merged violation stream and the assembled fuzz report are
+byte-identical whether the fleet ran on one worker or sixteen, and
+whatever order its jobs finished in.
 """
 
 from __future__ import annotations

@@ -123,7 +123,6 @@ def fleet_smoke(
         identical
         and counts["crash"] == 0
         and counts["hang"] == 0
-        and counts["expired"] == 0
         and merged.event_count == expected_events
     )
     return {

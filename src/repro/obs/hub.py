@@ -1,8 +1,8 @@
 """The observability hub: one place every subsystem publishes into.
 
 Each subsystem historically kept its numbers privately — the governor's
-windowed costs, ``WrapperCache.stats()``, the fleet's job report.  An
-:class:`ObsHub` unifies them: the hot path (the pipeline's
+windowed costs and ``WrapperCache.stats()``.  An :class:`ObsHub`
+unifies them: the hot path (the pipeline's
 :class:`~repro.obs.tap.TelemetryTap`) streams counters, durations, and
 spans in; the cold paths publish their own reports as gauges; violations
 stream through :class:`~repro.obs.triage.ViolationTriage`; and
@@ -10,8 +10,8 @@ stream through :class:`~repro.obs.triage.ViolationTriage`; and
 CLI consume.
 
 Publish conventions: every series carries a ``subsystem`` label
-(``pipeline``, ``checker``, ``governor``, ``cache``, ``fleet``) so one
-scrape tells the whole story and dashboards can group by layer.
+(``pipeline``, ``checker``, ``governor``, ``cache``) so one scrape
+tells the whole story and dashboards can group by layer.
 """
 
 from __future__ import annotations
@@ -141,45 +141,6 @@ class ObsHub:
             self.metrics.gauge(
                 "wrapper_cache_" + key, subsystem="cache"
             ).set(value)
-
-    def publish_fleet(self, report, *, include_load: bool = True) -> None:
-        """Mirror a :class:`repro.fleet.scheduler.FleetReport`.
-
-        The deterministic series (job counts by classification, merged
-        violations, events) are always published — they are part of the
-        snapshot byte-identity surface across worker counts.  The load
-        series (requeues, busy seconds, utilization) genuinely
-        vary with scheduling, so determinism gates publish with
-        ``include_load=False`` and compare the rest.
-        """
-        metrics = self.metrics
-        for classification, count in report.counts.items():
-            metrics.gauge(
-                "fleet_jobs",
-                subsystem="fleet",
-                classification=classification,
-            ).set(count)
-        metrics.gauge("fleet_ok", subsystem="fleet").set(1 if report.ok else 0)
-        metrics.gauge("fleet_violations", subsystem="fleet").set(
-            len(report.violations)
-        )
-        metrics.gauge("fleet_events", subsystem="fleet").set(report.events)
-        if not include_load:
-            return
-        metrics.gauge("fleet_workers", subsystem="fleet").set(report.workers)
-        metrics.gauge("fleet_breaker_trips", subsystem="fleet").set(
-            sum(report.breaker_trips)
-        )
-        metrics.gauge("fleet_requeues", subsystem="fleet").set(report.requeues)
-        metrics.gauge("fleet_serial_cpu_seconds", subsystem="fleet").set(
-            round(report.serial_cpu_seconds, 6)
-        )
-        metrics.gauge("fleet_critical_path_seconds", subsystem="fleet").set(
-            round(report.critical_path_seconds, 6)
-        )
-        metrics.gauge("fleet_utilization", subsystem="fleet").set(
-            report.utilization
-        )
 
     # -- snapshot --------------------------------------------------------
 

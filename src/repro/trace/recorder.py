@@ -203,7 +203,7 @@ class _Encoder:
 class JournalWriter:
     """Crash-safe sink: checksummed records, fsync-bounded loss.
 
-    Each record is written in the v2 framing of :mod:`repro.core.journal`,
+    Each record is written in the framing of :mod:`repro.core.journal`,
     ``"<byte_len> <crc32> <json>\\n"`` — the length prefix lets recovery
     distinguish a torn final write from a complete record, and the CRC32
     turns a flipped bit into a detected error instead of a different

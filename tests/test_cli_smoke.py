@@ -447,7 +447,6 @@ def test_pre_split_surface_still_parses(argv):
 #: The fleet-era additions: the fleet group plus the --workers flags
 #: grafted onto the pre-existing commands.
 FLEET_ERA_ARGVS = [
-    ["fleet", "run", "--smoke", "--workers", "2", "--batch", "4", "--json"],
     ["fleet", "workers", "--workers", "0", "--trials", "2",
      "--substrate", "jni", "--seed", "1"],
     ["trace", "replay", "a", "b", "--workers", "2", "--force"],
@@ -511,6 +510,9 @@ REMOVED_ARGVS = [
     # A fleet run keeps no state on disk: no queue to mirror into.
     (["fleet", "run", "--smoke", "--queue", "q"], "unrecognized arguments"),
     (["fleet", "run", "--smoke", "--sync", "group"],
+     "unrecognized arguments"),
+    # A worker holds one job at a time: nothing to batch.
+    (["fleet", "run", "--smoke", "--workers", "2", "--batch", "4", "--json"],
      "unrecognized arguments"),
 ]
 

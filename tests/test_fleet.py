@@ -4,10 +4,10 @@ order-independent merging.
 The determinism class is the acceptance surface: the same seed and job
 set run on 1, 2, and 4 real worker processes must produce identical
 merged violation streams, identical deterministic report bodies,
-identical triage cluster IDs, and identical ObsHub snapshots (load
-series excluded).  The exactly-once class SIGKILLs a worker mid-job
-and proves the report still holds every job exactly once.  A run keeps
-its state in memory: no runner takes a queue.
+identical triage cluster IDs, and identical ObsHub triage snapshots.
+The exactly-once class SIGKILLs a worker mid-job and proves the report
+still holds every job exactly once.  A run keeps its state in memory:
+no runner takes a queue.
 """
 
 import hashlib
@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.clock import FakeClock
 from repro.fleet import (
-    EXPIRED,
     FleetReport,
     FleetScheduler,
     Job,
@@ -72,7 +71,6 @@ class TestJobEnvelope:
             kind="replay-shard",
             params={"path": "t.trace", "force": True},
             fingerprint="abc",
-            deadline=10.0,
         )
         back = Job.from_json(json.loads(json.dumps(job.to_json())))
         assert back == job
@@ -173,20 +171,6 @@ class TestInlineScheduler:
         assert "RuntimeError: still broken" in outcome.detail
         assert not report.ok
 
-    def test_deadline_expires_before_dispatch(self):
-        expired = Job(kind="bench-trial", params={"trial": 0}, deadline=0.0)
-        live = Job(kind="bench-trial", params={"trial": 1})
-        executor, calls = _flaky_executor()
-        scheduler = FleetScheduler(
-            [expired, live], workers=1, clock=FakeClock(), inline=True,
-            executor=executor,
-        )
-        report = scheduler.run()
-        assert report.outcomes[0].classification == EXPIRED
-        assert report.outcomes[1].classification == CLEAN
-        assert expired.job_id not in calls  # never executed
-        assert not report.ok
-
     def test_violating_payload_classifies_violation(self):
         job = bench_trial_jobs(5, 1)[0]
         executor, _ = _flaky_executor(
@@ -201,9 +185,8 @@ class TestInlineScheduler:
         assert report.violations == ["machine=x state=bad"]
         assert report.ok  # violations are results, not infrastructure
 
-    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_slots_take_jobs_in_submission_order(self, workers, batch):
+    def test_slots_take_jobs_in_submission_order(self, workers):
         jobs = bench_trial_jobs(6, 6)
         ran = []
 
@@ -212,8 +195,8 @@ class TestInlineScheduler:
             return {"violations": [], "events": 0}
 
         FleetScheduler(
-            jobs, workers=workers, batch=batch, clock=FakeClock(),
-            inline=True, executor=record,
+            jobs, workers=workers, clock=FakeClock(), inline=True,
+            executor=record,
         ).run()
         # One pending deque: every free slot takes from its head.
         assert ran == [job.job_id for job in jobs]
@@ -234,6 +217,16 @@ class TestInlineScheduler:
             ).run()
             bodies.append(json.dumps(report.to_json(), sort_keys=True))
         assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_report_spawn_seconds_roundtrips(self):
+        executor, _ = _flaky_executor()
+        report = FleetScheduler(
+            bench_trial_jobs(5, 2), workers=1, clock=FakeClock(),
+            inline=True, executor=executor,
+        ).run()
+        body = report.load_json()
+        assert "spawn_seconds" in body
+        assert body["spawn_seconds"] == 0.0  # inline mode spawns nothing
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +344,6 @@ def _deterministic_snapshot(report):
     hub = ObsHub(clock=FakeClock())
     for line in violation_stream(report):
         hub.triage.ingest_report_line(line)
-    hub.publish_fleet(report, include_load=False)
     return hub.snapshot()
 
 
@@ -409,7 +401,6 @@ class TestWorkerCountDeterminism:
             counts = report.counts
             assert counts[CRASH] == 0, workers
             assert counts["hang"] == 0, workers
-            assert counts[EXPIRED] == 0, workers
 
 
 class TestCorpusReplay:
@@ -514,10 +505,11 @@ class TestProcessWatchdog:
         assert after.payload["path"] == good
 
     def test_watchdog_clock_starts_when_the_job_starts(self, tmp_path):
-        # One chunk of two FIFO jobs on one worker.  Each blocks on open
-        # until a writer comes and goes, then reads an empty trace.  The
-        # second job starts at ~0.6 s and is released at ~1.3 s: 0.7 s of
-        # its own, under the 1 s timeout, though 1.3 s after dispatch.
+        # Two FIFO jobs on one worker.  Each blocks on open until a
+        # writer comes and goes, then reads an empty trace.  The second
+        # job is dispatched when the first one's result arrives, at
+        # ~0.6 s, and is released at ~1.3 s: 0.7 s of its own, under the
+        # 1 s timeout, though 1.3 s after the run started.
         fifos = [str(tmp_path / "{}.trace".format(n)) for n in (1, 2)]
         for fifo in fifos:
             os.mkfifo(fifo)
@@ -533,7 +525,7 @@ class TestProcessWatchdog:
         writer = threading.Thread(target=release, daemon=True)
         writer.start()
         report = FleetScheduler(
-            replay_jobs(fifos), workers=1, batch=2, timeout=1.0, retries=0
+            replay_jobs(fifos), workers=1, timeout=1.0, retries=0
         ).run()
         writer.join(5.0)
         assert not writer.is_alive()
@@ -554,7 +546,7 @@ class TestProcessWatchdog:
             import json, os, signal, sys, threading, time
             from repro.fleet import FleetScheduler, bench_trial_jobs
             from repro.fleet import replay_jobs
-            jobs = bench_trial_jobs(1, 1, noop=True)
+            jobs = bench_trial_jobs(1, 1)
             jobs += replay_jobs([sys.argv[1]])
             scheduler = FleetScheduler(jobs, workers=2, timeout=600.0)
 
@@ -595,9 +587,9 @@ class TestProcessWatchdog:
     def test_worker_death_blames_the_job_that_was_running(
         self, tmp_path, retries
     ):
-        # One chunk of two: the first job finishes, the second SIGKILLs
-        # its worker.  The finished result must survive the death, and
-        # the blame must land on the job that was running.
+        # Two jobs on one worker: the first finishes, the second,
+        # dispatched when the first one's result arrives, SIGKILLs its
+        # worker.  The blame must land on the job that was running.
         ok = Job(kind="bench-trial", params={"substrate": "pyc", "trial": 0})
         killer = Job(
             kind="bench-trial",
@@ -605,7 +597,7 @@ class TestProcessWatchdog:
                     "die_once": str(tmp_path / "die.marker")},
         )
         report = FleetScheduler(
-            [ok, killer], workers=1, batch=2, retries=retries,
+            [ok, killer], workers=1, retries=retries,
             backoff_base=0.01, backoff_cap=0.02,
         ).run()
         healthy, victim = report.outcomes
@@ -633,89 +625,3 @@ class TestProcessWatchdog:
         assert outcome.detail.startswith("RuntimeError:")
         assert outcome.attempts == 1
         assert not report.ok
-
-
-# ----------------------------------------------------------------------
-# Fleet series in the obs hub
-# ----------------------------------------------------------------------
-
-
-class TestObsIntegration:
-    def _report(self):
-        executor, _ = _flaky_executor()
-        return FleetScheduler(
-            bench_trial_jobs(13, 2), workers=2, clock=FakeClock(),
-            inline=True, executor=executor,
-        ).run()
-
-    def test_publish_fleet_deterministic_series(self):
-        hub = ObsHub(clock=FakeClock())
-        hub.publish_fleet(self._report(), include_load=False)
-        gauges = hub.metrics.snapshot()["gauges"]
-        assert any(key.startswith("fleet_ok") for key in gauges)
-        assert any(key.startswith("fleet_jobs") for key in gauges)
-        assert not any(key.startswith("fleet_workers") for key in gauges)
-
-    def test_publish_fleet_load_series(self):
-        hub = ObsHub(clock=FakeClock())
-        hub.publish_fleet(self._report())
-        gauges = hub.metrics.snapshot()["gauges"]
-        assert any(key.startswith("fleet_workers") for key in gauges)
-        assert any(key.startswith("fleet_utilization") for key in gauges)
-
-
-# ----------------------------------------------------------------------
-# Batched dispatch IPC
-# ----------------------------------------------------------------------
-
-
-class TestBatchedScheduler:
-    def test_batch_knob_is_normalized(self):
-        scheduler = FleetScheduler(bench_trial_jobs(5, 1), batch=0)
-        assert scheduler.batch == 1
-        scheduler = FleetScheduler(bench_trial_jobs(5, 1), batch=4)
-        assert scheduler.batch == 4
-
-    def test_inline_batched_report_identical_to_unbatched(self):
-        jobs = bench_trial_jobs(13, 6)
-        bodies = {}
-        for batch in (1, 3, 8):
-            executor, _ = _flaky_executor()
-            report = FleetScheduler(
-                jobs, workers=2, seed=13, clock=FakeClock(),
-                inline=True, executor=executor, batch=batch,
-            ).run()
-            bodies[batch] = json.dumps(report.to_json(), sort_keys=True)
-        assert len(set(bodies.values())) == 1
-
-    def test_inline_batched_retry_still_works(self):
-        jobs = bench_trial_jobs(17, 4)
-        executor, calls = _flaky_executor(fail_first={jobs[1].job_id})
-        report = FleetScheduler(
-            jobs, workers=2, seed=17, retries=1, backoff_base=0.01,
-            backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=executor, batch=3,
-        ).run()
-        assert report.ok
-        assert calls[jobs[1].job_id] == 2
-        assert all(o.classification == CLEAN for o in report.outcomes)
-
-    def test_process_batched_stream_matches_baseline(self):
-        paths, stream, events = corpus_baseline(CORPUS_DIR)
-        merged, report = fleet_replay(paths, workers=2, batch=4)
-        assert violation_stream(report) == stream
-        assert merged.event_count == events
-        counts = report.counts
-        assert counts[CRASH] == 0
-        assert counts["hang"] == 0
-        assert counts[EXPIRED] == 0
-
-    def test_report_spawn_seconds_roundtrips(self):
-        executor, _ = _flaky_executor()
-        report = FleetScheduler(
-            bench_trial_jobs(5, 2), workers=1, clock=FakeClock(),
-            inline=True, executor=executor,
-        ).run()
-        body = report.load_json()
-        assert "spawn_seconds" in body
-        assert body["spawn_seconds"] == 0.0  # inline mode spawns nothing

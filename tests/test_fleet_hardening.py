@@ -1,20 +1,24 @@
 """Hardening under the journal and the fleet: the journal record
-format, the fault-injected storage seam, the scheduler's retry budget,
-and worker circuit breakers.
+format, the fault-injected storage seam, and the scheduler's retry
+budget.
 
 The journal format and the fault-injected store are the layers the
 trace journal stands on (its own storage-fault tests are
 ``tests/test_trace_journal.py::TestJournalStorageChaos``): a torn tail
 is truncation, damage followed by a valid record is mid-file
-corruption, and a flipped bit fails the checksum.  On the fleet side,
-a job that fails every attempt ends ``crash`` after the scheduler's
-``retries + 1`` attempts without holding up the jobs beside it, and a
-worker slot that keeps killing jobs stops being handed them.
+corruption, and a flipped bit or a missing checksum fails the record.
+On the fleet side, a job that fails every attempt ends ``crash`` after
+the scheduler's ``retries + 1`` attempts without holding up the jobs
+beside it, and failing jobs cost their retries, never an idle slot.
 """
+
+import os
+import time
 
 import pytest
 
-from repro.core.clock import FakeClock
+from repro.cli import main
+from repro.core.clock import SYSTEM_CLOCK, FakeClock
 from repro.core.journal import crc32_hex, encode_record, scan_journal
 from repro.core.store import (
     Fault,
@@ -25,9 +29,13 @@ from repro.core.store import (
 from repro.fleet import FleetScheduler, Job, bench_trial_jobs
 from repro.fleet.scheduler import CLEAN, CRASH
 
+LEAK_MONITOR = os.path.join(
+    os.path.dirname(__file__), "data", "fuzz_corpus", "leak_monitor.trace"
+)
 
-def v1_record(json_line):
-    """A v1 (checksum-less) record, as older releases wrote them."""
+
+def checksum_less(json_line):
+    """A record with no checksum token: ``"<byte_len> <json>\\n"``."""
     return "{} {}\n".format(len(json_line.encode("utf-8")), json_line)
 
 
@@ -41,17 +49,6 @@ def _jobs(n, seed=11):
 
 
 class TestJournalFormat:
-    def test_v1_and_v2_records_coexist_in_one_file(self):
-        data = (
-            v1_record('{"a":1}')
-            + encode_record('{"b":2}')  # v2
-            + v1_record('[1,2,3]')
-        ).encode("utf-8")
-        scan = scan_journal(data)
-        assert scan.lines == ['{"a":1}', '{"b":2}', "[1,2,3]"]
-        assert scan.dropped_bytes == 0
-        assert not scan.corrupt
-
     def test_checksum_token_is_crc32_of_payload(self):
         record = encode_record('{"x":true}')
         length, crc, payload = record.rstrip("\n").split(" ", 2)
@@ -97,18 +94,21 @@ class TestJournalFormat:
         assert scan.dropped_bytes == len(bad)
         assert not scan.corrupt
 
-    def test_v1_payload_never_misreads_as_checksum(self):
-        # JSON payloads start with '[' or '{' — not hex — so eight
-        # leading payload chars can never be taken for a CRC token.
-        record = v1_record('["deadbeef", 1]')
-        scan = scan_journal(record.encode("utf-8"))
-        assert scan.lines == ['["deadbeef", 1]']
-
-    def test_offsets_are_byte_exact(self):
-        a = encode_record('{"a":1}')
-        b = v1_record('{"b":2}')
-        scan = scan_journal((a + b).encode("utf-8"))
-        assert scan.offsets == [0, len(a.encode("utf-8"))]
+    def test_checksum_less_record_is_damage(self):
+        good = encode_record('{"a":1}')
+        bare = checksum_less('{"b":2}')
+        # At the tail, nothing valid follows it: torn, truncated away.
+        scan = scan_journal((good + bare).encode("utf-8"))
+        assert scan.lines == ['{"a":1}']
+        assert scan.dropped_bytes == len(bare.encode("utf-8"))
+        assert not scan.corrupt
+        # Before a valid record: mid-file corruption.
+        later = encode_record('{"c":3}')
+        scan = scan_journal((good + bare + later).encode("utf-8"))
+        assert scan.lines == ['{"a":1}']
+        assert scan.corrupt
+        assert scan.corrupt_offset == len(good.encode("utf-8"))
+        assert scan.corrupt_detail == "missing checksum"
 
 
 # ----------------------------------------------------------------------
@@ -219,81 +219,51 @@ class TestRetryBudget:
         assert report.counts[CRASH] == 1
         assert not report.ok
 
-
-# ----------------------------------------------------------------------
-# Worker circuit breakers
-# ----------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_consecutive_failures_trip_the_breaker(self):
-        jobs = _jobs(6, seed=13)
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_failing_jobs_wait_only_for_their_backoff(self, retries):
+        # Eight always-raising jobs on one slot: the run waits only for
+        # their retry backoff, however many failures the slot has seen.
+        jobs = _jobs(8, seed=12)
 
         def always_fail(job):
-            raise RuntimeError("bad slot")
-
-        scheduler = FleetScheduler(
-            jobs, workers=1, seed=13, retries=0, backoff_base=0.01,
-            backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=always_fail,
-        )
-        report = scheduler.run()
-        assert sum(report.breaker_trips) >= 1
-        assert report.load_json()["breaker_trips"] == report.breaker_trips
-        # All jobs still reached a final disposition.
-        assert len(report.outcomes) == len(jobs)
-
-    def test_success_resets_the_blame_ladder(self):
-        jobs = _jobs(6, seed=14)
-        fail_ids = {jobs[0].job_id, jobs[1].job_id, jobs[3].job_id}
-
-        def sometimes_fail(job):
-            if job.job_id in fail_ids:
-                raise RuntimeError("flaky")
-            return {"violations": [], "events": 1}
-
-        scheduler = FleetScheduler(
-            jobs, workers=1, seed=14, retries=0, backoff_base=0.01,
-            backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=sometimes_fail,
-        )
-        report = scheduler.run()
-        # Two failures, a success, one failure: blame never reaches 3.
-        assert sum(report.breaker_trips) == 0
-        assert report.ok is False
-
-    def test_half_open_breaker_retrips_on_one_strike(self):
-        jobs = _jobs(8, seed=15)
-
-        def always_fail(job):
-            raise RuntimeError("still bad")
+            raise RuntimeError("corrupt input")
 
         clock = FakeClock()
-        scheduler = FleetScheduler(
-            jobs, workers=1, seed=15, retries=0, backoff_base=0.01,
-            backoff_cap=0.05, clock=clock, inline=True,
-            executor=always_fail,
+        report = FleetScheduler(
+            jobs, workers=1, seed=12, retries=retries, clock=clock,
+            inline=True, executor=always_fail,
+        ).run()
+        assert [o.classification for o in report.outcomes] == [CRASH] * 8
+        assert [o.attempts for o in report.outcomes] == [retries + 1] * 8
+        backoff = sum(sum(o.backoffs) for o in report.outcomes)
+        assert clock.slept <= backoff
+
+    @pytest.mark.parametrize("workers", ["0", "1", "2"])
+    def test_corrupt_copies_fail_as_fast_as_one(
+        self, workers, tmp_path, monkeypatch, capsys
+    ):
+        # The case above through `trace replay`: 8 copies of one trace
+        # with a corrupt record, each retried once.
+        with open(LEAK_MONITOR) as f:
+            lines = f.read().splitlines(True)
+        lines[3] = "garbage{{{\n"
+        copies = []
+        for n in range(8):
+            path = tmp_path / "copy{}.trace".format(n)
+            path.write_text("".join(lines))
+            copies.append(str(path))
+        slept = []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            time.sleep(seconds)
+
+        monkeypatch.setattr(SYSTEM_CLOCK, "sleep", sleep)
+        argv = ["trace", "replay", "--workers", workers, *copies]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "REPLAY FAIL: {}: TraceFormatError: corrupt trace record at "
+            "line 4".format(copies[0])
         )
-        report = scheduler.run()
-        # 8 failures on one slot: trip at 3, then half-open re-trips on
-        # every subsequent failure.
-        assert report.breaker_trips[0] >= 3
-        assert len(report.outcomes) == len(jobs)
-
-    def test_breaker_backoff_is_deterministic(self):
-        jobs = _jobs(6, seed=16)
-
-        def always_fail(job):
-            raise RuntimeError("bad")
-
-        def run():
-            scheduler = FleetScheduler(
-                jobs, workers=1, seed=16, retries=0, backoff_base=0.01,
-                backoff_cap=0.05, clock=FakeClock(), inline=True,
-                executor=always_fail,
-            )
-            return scheduler.run()
-
-        a, b = run(), run()
-        assert a.breaker_trips == b.breaker_trips
-        assert a.to_json() == b.to_json()
+        # Eight first retries, each at most 0.05 s plus 25% jitter.
+        assert sum(slept) <= 8 * 0.05 * 1.25
