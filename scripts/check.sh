@@ -72,16 +72,18 @@ timeout 300 python -m repro.cli resilience chaos --seed 2026 --substrate pyc
 timeout 300 python -m pytest -q tests/test_trace_journal.py
 
 echo "== obs smoke (deterministic snapshot + status roll-up) =="
+obs_dir="$(mktemp -d)"
 timeout 300 python -m repro.cli obs snapshot --fake-clock --repeats 2 \
-    -o /tmp/obs_smoke.json
-timeout 300 python -m repro.cli obs top --input /tmp/obs_smoke.json
-timeout 300 python -m repro.cli obs export --input /tmp/obs_smoke.json \
+    -o "$obs_dir/pyc.json"
+timeout 300 python -m repro.cli obs top --input "$obs_dir/pyc.json"
+timeout 300 python -m repro.cli obs export --input "$obs_dir/pyc.json" \
     --format prometheus > /dev/null
 timeout 300 python -m repro.cli status --repeats 2
 # The same on JNI: the 229-site telemetry + governor attach path.
 timeout 300 python -m repro.cli obs snapshot --fake-clock --repeats 2 \
-    --substrate jni -o /tmp/obs_smoke_jni.json
+    --substrate jni -o "$obs_dir/jni.json"
 timeout 300 python -m repro.cli status --repeats 2 --substrate jni
+rm -rf "$obs_dir"
 
 echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
 timeout 300 python -m repro.cli fleet run --smoke --workers 2

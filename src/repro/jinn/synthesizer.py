@@ -44,6 +44,30 @@ _SITE_FOR_DIRECTION = {
 _BIND_VM = "    vm = rt.host"
 _BIND_THREAD = "thread = vm.current_thread"
 
+#: A native site's telemetry series: the cells ``telemetry.fused_site``
+#: hands its entry when the native is bound.
+_TEL_NATIVE = {
+    "calls": "tel_c[0]",
+    "sampled": "tel_s[0]",
+    "count": "tel_h[0]",
+    "sum": "tel_h[1]",
+    "bin": "tel_b[tel_i if tel_i < tel_bc else tel_bc]",
+    "machines": "tel_m",
+}
+
+
+def _tel_table_site(position: int, machines: int) -> Dict[str, str]:
+    """A table site's telemetry series: its position in the site block."""
+    return {
+        "calls": "tel_calls[{}]".format(position),
+        "sampled": "tel_sampled[{}]".format(position),
+        "count": "tel_hn[{}]".format(position),
+        "sum": "tel_hs[{}]".format(position),
+        "bin": "tel_bins[{} * tel_nb + (tel_i if tel_i < tel_nb else"
+        " tel_nb - 1)]".format(position),
+        "machines": str(machines),
+    }
+
 
 class Synthesizer:
     """Algorithm 1: specifications in, instrumented entry module out.
@@ -65,6 +89,7 @@ class Synthesizer:
         self._thread_readers = frozenset(
             spec.name for spec in registry if spec.reads_thread
         )
+        self._index: Optional[DispatchIndex] = None
 
     def _uses_thread(self, *sites: List[tuple]) -> bool:
         """Does a machine contributing at these sites read the thread?"""
@@ -134,7 +159,11 @@ class Synthesizer:
         it, and :meth:`machine_plan` targets the generated checks with
         it.
         """
-        return DispatchIndex.build(self.registry, self.function_table)
+        if self._index is None:
+            self._index = DispatchIndex.build(
+                self.registry, self.function_table
+            )
+        return self._index
 
     # ------------------------------------------------------------------
     # Code generation
@@ -224,22 +253,32 @@ class Synthesizer:
                 " tel_mask) = telemetry.fused_shared()"
             )
             out.append("    tel_smp = 1 & tel_mask")
+            out.append(
+                "    tel_calls, tel_sampled, tel_hn, tel_hs, tel_bins, tel_nb"
+                " = telemetry.fused_block()"
+            )
+            site_machines = self.dispatch_index().site_machines
         if self._plan_uses_thread(plan):
             out.append(_BIND_VM)
         out.append("    entries = {}")
-        for name, meta in self.function_table.items():
+        for position, (name, meta) in enumerate(self.function_table.items()):
             pre = plan[name][Site.PRE] if plan else []
             post = plan[name][Site.POST] if plan else []
+            tel = (
+                _tel_table_site(position, site_machines[name])
+                if telemetry else None
+            )
             out.extend(
                 self._emit_fused_entry(
-                    name, meta, pre, post, record, govern, telemetry
+                    name, meta, pre, post, record, govern, tel
                 )
             )
         native_pre = plan[NATIVE_KEY][Site.PRE] if plan else []
         native_post = plan[NATIVE_KEY][Site.POST] if plan else []
         out.extend(
             self._emit_fused_native_factory(
-                native_pre, native_post, record, govern, telemetry
+                native_pre, native_post, record, govern,
+                _TEL_NATIVE if telemetry else None,
             )
         )
         out.append("    return entries, make_native_entry")
@@ -247,11 +286,11 @@ class Synthesizer:
         return "\n".join(out)
 
     @staticmethod
-    def _tel_prologue_lines(suffix: str) -> List[str]:
+    def _tel_prologue_lines(tel: Dict[str, str]) -> List[str]:
         """Count the call; open duration capture on sampled crossings."""
         return [
-            "tel_n = tel_c{}[0] + 1".format(suffix),
-            "tel_c{}[0] = tel_n".format(suffix),
+            "tel_n = {} + 1".format(tel["calls"]),
+            "{} = tel_n".format(tel["calls"]),
             "tel_do = tel_n & tel_mask == tel_smp",
             "if tel_do:",
             "    tel_t0 = tel_clock()",
@@ -259,21 +298,22 @@ class Synthesizer:
         ]
 
     @staticmethod
-    def _tel_epilogue_lines(suffix: str, label: str, native: str) -> List[str]:
+    def _tel_epilogue_lines(
+        tel: Dict[str, str], label: str, native: str
+    ) -> List[str]:
         """Close a sampled checked crossing: histogram + span write."""
         return [
             "if tel_do:",
             "    tel_now = tel_clock()",
             "    tel_el = tel_now - tel_t0",
-            "    tel_h{}[0] += 1".format(suffix),
-            "    tel_h{}[1] += tel_el".format(suffix),
+            "    {} += 1".format(tel["count"]),
+            "    {} += tel_el".format(tel["sum"]),
             "    tel_i = tel_el.bit_length()",
-            "    tel_b{0}[tel_i if tel_i < tel_bc{0} else tel_bc{0}]"
-            " += 1".format(suffix),
+            "    {} += 1".format(tel["bin"]),
             "    tel_seq = tel_sc[0]",
             "    tel_ring[tel_seq % tel_cap] = (tel_seq, {}, {}, tel_t0, "
-            "tel_now, tel_m{}, tel_vs(tel_mark) if tel_vc[0] != tel_mark "
-            "else ())".format(label, native, suffix),
+            "tel_now, {}, tel_vs(tel_mark) if tel_vc[0] != tel_mark "
+            "else ())".format(label, native, tel["machines"]),
             "    tel_sc[0] = tel_seq + 1",
         ]
 
@@ -285,18 +325,10 @@ class Synthesizer:
         post: List[tuple],
         record: bool,
         govern: bool,
-        telemetry: bool,
+        tel: Optional[Dict[str, str]],
     ) -> List[str]:
         default = default_literal(meta.returns)
         lines = ["", "    raw_{} = raw[{!r}]".format(name, name)]
-        if telemetry:
-            lines.append(
-                "    tel_c_{0}, tel_h_{0}, tel_b_{0}, tel_s_{0}, tel_m_{0}"
-                " = telemetry.fused_site({1!r}, False)".format(name, name)
-            )
-            lines.append(
-                "    tel_bc_{0} = len(tel_b_{0}) - 1".format(name)
-            )
         if record:
             lines.append(
                 "    rc_{} = recorder.call_hook({!r}, False)".format(name, name)
@@ -310,10 +342,8 @@ class Synthesizer:
             )
         lines.append("    def entry_{}(env, *args):".format(name))
         body = "        "
-        if telemetry:
-            lines.extend(
-                body + step for step in self._tel_prologue_lines("_" + name)
-            )
+        if tel:
+            lines.extend(body + step for step in self._tel_prologue_lines(tel))
         if record:
             lines.append(body + "callseq = rc_{}(env, args)".format(name))
         if govern:
@@ -336,9 +366,9 @@ class Synthesizer:
                 lines.append(
                     body + "        rr_{}(env, args, result, callseq)".format(name)
                 )
-            if telemetry:
+            if tel:
                 # Sampled-out: count it, never a span or a clock read.
-                lines.append(body + "        tel_s_{}[0] += 1".format(name))
+                lines.append(body + "        {} += 1".format(tel["sampled"]))
             lines.append(body + "        return result")
             lines.append(body + "t0 = gov_clock()")
         epilogue: List[str] = []
@@ -347,10 +377,8 @@ class Synthesizer:
             epilogue.append("st_{}.checked_calls += 1".format(name))
         if record:
             epilogue.append("rr_{}(env, args, result, callseq)".format(name))
-        if telemetry:
-            epilogue.extend(
-                self._tel_epilogue_lines("_" + name, repr(name), "False")
-            )
+        if tel:
+            epilogue.extend(self._tel_epilogue_lines(tel, repr(name), "False"))
         if self._uses_thread(pre, post):
             lines.append(body + _BIND_THREAD)
         if pre:
@@ -393,14 +421,14 @@ class Synthesizer:
         post: List[tuple],
         record: bool,
         govern: bool,
-        telemetry: bool,
+        tel: Optional[Dict[str, str]],
     ) -> List[str]:
         lines = [
             "",
             "    def make_native_entry(method_name, impl):",
             '        """Fused entry factory applied at NativeMethodBind time."""',
         ]
-        if telemetry:
+        if tel:
             lines.append(
                 "        tel_c, tel_h, tel_b, tel_s, tel_m"
                 " = telemetry.fused_site(method_name, True)"
@@ -415,10 +443,8 @@ class Synthesizer:
             )
         lines.append("        def native_entry(env, this, *args):")
         body = "            "
-        if telemetry:
-            lines.extend(
-                body + step for step in self._tel_prologue_lines("")
-            )
+        if tel:
+            lines.extend(body + step for step in self._tel_prologue_lines(tel))
         lines.append(body + "handles = (this,) + args")
         if record:
             lines.append(body + "callseq = rc(env, handles)")
@@ -442,8 +468,8 @@ class Synthesizer:
                 lines.append(
                     body + "        rr(env, handles, result, callseq)"
                 )
-            if telemetry:
-                lines.append(body + "        tel_s[0] += 1")
+            if tel:
+                lines.append(body + "        {} += 1".format(tel["sampled"]))
             lines.append(body + "        return result")
             lines.append(body + "t0 = gov_clock()")
         epilogue: List[str] = []
@@ -452,9 +478,9 @@ class Synthesizer:
             epilogue.append("st.checked_calls += 1")
         if record:
             epilogue.append("rr(env, handles, result, callseq)")
-        if telemetry:
+        if tel:
             epilogue.extend(
-                self._tel_epilogue_lines("", "method_name", "True")
+                self._tel_epilogue_lines(tel, "method_name", "True")
             )
         if self._uses_thread(pre, post):
             lines.append(body + _BIND_THREAD)

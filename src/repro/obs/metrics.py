@@ -4,11 +4,15 @@ Production-scale checking needs aggregate visibility over millions of
 crossings, which means the instrument itself must be cheap and out of
 the way:
 
-- **Per-thread shards.**  Counter and histogram cells live in the
-  calling thread's own shard (created on first touch, registered under
-  a lock once).  A hot-path increment is ``cell[0] += 1`` on a
-  pre-bound list — no lock, no allocation, no dict lookup.  Shards are
-  merged only at :meth:`MetricsRegistry.snapshot` time.
+- **Per-thread shards.**  A shard holds the calling thread's keyed
+  counter and histogram cells and its *blocks*: many series laid out
+  as parallel lists indexed by position (:class:`BlockLayout`), so one
+  allocation covers a whole table of sites.  Shards are created on
+  first touch and registered under a lock once.  A hot-path increment
+  is ``cell[0] += 1`` or ``calls[17] += 1`` on a pre-bound list — no
+  lock, no allocation, no dict lookup.  Shards are merged only at
+  :meth:`MetricsRegistry.snapshot` time, blocks expanded into the same
+  series a cell per key would give.
 - **Fixed log-spaced bins.**  Histograms bucket by ``value.bit_length()``
   — power-of-two bin edges from 1 ns up — so observing a duration is a
   bit-length and two list increments, and every registry agrees on bin
@@ -129,6 +133,76 @@ def _new_cell(kind: str):
     return [0, 0, [0] * HISTOGRAM_BINS]
 
 
+def _merge_cell(merged: Dict[tuple, list], key: tuple, cell) -> None:
+    """Add one cell into ``merged`` (a copy on the key's first visit)."""
+    into = merged.get(key)
+    if into is None:
+        merged[key] = [
+            cell[0], cell[1], list(cell[2])
+        ] if key[0] == _KIND_HISTOGRAM else list(cell)
+    elif key[0] == _KIND_COUNTER:
+        into[0] += cell[0]
+    else:
+        into[0] += cell[0]
+        into[1] += cell[1]
+        bins = into[2]
+        for i, b in enumerate(cell[2]):
+            bins[i] += b
+
+
+class BlockLayout:
+    """Prepared keys of a block of series, indexed by position.
+
+    ``counters`` and ``histograms`` are columns: one prepared key
+    (:func:`counter_key`, :func:`histogram_key`) per position, every
+    column the same length.  A block (:meth:`MetricsRegistry.block`)
+    holds one value list per counter column, then per histogram column
+    a count list, a sum list and one flat list of
+    :data:`HISTOGRAM_BINS` bins per position: position ``i``'s bin
+    ``b`` is ``bins[i * HISTOGRAM_BINS + b]``.  Layouts compare by
+    identity, so a caller prepares one and hands it over again.
+    """
+
+    __slots__ = ("counters", "histograms", "size")
+
+    def __init__(self, counters, histograms):
+        self.counters = tuple(tuple(column) for column in counters)
+        self.histograms = tuple(tuple(column) for column in histograms)
+        self.size = len((self.counters + self.histograms)[0])
+
+    def _new_block(self) -> List[list]:
+        size = self.size
+        block = [[0] * size for _ in self.counters]
+        for _ in self.histograms:
+            block += [[0] * size, [0] * size, [0] * (size * HISTOGRAM_BINS)]
+        return block
+
+    def _cells(self, block: List[list]):
+        """``(key, cell)`` per series of one block, shaped as keyed cells."""
+        for column, values in zip(self.counters, block):
+            for key, value in zip(column, values):
+                yield key, (value,)
+        at = len(self.counters)
+        for column in self.histograms:
+            counts, sums, bins = block[at:at + 3]
+            at += 3
+            for i, key in enumerate(column):
+                start = i * HISTOGRAM_BINS
+                yield key, (
+                    counts[i], sums[i], bins[start:start + HISTOGRAM_BINS]
+                )
+
+
+class _Shard:
+    """One thread's series: keyed cells and positional blocks."""
+
+    __slots__ = ("cells", "blocks")
+
+    def __init__(self):
+        self.cells: Dict[tuple, list] = {}
+        self.blocks: Dict[BlockLayout, List[list]] = {}
+
+
 class MetricsRegistry:
     """Sharded-by-thread metric store with deterministic merge."""
 
@@ -137,16 +211,16 @@ class MetricsRegistry:
         self._local = threading.local()
         #: Every shard ever created, in creation order (merge sums, so
         #: order never affects a snapshot).
-        self._shards: List[Dict[tuple, list]] = []
+        self._shards: List[_Shard] = []
         #: Gauges are registry-global: publish paths set them rarely.
         self._gauges: Dict[tuple, List[float]] = {}
 
     # -- shard plumbing --------------------------------------------------
 
-    def _shard(self) -> Dict[tuple, list]:
+    def _shard(self) -> _Shard:
         shard = getattr(self._local, "shard", None)
         if shard is None:
-            shard = {}
+            shard = _Shard()
             with self._lock:
                 self._shards.append(shard)
             self._local.shard = shard
@@ -156,15 +230,30 @@ class MetricsRegistry:
         """The calling thread's cell for one prepared series key.
 
         ``key`` comes from :func:`counter_key` or :func:`histogram_key`.
-        A caller that creates the same series again and again (the
-        telemetry tap, once per site per attach) prepares the key once
-        instead of sorting its labels on every call.
+        A caller that creates the same series again and again prepares
+        the key once instead of sorting its labels on every call; one
+        that creates a whole table of series at once takes a
+        :meth:`block` instead.
         """
-        shard = self._shard()
-        cell = shard.get(key)
+        cells = self._shard().cells
+        cell = cells.get(key)
         if cell is None:
-            cell = shard[key] = _new_cell(key[0])
+            cell = cells[key] = _new_cell(key[0])
         return cell
+
+    def block(self, layout: BlockLayout) -> List[list]:
+        """The calling thread's block for one prepared layout.
+
+        Created at zero on first use and reused after that, as
+        :meth:`cell` reuses a cell: two callers in one thread that hand
+        over the same layout share one block.  A snapshot shows each of
+        the layout's series, crossed or not.
+        """
+        blocks = self._shard().blocks
+        block = blocks.get(layout)
+        if block is None:
+            block = blocks[layout] = layout._new_block()
+        return block
 
     # -- handles ---------------------------------------------------------
 
@@ -201,20 +290,11 @@ class MetricsRegistry:
             # Shard dicts are mutated by their owner thread; values are
             # ints appended in place, so reading concurrently yields a
             # consistent-enough view (snapshots are quiescent-time ops).
-            for key, cell in list(shard.items()):
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = [
-                        cell[0], cell[1], list(cell[2])
-                    ] if key[0] == _KIND_HISTOGRAM else list(cell)
-                elif key[0] == _KIND_COUNTER:
-                    into[0] += cell[0]
-                else:
-                    into[0] += cell[0]
-                    into[1] += cell[1]
-                    bins = into[2]
-                    for i, b in enumerate(cell[2]):
-                        bins[i] += b
+            for key, cell in list(shard.cells.items()):
+                _merge_cell(merged, key, cell)
+            for layout, block in list(shard.blocks.items()):
+                for key, cell in layout._cells(block):
+                    _merge_cell(merged, key, cell)
         counters: Dict[str, int] = {}
         histograms: Dict[str, dict] = {}
         for (kind, name, key) in sorted(merged):
@@ -246,12 +326,16 @@ class MetricsRegistry:
         """Zero every series (shards stay registered to their threads)."""
         with self._lock:
             for shard in self._shards:
-                for key, cell in shard.items():
+                for key, cell in shard.cells.items():
                     if key[0] == _KIND_COUNTER:
                         cell[0] = 0
                     else:
                         cell[0] = 0
                         cell[1] = 0
                         cell[2][:] = [0] * HISTOGRAM_BINS
+                # In place: fused entries hold these very lists.
+                for block in shard.blocks.values():
+                    for values in block:
+                        values[:] = [0] * len(values)
             for cell in self._gauges.values():
                 cell[0] = 0.0

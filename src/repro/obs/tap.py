@@ -5,8 +5,8 @@ the :class:`~repro.pipeline.plan.PipelinePlan` binds it as the fused
 entry's *outermost* stage, so a crossing's span covers everything the
 crossing paid for (recording, metering, checks, the raw call).  The
 synthesizer emits the tap's bookkeeping as source;
-:meth:`TelemetryTap.fused_shared` and :meth:`TelemetryTap.fused_site`
-hand the emitted code its cells.
+:meth:`TelemetryTap.fused_shared`, :meth:`TelemetryTap.fused_block` and
+:meth:`TelemetryTap.fused_site` hand the emitted code its lists.
 
 The tap is a pure observer: it never branches the entry's control flow
 and never touches arguments or results, so violation and trace streams
@@ -25,9 +25,14 @@ Violation *triage* is never sampled (it rides ``CheckerRuntime.fail``,
 not the tap), so cluster counts stay exact; only span attribution and
 duration histograms are sampled views.
 
-Attaching is constant work per site: a table site's series keys are
-prepared once per process and its machine count comes with the cached
-dispatch index, so binding a site only creates its cells in the hub.
+Attaching allocates one block of series for the whole function table:
+the table sites' series keys are prepared once per process as a
+:class:`~repro.obs.metrics.BlockLayout` in site order, the hub's
+registry hands each attach that layout's block (the hub's shards hold
+keyed cells and such blocks), and the emitted entry for site ``i``
+counts into ``calls[i]``.  A site's machine count is a literal in the
+emitted source.  Only a native, named when the program binds it, gets
+keyed cells of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +40,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.obs.hub import ObsHub
-from repro.obs.metrics import counter_key, histogram_key
+from repro.obs.metrics import (
+    HISTOGRAM_BINS,
+    BlockLayout,
+    counter_key,
+    histogram_key,
+)
 
 #: Direction label per site kind: JNI/API functions are crossed by
 #: native code calling into the managed runtime; natives (and bound
@@ -43,34 +53,42 @@ from repro.obs.metrics import counter_key, histogram_key
 _DIR_FUNCTION = "native_to_managed"
 _DIR_NATIVE = "managed_to_native"
 
-#: ``(substrate, function)`` -> a table site's series keys.  They
-#: depend only on the labels, so every attach after the first in a
-#: process reuses them.  Native and extension sites are named at bind
+#: ``(substrate, function names)`` -> the table sites' series layout.
+#: It depends only on the labels, so every attach after the first in a
+#: process reuses it.  Native and extension sites are named at bind
 #: time and are not kept, so a long-lived worker binding ever new
 #: natives does not grow this map.
-_TABLE_SITE_KEYS: Dict[Tuple[str, str], Tuple[tuple, tuple, tuple]] = {}
+_TABLE_LAYOUTS: Dict[Tuple[str, Tuple[str, ...]], BlockLayout] = {}
 
 
 def _site_keys(substrate: str, function: str, native: bool):
     """``(calls, crossing histogram, sampled-out)`` keys of one site."""
-    if not native:
-        keys = _TABLE_SITE_KEYS.get((substrate, function))
-        if keys is not None:
-            return keys
     labels = {
         "subsystem": "pipeline",
         "substrate": substrate,
         "function": function,
         "direction": _DIR_NATIVE if native else _DIR_FUNCTION,
     }
-    keys = (
+    return (
         counter_key("ffi_calls_total", **labels),
         histogram_key("ffi_crossing_ns", **labels),
         counter_key("ffi_sampled_out_total", **labels),
     )
-    if not native:
-        _TABLE_SITE_KEYS[(substrate, function)] = keys
-    return keys
+
+
+def _table_layout(substrate: str, functions: Tuple[str, ...]) -> BlockLayout:
+    """Calls and sampled-out counters, crossing histograms, in site order."""
+    layout = _TABLE_LAYOUTS.get((substrate, functions))
+    if layout is None:
+        keys = [_site_keys(substrate, name, False) for name in functions]
+        layout = _TABLE_LAYOUTS[(substrate, functions)] = BlockLayout(
+            counters=(
+                [calls for calls, _, _ in keys],
+                [sampled for _, _, sampled in keys],
+            ),
+            histograms=([crossing for _, crossing, _ in keys],),
+        )
+    return layout
 
 
 class TelemetryTap:
@@ -85,21 +103,24 @@ class TelemetryTap:
         #: :meth:`configure` from the dispatch index; -1 when unknown.
         self._machines: Dict[str, int] = {}
         self._native_machines = -1
+        #: The table sites' series in site order, set by :meth:`configure`.
+        self._layout: Optional[BlockLayout] = None
 
     # -- plan wiring -----------------------------------------------------
 
     def configure(self, registry, function_table=None) -> None:
-        """Take per-site eligible-machine counts from the index.
+        """Take the site order and machine counts from the index.
 
         The shared :data:`~repro.core.cache.WRAPPER_CACHE` dispatch
-        index carries the counts, so configuring a tap costs one cache
-        hit after the first plan for a spec set.
+        index carries both, so configuring a tap costs one cache hit
+        after the first plan for a spec set.
         """
         from repro.core.cache import WRAPPER_CACHE
 
         index = WRAPPER_CACHE.dispatch_for(registry, function_table)
         self._machines = index.site_machines
         self._native_machines = index.native_site_machines
+        self._layout = _table_layout(self.substrate, index.function_names)
 
     def machines_at(self, function: str, native: bool) -> int:
         if native:
@@ -109,7 +130,7 @@ class TelemetryTap:
     # -- fused-codegen surface -------------------------------------------
     #
     # Generated modules inline the tap's bookkeeping as source; these
-    # accessors hand the emitted code the hub's cells.
+    # accessors hand the emitted code the hub's lists.
 
     def fused_shared(self):
         """``(clock, viol cell, viols_since, ring, cap, span cell, mask)``."""
@@ -119,6 +140,16 @@ class TelemetryTap:
             hub.clock_ns, hub._viol_count, hub.violations_since,
             ring, capacity, span_count, hub._sample_mask,
         )
+
+    def fused_block(self):
+        """``(calls, sampled-out, hist counts, hist sums, bins, nbins)``.
+
+        The hub's block for the table sites (see
+        :meth:`~repro.obs.metrics.MetricsRegistry.block`): the entry for
+        the function at position ``i`` of the table counts into
+        ``calls[i]`` and bins into ``bins[i * nbins + b]``.
+        """
+        return (*self.hub.metrics.block(self._layout), HISTOGRAM_BINS)
 
     def fused_site(self, function: str, native: bool):
         """``(calls cell, hist cell, bins, sampled cell, machines)``."""

@@ -82,6 +82,45 @@ class TestMetricsRegistry:
         cell[0] += 1  # pre-bound cells survive a reset
         assert reg.snapshot()["counters"]["calls"] == 1
 
+    def test_block_per_thread_expands_into_its_series(self):
+        from repro.obs.metrics import BlockLayout, counter_key, histogram_key
+
+        reg = MetricsRegistry()
+        layout = BlockLayout(
+            counters=(
+                [counter_key("c", site="a"), counter_key("c", site="b")],
+            ),
+            histograms=(
+                [histogram_key("h", site="a"), histogram_key("h", site="b")],
+            ),
+        )
+        calls, counts, sums, bins = block = reg.block(layout)
+        assert reg.block(layout) is block  # one block per thread and layout
+        assert len(bins) == 2 * HISTOGRAM_BINS
+        calls[1] += 2
+        counts[1] += 1
+        sums[1] += 5
+        bins[HISTOGRAM_BINS + (5).bit_length()] += 1
+        reg.counter("c", site="b").inc()  # a keyed cell of the same series
+
+        def worker():
+            reg.block(layout)[0][0] += 4
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        snap = reg.snapshot()
+        assert snap["counters"] == {'c{site="a"}': 4, 'c{site="b"}': 3}
+        assert snap["histograms"] == {
+            'h{site="a"}': {"count": 0, "sum": 0, "buckets": {}},
+            'h{site="b"}': {"count": 1, "sum": 5, "buckets": {"7": 1}},
+        }
+        reg.reset()
+        assert reg.block(layout) is block and not any(map(any, block))
+        calls[0] += 1  # pre-bound block lists survive a reset
+        assert reg.snapshot()["counters"]['c{site="a"}'] == 1
+
 
 class TestSpanBuffer:
     def test_ring_overwrites_oldest(self):
@@ -307,6 +346,133 @@ class TestTapWiring:
         assert snap["metrics"]["histograms"][crossing]["count"] == 2
 
 
+def _series(metric, function, substrate="jni", native=False):
+    """One site series' snapshot name."""
+    return (
+        '{}{{direction="{}",function="{}",substrate="{}",'
+        'subsystem="pipeline"}}'
+    ).format(
+        metric,
+        "managed_to_native" if native else "native_to_managed",
+        function,
+        substrate,
+    )
+
+
+def _site_reads(metrics, function, substrate="jni", native=False):
+    """``(calls, timed crossings, sampled-out)`` of one site."""
+    calls, crossing, sampled = (
+        _series(metric, function, substrate, native)
+        for metric in (
+            "ffi_calls_total", "ffi_crossing_ns", "ffi_sampled_out_total"
+        )
+    )
+    return (
+        metrics["counters"][calls],
+        metrics["histograms"][crossing]["count"],
+        metrics["counters"][sampled],
+    )
+
+
+def _table_reads(hub, table, substrate="jni"):
+    """function -> :func:`_site_reads` for every site of a table."""
+    metrics = hub.snapshot()["metrics"]
+    return {name: _site_reads(metrics, name, substrate) for name in table}
+
+
+class TestSiteBlock:
+    """Each table site counts into its own series of the attach's block."""
+
+    def test_jni_sites_count_into_their_own_series(self):
+        from repro.jni.functions import FUNCTIONS
+
+        hub, env = _observed_env(sample_period=1)
+        cls = [env.FindClass("java/lang/Object") for _ in range(2)][-1]
+        text = [env.NewStringUTF("site") for _ in range(3)][-1]
+        drives = {
+            "GetVersion": (1, env.GetVersion),  # site 0
+            "GetSuperclass": (4, lambda: env.GetSuperclass(cls)),
+            "GetStringUTFLength": (5, lambda: env.GetStringUTFLength(text)),
+            "ExceptionCheck": (6, env.ExceptionCheck),
+            "GetObjectRefType": (7, lambda: env.GetObjectRefType(text)),
+        }
+        assert list(FUNCTIONS)[-1] == "GetObjectRefType"
+        for count, call in drives.values():
+            for _ in range(count):
+                call()
+        expected = {name: count for name, (count, _) in drives.items()}
+        expected.update(FindClass=2, NewStringUTF=3)
+        assert _table_reads(hub, FUNCTIONS) == {
+            name: (expected.get(name, 0), expected.get(name, 0), 0)
+            for name in FUNCTIONS
+        }
+
+    def test_pyc_sites_and_the_extension_count_apart(self):
+        from repro.pyc import PyCChecker, PythonInterpreter
+        from repro.pyc.spec import PY_FUNCTIONS
+
+        hub = ObsHub(clock=FakeClock(), sample_period=1)
+        interp = PythonInterpreter(agents=[PyCChecker(telemetry=hub)])
+
+        def probe(api, self_obj, args):
+            for _ in range(2):
+                api.PyErr_Occurred()
+            for _ in range(3):
+                api.PyErr_Clear()
+            number = api.PyLong_FromLong(7)
+            for _ in range(4):
+                api.PyLong_AsLong(number)
+            return number
+
+        interp.register_extension("probe", probe)
+        interp.call_extension("probe")
+        expected = {
+            "PyErr_Occurred": 2, "PyErr_Clear": 3,
+            "PyLong_FromLong": 1, "PyLong_AsLong": 4,
+        }
+        assert _table_reads(hub, PY_FUNCTIONS, "pyc") == {
+            name: (expected.get(name, 0), expected.get(name, 0), 0)
+            for name in PY_FUNCTIONS
+        }
+        # The extension is a native crossing: its own cells, bound when
+        # the extension was.
+        metrics = hub.snapshot()["metrics"]
+        assert _site_reads(metrics, "probe", "pyc", native=True) == (1, 1, 0)
+
+    def test_sampled_out_rises_only_at_the_governed_site(self):
+        from repro.jni.functions import FUNCTIONS
+        from repro.resilience import GovernorPolicy, OverheadGovernor
+
+        # No rebalance: the window is far larger than this workload.
+        governor = OverheadGovernor(GovernorPolicy(window=10**6))
+        hub, env = _observed_env(sample_period=1, governor=governor)
+        text = env.NewStringUTF("site")
+        governor.fused_binding("GetStringLength").period = 2
+        for _ in range(4):
+            env.GetStringLength(text)
+        env.ExceptionCheck()
+        reads = _table_reads(hub, FUNCTIONS)
+        # Slots 1 and 3 are sampled out: counted, never timed.
+        assert reads.pop("GetStringLength") == (4, 2, 2)
+        assert reads.pop("NewStringUTF") == (1, 1, 0)
+        assert reads.pop("ExceptionCheck") == (1, 1, 0)
+        assert set(reads.values()) == {(0, 0, 0)}
+
+    def test_reset_zeroes_every_series_in_place(self):
+        from repro.jni.functions import FUNCTIONS
+
+        hub, env = _observed_env(sample_period=1)
+        for _ in range(3):
+            env.GetVersion()
+        env.ExceptionCheck()
+        hub.reset()
+        assert set(_table_reads(hub, FUNCTIONS).values()) == {(0, 0, 0)}
+        env.GetVersion()
+        reads = _table_reads(hub, FUNCTIONS)
+        assert reads.pop("GetVersion") == (1, 1, 0)
+        assert set(reads.values()) == {(0, 0, 0)}
+
+
 class TestExport:
     def _snapshot(self):
         hub = ObsHub(clock=FakeClock(), sample_period=1)
@@ -463,6 +629,57 @@ class TestAttach:
         assert len(metrics["counters"]) == 458
         assert not any(metrics["counters"].values())
         assert len(metrics["histograms"]) == 229
+
+    def test_fresh_pyc_attach_creates_every_site_series(self):
+        from repro.pyc import PyCChecker, PythonInterpreter
+
+        hub = ObsHub()
+        PythonInterpreter(agents=[PyCChecker(telemetry=hub)])
+        metrics = hub.snapshot()["metrics"]
+        # The same three series for each of the 46 API sites.
+        assert len(metrics["counters"]) == 92
+        assert not any(metrics["counters"].values())
+        assert len(metrics["histograms"]) == 46
+        assert not any(h["count"] for h in metrics["histograms"].values())
+
+    def test_second_observed_attach_creates_no_keyed_cells(
+        self, monkeypatch
+    ):
+        from repro.jinn.agent import JinnAgent
+        from repro.jvm import JavaVM
+        from repro.obs.metrics import MetricsRegistry
+
+        def attach():
+            return JavaVM(agents=[JinnAgent(telemetry=ObsHub())])
+
+        attach().shutdown()  # the process's first observed attach
+        keys = []
+        cell = MetricsRegistry.cell
+        monkeypatch.setattr(
+            MetricsRegistry, "cell",
+            lambda registry, key: keys.append(key) or cell(registry, key),
+        )
+        vm = attach()
+        # The table sites' series come as one block, not a cell apiece.
+        assert keys == []
+        vm.shutdown()
+
+    @pytest.mark.parametrize("govern", [False, True])
+    def test_telemetry_adds_few_closure_cells(self, govern):
+        from repro.core.cache import WRAPPER_CACHE
+        from repro.jinn.machines import build_registry
+
+        registry = build_registry()
+
+        def cellvars(telemetry):
+            build = WRAPPER_CACHE.plans_for(
+                registry, govern=govern, telemetry=telemetry
+            )
+            return len(build.__code__.co_cellvars)
+
+        # The shared hooks and the block's lists, bound once per plan;
+        # no closure cell per site.
+        assert cellvars(True) - cellvars(False) <= 20
 
     def test_second_observed_attach_sorts_no_labels_and_hashes_once(
         self, monkeypatch
