@@ -45,10 +45,10 @@ def test_figure3_and_4_wrappers_generated(benchmark):
     # jinn_refs_contains-style use check and raises on dangling.
     lines = source.splitlines()
     start = lines.index(
-        "    def entry_CallStaticVoidMethodA(env, *args):"
+        "    def entry_CallStaticVoidMethodA(env, a0, a1, a2):"
     )
     end = lines.index(
-        "        result = raw_CallStaticVoidMethodA(env, *args)", start
+        "        result = raw_CallStaticVoidMethodA(env, a0, a1, a2)", start
     )
     body = "\n".join(lines[start:end])
     assert "rt.local_ref.contains(env, thread, args[0])" in body

@@ -19,6 +19,7 @@ binds it to a checker runtime.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional
 
 from repro.core.defaults import default_literal
@@ -43,6 +44,10 @@ _SITE_FOR_DIRECTION = {
 #: its contributing machines is such a spec.
 _BIND_VM = "    vm = rt.host"
 _BIND_THREAD = "thread = vm.current_thread"
+
+#: A machine line or recorder hook that reads the crossing's argument
+#: tuple names it ``args``; a fixed-arity entry builds it only then.
+_READS_ARGS = re.compile(r"\bargs\b")
 
 #: A native site's telemetry series: the cells ``telemetry.fused_site``
 #: hands its entry when the native is bound.
@@ -97,6 +102,16 @@ class Synthesizer:
             machine in self._thread_readers
             for groups in sites
             for machine, _ in groups
+        )
+
+    @staticmethod
+    def _reads_args(*sites: List[tuple]) -> bool:
+        """Does a machine line at these sites read ``args``?"""
+        return any(
+            _READS_ARGS.search(line)
+            for groups in sites
+            for _, lines in groups
+            for line in lines
         )
 
     def _plan_uses_thread(self, plan) -> bool:
@@ -210,8 +225,11 @@ class Synthesizer:
         body: the telemetry tap's span hooks, the trace tap's
         call/return hooks, the governor's counters and sampling branch,
         the machine checks with their containment arms, and the raw
-        call.  One entry frame per crossing, one ``*args`` pack, no
-        nested proxies.
+        call.  One entry frame per crossing, no nested proxies.  An
+        entry takes its function's parameters by position and passes
+        them straight to the raw call; it builds the ``args`` tuple only
+        when a machine line or the recorder reads it.  Only a C ``...``
+        function (``varargs``) takes ``*args``.
 
         With ``checking=False`` the entries contain no instrumentation —
         pure interposition, the "Interposing" configuration of Table 3
@@ -328,6 +346,18 @@ class Synthesizer:
         tel: Optional[Dict[str, str]],
     ) -> List[str]:
         default = default_literal(meta.returns)
+        # A fixed-arity entry takes its parameters by position; a wrong
+        # arity raises TypeError before any stage runs.
+        bind_args = None
+        if meta.varargs:
+            call = "env, *args"
+        else:
+            params = ["a{}".format(i) for i in range(len(meta.params))]
+            call = ", ".join(["env"] + params)
+            if record or self._reads_args(pre, post):
+                bind_args = "args = ({}{})".format(
+                    ", ".join(params), "," if len(params) == 1 else ""
+                )
         lines = ["", "    raw_{} = raw[{!r}]".format(name, name)]
         if record:
             lines.append(
@@ -340,11 +370,13 @@ class Synthesizer:
             lines.append(
                 "    st_{} = governor.fused_binding({!r})".format(name, name)
             )
-        lines.append("    def entry_{}(env, *args):".format(name))
+        lines.append("    def entry_{}({}):".format(name, call))
         body = "        "
         if tel:
             lines.extend(body + step for step in self._tel_prologue_lines(tel))
         if record:
+            if bind_args:
+                lines.append(body + bind_args)
             lines.append(body + "callseq = rc_{}(env, args)".format(name))
         if govern:
             lines.extend([
@@ -358,7 +390,7 @@ class Synthesizer:
                 body + "    if st_{0}.slot % st_{0}.period:".format(name),
                 body + "        st_{}.total_sampled_out += 1".format(name),
                 body + "        t0 = gov_clock()",
-                body + "        result = raw_{}(env, *args)".format(name),
+                body + "        result = raw_{}({})".format(name, call),
                 body + "        st_{}.raw_ns += gov_clock() - t0".format(name),
                 body + "        st_{}.raw_calls += 1".format(name),
             ])
@@ -379,6 +411,8 @@ class Synthesizer:
             epilogue.append("rr_{}(env, args, result, callseq)".format(name))
         if tel:
             epilogue.extend(self._tel_epilogue_lines(tel, repr(name), "False"))
+        if bind_args and not record:
+            lines.append(body + bind_args)
         if self._uses_thread(pre, post):
             lines.append(body + _BIND_THREAD)
         if pre:
@@ -402,7 +436,7 @@ class Synthesizer:
                 lines.append(
                     body + "    return rt.fail(env, v, {})".format(default)
                 )
-        lines.append(body + "result = raw_{}(env, *args)".format(name))
+        lines.append(body + "result = raw_{}({})".format(name, call))
         if post:
             lines.append(body + "try:")
             lines.extend(

@@ -147,6 +147,13 @@ class FunctionMeta:
     def returns_reference(self) -> bool:
         return self.returns in REFERENCE_JTYPES
 
+    @property
+    def varargs(self) -> bool:
+        """Ends in a C ``...`` parameter (31 functions), so has no fixed
+        arity.  The ``V`` and ``A`` forms take their ``va_list`` or
+        ``jvalue[]`` as one argument."""
+        return bool(self.params) and self.params[-1].jtype == "varargs"
+
     def extra_value(self, key: str, default=None):
         for k, v in self.extra:
             if k == key:

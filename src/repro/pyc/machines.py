@@ -70,7 +70,11 @@ OBJECT_TAKING = _selector(
 
 
 class BorrowedRefEncoding(Encoding):
-    """Tracks borrows and invalidates them when the owner is relinquished."""
+    """Tracks borrows and invalidates them when the owner is relinquished.
+
+    The per-crossing methods allocate only state they keep (a new
+    owner's borrow set), never a throwaway default.
+    """
 
     def __init__(self, spec, interp):
         super().__init__(spec)
@@ -85,14 +89,22 @@ class BorrowedRefEncoding(Encoding):
     def borrow(self, api, function: str, owner, result) -> None:
         if not isinstance(result, PyObj) or not isinstance(owner, PyObj):
             return
-        self.borrows_by_owner.setdefault(owner.serial, set()).add(result.serial)
-        self.owner_of[result.serial] = owner.serial
-        self.invalid.discard(result.serial)
+        serial = result.serial
+        borrows = self.borrows_by_owner.get(owner.serial)
+        if borrows is None:
+            self.borrows_by_owner[owner.serial] = {serial}
+        else:
+            borrows.add(serial)
+        self.owner_of[serial] = owner.serial
+        self.invalid.discard(serial)
 
     def relinquish(self, api, function: str, owner) -> None:
         if not isinstance(owner, PyObj):
             return
-        for serial in self.borrows_by_owner.pop(owner.serial, set()):
+        borrows = self.borrows_by_owner.pop(owner.serial, None)
+        if borrows is None:
+            return
+        for serial in borrows:
             self.invalid.add(serial)
             self.owner_of.pop(serial, None)
 
@@ -113,10 +125,13 @@ class BorrowedRefEncoding(Encoding):
         """
         if not isinstance(obj, PyObj):
             return
-        owner_serial = self.owner_of.pop(obj.serial, None)
+        serial = obj.serial
+        owner_serial = self.owner_of.pop(serial, None)
         if owner_serial is not None:
-            self.borrows_by_owner.get(owner_serial, set()).discard(obj.serial)
-        self.invalid.discard(obj.serial)
+            borrows = self.borrows_by_owner.get(owner_serial)
+            if borrows is not None:
+                borrows.discard(serial)
+        self.invalid.discard(serial)
 
     def check_use(self, api, function: str, args, indices) -> None:
         for index in indices:
@@ -283,6 +298,11 @@ STEALERS = _selector(
 )
 
 
+#: Objects at or above this count (``None``, ``True``, ...) are immortal:
+#: no C code owns them.
+_IMMORTAL = 1 << 29
+
+
 class OwnedRefEncoding(Encoding):
     def __init__(self, spec, interp):
         super().__init__(spec)
@@ -290,17 +310,17 @@ class OwnedRefEncoding(Encoding):
         #: object serial -> (obj, C-held ownership count)
         self.owned: Dict[int, list] = {}
 
-    def _is_immortal(self, obj: PyObj) -> bool:
-        return obj.ob_refcnt >= (1 << 29)
-
     def acquire(self, api, function: str, obj) -> None:
-        if not isinstance(obj, PyObj) or self._is_immortal(obj):
+        if not isinstance(obj, PyObj) or obj.ob_refcnt >= _IMMORTAL:
             return
-        entry = self.owned.setdefault(obj.serial, [obj, 0])
-        entry[1] += 1
+        entry = self.owned.get(obj.serial)
+        if entry is None:
+            self.owned[obj.serial] = [obj, 1]
+        else:
+            entry[1] += 1
 
     def release(self, api, function: str, obj) -> None:
-        if not isinstance(obj, PyObj) or self._is_immortal(obj):
+        if not isinstance(obj, PyObj) or obj.ob_refcnt >= _IMMORTAL:
             return
         entry = self.owned.get(obj.serial)
         if entry is None or entry[1] == 0:
@@ -319,7 +339,7 @@ class OwnedRefEncoding(Encoding):
 
     def steal(self, api, function: str, obj) -> None:
         """Ownership transferred into the container: no longer C's."""
-        if not isinstance(obj, PyObj) or self._is_immortal(obj):
+        if not isinstance(obj, PyObj) or obj.ob_refcnt >= _IMMORTAL:
             return
         entry = self.owned.get(obj.serial)
         if entry is not None:

@@ -12,7 +12,9 @@ borrowed references" of paper §7.2.  Every API function carries:
 - ``object_params``: indices of PyObject* parameters (use sites for the
   dangling-borrow check);
 - ``exception_oblivious`` / ``gil_free``: the state-constraint flags,
-  mirroring the JNI classification (§7.1).
+  mirroring the JNI classification (§7.1);
+- ``varargs``: the last parameter is a C ``...`` (``Py_BuildValue``), so
+  the function's synthesized entry takes ``*args``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class PyFunctionMeta:
     #: tuple of names).  The §7.1 type constraints: the interpreter
     #: forgoes these checks in fast paths "for performance reasons".
     expected_types: Tuple[Tuple[int, object], ...] = ()
+    #: The last parameter is a C ``...``: the function has no fixed arity.
+    varargs: bool = False
 
 
 def _f(name, params, **kwargs) -> PyFunctionMeta:
@@ -59,7 +63,8 @@ def _build() -> Dict[str, PyFunctionMeta]:
         _f("Py_XDecRef", ["obj"], returns="void", object_params=(0,),
            count_effect=(0, -1), exception_oblivious=True),
         # -- construction ------------------------------------------------
-        _f("Py_BuildValue", ["format", "args"], ref_kind="new"),
+        _f("Py_BuildValue", ["format", "args"], ref_kind="new",
+           varargs=True),
         _f("PyArg_ParseTuple", ["args", "format"], returns="int",
            object_params=(0,), expected_types=((0, "tuple"),)),
         _f("PyLong_FromLong", ["value"], ref_kind="new"),

@@ -106,8 +106,19 @@ class TestGeneratedSource:
         assert "DO NOT EDIT" in source
 
     def test_one_wrapper_per_function(self, source):
-        for name in functions.FUNCTIONS:
-            assert "def entry_{}(env, *args):".format(name) in source
+        # Each entry takes its function's parameters by position; only
+        # a C ``...`` function takes ``*args``.
+        for name, meta in functions.FUNCTIONS.items():
+            if meta.varargs:
+                params = "env, *args"
+            else:
+                params = ", ".join(
+                    ["env"] + ["a{}".format(i) for i in range(len(meta.params))]
+                )
+            assert "def entry_{}({}):".format(name, params) in source
+        assert "def entry_GetVersion(env):" in source
+        assert "def entry_CallIntMethod(env, *args):" in source
+        assert "def entry_CallIntMethodA(env, a0, a1, a2):" in source
 
     def test_generated_is_large(self, source):
         # The paper: 1,400 lines of specification expand to 22,000+
@@ -123,7 +134,10 @@ class TestGeneratedSource:
     def test_interpose_only_mode_has_no_checks(self, synthesizer):
         bare = synthesizer.generate_pipeline_source(checking=False)
         assert "rt.jnienv_state" not in bare
-        assert "def entry_FindClass(env, *args):" in bare
+        assert "def entry_FindClass(env, a0):" in bare
+        assert "result = raw_FindClass(env, a0)" in bare
+        # Nothing reads the argument tuple, so no entry builds one.
+        assert "args = (" not in bare
         compile(bare, "<bare>", "exec")
 
 
