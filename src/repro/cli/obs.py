@@ -22,7 +22,6 @@ def _run_snapshot(args):
         substrate=args.substrate,
         repeats=args.repeats,
         budget=args.budget,
-        window=args.window,
         clock=clock,
     )
 
@@ -121,7 +120,6 @@ def _add_run_options(parser, with_input: bool) -> None:
     parser.add_argument("--substrate", choices=("jni", "pyc"), default="pyc")
     parser.add_argument("--repeats", type=int, default=8)
     parser.add_argument("--budget", type=float, default=0.3)
-    parser.add_argument("--window", type=int, default=64)
     parser.add_argument(
         "--fake-clock", action="store_true",
         help="deterministic virtual time (byte-identical reruns)",

@@ -40,7 +40,7 @@ def _cmd_resilience_status(args) -> int:
 
     from repro.resilience import GovernorPolicy, governed_run
 
-    policy = GovernorPolicy(budget=args.budget, window=args.window)
+    policy = GovernorPolicy(budget=args.budget)
     report = governed_run(
         args.seed,
         substrate=args.substrate,
@@ -83,7 +83,6 @@ def add_parsers(sub) -> None:
         "--substrate", choices=("jni", "pyc"), default="pyc"
     )
     status.add_argument("--budget", type=float, default=0.3)
-    status.add_argument("--window", type=int, default=64)
     status.add_argument("--repeats", type=int, default=8)
 
 

@@ -1,10 +1,11 @@
 """The ``status`` command: one roll-up of the whole checking stack.
 
 Runs one observed workload and reports, in a single document, what an
-operator asks first: which pipeline is installed, what the governor did
-to stay inside budget, how the process-wide compile caches are doing,
-and what telemetry saw — the same numbers ``repro obs``, ``repro
-pipeline show``, and ``repro resilience status`` each show in depth.
+operator asks first: which pipeline is installed, where the checking
+time went (the governor's per-pair meter), how the process-wide compile
+caches are doing, and what telemetry saw — the same numbers ``repro
+obs``, ``repro pipeline show``, and ``repro resilience status`` each
+show in depth.
 """
 
 from __future__ import annotations
@@ -59,6 +60,24 @@ def _fleet_section(seed: int) -> dict:
     }
 
 
+def _governor_line(governor: dict) -> str:
+    """Where the checking time went: the top pair and those over budget."""
+    metered = {
+        name: pair["checked_ns"]
+        for name, pair in governor["pairs"].items() if pair["calls"]
+    }
+    line = "governor : {} pair(s) metered".format(len(metered))
+    total = sum(metered.values())
+    if total:
+        top = max(sorted(metered), key=metered.get)
+        line += ", top {} with {:.1%} of checked time".format(
+            top, metered[top] / total
+        )
+    return line + "; over budget {:.0%}: {}".format(
+        governor["budget"], ", ".join(governor["over_budget"]) or "none"
+    )
+
+
 def _cmd_status(args) -> int:
     import json as _json
 
@@ -70,7 +89,6 @@ def _cmd_status(args) -> int:
         substrate=args.substrate,
         repeats=args.repeats,
         budget=args.budget,
-        window=args.window,
     )
     status = {
         "schema": 1,
@@ -108,13 +126,7 @@ def _cmd_status(args) -> int:
             pipeline["functions"], pipeline["checked_sites"],
         )
     )
-    print(
-        "governor : share {:.1%} of budget {:.0%}, {} rebalance(s), "
-        "{} degraded pair(s)".format(
-            governor["share"], governor["budget"], governor["rebalances"],
-            len(governor["degraded"]),
-        )
-    )
+    print(_governor_line(governor))
     print(
         "cache    : {} plan module(s), {} hit(s) / "
         "{} miss(es); disk {}: {} hit(s) / {} miss(es), {} write(s)".format(
@@ -149,7 +161,6 @@ def add_parsers(sub) -> None:
     status.add_argument("--substrate", choices=("jni", "pyc"), default="pyc")
     status.add_argument("--repeats", type=int, default=8)
     status.add_argument("--budget", type=float, default=0.3)
-    status.add_argument("--window", type=int, default=64)
     status.add_argument(
         "--json", action="store_true", help="print the canonical document"
     )

@@ -4,11 +4,12 @@ The paper's generality claim (§7) is that one synthesizer plus
 per-language specifications yields checkers for *any* FFI.  The runtime
 side of that claim lives here: everything a checker needs at run time —
 encoding instantiation, the violation log, the termination leak sweep,
-and reset — is identical across substrates.  Only the *failure
-protocol* differs: Jinn pends a Java ``JNIAssertionFailure`` and
-returns the type's zero value; the Python/C checker raises at the
-faulting call.  That difference is a pluggable :class:`FailurePolicy`,
-so :class:`~repro.jinn.runtime.JinnRuntime` and
+fault containment (full -> quarantine -> off, never sampling) and reset
+— is identical across substrates.  Only the *failure protocol* differs:
+Jinn pends a Java ``JNIAssertionFailure`` and returns the type's zero
+value; the Python/C checker raises at the faulting call.  That
+difference is a pluggable :class:`FailurePolicy`, so
+:class:`~repro.jinn.runtime.JinnRuntime` and
 :class:`~repro.pyc.checker.PyCRuntime` are thin policy subclasses of
 :class:`CheckerRuntime`.
 """
@@ -57,9 +58,11 @@ class RaiseViolationPolicy(FailurePolicy):
 # :meth:`CheckerRuntime.contain`, which converts them to structured
 # diagnostics and walks the degradation ladder
 #
-#     full -> per-machine quarantine -> transition sampling -> off
+#     full -> per-machine quarantine -> off
 #
-# so the host workload always completes, at worst unchecked.
+# so the host workload always completes, at worst unchecked.  No rung
+# samples: a machine either sees every event or none, because a machine
+# that misses an acquire would report the matching release or use.
 
 
 class ContainmentPolicy:
@@ -67,48 +70,31 @@ class ContainmentPolicy:
 
     ``quarantine_after`` internal faults in one machine quarantine that
     machine (its encoding is swapped for an inert stand-in).  If faults
-    keep flowing, ``sampling_after`` total faults degrade *all*
-    remaining machines to 1-in-``sample_period`` transition sampling,
-    and ``off_after`` total faults switch checking off entirely.  With
-    ``enabled=False`` internal errors propagate unchanged (the
-    debugging escape hatch).
+    keep flowing, ``off_after`` total faults switch checking off
+    entirely.  With ``enabled=False`` internal errors propagate
+    unchanged (the debugging escape hatch).
     """
 
-    __slots__ = (
-        "enabled",
-        "quarantine_after",
-        "sampling_after",
-        "off_after",
-        "sample_period",
-    )
+    __slots__ = ("enabled", "quarantine_after", "off_after")
 
     def __init__(
         self,
         *,
         enabled: bool = True,
         quarantine_after: int = 3,
-        sampling_after: int = 64,
         off_after: int = 256,
-        sample_period: int = 16,
     ):
-        if quarantine_after < 1 or sampling_after < 1 or off_after < 1:
+        if quarantine_after < 1 or off_after < 1:
             raise ValueError("ladder thresholds must be positive")
-        if sample_period < 2:
-            raise ValueError("sample_period must be at least 2")
         self.enabled = enabled
         self.quarantine_after = quarantine_after
-        self.sampling_after = sampling_after
         self.off_after = off_after
-        self.sample_period = sample_period
 
 
 #: Ladder levels, in escalation order.
 LEVEL_FULL = "full"
 LEVEL_QUARANTINE = "quarantine"
-LEVEL_SAMPLING = "sampling"
 LEVEL_OFF = "off"
-
-_LEVEL_ORDER = (LEVEL_FULL, LEVEL_QUARANTINE, LEVEL_SAMPLING, LEVEL_OFF)
 
 
 class CheckerHealth:
@@ -134,8 +120,8 @@ class CheckerHealth:
     def record(self, machine: str, exc: BaseException, function: str, site: str) -> List[str]:
         """Count one internal fault; returns the ladder actions it triggers.
 
-        Actions are a subset of ``["quarantine", "sampling", "off"]``
-        (the runtime applies them — health only decides).
+        Actions are a subset of ``["quarantine", "off"]`` (the runtime
+        applies them — health only decides).
         """
         self.total_faults += 1
         count = self.fault_counts.get(machine, 0) + 1
@@ -162,12 +148,6 @@ class CheckerHealth:
         ):
             self.level = LEVEL_OFF
             actions.append("off")
-        elif (
-            self.total_faults >= self.policy.sampling_after
-            and _LEVEL_ORDER.index(self.level) < _LEVEL_ORDER.index(LEVEL_SAMPLING)
-        ):
-            self.level = LEVEL_SAMPLING
-            actions.append("sampling")
         return actions
 
     def reset(self) -> None:
@@ -215,7 +195,7 @@ class CheckerHealth:
                     message,
                 )
             )
-        if self.level in (LEVEL_SAMPLING, LEVEL_OFF):
+        if self.level == LEVEL_OFF:
             lines.append(
                 "containment: degraded to level {} after {} internal "
                 "faults".format(self.level, self.total_faults)
@@ -255,55 +235,6 @@ class _InertEncoding:
         # Cache on the instance so later lookups skip __getattr__.
         self.__dict__[name] = _inert
         return _inert
-
-
-class _SampledEncoding:
-    """SAMPLING-level stand-in: runs the real machine 1-in-``period``.
-
-    The counter is shared across the machine's methods so interleaved
-    semantic calls and ``on_event`` dispatch sample the same stream.
-    Termination sweeps and resets always reach the real encoding.
-    """
-
-    def __init__(self, inner, period: int):
-        self.__dict__["_inner"] = inner
-        # Captured *before* the runtime patches the inner instance's
-        # on_event to this proxy's — a call-time lookup would recurse.
-        self.__dict__["_inner_on_event"] = inner.on_event
-        self.__dict__["_period"] = period
-        self.__dict__["_cell"] = [0]
-        self.__dict__["spec"] = getattr(inner, "spec", None)
-
-    def on_event(self, ctx) -> None:
-        cell = self._cell
-        cell[0] += 1
-        if cell[0] % self._period:
-            return None
-        return self._inner_on_event(ctx)
-
-    def at_termination(self) -> List[str]:
-        return self._inner.at_termination()
-
-    def reset(self) -> None:
-        self._inner.reset()
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        inner_attr = getattr(self._inner, name)
-        if not callable(inner_attr):
-            return inner_attr
-        cell = self._cell
-        period = self._period
-
-        def _sampled(*args, **kwargs):
-            cell[0] += 1
-            if cell[0] % period:
-                return None
-            return inner_attr(*args, **kwargs)
-
-        self.__dict__[name] = _sampled
-        return _sampled
 
 
 class CheckerRuntime:
@@ -404,8 +335,6 @@ class CheckerRuntime:
         for action in health.record(machine, exc, function, site):
             if action == "quarantine":
                 self._quarantine(machine)
-            elif action == "sampling":
-                self._degrade_sampling()
             elif action == "off":
                 self._degrade_off()
 
@@ -427,16 +356,6 @@ class CheckerRuntime:
         original = self._original_encodings.get(name)
         spec = getattr(original, "spec", None)
         self._neutralize(name, _InertEncoding(spec))
-
-    def _degrade_sampling(self) -> None:
-        period = self.health.policy.sample_period
-        for name, original in self._original_encodings.items():
-            if name in self.health.quarantined:
-                continue
-            # Capture the pristine on_event before patching the
-            # instance, or the proxy would recurse into itself.
-            original.__dict__.pop("on_event", None)
-            self._neutralize(name, _SampledEncoding(original, period))
 
     def _degrade_off(self) -> None:
         for name, original in self._original_encodings.items():
@@ -481,8 +400,8 @@ class CheckerRuntime:
     def reset(self) -> None:
         """Drop all per-entity machine state and the violation log.
 
-        Degradation rolls back too: quarantined or sampled machines are
-        restored to their pristine encodings before being reset.
+        Degradation rolls back too: quarantined machines are restored to
+        their pristine encodings before being reset.
         """
         for name, original in self._original_encodings.items():
             original.__dict__.pop("on_event", None)

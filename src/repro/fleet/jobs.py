@@ -190,9 +190,10 @@ def _fault_hooks(params: Dict[str, object]) -> None:
     """Test-only crash/raise injection, keyed by a marker file.
 
     ``die_once``/``raise_once`` name a path: the first execution to get
-    there creates the marker and dies (SIGKILL) or raises; retries find
-    the marker and proceed — the single-fault pattern the worker-death
-    and retry tests drive.
+    there creates the marker and dies (SIGKILL) or raises.  A death is
+    retried, and the retry finds the marker and proceeds — the
+    single-fault pattern the worker-death and retry tests drive; a raise
+    is never retried.
     """
     for key, action in (("die_once", "die"), ("raise_once", "raise")):
         marker = params.get(key)

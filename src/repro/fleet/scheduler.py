@@ -16,13 +16,15 @@ classification ladder ``clean`` / ``violation`` (from the payload),
 ``crash`` (a raised error or a dead worker) and ``hang`` (a watchdog
 kill).  A job's watchdog clock starts when it is dispatched, and a
 worker that dies or hangs fails the one job it was running; its slot
-is respawned at once.  Crashes and hangs retry with capped
-deterministic backoff (:func:`backoff_delay`), scheduled
-non-blockingly so other jobs keep flowing.  A job whose failures
-exhaust the scheduler's ``retries`` budget ends with its failure
-classification, so one poison job can neither retry forever nor hold
-up the rest of the run: failing jobs cost their retries, never an idle
-slot.
+is respawned at once.  A job that raises ends ``crash`` on its first
+attempt: its executor is deterministic (a corrupt trace fails the same
+way every time), so a retry would only repeat the work.  Dead workers
+and watchdog kills retry with capped deterministic backoff
+(:func:`backoff_delay`), scheduled non-blockingly so other jobs keep
+flowing.  A job whose deaths or hangs exhaust the scheduler's
+``retries`` budget ends with its failure classification, so one poison
+job can neither retry forever nor hold up the rest of the run: failing
+jobs cost their retries, never an idle slot.
 
 A run keeps all of its state in memory.  Nothing is journaled: a run
 that dies is run again from the start, the one recovery that yields
@@ -406,37 +408,6 @@ class FleetScheduler:
             busy_seconds=busy,
         )
 
-    def _retry_or_finish(
-        self,
-        job: Job,
-        classification: str,
-        *,
-        detail: Optional[str],
-        worker: int,
-        busy: float,
-        now: float,
-    ) -> None:
-        job_id = job.job_id
-        attempt = self._attempts.get(job_id, 0)
-        if attempt < self.retries:
-            delay = backoff_delay(
-                self.seed,
-                job_id,
-                attempt,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-            )
-            self._attempts[job_id] = attempt + 1
-            self._backoffs.setdefault(job_id, []).append(delay)
-            self._retry_wait.append(
-                (now + delay, self._ordinal[job_id], job)
-            )
-            return
-        self._attempts[job_id] = attempt
-        self._finish(
-            job, classification, detail=detail, worker=worker, busy=busy
-        )
-
     def _classify_payload(self, payload: dict) -> str:
         return VIOLATION if payload.get("violations") else CLEAN
 
@@ -465,7 +436,11 @@ class FleetScheduler:
             self._absorb(worker, self._slots[worker].result())
 
     def _absorb(self, worker: int, result: Optional[tuple]) -> None:
-        """Finish or retry ``worker``'s job once its result is in."""
+        """Finish ``worker``'s job once its result is in.
+
+        A job that raised finishes ``crash`` at once: only deaths and
+        hangs are retried.
+        """
         if result is None:
             return
         status, payload, busy = result
@@ -481,13 +456,8 @@ class FleetScheduler:
                 busy=busy,
             )
         else:
-            self._retry_or_finish(
-                job,
-                CRASH,
-                detail=payload,
-                worker=worker,
-                busy=busy,
-                now=self.clock.monotonic(),
+            self._finish(
+                job, CRASH, detail=payload, worker=worker, busy=busy
             )
 
     def _check_liveness(self) -> None:
@@ -522,17 +492,25 @@ class FleetScheduler:
     def _fail_running(
         self, worker: int, classification: str, detail: str, now: float
     ) -> None:
-        """Retry or finish the job ``worker`` was running."""
+        """Retry the job a dead or hung ``worker`` was running, after a
+        deterministic backoff; finish it failed once out of retries."""
         job, _ = self._inflight[worker]
         self._inflight[worker] = None
-        self._retry_or_finish(
-            job,
-            classification,
-            detail=detail,
-            worker=worker,
-            busy=0.0,
-            now=now,
+        job_id = job.job_id
+        attempt = self._attempts.get(job_id, 0)
+        if attempt >= self.retries:
+            self._finish(job, classification, detail=detail, worker=worker)
+            return
+        delay = backoff_delay(
+            self.seed,
+            job_id,
+            attempt,
+            base=self.backoff_base,
+            cap=self.backoff_cap,
         )
+        self._attempts[job_id] = attempt + 1
+        self._backoffs.setdefault(job_id, []).append(delay)
+        self._retry_wait.append((now + delay, self._ordinal[job_id], job))
 
     # -- the run loop ----------------------------------------------------
 

@@ -53,7 +53,6 @@ _READS_ARGS = re.compile(r"\bargs\b")
 #: hands its entry when the native is bound.
 _TEL_NATIVE = {
     "calls": "tel_c[0]",
-    "sampled": "tel_s[0]",
     "count": "tel_h[0]",
     "sum": "tel_h[1]",
     "bin": "tel_b[tel_i if tel_i < tel_bc else tel_bc]",
@@ -65,7 +64,6 @@ def _tel_table_site(position: int, machines: int) -> Dict[str, str]:
     """A table site's telemetry series: its position in the site block."""
     return {
         "calls": "tel_calls[{}]".format(position),
-        "sampled": "tel_sampled[{}]".format(position),
         "count": "tel_hn[{}]".format(position),
         "sum": "tel_hs[{}]".format(position),
         "bin": "tel_bins[{} * tel_nb + (tel_i if tel_i < tel_nb else"
@@ -223,13 +221,13 @@ class Synthesizer:
 
         Each entry holds the *whole* per-call path in a single function
         body: the telemetry tap's span hooks, the trace tap's
-        call/return hooks, the governor's counters and sampling branch,
-        the machine checks with their containment arms, and the raw
-        call.  One entry frame per crossing, no nested proxies.  An
-        entry takes its function's parameters by position and passes
-        them straight to the raw call; it builds the ``args`` tuple only
-        when a machine line or the recorder reads it.  Only a C ``...``
-        function (``varargs``) takes ``*args``.
+        call/return hooks, the governor's meter, the machine checks
+        with their containment arms, and the raw call.  One entry frame
+        per crossing, no nested proxies.  An entry takes its function's
+        parameters by position and passes them straight to the raw
+        call; it builds the ``args`` tuple only when a machine line or
+        the recorder reads it.  Only a C ``...`` function (``varargs``)
+        takes ``*args``.
 
         With ``checking=False`` the entries contain no instrumentation —
         pure interposition, the "Interposing" configuration of Table 3
@@ -261,10 +259,7 @@ class Synthesizer:
             '    """',
         ]
         if govern:
-            out.append(
-                "    gov_clock, gov_tick, gov_window, gov_rebalance"
-                " = governor.fused_shared()"
-            )
+            out.append("    gov_clock = governor.clock_ns")
         if telemetry:
             out.append(
                 "    (tel_clock, tel_vc, tel_vs, tel_ring, tel_cap, tel_sc,"
@@ -272,7 +267,7 @@ class Synthesizer:
             )
             out.append("    tel_smp = 1 & tel_mask")
             out.append(
-                "    tel_calls, tel_sampled, tel_hn, tel_hs, tel_bins, tel_nb"
+                "    tel_calls, tel_hn, tel_hs, tel_bins, tel_nb"
                 " = telemetry.fused_block()"
             )
             site_machines = self.dispatch_index().site_machines
@@ -379,34 +374,11 @@ class Synthesizer:
                 lines.append(body + bind_args)
             lines.append(body + "callseq = rc_{}(env, args)".format(name))
         if govern:
-            lines.extend([
-                body + "st_{}.total_calls += 1".format(name),
-                body + "st_{}.window_calls += 1".format(name),
-                body + "gov_tick[0] += 1",
-                body + "if gov_tick[0] >= gov_window:",
-                body + "    gov_rebalance()",
-                body + "if st_{}.period > 1:".format(name),
-                body + "    st_{}.slot += 1".format(name),
-                body + "    if st_{0}.slot % st_{0}.period:".format(name),
-                body + "        st_{}.total_sampled_out += 1".format(name),
-                body + "        t0 = gov_clock()",
-                body + "        result = raw_{}({})".format(name, call),
-                body + "        st_{}.raw_ns += gov_clock() - t0".format(name),
-                body + "        st_{}.raw_calls += 1".format(name),
-            ])
-            if record:
-                lines.append(
-                    body + "        rr_{}(env, args, result, callseq)".format(name)
-                )
-            if tel:
-                # Sampled-out: count it, never a span or a clock read.
-                lines.append(body + "        {} += 1".format(tel["sampled"]))
-            lines.append(body + "        return result")
+            lines.append(body + "st_{}.calls += 1".format(name))
             lines.append(body + "t0 = gov_clock()")
         epilogue: List[str] = []
         if govern:
             epilogue.append("st_{}.checked_ns += gov_clock() - t0".format(name))
-            epilogue.append("st_{}.checked_calls += 1".format(name))
         if record:
             epilogue.append("rr_{}(env, args, result, callseq)".format(name))
         if tel:
@@ -426,7 +398,7 @@ class Synthesizer:
                 # JNI pends the exception and returns the default (so
                 # the governor meters and the recorder logs the return);
                 # pyc raises, leaving an unmatched call record and no
-                # checked-time sample.
+                # checked time for the call.
                 lines.append(
                     body + "    result = rt.fail(env, v, {})".format(default)
                 )
@@ -464,7 +436,7 @@ class Synthesizer:
         ]
         if tel:
             lines.append(
-                "        tel_c, tel_h, tel_b, tel_s, tel_m"
+                "        tel_c, tel_h, tel_b, tel_m"
                 " = telemetry.fused_site(method_name, True)"
             )
             lines.append("        tel_bc = len(tel_b) - 1")
@@ -483,33 +455,11 @@ class Synthesizer:
         if record:
             lines.append(body + "callseq = rc(env, handles)")
         if govern:
-            lines.extend([
-                body + "st.total_calls += 1",
-                body + "st.window_calls += 1",
-                body + "gov_tick[0] += 1",
-                body + "if gov_tick[0] >= gov_window:",
-                body + "    gov_rebalance()",
-                body + "if st.period > 1:",
-                body + "    st.slot += 1",
-                body + "    if st.slot % st.period:",
-                body + "        st.total_sampled_out += 1",
-                body + "        t0 = gov_clock()",
-                body + "        result = impl(env, this, *args)",
-                body + "        st.raw_ns += gov_clock() - t0",
-                body + "        st.raw_calls += 1",
-            ])
-            if record:
-                lines.append(
-                    body + "        rr(env, handles, result, callseq)"
-                )
-            if tel:
-                lines.append(body + "        {} += 1".format(tel["sampled"]))
-            lines.append(body + "        return result")
+            lines.append(body + "st.calls += 1")
             lines.append(body + "t0 = gov_clock()")
         epilogue: List[str] = []
         if govern:
             epilogue.append("st.checked_ns += gov_clock() - t0")
-            epilogue.append("st.checked_calls += 1")
         if record:
             epilogue.append("rr(env, handles, result, callseq)")
         if tel:

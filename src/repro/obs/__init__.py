@@ -9,8 +9,8 @@ and bounded:
   log-spaced-bin histograms with per-thread shards merged at snapshot
   time — hot-path increments are allocation-free cell bumps;
 - **spans** (:mod:`repro.obs.spans`): boundary-crossing spans in a
-  bounded ring buffer, captured in lockstep with the governor's
-  sampling decisions;
+  bounded ring buffer, taken on 1 in ``sample_period`` crossings per
+  site;
 - **triage** (:mod:`repro.obs.triage`): violation deduplication keyed
   on (machine, error state, transition fingerprint) with stable
   content-hash cluster IDs — dozens of incidents, not thousands of raw

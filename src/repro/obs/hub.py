@@ -1,7 +1,7 @@
 """The observability hub: one place every subsystem publishes into.
 
 Each subsystem historically kept its numbers privately — the governor's
-windowed costs and ``WrapperCache.stats()``.  An :class:`ObsHub`
+per-pair meters and ``WrapperCache.stats()``.  An :class:`ObsHub`
 unifies them: the hot path (the pipeline's
 :class:`~repro.obs.tap.TelemetryTap`) streams counters, durations, and
 spans in; the cold paths publish their own reports as gauges; violations
@@ -98,40 +98,18 @@ class ObsHub:
     # -- cold-path publishers --------------------------------------------
 
     def publish_governor(self, governor) -> None:
-        """Mirror the governor's pair states and control-law state."""
+        """Mirror the governor's budget and each pair's call count.
+
+        Each pair's checked time is in the governor's own report.
+        """
         metrics = self.metrics
-        metrics.gauge("governor_share", subsystem="governor").set(
-            round(governor.share(), 6)
-        )
         metrics.gauge("governor_budget", subsystem="governor").set(
             governor.policy.budget
         )
-        metrics.gauge("governor_rebalances", subsystem="governor").set(
-            governor._rebalances
-        )
-        metrics.gauge("governor_degraded_pairs", subsystem="governor").set(
-            len(governor.degraded_pairs())
-        )
         for name in sorted(governor.pairs):
-            state = governor.pairs[name]
-            labels = {"subsystem": "governor", "pair": name}
-            metrics.gauge("governor_pair_period", **labels).set(state.period)
-            metrics.gauge("governor_pair_calls", **labels).set(
-                state.total_calls
-            )
-            metrics.gauge("governor_pair_sampled_out", **labels).set(
-                state.total_sampled_out
-            )
-            metrics.gauge("governor_pair_window_calls", **labels).set(
-                state.window_calls
-            )
-            metrics.gauge("governor_pair_checked_ns", **labels).set(
-                state.checked_ns
-            )
-            metrics.gauge("governor_pair_raw_ns", **labels).set(state.raw_ns)
-            metrics.gauge("governor_pair_degraded_windows", **labels).set(
-                state.degraded_windows
-            )
+            metrics.gauge(
+                "governor_pair_calls", subsystem="governor", pair=name
+            ).set(governor.pairs[name].calls)
 
     def publish_cache(self, cache=None) -> None:
         """Mirror :meth:`repro.core.cache.WrapperCache.stats`."""

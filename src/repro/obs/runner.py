@@ -2,11 +2,12 @@
 
 Mirrors :func:`repro.resilience.governor.governed_run` but attaches the
 full observability stack — a telemetry-tapped fused pipeline, an
-overhead governor publishing into the same hub, and wrapper-cache
-gauges — and returns both the workload outcome and the hub snapshot.
+overhead governor metering on the hub's clock and publishing into the
+hub, and wrapper-cache gauges — and returns both the workload outcome
+and the hub snapshot.
 
 With a :class:`~repro.core.clock.FakeClock` the whole snapshot is a
-pure function of ``(seed, substrate, repeats, policy)``: two same-seed
+pure function of ``(seed, substrate, repeats, budget)``: two same-seed
 runs produce byte-identical canonical JSON, which is exactly what the
 ``bench_obs.py`` determinism gate asserts.
 """
@@ -25,7 +26,6 @@ def observed_run(
     substrate: str = "pyc",
     repeats: int = 8,
     budget: float = 0.3,
-    window: int = 64,
     clock: Optional[Clock] = None,
     span_capacity: int = 256,
     govern: bool = True,
@@ -33,8 +33,8 @@ def observed_run(
     """Run one generated workload with telemetry on; report everything.
 
     The generated valid sequence is repeated ``repeats`` times in one
-    checked host so pairs get hot enough for the governor to act (and
-    for triage to see duplicate violations when a fault is present).
+    checked host, so each pair's meter sees repeated crossings (and
+    triage sees duplicate violations when a fault is present).
     """
     from repro.fuzz.engine import task_rng
     from repro.fuzz.gen import generate_sequence
@@ -45,7 +45,7 @@ def observed_run(
     governor = None
     if govern:
         governor = OverheadGovernor(
-            GovernorPolicy(budget=budget, window=window), clock=hub.clock
+            GovernorPolicy(budget=budget), clock=hub.clock
         )
     sequence = generate_sequence(
         task_rng(seed, "observed", substrate), substrate

@@ -6,17 +6,13 @@ at that site, and references to any violation clusters the crossing
 fired.  Spans answer the question metrics cannot: *what did the slowest
 recent crossings actually do?*
 
-Three bounds keep span capture production-safe:
+Two bounds keep span capture production-safe:
 
 - the buffer is a fixed-capacity ring — capacity spans are retained,
   older ones are overwritten, and the snapshot reports how many were
   recorded in total so truncation is never silent;
-- capture runs in lockstep with the overhead governor's sampling
-  decisions: a crossing the governor samples *out* (raw path, checks
-  skipped) records no span, so span overhead only rides calls that are
-  already paying for checking — the existing budget, no second knob;
-- within checked crossings, spans (and duration histograms) are taken
-  on 1 in :attr:`~repro.obs.hub.ObsHub.sample_period` calls per site,
+- spans (and duration histograms) are taken on 1 in
+  :attr:`~repro.obs.hub.ObsHub.sample_period` crossings per site,
   chosen by the site's own call counter — deterministic, seed-stable,
   and cheap to test (one mask compare) on the calls it skips.
 """

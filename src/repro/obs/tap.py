@@ -11,10 +11,7 @@ synthesizer emits the tap's bookkeeping as source;
 The tap is a pure observer: it never branches the entry's control flow
 and never touches arguments or results, so violation and trace streams
 are byte-identical with the stage on or off (gated by the pipeline
-parity suite).  Span capture runs in lockstep with the governor: on
-the sampled-out raw path the entry bumps only a counter — span
-overhead rides the governor's existing budget instead of adding a knob
-of its own.
+parity suite).
 
 Cost discipline: the per-crossing mandatory work is one list-cell
 increment and one mask test.  Duration capture — the two clock reads,
@@ -62,7 +59,7 @@ _TABLE_LAYOUTS: Dict[Tuple[str, Tuple[str, ...]], BlockLayout] = {}
 
 
 def _site_keys(substrate: str, function: str, native: bool):
-    """``(calls, crossing histogram, sampled-out)`` keys of one site."""
+    """``(calls, crossing histogram)`` keys of one site."""
     labels = {
         "subsystem": "pipeline",
         "substrate": substrate,
@@ -72,21 +69,17 @@ def _site_keys(substrate: str, function: str, native: bool):
     return (
         counter_key("ffi_calls_total", **labels),
         histogram_key("ffi_crossing_ns", **labels),
-        counter_key("ffi_sampled_out_total", **labels),
     )
 
 
 def _table_layout(substrate: str, functions: Tuple[str, ...]) -> BlockLayout:
-    """Calls and sampled-out counters, crossing histograms, in site order."""
+    """Call counters and crossing histograms, in site order."""
     layout = _TABLE_LAYOUTS.get((substrate, functions))
     if layout is None:
         keys = [_site_keys(substrate, name, False) for name in functions]
         layout = _TABLE_LAYOUTS[(substrate, functions)] = BlockLayout(
-            counters=(
-                [calls for calls, _, _ in keys],
-                [sampled for _, _, sampled in keys],
-            ),
-            histograms=([crossing for _, crossing, _ in keys],),
+            counters=([calls for calls, _ in keys],),
+            histograms=([crossing for _, crossing in keys],),
         )
     return layout
 
@@ -142,7 +135,7 @@ class TelemetryTap:
         )
 
     def fused_block(self):
-        """``(calls, sampled-out, hist counts, hist sums, bins, nbins)``.
+        """``(calls, hist counts, hist sums, bins, nbins)``.
 
         The hub's block for the table sites (see
         :meth:`~repro.obs.metrics.MetricsRegistry.block`): the entry for
@@ -152,17 +145,11 @@ class TelemetryTap:
         return (*self.hub.metrics.block(self._layout), HISTOGRAM_BINS)
 
     def fused_site(self, function: str, native: bool):
-        """``(calls cell, hist cell, bins, sampled cell, machines)``."""
-        calls, crossing, sampled = _site_keys(self.substrate, function, native)
+        """``(calls cell, hist cell, bins, machines)``."""
+        calls, crossing = _site_keys(self.substrate, function, native)
         cell = self.hub.metrics.cell
         hist = cell(crossing)
-        return (
-            cell(calls),
-            hist,
-            hist[2],
-            cell(sampled),
-            self.machines_at(function, native),
-        )
+        return cell(calls), hist, hist[2], self.machines_at(function, native)
 
     def describe(self) -> Dict[str, object]:
         return {

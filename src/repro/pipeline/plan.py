@@ -141,11 +141,9 @@ class PipelinePlan:
             journal = getattr(self.recorder, "_journal", None)
             stages.append({"name": "recorder", "journal": journal is not None})
         if self.governor is not None:
-            policy = self.governor.policy
             stages.append({
                 "name": "governor",
-                "budget": policy.budget,
-                "window": policy.window,
+                "budget": self.governor.policy.budget,
             })
         stages.append({
             "name": "machines",
@@ -172,8 +170,6 @@ class PipelinePlan:
                 steps.append("obs:call")
             if record:
                 steps.append("record:call")
-            if govern:
-                steps.append("govern:sample")
             steps.extend("check:{}:pre".format(m) for m, _ in sites[Site.PRE])
             steps.append("raw")
             steps.extend(

@@ -5,16 +5,16 @@ honest:
 
 - **containment** (:mod:`repro.core.runtime`): internal checker errors
   are caught at the wrapper boundary and degrade the offending machine
-  through a ladder (full -> quarantine -> sampling -> off) instead of
-  killing the host workload;
+  through a ladder (full -> quarantine -> off) instead of killing the
+  host workload;
 - **chaos** (:mod:`repro.resilience.chaos`): fault injectors aimed at
   the checker itself prove containment works;
 - **journaling + recovery** (:mod:`repro.trace.recorder`,
   :mod:`repro.resilience.recover`): crash-safe trace journals
   recoverable up to the last complete record;
-- **governing** (:mod:`repro.resilience.governor`): an adaptive
-  overhead governor keeps the checking share of boundary time inside a
-  budget by sampling hot pairs.
+- **metering** (:mod:`repro.resilience.governor`): the overhead
+  governor meters each FFI function's checked time and names the pairs
+  over a budget share of it; it never skips a check.
 
 Watched work — a child process under a wall-clock watchdog, with
 classified exits and deterministic retry backoff — runs on the fleet

@@ -168,9 +168,7 @@ def chaos_run(
         "rounds": rounds,
         "policy": {
             "quarantine_after": policy.quarantine_after,
-            "sampling_after": policy.sampling_after,
             "off_after": policy.off_after,
-            "sample_period": policy.sample_period,
         },
         "runs": [],
         "host_crashes": 0,

@@ -362,6 +362,13 @@ class TestStatusCommand:
             "workload", "pipeline", "governor", "cache", "obs", "fleet",
         ):
             assert section in printed
+        # Where the time went: the meter's top pair and its budget.
+        (governor,) = [
+            line for line in printed.splitlines()
+            if line.startswith("governor")
+        ]
+        assert "pair(s) metered, top " in governor
+        assert "of checked time; over budget 30%: " in governor
 
     def test_status_json(self, capsys):
         import json
@@ -372,6 +379,7 @@ class TestStatusCommand:
         assert status["workload"]["substrate"] == "pyc"
         assert status["pipeline"]["pipeline"] == "fused"
         assert status["obs"]["crossings"] > 0
+        assert set(status["governor"]) == {"budget", "over_budget", "pairs"}
         assert status["fleet"]["ok"] is True
         assert not any(key.startswith("queue_") for key in status["fleet"])
 
@@ -434,7 +442,7 @@ PRE_SPLIT_ARGVS = [
     ["resilience", "chaos", "--seed", "1", "--rounds", "2",
      "--substrate", "both", "--json"],
     ["resilience", "status", "--seed", "1", "--substrate", "jni",
-     "--budget", "0.5", "--window", "32", "--repeats", "2"],
+     "--budget", "0.5", "--repeats", "2"],
 ]
 
 

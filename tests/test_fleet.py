@@ -128,48 +128,31 @@ def _flaky_executor(fail_first=(), violations=None):
 
 
 class TestInlineScheduler:
-    def test_retry_then_succeed_with_deterministic_backoff(self):
+    def test_raising_job_is_not_retried(self):
+        # The executor would succeed the second time, but a raise is a
+        # crash on the first attempt: retries are for deaths and hangs.
         job = bench_trial_jobs(3, 1)[0]
         executor, calls = _flaky_executor(fail_first={job.job_id})
         clock = FakeClock()
         scheduler = FleetScheduler(
-            [job], workers=1, seed=3, retries=1, backoff_base=0.05,
+            [job], workers=1, seed=3, retries=2, backoff_base=0.05,
             backoff_cap=2.0, clock=clock, inline=True, executor=executor,
         )
         report = scheduler.run()
         outcome = report.outcomes[0]
-        assert outcome.classification == CLEAN
-        assert outcome.attempts == 2
-        delay = backoff_delay(3, job.job_id, 0, base=0.05, cap=2.0)
-        assert outcome.backoffs == [delay]
-        # The backoff waited on the injected clock, not a real stall.
-        assert 0 < clock.slept <= delay
-        assert calls[job.job_id] == 2
+        assert outcome.classification == CRASH
+        assert "RuntimeError: injected" in outcome.detail
+        assert outcome.attempts == 1
+        assert outcome.backoffs == []
+        assert clock.slept == 0
+        assert calls[job.job_id] == 1
+        assert not report.ok
 
     def test_backoff_delay_deterministic_and_capped(self):
         a = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
         b = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
         assert a == b
         assert a <= 0.2 * 1.25
-
-    def test_exhausted_retries_classify_crash(self):
-        job = bench_trial_jobs(4, 1)[0]
-
-        def always_fail(job):
-            raise RuntimeError("still broken")
-
-        scheduler = FleetScheduler(
-            [job], workers=1, seed=4, retries=2, backoff_base=0.01,
-            backoff_cap=0.02, clock=FakeClock(), inline=True,
-            executor=always_fail,
-        )
-        report = scheduler.run()
-        outcome = report.outcomes[0]
-        assert outcome.classification == CRASH
-        assert outcome.attempts == 3
-        assert len(outcome.backoffs) == 2
-        assert "RuntimeError: still broken" in outcome.detail
-        assert not report.ok
 
     def test_violating_payload_classifies_violation(self):
         job = bench_trial_jobs(5, 1)[0]
@@ -606,6 +589,9 @@ class TestProcessWatchdog:
         if retries:
             assert victim.classification in (CLEAN, VIOLATION)
             assert victim.attempts == 2
+            assert victim.backoffs == [
+                backoff_delay(0, killer.job_id, 0, base=0.01, cap=0.02)
+            ]
         else:
             assert victim.classification == CRASH
             assert victim.detail == "worker 0 died (exitcode {})".format(
@@ -613,15 +599,18 @@ class TestProcessWatchdog:
             )
             assert victim.attempts == 1
 
-    def test_raising_job_is_a_crash_with_detail(self, tmp_path):
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_raising_job_is_a_crash_with_detail(self, tmp_path, retries):
+        # A raise is deterministic: never retried, whatever the budget.
         job = Job(
             kind="bench-trial",
             params={"substrate": "pyc", "trial": 0,
                     "raise_once": str(tmp_path / "raise.marker")},
         )
-        report = FleetScheduler([job], workers=1, retries=0).run()
+        report = FleetScheduler([job], workers=1, retries=retries).run()
         outcome = report.outcomes[0]
         assert outcome.classification == CRASH
         assert outcome.detail.startswith("RuntimeError:")
         assert outcome.attempts == 1
+        assert outcome.backoffs == []
         assert not report.ok

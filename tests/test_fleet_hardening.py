@@ -7,9 +7,9 @@ trace journal stands on (its own storage-fault tests are
 ``tests/test_trace_journal.py::TestJournalStorageChaos``): a torn tail
 is truncation, damage followed by a valid record is mid-file
 corruption, and a flipped bit or a missing checksum fails the record.
-On the fleet side, a job that fails every attempt ends ``crash`` after
-the scheduler's ``retries + 1`` attempts without holding up the jobs
-beside it, and failing jobs cost their retries, never an idle slot.
+On the fleet side, a job that raises ends ``crash`` on its first
+attempt, whatever the retry budget, without holding up the jobs beside
+it: retries are for dead workers and watchdog kills only.
 """
 
 import os
@@ -209,8 +209,9 @@ class TestRetryBudget:
         outcomes = {o.job.job_id: o for o in report.outcomes}
         outcome = outcomes[poison.job_id]
         assert outcome.classification == CRASH
-        assert outcome.attempts == 3  # retries + 1
-        assert calls.count(poison.job_id) == 3
+        assert outcome.attempts == 1  # a raise is never retried
+        assert outcome.backoffs == []
+        assert calls.count(poison.job_id) == 1
         assert "RuntimeError: poison payload" in outcome.detail
         for job in healthy:
             assert outcomes[job.job_id].classification == CLEAN
@@ -221,8 +222,8 @@ class TestRetryBudget:
 
     @pytest.mark.parametrize("retries", [0, 1])
     def test_failing_jobs_wait_only_for_their_backoff(self, retries):
-        # Eight always-raising jobs on one slot: the run waits only for
-        # their retry backoff, however many failures the slot has seen.
+        # Eight always-raising jobs on one slot: each ends at its first
+        # attempt, so the run has no backoff to wait for.
         jobs = _jobs(8, seed=12)
 
         def always_fail(job):
@@ -234,16 +235,16 @@ class TestRetryBudget:
             inline=True, executor=always_fail,
         ).run()
         assert [o.classification for o in report.outcomes] == [CRASH] * 8
-        assert [o.attempts for o in report.outcomes] == [retries + 1] * 8
-        backoff = sum(sum(o.backoffs) for o in report.outcomes)
-        assert clock.slept <= backoff
+        assert [o.attempts for o in report.outcomes] == [1] * 8
+        assert [o.backoffs for o in report.outcomes] == [[]] * 8
+        assert clock.slept == 0
 
     @pytest.mark.parametrize("workers", ["0", "1", "2"])
     def test_corrupt_copies_fail_as_fast_as_one(
         self, workers, tmp_path, monkeypatch, capsys
     ):
         # The case above through `trace replay`: 8 copies of one trace
-        # with a corrupt record, each retried once.
+        # with a corrupt record, each parsed once.
         with open(LEAK_MONITOR) as f:
             lines = f.read().splitlines(True)
         lines[3] = "garbage{{{\n"
@@ -265,5 +266,6 @@ class TestRetryBudget:
             "REPLAY FAIL: {}: TraceFormatError: corrupt trace record at "
             "line 4".format(copies[0])
         )
-        # Eight first retries, each at most 0.05 s plus 25% jitter.
-        assert sum(slept) <= 8 * 0.05 * 1.25
+        # A corrupt trace fails the same way every time: no retry, so
+        # no backoff.
+        assert slept == []

@@ -7,11 +7,19 @@ balanced acquires/releases, frame discipline, valid arguments — and
 asserting that a full Jinn run stays silent.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import FakeClock
 from repro.jinn import JinnAgent
 from repro.jvm import JavaVM
+from repro.resilience import OverheadGovernor
+from repro.workloads.dacapo import (
+    BENCHMARK_NAMES,
+    build_workload,
+    iterations_for,
+)
 
 #: Legal operation vocabulary for the random programs.  Each op keeps the
 #: program well-formed regardless of order.
@@ -155,3 +163,21 @@ def test_legal_program_results_are_checker_independent(ops, _seed):
     # _run_legal_program's Jinn pass; completing without an exception
     # here confirms nothing about the substrate depends on the agent.
     vm.shutdown()
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_metered_dacapo_kernel_reports_nothing(name):
+    """A governed run checks every crossing, so a valid kernel stays clean.
+
+    Each bug-free DaCapo kernel runs at Table 3 scale under the default
+    governor policy on a fake clock.  Every local reference a call
+    returns is acquired before it is used, so no use looks dangling.
+    """
+    agent = JinnAgent(governor=OverheadGovernor(clock=FakeClock()))
+    vm = JavaVM(agents=[agent])
+    build_workload(vm, name)
+    vm.call_static(
+        "dacapo/" + name, "kernel", "(I)V", iterations_for(name, 1000)
+    )
+    vm.shutdown()
+    assert agent.rt.violations == []

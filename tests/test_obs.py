@@ -316,23 +316,19 @@ class TestTapWiring:
             as_tap(object(), substrate="jni")
 
     def test_closure_hooks_sample_and_record(self):
-        from repro.resilience import GovernorPolicy, OverheadGovernor
+        from repro.resilience import OverheadGovernor
 
-        # No rebalance: the window is far larger than this workload.
-        governor = OverheadGovernor(GovernorPolicy(window=10**6))
+        governor = OverheadGovernor(clock=FakeClock())
         hub, env = _observed_env(sample_period=1, governor=governor)
-        for _ in range(3):
+        for _ in range(4):
             env.GetVersion()
-        # Period 2 samples the pair's next crossing out: raw call only.
-        governor.fused_binding("GetVersion").period = 2
-        env.GetVersion()
         snap = hub.snapshot()
+        # A metered crossing is a checked one: counted, timed, a span.
         assert snap["metrics"]["counters"][GET_VERSION] == 4
-        assert snap["spans"]["recorded"] == 3  # no span on the raw path
-        sampled = GET_VERSION.replace(
-            "ffi_calls_total", "ffi_sampled_out_total"
-        )
-        assert snap["metrics"]["counters"][sampled] == 1
+        assert snap["spans"]["recorded"] == 4
+        assert governor.pairs["GetVersion"].calls == 4
+        # Two reads of the governor's fake clock per crossing.
+        assert governor.pairs["GetVersion"].checked_ns == 4
 
     def test_closure_hooks_skip_duration_between_samples(self):
         hub, env = _observed_env(sample_period=4)
@@ -360,17 +356,14 @@ def _series(metric, function, substrate="jni", native=False):
 
 
 def _site_reads(metrics, function, substrate="jni", native=False):
-    """``(calls, timed crossings, sampled-out)`` of one site."""
-    calls, crossing, sampled = (
+    """``(calls, timed crossings)`` of one site."""
+    calls, crossing = (
         _series(metric, function, substrate, native)
-        for metric in (
-            "ffi_calls_total", "ffi_crossing_ns", "ffi_sampled_out_total"
-        )
+        for metric in ("ffi_calls_total", "ffi_crossing_ns")
     )
     return (
         metrics["counters"][calls],
         metrics["histograms"][crossing]["count"],
-        metrics["counters"][sampled],
     )
 
 
@@ -403,7 +396,7 @@ class TestSiteBlock:
         expected = {name: count for name, (count, _) in drives.items()}
         expected.update(FindClass=2, NewStringUTF=3)
         assert _table_reads(hub, FUNCTIONS) == {
-            name: (expected.get(name, 0), expected.get(name, 0), 0)
+            name: (expected.get(name, 0), expected.get(name, 0))
             for name in FUNCTIONS
         }
 
@@ -431,32 +424,34 @@ class TestSiteBlock:
             "PyLong_FromLong": 1, "PyLong_AsLong": 4,
         }
         assert _table_reads(hub, PY_FUNCTIONS, "pyc") == {
-            name: (expected.get(name, 0), expected.get(name, 0), 0)
+            name: (expected.get(name, 0), expected.get(name, 0))
             for name in PY_FUNCTIONS
         }
         # The extension is a native crossing: its own cells, bound when
         # the extension was.
         metrics = hub.snapshot()["metrics"]
-        assert _site_reads(metrics, "probe", "pyc", native=True) == (1, 1, 0)
+        assert _site_reads(metrics, "probe", "pyc", native=True) == (1, 1)
 
-    def test_sampled_out_rises_only_at_the_governed_site(self):
+    def test_governed_site_times_every_crossing(self):
         from repro.jni.functions import FUNCTIONS
-        from repro.resilience import GovernorPolicy, OverheadGovernor
+        from repro.resilience import OverheadGovernor
 
-        # No rebalance: the window is far larger than this workload.
-        governor = OverheadGovernor(GovernorPolicy(window=10**6))
+        governor = OverheadGovernor(clock=FakeClock())
         hub, env = _observed_env(sample_period=1, governor=governor)
         text = env.NewStringUTF("site")
-        governor.fused_binding("GetStringLength").period = 2
         for _ in range(4):
             env.GetStringLength(text)
         env.ExceptionCheck()
         reads = _table_reads(hub, FUNCTIONS)
-        # Slots 1 and 3 are sampled out: counted, never timed.
-        assert reads.pop("GetStringLength") == (4, 2, 2)
-        assert reads.pop("NewStringUTF") == (1, 1, 0)
-        assert reads.pop("ExceptionCheck") == (1, 1, 0)
-        assert set(reads.values()) == {(0, 0, 0)}
+        # Every metered crossing is checked, counted and timed.
+        assert reads.pop("GetStringLength") == (4, 4)
+        assert reads.pop("NewStringUTF") == (1, 1)
+        assert reads.pop("ExceptionCheck") == (1, 1)
+        assert set(reads.values()) == {(0, 0)}
+        assert {
+            name: pair.calls
+            for name, pair in governor.pairs.items() if pair.calls
+        } == {"NewStringUTF": 1, "GetStringLength": 4, "ExceptionCheck": 1}
 
     def test_reset_zeroes_every_series_in_place(self):
         from repro.jni.functions import FUNCTIONS
@@ -466,11 +461,11 @@ class TestSiteBlock:
             env.GetVersion()
         env.ExceptionCheck()
         hub.reset()
-        assert set(_table_reads(hub, FUNCTIONS).values()) == {(0, 0, 0)}
+        assert set(_table_reads(hub, FUNCTIONS).values()) == {(0, 0)}
         env.GetVersion()
         reads = _table_reads(hub, FUNCTIONS)
-        assert reads.pop("GetVersion") == (1, 1, 0)
-        assert set(reads.values()) == {(0, 0, 0)}
+        assert reads.pop("GetVersion") == (1, 1)
+        assert set(reads.values()) == {(0, 0)}
 
 
 class TestExport:
@@ -539,23 +534,24 @@ def _without_cache_gauges(snapshot):
 #: substrate=..., repeats=4, clock=FakeClock())``: its snapshot without
 #: the cache gauges, and its governor report.  Pinned across commits,
 #: so a change to what an attach creates (every site's series, the
-#: machine counts spans carry) or to a governor decision shows.
+#: machine counts spans carry) or to a pair's metered calls or time
+#: shows.
 PINNED_OBSERVED = {
     ("jni", 7): (
-        "5c079456fbbf98ab9ffc41f97d33eaef31aad5708fe437ba2174ed19bc7f80a4",
-        "35ec51c752b0fbafdc6f133014085c9a316b401cfbc4fc272651cf9756adf088",
+        "62a971948a1dca9a9c2f147bd64fc4552e3bdc8ef99c6651783b8843acf093e5",
+        "7bc8081b84275749bf3876964eb92d60005d8688a5cc86e1dbf3110bb41c9ef5",
     ),
     ("jni", 2026): (
-        "27d4a2cfbc85eb69064919dd527b78bf105335e28c64a0201d6c1e4835f5f333",
-        "015e6a424cf6a4645439139d0498f27c4605564ff05182bf3ed1b0f4ebf9dbdf",
+        "08ed3d9092b5b9ce6a2cf8609f7c69ce338e1fd79a7f647606edf5a29a28e86c",
+        "55f57570b90adaed93365facad8863da939e82f08ba36b97e7a1d4d73f0e73d6",
     ),
     ("pyc", 7): (
-        "ad0e16e5aac823a4f8f78799ef0e99e1a65ed4ced2b04fe8276f2021b7bdf449",
-        "75068cc938140741d949e44e37e7b5f2012ca03a8113a79d0957f75f56d45f4e",
+        "b05d387dcdc27c2a260ba59932f5013f0e8cad58e145d15219cdae7e007f2e43",
+        "6d5cf46a76bc7a90f93f2409535ea6e2dee75fe1927bc1d4cbca1726385d8197",
     ),
     ("pyc", 2026): (
-        "03107aba294377bcd731d2b3fd6ad2c4d4a7c0d66bf4a6588d9f84c99594c165",
-        "ed379940dacc29fe530761893cbfb3c72c589366b8dcdc4160d7da4bce61b89c",
+        "32555587cc38761e6d4fabd466175ede1f3fba2edbbdefc005bd6fe11d0590da",
+        "05f593b5d24ccbf5b0f03ba6594d9d827d6bc2e2e69b355d1d6796d6a8a37a40",
     ),
 }
 
@@ -624,9 +620,9 @@ class TestAttach:
         vm = JavaVM(agents=[JinnAgent(telemetry=hub)])
         metrics = hub.snapshot()["metrics"]
         vm.shutdown()
-        # Calls and sampled-out counters plus a crossing histogram for
-        # each of the 229 table sites, crossed or not.
-        assert len(metrics["counters"]) == 458
+        # A call counter and a crossing histogram for each of the 229
+        # table sites, crossed or not.
+        assert len(metrics["counters"]) == 229
         assert not any(metrics["counters"].values())
         assert len(metrics["histograms"]) == 229
 
@@ -636,8 +632,8 @@ class TestAttach:
         hub = ObsHub()
         PythonInterpreter(agents=[PyCChecker(telemetry=hub)])
         metrics = hub.snapshot()["metrics"]
-        # The same three series for each of the 46 API sites.
-        assert len(metrics["counters"]) == 92
+        # The same two series for each of the 46 API sites.
+        assert len(metrics["counters"]) == 46
         assert not any(metrics["counters"].values())
         assert len(metrics["histograms"]) == 46
         assert not any(h["count"] for h in metrics["histograms"].values())

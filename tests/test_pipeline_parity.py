@@ -35,6 +35,7 @@ from repro.fuzz.engine import run_ops, task_rng
 from repro.fuzz.gen import generate_sequence
 from repro.fuzz.ops import run_jni_ops, run_pyc_ops
 from repro.resilience import GovernorPolicy, OverheadGovernor, chaos_run
+from repro.trace import TraceRecorder, diff_reports, replay_lines
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS_DIR = os.path.join(DATA, "fuzz_corpus")
@@ -86,15 +87,19 @@ def _first_fault_ops(substrate, tag):
     return fault.inject(task_rng(2026, tag), base).ops
 
 
-def _execution(substrate, ops):
-    """Live run under a recorder, then replay of its own trace."""
-    result = run_ops(substrate, ops)
+def _execution(substrate, ops, governor=None):
+    """Live run under a recorder (and ``governor``), then replay of its
+    own trace."""
+    recorder = TraceRecorder()
+    live = _runner(substrate)(ops, observer=recorder, governor=governor)
+    recorder.close()
+    replay = replay_lines(recorder.lines)
     return {
-        "outcome": result.live.outcome,
-        "reports": result.live.reports,
-        "diff": result.diff,
-        "event_count": result.event_count,
-        "trace_sha256": trace_digest(result.trace_lines, substrate),
+        "outcome": live.outcome,
+        "reports": live.reports,
+        "diff": diff_reports(live.reports, replay.violations),
+        "event_count": replay.event_count,
+        "trace_sha256": trace_digest(recorder.lines, substrate),
     }
 
 
@@ -105,53 +110,20 @@ def _valid_case(substrate):
     return _execution(substrate, sequence.ops)
 
 
-def _fault_case(fault):
+def _fault_case(fault, governor=None):
     base = generate_sequence(
         task_rng(2026, "pipeline-fault", fault.name), fault.substrate
     )
     injected = fault.inject(task_rng(2026, "pipeline-inject", fault.name), base)
-    return _execution(fault.substrate, injected.ops)
-
-
-def _preset_governor(substrate, period):
-    """A governor with deterministic sampling: preset periods, no
-    rebalance (the window is far larger than any test workload)."""
-    governor = OverheadGovernor(GovernorPolicy(window=10**6))
-    if substrate == "pyc":
-        from repro.pyc.spec import PY_FUNCTIONS as table
-    else:
-        from repro.jni.functions import FUNCTIONS as table
-    for name in table:
-        governor.fused_binding(name).period = period
-    return governor
-
-
-def _governed_case(substrate):
-    ops = [tuple(op) for op in _first_fault_ops(substrate, "pipeline-govern")]
-    governor = _preset_governor(substrate, period=3)
-    outcome = _runner(substrate)(ops * 3, governor=governor)
-    return {
-        "outcome": outcome.outcome,
-        "reports": outcome.reports,
-        # Every pair starts degraded at period 3; pin the called ones.
-        "pairs": {
-            name: pair
-            for name, pair in governor.report()["pairs"].items()
-            if pair["calls"]
-        },
-    }
+    return _execution(fault.substrate, injected.ops, governor)
 
 
 def _full_stack_case(substrate):
     """Recorder + governor + containment all attached at once."""
-    from repro.trace import TraceRecorder
-
     recorder = TraceRecorder()
     outcome = _runner(substrate)(
         _first_fault_ops(substrate, "pipeline-stack"),
         observer=recorder,
-        # budget=1.0: the share can never exceed it, so the control law
-        # never degrades a pair and the run stays deterministic.
         governor=OverheadGovernor(GovernorPolicy(budget=1.0)),
         containment=ContainmentPolicy(),
     )
@@ -175,7 +147,6 @@ def golden_cases():
         cases["chaos/" + substrate] = lambda s=substrate: chaos_run(
             3, substrate=s
         )
-        cases["govern/" + substrate] = lambda s=substrate: _governed_case(s)
         cases["stack/" + substrate] = lambda s=substrate: _full_stack_case(s)
     for fault in FAULTS:
         cases["fault/" + _fault_id(fault)] = lambda f=fault: _fault_case(f)
@@ -240,10 +211,20 @@ def test_fuzz_corpus_parity(entry):
     assert live[1:] == shipped[1:]
 
 
-@pytest.mark.parametrize("fault", FAULTS, ids=_fault_id)
-def test_injected_fault_parity(fault):
-    """Freshly injected fault sequences, not just the frozen corpus."""
-    assert plain(_fault_case(fault)) == GOLDEN["fault/" + _fault_id(fault)]
+@pytest.mark.parametrize("fault,governed", [
+    pytest.param(fault, governed, id=_fault_id(fault) + suffix)
+    for fault in FAULTS
+    for governed, suffix in ((False, ""), (True, "-governed"))
+])
+def test_injected_fault_parity(fault, governed):
+    """Freshly injected fault sequences, not just the frozen corpus.
+
+    A governed run meters every crossing and checks every one, so it
+    matches the same pinned entry as the plain run.
+    """
+    governor = OverheadGovernor() if governed else None
+    result = plain(_fault_case(fault, governor))
+    assert result == GOLDEN["fault/" + _fault_id(fault)]
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
@@ -252,15 +233,6 @@ def test_chaos_report_parity(substrate):
     report = plain(chaos_run(3, substrate=substrate))
     assert report == GOLDEN["chaos/" + substrate]
     assert report["machines_quarantined"] > 0  # the scenario bites
-
-
-@pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_governed_sampling_parity(substrate):
-    """Slot-counted sampling skips exactly the pinned calls."""
-    result = plain(_governed_case(substrate))
-    assert result == GOLDEN["govern/" + substrate]
-    sampled_out = sum(p["sampled_out"] for p in result["pairs"].values())
-    assert sampled_out > 0  # sampling actually engaged
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
@@ -279,7 +251,6 @@ def test_telemetry_tap_parity(substrate):
     crossing and clustered the violations.
     """
     from repro.obs import ObsHub
-    from repro.trace import TraceRecorder
 
     ops = _first_fault_ops(substrate, "pipeline-telemetry")
     hub = ObsHub()

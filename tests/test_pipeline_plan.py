@@ -53,7 +53,6 @@ class TestPlanComposition:
             assert governor_stage == {
                 "name": "governor",
                 "budget": governor.policy.budget,
-                "window": governor.policy.window,
             }
             assert containment == {
                 "name": "containment", "enabled": True, "level": "full",
@@ -160,7 +159,7 @@ class TestPlanDescribe:
             )
             steps = plan.describe()["per_function"]["DeleteLocalRef"]
             assert steps[0] == "record:call"
-            assert steps[1] == "govern:sample"
+            assert steps[1].startswith("check:")  # the meter only meters
             assert steps[-2] == "govern:meter"
             assert steps[-1] == "record:return"
         finally:

@@ -1,4 +1,4 @@
-"""Resilient checking sessions: containment, chaos, watched work, governor.
+"""Resilient checking sessions: containment, chaos, watched work, the meter.
 
 Watched work (watchdog, exit classification, retry backoff) runs on
 the fleet's process workers; the scheduler's own tests are in
@@ -20,7 +20,6 @@ from repro.core.runtime import (
     LEVEL_FULL,
     LEVEL_OFF,
     LEVEL_QUARANTINE,
-    LEVEL_SAMPLING,
     CheckerHealth,
     ContainmentPolicy,
 )
@@ -52,6 +51,7 @@ from repro.resilience import (
     governed_run,
     injector_plan,
 )
+from repro.resilience.governor import PairState
 
 
 def _pyc_sequence(seed=5):
@@ -72,9 +72,7 @@ def _faulty_pyc_sequence(seed=5, fault="over_decref"):
 
 class TestDegradationLadder:
     def test_health_walks_full_ladder(self):
-        policy = ContainmentPolicy(
-            quarantine_after=2, sampling_after=3, off_after=5
-        )
+        policy = ContainmentPolicy(quarantine_after=2, off_after=5)
         health = CheckerHealth(policy)
         err = RuntimeError("boom")
         assert health.record("m1", err, "f", "pre") == []
@@ -82,10 +80,28 @@ class TestDegradationLadder:
         assert health.record("m1", err, "f", "pre") == ["quarantine"]
         assert health.level == LEVEL_QUARANTINE
         assert health.quarantined == ["m1"]
-        assert health.record("m2", err, "g", "post") == ["sampling"]
-        assert health.level == LEVEL_SAMPLING
-        health.record("m2", err, "g", "post")
-        assert health.record("m3", err, "h", "pre") == ["off"]
+        assert health.record("m2", err, "g", "post") == []
+        assert health.record("m2", err, "g", "post") == ["quarantine"]
+        assert health.level == LEVEL_QUARANTINE
+        assert health.record("m3", err, "h", "pre") == ["off"]  # fault 5
+        assert health.level == LEVEL_OFF
+        assert health.record("m4", err, "h", "pre") == []
+
+    def test_default_ladder_never_samples(self):
+        # No fault count yields a sampling rung: a machine that missed
+        # an acquire would report the matching release.
+        policy = ContainmentPolicy()
+        health = CheckerHealth(policy)
+        err = RuntimeError("boom")
+        actions = []
+        for fault in range(1, policy.off_after + 10):
+            machine = "m{}".format(fault % 7)
+            for action in health.record(machine, err, "f", "pre"):
+                actions.append((fault, action))
+        assert {action for _, action in actions} == {"quarantine", "off"}
+        assert [f for f, action in actions if action == "off"] == [
+            policy.off_after
+        ]
         assert health.level == LEVEL_OFF
 
     def test_quarantined_machine_stops_firing(self):
@@ -275,21 +291,19 @@ class TestSupervisor:
         assert outcome.attempts == 2
 
     def test_retries_with_deterministic_backoff(self, tmp_path):
-        # Replaying a missing file raises on every attempt.
-        job = replay_jobs([str(tmp_path / "missing.trace")])[0]
+        # The worker dies on the first attempt; the retry, after one
+        # deterministic backoff, completes.
+        job = _die_job(tmp_path)
         report = FleetScheduler(
             [job], workers=1, timeout=30.0, retries=2, backoff_base=0.01,
             backoff_cap=0.05, seed=42,
         ).run()
         outcome = report.outcomes[0]
-        assert outcome.classification == CRASH
-        assert outcome.detail.startswith("FileNotFoundError:")
-        assert outcome.attempts == 3
-        expected = [
-            backoff_delay(42, job.job_id, attempt, base=0.01, cap=0.05)
-            for attempt in range(2)
+        assert outcome.classification == CLEAN
+        assert outcome.attempts == 2
+        assert outcome.backoffs == [
+            backoff_delay(42, job.job_id, 0, base=0.01, cap=0.05)
         ]
-        assert outcome.backoffs == expected
 
     def test_incident_report_merges_and_redacts_timing(self, tmp_path):
         report = FleetScheduler(
@@ -302,21 +316,19 @@ class TestSupervisor:
         body = json.dumps(report.to_json())
         assert "seconds" not in body
 
-    def test_backoff_sleeps_on_injected_clock(self):
-        # Only inline mode sleeps between retries; process mode waits
-        # for results and schedules retries without blocking.
-        def always_crash(job):
-            raise RuntimeError("injected")
-
+    def test_backoff_sleeps_on_injected_clock(self, tmp_path):
+        # With nothing else in flight, the run waits for the dead job's
+        # retry on its clock.
         clock = FakeClock()
         report = FleetScheduler(
-            [Job(kind="bench-trial", params={"trial": 0})], workers=1,
-            retries=2, backoff_base=0.01, backoff_cap=0.05, seed=7,
-            clock=clock, inline=True, executor=always_crash,
+            [_die_job(tmp_path)], workers=1, retries=2, backoff_base=0.01,
+            backoff_cap=0.05, seed=7, clock=clock,
         ).run()
         outcome = report.outcomes[0]
-        assert outcome.classification == CRASH
-        # Retry delays went through the injectable clock, not time.sleep.
+        assert outcome.classification == CLEAN
+        assert len(outcome.backoffs) == 1
+        # The retry delay went through the injectable clock, not
+        # time.sleep.
         assert clock.slept == pytest.approx(sum(outcome.backoffs))
         assert clock.slept > 0
 
@@ -406,7 +418,7 @@ def governed_entries(gov, names):
     Returns ``(entries, rt)``; ``rt.now`` is the governor's clock.
     """
     rt = _CostRuntime()
-    gov._clock = rt.clock  # before the build: entries pre-bind it
+    gov.clock_ns = rt.clock  # before the build: entries pre-bind it
 
     def raw(env):
         rt.now += rt.raw_ns
@@ -421,119 +433,77 @@ def governed_entries(gov, names):
 
 
 class TestGovernor:
-    def _governed(self, names=("fn",), policy=None):
-        gov = OverheadGovernor(policy or GovernorPolicy(
-            budget=0.3, window=16, sample_period=4, max_period=16, hot_min=8
-        ))
-        entries, rt = governed_entries(gov, names)
-        return gov, entries, rt
+    """The governor is a meter: every call checked, its time counted."""
 
-    def test_hot_expensive_pair_degrades(self):
-        gov, entries, _ = self._governed()
-        for _ in range(200):
-            entries["fn"](None)
-        state = gov.pairs["fn"]
-        assert state.period > 1
-        assert state.total_sampled_out > 0
-        assert "fn" in gov.degraded_pairs()
+    def _cheap_and_dear(self, policy=None):
+        """100 calls of a 2 ns pair, 10 of a 1001 ns pair."""
+        gov = OverheadGovernor(policy)
+        entries, rt = governed_entries(gov, ("cheap", "dear"))
+        rt.check_ns = 1
+        for _ in range(100):
+            entries["cheap"](None)
+        rt.check_ns = 1000
+        for _ in range(10):
+            entries["dear"](None)
+        return gov, rt
 
-    def test_cold_pair_never_degrades(self):
-        gov, entries, _ = self._governed(("cold", "hot"))
-        for i in range(400):
-            entries["hot"](None)
-            if i % 100 == 0:  # 4 calls total: far below hot_min
-                entries["cold"](None)
-        assert gov.pairs["hot"].period > 1
-        assert gov.pairs["cold"].period == 1
-        assert gov.pairs["cold"].total_sampled_out == 0
-
-    def test_sampled_in_calls_run_the_real_wrapper(self):
-        gov, entries, rt = self._governed()
+    def test_every_call_runs_the_checks(self):
+        gov = OverheadGovernor()
+        entries, rt = governed_entries(gov, ("fn",))
         results = [entries["fn"](None) for _ in range(300)]
-        state = gov.pairs["fn"]
-        assert state.period > 1
-        # Both paths return the raw result — the governor swaps
-        # nothing, it only skips checks — and the accounting is exact:
-        # every non-sampled-out call ran the generated check.
         assert results == ["raw"] * 300
-        assert rt.checks == state.total_calls - state.total_sampled_out
-        assert state.total_calls == 300
+        assert rt.checks == gov.pairs["fn"].calls == 300
 
-    def test_restore_when_load_drops(self):
-        gov, entries, rt = self._governed()
-        for _ in range(200):
-            entries["fn"](None)
-        degraded_period = gov.pairs["fn"].period
-        assert degraded_period > 1
-        rt.check_ns = 1  # checking is now as cheap as raw
-        for _ in range(400):
-            entries["fn"](None)
-        assert gov.pairs["fn"].period < degraded_period
+    def test_checked_ns_is_exact(self):
+        # The meter's two clock reads bracket the check and the raw call.
+        gov, rt = self._cheap_and_dear()
+        assert gov.pairs["cheap"].checked_ns == 100 * (1 + 1)
+        assert gov.pairs["dear"].checked_ns == 10 * (1000 + 1)
+        assert rt.now == 100 * 2 + 10 * 1001
 
-    def test_rebalance_keeps_the_triggering_calls_tail(self):
-        """The entry that triggers a rebalance meters its own call after
-        the window reset, so that time belongs to the next window even
-        though the pair's ``window_calls`` there is 0."""
-        gov = OverheadGovernor(
-            GovernorPolicy(budget=0.3, window=16, hot_min=4)
-        )
-        entries, rt = governed_entries(gov, ("A", "B"))
-        rt.raw_ns = 100  # a sampled-out call: 100 ns raw
-        for _ in range(6):
-            rt.check_ns = 20  # B: 120 ns checked
-            for _ in range(15):
-                entries["B"](None)
-            rt.check_ns = 99900  # A: 100000 ns checked, the 16th call
-            entries["A"](None)
+    def test_over_budget_names_the_expensive_pair(self):
+        gov, _ = self._cheap_and_dear(GovernorPolicy(budget=0.3))
         report = gov.report()
-        assert report["rebalances"] == 6
-        # Only A's tail is left in the open window.
-        assert report["share"] == 1.0
-        assert report["degraded"] == ["B"]
-        assert report["pairs"]["B"]["period"] == 128
-        assert report["pairs"]["B"]["degraded_windows"] == 6
-        assert report["pairs"]["A"]["period"] == 1
+        # dear: 10010 of 10210 ns; cheap: 200, under 0.3 of the total.
+        assert report["over_budget"] == ["dear"]
+        assert report["pairs"] == {
+            "cheap": {"calls": 100, "checked_ns": 200},
+            "dear": {"calls": 10, "checked_ns": 10010},
+        }
 
-    def test_budget_one_never_degrades(self):
-        """At budget 1.0 the governor only meters: the share of a pair
-        at full checking is its whole checked time over itself, even
-        when ``(checked_ns / calls) * calls`` rounds past ``checked_ns``
-        (100000 ns over 38 calls does)."""
-        gov = OverheadGovernor(GovernorPolicy(budget=1.0, hot_min=32))
-        state = gov.fused_binding("fn")
-        state.window_calls = state.checked_calls = 38
-        state.checked_ns = 100000
-        assert state.overhead_ns() <= state.checked_ns
-        gov._rebalance()
-        assert gov.degraded_pairs() == []
+    def test_budget_one_lists_no_pair(self):
+        # No pair's checked time exceeds the run's total, not even one
+        # pair that took all of it.
+        gov, _ = self._cheap_and_dear(GovernorPolicy(budget=1.0))
+        assert gov.report()["over_budget"] == []
+        alone = OverheadGovernor(GovernorPolicy(budget=1.0))
+        entries, _ = governed_entries(alone, ("fn",))
+        entries["fn"](None)
+        assert alone.report()["over_budget"] == []
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             GovernorPolicy(budget=1.5)
         with pytest.raises(ValueError):
-            GovernorPolicy(window=2)
-        with pytest.raises(ValueError):
-            GovernorPolicy(sample_period=1)
+            GovernorPolicy(budget=-0.1)
+
+    def test_meter_holds_only_what_it_reports(self):
+        assert GovernorPolicy.__slots__ == ("budget",)
+        assert PairState.__slots__ == ("name", "calls", "checked_ns")
+        assert len(ContainmentPolicy.__slots__) == 3
 
     def test_report_shape(self):
-        gov, entries, _ = self._governed()
+        gov = OverheadGovernor()
+        entries, _ = governed_entries(gov, ("fn",))
         entries["fn"](None)
         report = gov.report()
-        assert set(report) == {
-            "budget", "window", "rebalances", "share", "degraded", "pairs",
-        }
-        assert report["pairs"]["fn"]["calls"] == 1
+        assert set(report) == {"budget", "over_budget", "pairs"}
+        assert report["pairs"]["fn"] == {"calls": 1, "checked_ns": 1001}
 
     def test_governed_run_integration(self):
-        report = governed_run(
-            5,
-            substrate="pyc",
-            policy=GovernorPolicy(budget=0.3, window=32, hot_min=8),
-            repeats=4,
-        )
-        assert report["outcome"] in ("completed", "violation")
-        assert report["governor"]["pairs"]
-        # Every call the governor saw ran under either the checked
-        # wrapper or the timed raw path; nothing is dropped.
-        for stats in report["governor"]["pairs"].values():
-            assert stats["calls"] >= stats["sampled_out"]
+        report = governed_run(5, substrate="pyc", repeats=4)
+        assert report["outcome"] == "completed"
+        assert report["violations"] == 0
+        pairs = report["governor"]["pairs"]
+        assert sum(stats["calls"] for stats in pairs.values()) > 0
+        assert sum(stats["checked_ns"] for stats in pairs.values()) > 0
