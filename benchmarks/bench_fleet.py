@@ -41,7 +41,7 @@ CORPUS_DIR = os.path.join(_ROOT, "tests", "data", "fuzz_corpus")
 
 def _measure_workers(paths, workers):
     """Best-of-N fleet replay at one worker count."""
-    from repro.fleet import fleet_replay, violation_stream
+    from repro.fleet import fleet_replay
 
     best = None
     for _ in range(TRIALS):
@@ -57,7 +57,7 @@ def _measure_workers(paths, workers):
             "utilization": report.utilization,
             "wall_seconds": wall,
             "events": merged.event_count,
-            "stream": violation_stream(report),
+            "stream": merged.violations,
             "counts": report.counts,
         }
         if (

@@ -10,13 +10,11 @@
 # files replay), the fixed-seed fuzz smoke (its JSON report in process
 # and on 2 fleet workers must be the same bytes), the regression corpus check,
 # the resilience smoke (chaos containment + crash recovery, and the
-# trace journal under injected storage faults), the obs
-# CLI smoke on both substrates, the fleet smoke (the regression corpus
-# replayed on 2 fleet workers, gated on stream identity),
-# the ablation bench (the none, interpose and generated configurations
-# end to end, per-machine costs from interleaved kernel pairs, the
-# local-frame capacity sweep), and the quick
-# benchmark gates (write BENCH_trace_replay.json, BENCH_fuzz.json,
+# trace journal under injected storage faults), the obs CLI smoke on
+# both substrates, the ablation bench (the none, interpose and
+# generated configurations end to end, per-machine costs from
+# interleaved kernel pairs, the local-frame capacity sweep), and the
+# quick benchmark gates (write BENCH_trace_replay.json, BENCH_fuzz.json,
 # BENCH_resilience.json, BENCH_obs.json, and BENCH_fleet.json).
 #
 # Usage: scripts/check.sh [--no-bench]
@@ -84,9 +82,6 @@ timeout 300 python -m repro.cli obs snapshot --fake-clock --repeats 2 \
     --substrate jni -o "$obs_dir/jni.json"
 timeout 300 python -m repro.cli status --repeats 2 --substrate jni
 rm -rf "$obs_dir"
-
-echo "== fleet smoke (2 workers, regression corpus, stream identity) =="
-timeout 300 python -m repro.cli fleet run --smoke --workers 2
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== ablation bench (configurations, per-machine pairs, capacity) =="

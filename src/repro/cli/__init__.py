@@ -19,15 +19,13 @@ Gives downstream users the paper's artifacts without writing code:
   ``corpus``, ``faults``, ``graph``;
 - ``resilience`` — checker containment and the overhead governor:
   ``chaos``, ``status``;
-- ``fleet``      — the multi-process execution fabric: ``run``,
-  ``status``, ``workers``, ``drain``;
 - ``obs``        — observe a checked run: ``snapshot``, ``top``,
   ``diff``, ``export``;
 - ``status``     — one roll-up of pipeline, governor, caches, telemetry.
 
 One module per command group (``repro.cli.paper``, ``.dispatch``,
-``.pipeline``, ``.trace``, ``.fuzz``, ``.resilience``, ``.fleet``,
-``.obs``, ``.status``); each exposes a ``COMMANDS`` mapping and an
+``.pipeline``, ``.trace``, ``.fuzz``, ``.resilience``, ``.obs``,
+``.status``); each exposes a ``COMMANDS`` mapping and an
 ``add_parsers(sub)`` hook this package assembles into the single
 ``repro`` parser.
 """
@@ -39,7 +37,6 @@ import sys
 from typing import List, Optional
 
 from repro.cli import dispatch as _dispatch_group
-from repro.cli import fleet as _fleet_group
 from repro.cli import fuzz as _fuzz_group
 from repro.cli import obs as _obs_group
 from repro.cli import paper as _paper_group
@@ -56,7 +53,6 @@ _GROUPS = (
     _trace_group,
     _fuzz_group,
     _resilience_group,
-    _fleet_group,
     _obs_group,
     _status_group,
 )
@@ -82,7 +78,6 @@ _FUZZ_COMMANDS = _fuzz_group.SUBCOMMANDS
 _RESILIENCE_COMMANDS = _resilience_group.SUBCOMMANDS
 _PIPELINE_COMMANDS = _pipeline_group.SUBCOMMANDS
 _OBS_COMMANDS = _obs_group.SUBCOMMANDS
-_FLEET_COMMANDS = _fleet_group.SUBCOMMANDS
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cli.fleet import fleet_options, positive
+from repro.cli.trace import fleet_options, positive
 
 
 def _cmd_fuzz_run(args) -> int:

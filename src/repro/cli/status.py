@@ -41,32 +41,20 @@ def _pipeline_section(substrate: str) -> dict:
     }
 
 
-def _fleet_section(seed: int) -> dict:
-    """Exercise the fabric on self-contained trial jobs; report load.
-
-    Generated workloads only (no file dependencies) on two inline
-    workers, so ``repro status`` shows a real utilization number
-    without touching the working directory.
-    """
-    from repro.fleet import FleetScheduler, bench_trial_jobs
-
-    jobs = bench_trial_jobs(seed, 4)
-    report = FleetScheduler(jobs, workers=2, seed=seed, inline=True).run()
-    return {
-        "jobs": len(jobs),
-        "counts": report.counts,
-        "ok": report.ok,
-        "utilization": report.utilization,
-    }
-
-
 def _governor_line(governor: dict) -> str:
-    """Where the checking time went: the top pair and those over budget."""
+    """Where the checking time went: the top pair and those over budget.
+
+    The top pair and its share come from the function pairs, the set
+    ``over_budget`` ranks: a native's pair also times its crossings.
+    """
+    from repro.resilience.governor import function_pairs
+
     metered = {
         name: pair["checked_ns"]
         for name, pair in governor["pairs"].items() if pair["calls"]
     }
     line = "governor : {} pair(s) metered".format(len(metered))
+    metered = function_pairs(metered)
     total = sum(metered.values())
     if total:
         top = max(sorted(metered), key=metered.get)
@@ -103,7 +91,6 @@ def _cmd_status(args) -> int:
         "governor": report["governor"],
         "cache": WRAPPER_CACHE.stats(),
         "obs": report["summary"],
-        "fleet": _fleet_section(args.seed),
     }
     if args.json:
         print(_json.dumps(status, indent=2, sort_keys=True))
@@ -141,13 +128,6 @@ def _cmd_status(args) -> int:
         "{} violation cluster(s)".format(
             obs["crossings"], obs["series"], obs["spans_kept"],
             obs["violation_clusters"],
-        )
-    )
-    fleet = status["fleet"]
-    print(
-        "fleet    : {} job(s) {}, utilization {:.0%}".format(
-            fleet["jobs"], "ok" if fleet["ok"] else "NOT OK",
-            fleet["utilization"],
         )
     )
     return 0

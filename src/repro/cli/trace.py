@@ -2,7 +2,40 @@
 
 from __future__ import annotations
 
-from repro.cli.fleet import fleet_options, positive
+import argparse
+from typing import Callable, Optional
+
+
+def positive(kind: type) -> Callable[[str], object]:
+    """An argparse ``type=`` taking a ``kind`` number above zero.
+
+    A timeout of 0 or less would race the scheduler's result poll, and
+    a journal cannot fsync every 0 records: both are usage errors.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                "must be greater than 0, got {}".format(text)
+            )
+        return value
+
+    # argparse names a value ``kind`` cannot parse by this name.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def fleet_options(workers: int, timeout: Optional[float]) -> dict:
+    """``fleet_*`` options for a command's ``--workers`` / ``--timeout``.
+
+    A ``--timeout`` run is watched work: at least one worker process
+    (only a process can be killed), each job killed after ``timeout``
+    seconds and never retried.
+    """
+    if timeout is None:
+        return {"workers": workers}
+    return {"workers": max(workers, 1), "timeout": timeout, "retries": 0}
 
 
 def _trace_record_one(target: str, observer):
@@ -61,44 +94,33 @@ def _cmd_trace_record(args) -> int:
 
 
 def _cmd_trace_replay(args) -> int:
+    from repro.fleet import fleet_replay
     from repro.fleet.merge import MissingPayloadError
-    from repro.trace.format import TraceFormatError
-    from repro.trace.replay import replay_path
+    from repro.fleet.scheduler import HANG
 
-    path, failure, code = args.paths[0], None, 1
-    options = fleet_options(args.workers, args.timeout)
-    if len(args.paths) == 1 and options["workers"] <= 0:
-        try:
-            files = [(path, replay_path(path, force=args.force))]
-        except (TraceFormatError, OSError) as exc:
-            failure = "{}: {}".format(type(exc).__name__, exc)
-    else:
-        # The fleet is the one runner: with no workers it runs the same
-        # jobs in this process; under --timeout each file is a watched
-        # job on a worker process, since only a process can be killed.
-        from repro.fleet import fleet_replay
-        from repro.fleet.scheduler import HANG
-
-        try:
-            merged, _ = fleet_replay(args.paths, force=args.force, **options)
-            files = merged.files
-        except MissingPayloadError as exc:
-            path = exc.outcome.job.params["path"]
-            failure = exc.outcome.detail
-            if exc.outcome.classification == HANG:
-                code = 124
-    if failure is not None:
-        # A failed fleet job's detail reads "<exception type>: <text>",
-        # so both paths print the same line for the same bad file.
-        print("REPLAY FAIL: {}: {}".format(path, failure))
-        return code
+    # The fleet is the one runner: with no workers it runs the jobs in
+    # this process; under --timeout each file is a watched job on a
+    # worker process, since only a process can be killed.
+    try:
+        merged, _ = fleet_replay(
+            args.paths, force=args.force,
+            **fleet_options(args.workers, args.timeout),
+        )
+    except MissingPayloadError as exc:
+        # The detail reads "<exception type>: <text>", or names the
+        # watchdog kill.
+        print("REPLAY FAIL: {}: {}".format(
+            exc.outcome.job.params["path"], exc.outcome.detail
+        ))
+        return 124 if exc.outcome.classification == HANG else 1
+    files = merged.files
     for _, result in files:
         for line in result.warnings:
             print(line)
     print("replayed {} events from {} trace(s)".format(
-        sum(result.event_count for _, result in files), len(files)
+        merged.event_count, len(files)
     ))
-    violations = [v for _, result in files for v in result.violations]
+    violations = merged.violations
     print("violations: {}".format(len(violations)))
     for report in violations:
         print("  " + report)

@@ -1,12 +1,12 @@
 """repro.fleet: a multi-process execution fabric.
 
-The fleet's workloads — replay shards, fuzz campaigns and bench
-trials — are typed :class:`~repro.fleet.jobs.Job` envelopes with
-deterministic IDs.  Every job executes on a
-:class:`~repro.fleet.scheduler.FleetScheduler`: one pending deque
-feeding every worker slot in submission order, one job in flight per
-worker over one pipe each, a wall-clock watchdog per job, and
-classified exits (clean / violation / crash / hang) with
+The fleet runs what ``trace replay`` and ``fuzz run`` hand it: replay
+shards and fuzz campaign slices, typed
+:class:`~repro.fleet.jobs.Job` envelopes with deterministic IDs.
+Every job executes on a :class:`~repro.fleet.scheduler.FleetScheduler`:
+one pending deque feeding every worker slot in submission order, one
+job in flight per worker over one pipe each, a wall-clock watchdog per
+job, and classified exits (clean / violation / crash / hang) with
 capped-backoff retry.  The scheduler is the one runner for parallel
 and watched work alike: ``trace replay --workers N`` / ``--timeout T``
 and ``fuzz run --workers N`` / ``--timeout T`` run here.  A run keeps
@@ -21,13 +21,12 @@ across 1, 2, or N workers.
 from repro.fleet.jobs import (
     JOB_KINDS,
     Job,
-    bench_trial_jobs,
     execute_job,
     fuzz_jobs,
     replay_jobs,
 )
-from repro.fleet.merge import merge_fuzz, merge_replay, violation_stream
-from repro.fleet.runner import fleet_fuzz, fleet_replay, fleet_smoke
+from repro.fleet.merge import merge_fuzz, merge_replay
+from repro.fleet.runner import fleet_fuzz, fleet_replay
 from repro.fleet.scheduler import FleetReport, FleetScheduler
 
 __all__ = [
@@ -35,14 +34,11 @@ __all__ = [
     "Job",
     "FleetReport",
     "FleetScheduler",
-    "bench_trial_jobs",
     "execute_job",
     "fuzz_jobs",
     "replay_jobs",
     "merge_fuzz",
     "merge_replay",
-    "violation_stream",
     "fleet_fuzz",
     "fleet_replay",
-    "fleet_smoke",
 ]

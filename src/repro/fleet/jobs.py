@@ -6,29 +6,27 @@ the canonical JSON of the envelope — so the same work submitted twice
 gets the same ID, and the merge layer can key results by ID with no
 registration step.
 
-Jobs are *seeded* (every kind that generates work carries the run
-seed explicitly) and *fingerprint-pinned* (replay jobs may carry the
-registry fingerprint the trace was recorded under, so a fleet of
-workers refuses stale traces exactly as a single process would).
+There are two kinds: a replay shard (one trace file) and a fuzz
+campaign slice.  A fuzz job carries the run seed explicitly.  A replay
+job needs no registry fingerprint: the trace's header carries the one
+it was recorded under, and :func:`repro.trace.replay.replay_path`
+refuses a stale trace from it, in a worker as in a single process.
 
-``execute_job`` is the worker-side entry point: it runs in the worker
-process, dispatches on ``job.kind``, and returns a plain-JSON payload.
-The ``die_once`` / ``raise_once`` params are test-only fault hooks,
-mirroring the ``die`` hook of
-:func:`repro.resilience.recover.journaled_fuzz_record`.
+``execute_job`` is the default executor: it runs one job in the
+calling process, dispatches on ``job.kind``, and returns a plain-JSON
+payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
 
 #: Every kind the fabric knows how to execute.
-JOB_KINDS = ("replay-shard", "fuzz-campaign", "bench-trial")
+JOB_KINDS = ("replay-shard", "fuzz-campaign")
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class Job:
     kind: str
     params: Dict[str, object] = field(default_factory=dict)
     seed: int = 0
-    fingerprint: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in JOB_KINDS:
@@ -53,7 +50,6 @@ class Job:
             "kind": self.kind,
             "params": self.params,
             "seed": self.seed,
-            "fingerprint": self.fingerprint,
         }
 
     @classmethod
@@ -62,7 +58,6 @@ class Job:
             kind=data["kind"],
             params=dict(data.get("params", {})),
             seed=data.get("seed", 0),
-            fingerprint=data.get("fingerprint"),
         )
 
     @cached_property
@@ -87,11 +82,7 @@ class Job:
 
 
 def replay_jobs(
-    paths: List[str],
-    *,
-    force: bool = False,
-    fingerprint: Optional[str] = None,
-    repeats: int = 1,
+    paths: List[str], *, force: bool = False, repeats: int = 1
 ) -> List[Job]:
     """One replay-shard job per trace file, in input order.
 
@@ -113,7 +104,6 @@ def replay_jobs(
             Job(
                 kind="replay-shard",
                 params={"path": path, "force": force, "repeats": repeats},
-                fingerprint=fingerprint,
             )
         )
     return jobs
@@ -167,48 +157,9 @@ def fuzz_jobs(
     return jobs
 
 
-def bench_trial_jobs(
-    seed: int, count: int, *, substrate: str = "pyc"
-) -> List[Job]:
-    """Self-contained generated-workload trials (no file dependencies)."""
-    return [
-        Job(
-            kind="bench-trial",
-            params={"substrate": substrate, "trial": index},
-            seed=seed,
-        )
-        for index in range(count)
-    ]
-
-
 # ----------------------------------------------------------------------
-# Worker-side execution
+# Execution
 # ----------------------------------------------------------------------
-
-
-def _fault_hooks(params: Dict[str, object]) -> None:
-    """Test-only crash/raise injection, keyed by a marker file.
-
-    ``die_once``/``raise_once`` name a path: the first execution to get
-    there creates the marker and dies (SIGKILL) or raises.  A death is
-    retried, and the retry finds the marker and proceeds — the
-    single-fault pattern the worker-death and retry tests drive; a raise
-    is never retried.
-    """
-    for key, action in (("die_once", "die"), ("raise_once", "raise")):
-        marker = params.get(key)
-        if not marker:
-            continue
-        try:
-            fd = os.open(str(marker), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue
-        os.close(fd)
-        if action == "die":
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise RuntimeError("fleet: injected one-shot failure")
 
 
 def _execute_replay_shard(job: Job) -> dict:
@@ -270,34 +221,12 @@ def _execute_fuzz_campaign(job: Job) -> dict:
     }
 
 
-def _execute_bench_trial(job: Job) -> dict:
-    from repro.fuzz.engine import run_ops, task_rng
-    from repro.fuzz.gen import generate_sequence
-
-    params = job.params
-    substrate = str(params.get("substrate", "pyc"))
-    sequence = generate_sequence(
-        task_rng(job.seed, "fleet-trial", substrate, params.get("trial", 0)),
-        substrate,
-    )
-    result = run_ops(substrate, sequence.ops)
-    return {
-        "kind": job.kind,
-        "trial": params.get("trial", 0),
-        "violations": list(result.live.reports),
-        "events": result.event_count,
-        "divergent": result.divergent,
-    }
-
-
 _EXECUTORS = {
     "replay-shard": _execute_replay_shard,
     "fuzz-campaign": _execute_fuzz_campaign,
-    "bench-trial": _execute_bench_trial,
 }
 
 
 def execute_job(job: Job) -> dict:
     """Run one job to completion in this process; returns its payload."""
-    _fault_hooks(job.params)
     return _EXECUTORS[job.kind](job)

@@ -100,19 +100,3 @@ def merge_fuzz(
         else:
             fault_parts.append(payload["part"])
     return assemble_report(seed, rounds, substrate, valid_parts, fault_parts)
-
-
-def violation_stream(report: FleetReport) -> List[str]:
-    """The canonical merged violation stream (submission order, seq
-    order within replay jobs) — the byte-identity surface the
-    determinism gates compare across worker counts."""
-    out: List[str] = []
-    for outcome in report.outcomes:
-        payload = outcome.payload
-        if payload is not None and "reports" in payload:
-            reports = sorted(payload["reports"], key=lambda item: item[0])
-            out.extend(text for _, text in reports)
-        else:
-            out.extend(outcome.violations)
-    return out
-

@@ -4,7 +4,7 @@ Topology: the parent owns one pending deque, in submission order, and
 one duplex pipe per worker slot.  Each pass of the one run loop hands
 every free slot the job at the head of the deque; due retries go to
 the back.  A slot holds at most one job in flight.  Workers are dumb
-executors — a child process looping ``recv job -> execute_job -> send
+executors — a child process looping ``recv job -> executor -> send
 result`` — so all scheduling state lives in one place and the merge
 layer can be exact.
 
@@ -20,7 +20,8 @@ is respawned at once.  A job that raises ends ``crash`` on its first
 attempt: its executor is deterministic (a corrupt trace fails the same
 way every time), so a retry would only repeat the work.  Dead workers
 and watchdog kills retry with capped deterministic backoff
-(:func:`backoff_delay`), scheduled non-blockingly so other jobs keep
+(:func:`backoff_delay`, from :data:`BACKOFF_BASE` seconds up to
+:data:`BACKOFF_CAP`), scheduled non-blockingly so other jobs keep
 flowing.  A job whose deaths or hangs exhaust the scheduler's
 ``retries`` budget ends with its failure classification, so one poison
 job can neither retry forever nor hold up the rest of the run: failing
@@ -31,13 +32,14 @@ that dies is run again from the start, the one recovery that yields
 the pinned answer.
 
 Determinism: the report lists jobs in submission order keyed by job
-ID, never completion order; busy seconds and worker attribution are
-load telemetry, excluded from the deterministic body.  Inline mode
-(``inline=True``) puts an in-process slot in each worker's place: its
-``send`` runs the job through an injectable executor at once, and the
-same run loop and backoff drive it on an injectable clock, so
-scheduler tests run on a :class:`repro.core.clock.FakeClock` with no
-real processes or stalls.
+ID, never completion order; busy seconds are load telemetry, excluded
+from the deterministic body.  Every slot runs the scheduler's one
+``executor`` (by default :func:`repro.fleet.jobs.execute_job`): a
+worker process calls it on each job it receives, and inline mode
+(``inline=True``) puts an in-process slot in each worker's place whose
+``send`` calls it at once.  The same run loop and backoff drive both,
+the inline one on an injectable clock, so scheduler tests run on a
+:class:`repro.core.clock.FakeClock` with no real processes or stalls.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ HANG = "hang"
 #: How long a parent result-wait blocks before re-checking liveness.
 _POLL_SECONDS = 0.05
 
+#: A retried job's first backoff, in seconds; each retry doubles it.
+BACKOFF_BASE = 0.05
+#: The longest backoff, in seconds, before jitter.
+BACKOFF_CAP = 2.0
+
 
 @dataclass
 class JobOutcome:
@@ -72,8 +79,7 @@ class JobOutcome:
     backoffs: List[float] = field(default_factory=list)
     payload: Optional[dict] = None
     detail: Optional[str] = None
-    #: Load telemetry (worker slot, CPU seconds) — never gated.
-    worker: Optional[int] = None
+    #: Load telemetry (CPU seconds) — never gated.
     busy_seconds: float = 0.0
 
     @property
@@ -98,25 +104,19 @@ class FleetReport:
     """Merged outcome of one fleet run.
 
     ``outcomes`` is in job submission order.  :meth:`to_json` is the
-    deterministic body — byte-identical across worker counts;
-    :meth:`load_json` is the telemetry sidecar (busy seconds,
-    utilization) that legitimately varies run to run.
+    deterministic body — byte-identical across worker counts; the busy
+    seconds per worker, and the CPU figures derived from them, are load
+    telemetry that legitimately varies run to run.
     """
 
     def __init__(
         self,
         outcomes: List[JobOutcome],
         *,
-        workers: int,
         worker_busy_seconds: Optional[List[float]] = None,
-        wall_seconds: float = 0.0,
-        spawn_seconds: float = 0.0,
     ):
         self.outcomes = outcomes
-        self.workers = workers
         self.worker_busy_seconds = worker_busy_seconds or []
-        self.wall_seconds = wall_seconds
-        self.spawn_seconds = spawn_seconds
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -174,23 +174,8 @@ class FleetReport:
             "events": self.events,
         }
 
-    def load_json(self) -> dict:
-        return {
-            "workers": self.workers,
-            "worker_busy_seconds": [
-                round(seconds, 6) for seconds in self.worker_busy_seconds
-            ],
-            "serial_cpu_seconds": round(self.serial_cpu_seconds, 6),
-            "critical_path_seconds": round(self.critical_path_seconds, 6),
-            "utilization": self.utilization,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "spawn_seconds": round(self.spawn_seconds, 6),
-        }
 
-
-def backoff_delay(
-    seed: int, name: str, attempt: int, *, base: float, cap: float
-) -> float:
+def backoff_delay(seed: int, name: str, attempt: int) -> float:
     """Capped exponential backoff with deterministic jitter.
 
     Jitter derives from ``(seed, name, attempt)``: two runs of the same
@@ -198,7 +183,7 @@ def backoff_delay(
     report irreproducible.
     """
     rng = task_rng(seed, "backoff", name, attempt)
-    delay = min(cap, base * (2 ** attempt))
+    delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
     return round(delay * (1.0 + 0.25 * rng.random()), 6)
 
 
@@ -221,7 +206,7 @@ def _run_one(executor: Callable[[Job], dict], job: Job, clock) -> tuple:
     return ("ok", payload, clock.process_time() - start)
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, executor: Callable[[Job], dict]) -> None:
     """The child: one job in, its result out, until told to stop.
 
     It waits by polling, and leaves once re-parented: this child and
@@ -237,18 +222,20 @@ def _worker_main(conn) -> None:
         entry = conn.recv()
         if entry is None:
             return
-        conn.send(_run_one(execute_job, Job.from_json(entry), SYSTEM_CLOCK))
+        conn.send(_run_one(executor, Job.from_json(entry), SYSTEM_CLOCK))
 
 
 class _ProcessSlot:
-    """One child process and the parent's end of its pipe."""
+    """One child process, running ``executor``, and the parent's end of
+    its pipe."""
 
-    def __init__(self):
+    def __init__(self, executor: Callable[[Job], dict]):
         import multiprocessing
 
+        self._executor = executor
         self.conn, child = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
-            target=_worker_main, args=(child,), daemon=True
+            target=_worker_main, args=(child, executor), daemon=True
         )
         self.proc.start()
         # The child now holds the only copy of its end: its death reads
@@ -277,7 +264,7 @@ class _ProcessSlot:
     def respawn(self) -> "_ProcessSlot":
         """A fresh process and pipe in the same slot."""
         self.stop(kill=True)
-        return _ProcessSlot()
+        return _ProcessSlot(self._executor)
 
     def stop(self, *, kill: bool = False) -> None:
         if self.proc.is_alive():
@@ -333,8 +320,6 @@ class FleetScheduler:
         workers: int = 2,
         seed: int = 0,
         retries: int = 1,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         timeout: float = 120.0,
         clock: Optional[Clock] = None,
         inline: bool = False,
@@ -347,10 +332,7 @@ class FleetScheduler:
         self.workers = max(1, workers)
         self.seed = seed
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
-        self.spawn_seconds = 0.0
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.inline = inline
         self.executor = executor if executor is not None else execute_job
@@ -393,7 +375,6 @@ class FleetScheduler:
         *,
         payload: Optional[dict] = None,
         detail: Optional[str] = None,
-        worker: Optional[int] = None,
         busy: float = 0.0,
     ) -> None:
         job_id = job.job_id
@@ -404,7 +385,6 @@ class FleetScheduler:
             backoffs=self._backoffs.get(job_id, []),
             payload=payload,
             detail=detail,
-            worker=worker,
             busy_seconds=busy,
         )
 
@@ -449,16 +429,11 @@ class FleetScheduler:
         self._busy[worker] += busy
         if status == "ok":
             self._finish(
-                job,
-                self._classify_payload(payload),
-                payload=payload,
-                worker=worker,
+                job, self._classify_payload(payload), payload=payload,
                 busy=busy,
             )
         else:
-            self._finish(
-                job, CRASH, detail=payload, worker=worker, busy=busy
-            )
+            self._finish(job, CRASH, detail=payload, busy=busy)
 
     def _check_liveness(self) -> None:
         """Respawn dead and hung workers; fail the job each one ran."""
@@ -499,15 +474,9 @@ class FleetScheduler:
         job_id = job.job_id
         attempt = self._attempts.get(job_id, 0)
         if attempt >= self.retries:
-            self._finish(job, classification, detail=detail, worker=worker)
+            self._finish(job, classification, detail=detail)
             return
-        delay = backoff_delay(
-            self.seed,
-            job_id,
-            attempt,
-            base=self.backoff_base,
-            cap=self.backoff_cap,
-        )
+        delay = backoff_delay(self.seed, job_id, attempt)
         self._attempts[job_id] = attempt + 1
         self._backoffs.setdefault(job_id, []).append(delay)
         self._retry_wait.append((now + delay, self._ordinal[job_id], job))
@@ -516,29 +485,22 @@ class FleetScheduler:
 
     def run(self) -> FleetReport:
         self._pending = deque(self.jobs)
-        started = self.clock.monotonic()
         if self.inline:
             self._slots = [
                 _InlineSlot(self.executor, self.clock)
                 for _ in range(self.workers)
             ]
         else:
-            self._slots = [_ProcessSlot() for _ in range(self.workers)]
-            self.spawn_seconds = self.clock.monotonic() - started
+            self._slots = [
+                _ProcessSlot(self.executor) for _ in range(self.workers)
+            ]
         try:
             self._loop()
         finally:
             for slot in self._slots:
                 slot.stop()
-        wall = self.clock.monotonic() - started
         outcomes = [self._outcomes[job.job_id] for job in self.jobs]
-        return FleetReport(
-            outcomes,
-            workers=self.workers,
-            worker_busy_seconds=list(self._busy),
-            wall_seconds=wall,
-            spawn_seconds=self.spawn_seconds,
-        )
+        return FleetReport(outcomes, worker_busy_seconds=list(self._busy))
 
     def _loop(self) -> None:
         """Push due retries, fill free slots, collect results, check

@@ -15,12 +15,15 @@ or use a false report.  So every crossing of a governed run is checked
 exactly as in an ungoverned one, and the meter only reports.
 
 :meth:`OverheadGovernor.report` lists each pair's calls and checked
-time, and as ``over_budget`` each pair whose checked time is more than
-``budget`` times the run's total metered checked time: the pairs that
-dominate checking cost.  At budget 1.0 no pair can exceed the total,
-so that list is empty.  A native method's pair (``native:<name>``)
-times the whole native, so its checked time includes that of the
-crossings the native makes, and the total counts those twice.
+time.  A native method's pair (``native:<name>``) times the whole
+native, so its checked time includes that of the crossings the native
+makes.  The report therefore ranks function pairs only: as
+``over_budget`` it lists each function pair whose checked time is more
+than ``budget`` times the function pairs' total, the pairs that
+dominate checking cost.  A native pair stays in ``pairs`` but never
+enters ``over_budget``, and its time never enters the total, which
+would count its crossings twice.  At budget 1.0 no pair can exceed
+the total, so the list is empty.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ class PairState:
         self.checked_ns = 0
 
 
+def function_pairs(pairs: dict) -> dict:
+    """``pairs`` without the native-method pairs, whose checked time
+    includes that of the crossings each native makes."""
+    return {
+        name: pair for name, pair in pairs.items()
+        if not name.startswith("native:")
+    }
+
+
 class OverheadGovernor:
     """Meters the checked time of every governed entry, per pair."""
 
@@ -78,13 +90,14 @@ class OverheadGovernor:
         return state
 
     def report(self) -> Dict[str, object]:
+        functions = function_pairs(self.pairs)
         limit = self.policy.budget * sum(
-            state.checked_ns for state in self.pairs.values()
+            state.checked_ns for state in functions.values()
         )
         return {
             "budget": self.policy.budget,
             "over_budget": sorted(
-                name for name, state in self.pairs.items()
+                name for name, state in functions.items()
                 if state.checked_ns > limit
             ),
             "pairs": {

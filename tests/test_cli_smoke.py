@@ -9,7 +9,6 @@ import pytest
 
 from repro.cli import (
     _COMMANDS,
-    _FLEET_COMMANDS,
     _FUZZ_COMMANDS,
     _OBS_COMMANDS,
     _PIPELINE_COMMANDS,
@@ -265,30 +264,6 @@ class TestResilienceSubcommands:
         assert '"budget"' in printed
 
 
-class TestFleetSubcommands:
-    def test_run_smoke_gate(self, capsys):
-        assert main(["fleet", "run", "--smoke", "--workers", "2"]) == 0
-        printed = capsys.readouterr().out
-        assert "stream identical" in printed
-        assert "gate: PASS" in printed
-
-    def test_run_needs_kind_or_smoke(self, capsys):
-        # `--smoke` is required: `fleet run` is only the CI smoke.
-        with pytest.raises(SystemExit) as exc:
-            main(["fleet", "run"])
-        assert exc.value.code == 2
-        assert "usage: repro fleet run" in capsys.readouterr().err
-
-    def test_workers_inline(self, capsys):
-        assert main(
-            ["fleet", "workers", "--workers", "0", "--trials", "2"]
-        ) == 0
-        printed = capsys.readouterr().out
-        assert "trial job(s)" in printed
-        assert "busy" in printed
-        assert "dead_letter" not in printed
-
-
 class TestObsSubcommands:
     OBS_RUN = ["--substrate", "pyc", "--repeats", "2", "--fake-clock"]
 
@@ -358,10 +333,9 @@ class TestStatusCommand:
     def test_status_text_rollup(self, capsys):
         assert main(["status"] + self.STATUS_RUN) == 0
         printed = capsys.readouterr().out
-        for section in (
-            "workload", "pipeline", "governor", "cache", "obs", "fleet",
-        ):
+        for section in ("workload", "pipeline", "governor", "cache", "obs"):
             assert section in printed
+        assert "fleet" not in printed
         # Where the time went: the meter's top pair and its budget.
         (governor,) = [
             line for line in printed.splitlines()
@@ -380,8 +354,9 @@ class TestStatusCommand:
         assert status["pipeline"]["pipeline"] == "fused"
         assert status["obs"]["crossings"] > 0
         assert set(status["governor"]) == {"budget", "over_budget", "pairs"}
-        assert status["fleet"]["ok"] is True
-        assert not any(key.startswith("queue_") for key in status["fleet"])
+        assert set(status) == {
+            "schema", "workload", "pipeline", "governor", "cache", "obs",
+        }
 
 
 class TestJsonSurfaces:
@@ -452,11 +427,9 @@ def test_pre_split_surface_still_parses(argv):
     assert args.command == argv[0]
 
 
-#: The fleet-era additions: the fleet group plus the --workers flags
-#: grafted onto the pre-existing commands.
+#: The fleet-era additions: the --workers flags grafted onto the
+#: pre-existing commands.
 FLEET_ERA_ARGVS = [
-    ["fleet", "workers", "--workers", "0", "--trials", "2",
-     "--substrate", "jni", "--seed", "1"],
     ["trace", "replay", "a", "b", "--workers", "2", "--force"],
     ["fuzz", "run", "--workers", "2", "--substrate", "pyc"],
 ]
@@ -495,10 +468,11 @@ def test_non_positive_values_are_usage_errors(argv, flag, capsys):
 
 
 #: Parallel runners other than the fleet are gone: `trace replay
-#: --workers N` and `fuzz run --workers N` replace these flags, and
-#: `fleet run` is only the smoke.  Chaos and corpus builds run in one
-#: process (`resilience chaos`, `fuzz corpus`).  Each argv comes with
-#: the error argparse rejects it with.
+#: --workers N` and `fuzz run --workers N` replace these flags.  Chaos
+#: and corpus builds run in one process (`resilience chaos`, `fuzz
+#: corpus`).  The `fleet` command group went last, so each `fleet run`
+#: argv is now rejected at its command name.  Each argv comes with the
+#: error argparse rejects it with.
 REMOVED_ARGVS = [
     (["trace", "replay", "a", "b", "--shards", "2"],
      "unrecognized arguments"),
@@ -507,21 +481,19 @@ REMOVED_ARGVS = [
      "invalid choice"),
     (["fleet", "run", "--kind", "fuzz", "--seed", "1", "--rounds", "2",
       "--substrate", "pyc"],
-     "required: --smoke"),
+     "invalid choice"),
     (["fleet", "run", "--kind", "chaos", "--substrate", "both"],
-     "required: --smoke"),
+     "invalid choice"),
     (["fleet", "run", "--kind", "corpus", "-o", "d", "--seed", "1"],
-     "required: --smoke"),
-    (["fleet", "run", "--kind", "replay", "a"], "required: --smoke"),
-    (["fleet", "run", "--smoke", "--kind", "fuzz"],
-     "unrecognized arguments"),
+     "invalid choice"),
+    (["fleet", "run", "--kind", "replay", "a"], "invalid choice"),
+    (["fleet", "run", "--smoke", "--kind", "fuzz"], "invalid choice"),
     # A fleet run keeps no state on disk: no queue to mirror into.
-    (["fleet", "run", "--smoke", "--queue", "q"], "unrecognized arguments"),
-    (["fleet", "run", "--smoke", "--sync", "group"],
-     "unrecognized arguments"),
+    (["fleet", "run", "--smoke", "--queue", "q"], "invalid choice"),
+    (["fleet", "run", "--smoke", "--sync", "group"], "invalid choice"),
     # A worker holds one job at a time: nothing to batch.
     (["fleet", "run", "--smoke", "--workers", "2", "--batch", "4", "--json"],
-     "unrecognized arguments"),
+     "invalid choice"),
 ]
 
 #: Watched work runs on the fleet: `fuzz run --timeout T` and `trace
@@ -529,6 +501,8 @@ REMOVED_ARGVS = [
 #: replaces `resilience recover`, and interpretive checking is replay's,
 #: not a live `--mode`.  The job queue went with the five commands that
 #: inspected, drained, fault-injected, compacted and dead-lettered it.
+#: The fleet is a library behind `trace replay` and `fuzz run`: its
+#: corpus smoke and its trial-job load report went with the group.
 REMOVED_COMMANDS = [
     ["resilience", "supervise", "fuzz:1"],
     ["resilience", "recover", "j", "-o", "t"],
@@ -538,6 +512,8 @@ REMOVED_COMMANDS = [
     ["fleet", "chaos", "--smoke"],
     ["fleet", "compact", "--queue", "q"],
     ["fleet", "dlq", "list", "--queue", "q"],
+    ["fleet", "run", "--smoke", "--workers", "2"],
+    ["fleet", "workers", "--workers", "4"],
 ]
 
 
@@ -563,7 +539,7 @@ def test_removed_commands_are_rejected(argv, capsys):
 class TestCommandSurfaceIsCovered:
     def test_every_top_level_command_is_smoked(self):
         smoked = {argv[0] for argv in SIMPLE_COMMANDS} | {
-            "trace", "fuzz", "resilience", "fleet", "obs", "status",
+            "trace", "fuzz", "resilience", "obs", "status",
         }
         assert smoked == set(_COMMANDS)
 
@@ -578,10 +554,6 @@ class TestCommandSurfaceIsCovered:
     def test_every_resilience_subcommand_is_smoked(self):
         smoked = {"chaos", "status"}
         assert smoked == set(_RESILIENCE_COMMANDS)
-
-    def test_every_fleet_subcommand_is_smoked(self):
-        smoked = {"run", "workers"}
-        assert smoked == set(_FLEET_COMMANDS)
 
     def test_every_pipeline_subcommand_is_smoked(self):
         smoked = {"show"}

@@ -8,8 +8,14 @@ identical triage cluster IDs, and identical ObsHub triage snapshots.
 The exactly-once class SIGKILLs a worker mid-job and proves the report
 still holds every job exactly once.  A run keeps its state in memory:
 no runner takes a queue.
+
+Faults are injected through the scheduler's one injection point,
+``FleetScheduler(executor=...)``: :func:`die_or_raise_once` is the
+executor the worker-death and raise tests run in their worker
+processes.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,19 +31,20 @@ import pytest
 
 from repro.core.clock import FakeClock
 from repro.fleet import (
+    JOB_KINDS,
     FleetReport,
     FleetScheduler,
     Job,
-    bench_trial_jobs,
+    execute_job,
     fleet_fuzz,
     fleet_replay,
-    fleet_smoke,
     fuzz_jobs,
     merge_replay,
     replay_jobs,
-    violation_stream,
 )
 from repro.fleet.scheduler import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
     CLEAN,
     CRASH,
     HANG,
@@ -50,6 +57,37 @@ from repro.obs import ObsHub
 from repro.obs.triage import ViolationTriage
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
+#: One shipped corpus trace; its replay re-fires one violation.
+LEAK_MONITOR = os.path.join(CORPUS_DIR, "leak_monitor.trace")
+
+
+def placeholder_jobs(count):
+    """Replay jobs over paths no one opens: for fake executors."""
+    return replay_jobs(["{}.trace".format(n) for n in range(count)])
+
+
+def die_or_raise_once(job):
+    """An executor that fails a job once, keyed by a marker file.
+
+    A ``die_once`` or ``raise_once`` param names a path: the first run
+    to create it SIGKILLs its worker or raises.  A death is retried, and
+    the retry finds the marker and runs the job through
+    :func:`repro.fleet.execute_job`; a raise is never retried.
+    Module-level, so worker processes run it.
+    """
+    for key in ("die_once", "raise_once"):
+        marker = job.params.get(key)
+        if not marker:
+            continue
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            continue
+        os.close(fd)
+        if key == "die_once":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("injected one-shot failure")
+    return execute_job(job)
 
 
 # ----------------------------------------------------------------------
@@ -59,9 +97,9 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
 
 class TestJobEnvelope:
     def test_id_is_content_derived(self):
-        a = Job(kind="bench-trial", params={"trial": 0}, seed=1)
-        b = Job(kind="bench-trial", params={"trial": 0}, seed=1)
-        c = Job(kind="bench-trial", params={"trial": 1}, seed=1)
+        a = Job(kind="replay-shard", params={"path": "a.trace"}, seed=1)
+        b = Job(kind="replay-shard", params={"path": "a.trace"}, seed=1)
+        c = Job(kind="replay-shard", params={"path": "b.trace"}, seed=1)
         assert a.job_id == b.job_id
         assert a.job_id != c.job_id
         assert len(a.job_id) == 16
@@ -70,7 +108,7 @@ class TestJobEnvelope:
         job = Job(
             kind="replay-shard",
             params={"path": "t.trace", "force": True},
-            fingerprint="abc",
+            seed=3,
         )
         back = Job.from_json(json.loads(json.dumps(job.to_json())))
         assert back == job
@@ -79,6 +117,13 @@ class TestJobEnvelope:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Job(kind="mine-bitcoin")
+
+    def test_two_kinds_three_fields(self):
+        # The fleet runs what `trace replay` and `fuzz run` hand it.
+        assert JOB_KINDS == ("replay-shard", "fuzz-campaign")
+        assert [f.name for f in dataclasses.fields(Job)] == [
+            "kind", "params", "seed",
+        ]
 
     def test_describe_names_kind_and_id(self):
         job = Job(kind="fuzz-campaign", seed=3)
@@ -131,12 +176,12 @@ class TestInlineScheduler:
     def test_raising_job_is_not_retried(self):
         # The executor would succeed the second time, but a raise is a
         # crash on the first attempt: retries are for deaths and hangs.
-        job = bench_trial_jobs(3, 1)[0]
+        (job,) = placeholder_jobs(1)
         executor, calls = _flaky_executor(fail_first={job.job_id})
         clock = FakeClock()
         scheduler = FleetScheduler(
-            [job], workers=1, seed=3, retries=2, backoff_base=0.05,
-            backoff_cap=2.0, clock=clock, inline=True, executor=executor,
+            [job], workers=1, seed=3, retries=2, clock=clock, inline=True,
+            executor=executor,
         )
         report = scheduler.run()
         outcome = report.outcomes[0]
@@ -149,13 +194,16 @@ class TestInlineScheduler:
         assert not report.ok
 
     def test_backoff_delay_deterministic_and_capped(self):
-        a = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
-        b = backoff_delay(1, "s", 4, base=0.05, cap=0.2)
+        # 0.05 s doubled six times is 3.2 s, over the 2 s cap.
+        a = backoff_delay(1, "s", 6)
+        b = backoff_delay(1, "s", 6)
         assert a == b
-        assert a <= 0.2 * 1.25
+        assert BACKOFF_CAP <= a <= BACKOFF_CAP * 1.25
+        first = backoff_delay(1, "s", 0)
+        assert BACKOFF_BASE <= first <= BACKOFF_BASE * 1.25
 
     def test_violating_payload_classifies_violation(self):
-        job = bench_trial_jobs(5, 1)[0]
+        (job,) = placeholder_jobs(1)
         executor, _ = _flaky_executor(
             violations={job.job_id: ["machine=x state=bad"]}
         )
@@ -170,7 +218,7 @@ class TestInlineScheduler:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_slots_take_jobs_in_submission_order(self, workers):
-        jobs = bench_trial_jobs(6, 6)
+        jobs = placeholder_jobs(6)
         ran = []
 
         def record(job):
@@ -185,12 +233,12 @@ class TestInlineScheduler:
         assert ran == [job.job_id for job in jobs]
 
     def test_duplicate_job_ids_rejected_at_submission(self):
-        job = bench_trial_jobs(7, 1)[0]
+        (job,) = placeholder_jobs(1)
         with pytest.raises(ValueError):
             FleetScheduler([job, job], inline=True)
 
     def test_inline_report_identical_across_worker_counts(self):
-        jobs = bench_trial_jobs(8, 6)
+        jobs = placeholder_jobs(6)
         bodies = []
         for workers in (1, 2, 3):
             executor, _ = _flaky_executor()
@@ -200,16 +248,6 @@ class TestInlineScheduler:
             ).run()
             bodies.append(json.dumps(report.to_json(), sort_keys=True))
         assert bodies[0] == bodies[1] == bodies[2]
-
-    def test_report_spawn_seconds_roundtrips(self):
-        executor, _ = _flaky_executor()
-        report = FleetScheduler(
-            bench_trial_jobs(5, 2), workers=1, clock=FakeClock(),
-            inline=True, executor=executor,
-        ).run()
-        body = report.load_json()
-        assert "spawn_seconds" in body
-        assert body["spawn_seconds"] == 0.0  # inline mode spawns nothing
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +275,19 @@ def _replay_outcome(path, reports, events=0):
 
 class TestMerge:
     def test_stream_restores_trace_seq_order(self):
-        outcome = _replay_outcome("t.trace", [(2, "second"), (1, "first")])
-        report = FleetReport([outcome], workers=1)
-        assert violation_stream(report) == ["first", "second"]
+        # Replay reports a file's violations in trace sequence order,
+        # and the merge keeps that order.
+        path = os.path.join(CORPUS_DIR, "drop_delete_local.trace")
+        (job,) = replay_jobs([path])
+        payload = execute_job(job)
+        seqs = [seq for seq, _ in payload["reports"]]
+        assert len(seqs) == 2 and seqs == sorted(seqs)
+        outcome = JobOutcome(
+            job=job, classification=VIOLATION, payload=payload
+        )
+        assert merge_replay(FleetReport([outcome])).violations == [
+            text for _, text in payload["reports"]
+        ]
 
     def test_merge_replay_keeps_submission_order(self):
         report = FleetReport(
@@ -247,7 +295,6 @@ class TestMerge:
                 _replay_outcome("b.trace", [(1, "from-b")], events=4),
                 _replay_outcome("a.trace", [(1, "from-a")], events=3),
             ],
-            workers=2,
         )
         merged = merge_replay(report)
         assert merged.violations == ["from-b", "from-a"]
@@ -257,7 +304,7 @@ class TestMerge:
         job = replay_jobs(["t.trace"])[0]
         crashed = JobOutcome(job=job, classification=CRASH, payload=None)
         with pytest.raises(ValueError):
-            merge_replay(FleetReport([crashed], workers=1))
+            merge_replay(FleetReport([crashed]))
 
 
 # ----------------------------------------------------------------------
@@ -293,15 +340,12 @@ class TestSingleProcessParity:
     def test_runners_take_no_queue(self, tmp_path):
         # A run keeps its state in memory; one that dies is run again.
         path = str(tmp_path / "fleet.queue")
-        trace = os.path.join(CORPUS_DIR, "leak_monitor.trace")
+        trace = LEAK_MONITOR
         runs = (
             lambda **option: fleet_fuzz(
                 7, rounds=1, substrate="pyc", workers=0, **option
             ),
             lambda **option: fleet_replay([trace], workers=0, **option),
-            lambda **option: fleet_smoke(
-                workers=0, corpus_dir=CORPUS_DIR, **option
-            ),
         )
         for run in runs:
             for option in ({"queue_path": path}, {"sync": "group"}):
@@ -315,17 +359,14 @@ class TestSingleProcessParity:
 # ----------------------------------------------------------------------
 
 
-def _cluster_ids(report):
+def _cluster_ids(merged):
     triage = ViolationTriage()
-    return [
-        triage.ingest_report_line(line)
-        for line in violation_stream(report)
-    ]
+    return [triage.ingest_report_line(line) for line in merged.violations]
 
 
-def _deterministic_snapshot(report):
+def _deterministic_snapshot(merged):
     hub = ObsHub(clock=FakeClock())
-    for line in violation_stream(report):
+    for line in merged.violations:
         hub.triage.ingest_report_line(line)
     return hub.snapshot()
 
@@ -344,8 +385,8 @@ class TestWorkerCountDeterminism:
 
     def test_streams_identical_across_worker_counts(self, runs):
         (stream, _), results = runs
-        for workers, (_, report) in results.items():
-            assert violation_stream(report) == stream, workers
+        for workers, (merged, _) in results.items():
+            assert merged.violations == stream, workers
 
     def test_event_counts_match_baseline(self, runs):
         (_, events), results = runs
@@ -363,8 +404,8 @@ class TestWorkerCountDeterminism:
     def test_triage_cluster_ids_identical(self, runs):
         _, results = runs
         ids = {
-            workers: _cluster_ids(report)
-            for workers, (_, report) in results.items()
+            workers: _cluster_ids(merged)
+            for workers, (merged, _) in results.items()
         }
         reference = ids[self.WORKER_COUNTS[0]]
         assert reference  # the corpus re-fires real violations
@@ -373,8 +414,8 @@ class TestWorkerCountDeterminism:
     def test_obs_snapshots_identical(self, runs):
         _, results = runs
         snapshots = [
-            json.dumps(_deterministic_snapshot(report), sort_keys=True)
-            for _, report in results.values()
+            json.dumps(_deterministic_snapshot(merged), sort_keys=True)
+            for merged, _ in results.values()
         ]
         assert len(set(snapshots)) == 1
 
@@ -407,7 +448,6 @@ class TestCorpusReplay:
         assert report.ok
         assert len(merged.files) == 22
         assert merged.violations == stream
-        assert violation_stream(report) == stream
         assert merged.event_count == events
         entries = load_manifest(CORPUS_DIR)["entries"]
         for (path, result), entry in zip(merged.files, entries):
@@ -421,15 +461,14 @@ class TestCorpusReplay:
 class TestExactlyOnceUnderWorkerDeath:
     def test_sigkilled_worker_still_acks_exactly_once(self, tmp_path):
         marker = str(tmp_path / "die.marker")
-        jobs = bench_trial_jobs(11, 4)
+        paths, _, _ = corpus_baseline(CORPUS_DIR)
+        jobs = replay_jobs(paths[:4])
         jobs.append(Job(
-            kind="bench-trial",
-            params={"substrate": "pyc", "trial": 99, "die_once": marker},
-            seed=11,
+            kind="replay-shard",
+            params={"path": LEAK_MONITOR, "die_once": marker},
         ))
         report = FleetScheduler(
-            jobs, workers=2, seed=11, retries=1,
-            backoff_base=0.01, backoff_cap=0.02,
+            jobs, workers=2, seed=11, retries=1, executor=die_or_raise_once,
         ).run()
         assert report.ok
         # Every job once, in submission order, whatever order they
@@ -441,12 +480,6 @@ class TestExactlyOnceUnderWorkerDeath:
             assert outcome.classification in (CLEAN, VIOLATION)
         victim = report.outcomes[-1]
         assert victim.attempts == 2  # died once, recovered once
-
-    def test_smoke_gate_passes_on_two_workers(self):
-        smoke = fleet_smoke(workers=2, corpus_dir=CORPUS_DIR)
-        assert smoke["ok"]
-        assert smoke["stream_identical"]
-        assert smoke["counts"][CRASH] == 0
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +504,7 @@ class TestProcessWatchdog:
         # replay job hangs until the watchdog kills its worker.
         fifo = str(tmp_path / "hang.trace")
         os.mkfifo(fifo)
-        good = os.path.join(CORPUS_DIR, "leak_monitor.trace")
+        good = LEAK_MONITOR
         report = FleetScheduler(
             replay_jobs([fifo, good]), workers=1, timeout=1.0, retries=0
         ).run()
@@ -518,19 +551,17 @@ class TestProcessWatchdog:
             assert "watchdog" not in outcome.detail
 
     def test_idle_worker_exits_when_its_parent_dies(self, tmp_path):
-        # A parent runs [trial, FIFO] on two workers and SIGKILLs itself
-        # once the trial is done.  Slot 1, forked after slot 0, holds a
-        # copy of slot 0's parent end: idle slot 0 reads no EOF even if
-        # it closed its own copy.
+        # A parent runs [corpus trace, FIFO] on two workers and SIGKILLs
+        # itself once the trace's replay is done.  Slot 1, forked after
+        # slot 0, holds a copy of slot 0's parent end: idle slot 0 reads
+        # no EOF even if it closed its own copy.
         fifo = str(tmp_path / "hang.trace")
         os.mkfifo(fifo)
         pids_path = str(tmp_path / "pids.json")
         script = textwrap.dedent("""
             import json, os, signal, sys, threading, time
-            from repro.fleet import FleetScheduler, bench_trial_jobs
-            from repro.fleet import replay_jobs
-            jobs = bench_trial_jobs(1, 1)
-            jobs += replay_jobs([sys.argv[1]])
+            from repro.fleet import FleetScheduler, replay_jobs
+            jobs = replay_jobs([sys.argv[3], sys.argv[1]])
             scheduler = FleetScheduler(jobs, workers=2, timeout=600.0)
 
             def die_once_idle():
@@ -548,7 +579,7 @@ class TestProcessWatchdog:
             sys.modules["repro"].__file__
         )))
         proc = subprocess.run(
-            [sys.executable, "-c", script, fifo, pids_path],
+            [sys.executable, "-c", script, fifo, pids_path, LEAK_MONITOR],
             env=dict(os.environ, PYTHONPATH=src),
             timeout=120,
         )
@@ -573,25 +604,23 @@ class TestProcessWatchdog:
         # Two jobs on one worker: the first finishes, the second,
         # dispatched when the first one's result arrives, SIGKILLs its
         # worker.  The blame must land on the job that was running.
-        ok = Job(kind="bench-trial", params={"substrate": "pyc", "trial": 0})
+        (ok,) = replay_jobs([LEAK_MONITOR])
         killer = Job(
-            kind="bench-trial",
-            params={"substrate": "pyc", "trial": 1,
+            kind="replay-shard",
+            params={"path": LEAK_MONITOR,
                     "die_once": str(tmp_path / "die.marker")},
         )
         report = FleetScheduler(
             [ok, killer], workers=1, retries=retries,
-            backoff_base=0.01, backoff_cap=0.02,
+            executor=die_or_raise_once,
         ).run()
         healthy, victim = report.outcomes
-        assert healthy.classification == CLEAN
+        assert healthy.classification == VIOLATION
         assert healthy.attempts == 1
         if retries:
-            assert victim.classification in (CLEAN, VIOLATION)
+            assert victim.classification == VIOLATION
             assert victim.attempts == 2
-            assert victim.backoffs == [
-                backoff_delay(0, killer.job_id, 0, base=0.01, cap=0.02)
-            ]
+            assert victim.backoffs == [backoff_delay(0, killer.job_id, 0)]
         else:
             assert victim.classification == CRASH
             assert victim.detail == "worker 0 died (exitcode {})".format(
@@ -603,11 +632,13 @@ class TestProcessWatchdog:
     def test_raising_job_is_a_crash_with_detail(self, tmp_path, retries):
         # A raise is deterministic: never retried, whatever the budget.
         job = Job(
-            kind="bench-trial",
-            params={"substrate": "pyc", "trial": 0,
+            kind="replay-shard",
+            params={"path": LEAK_MONITOR,
                     "raise_once": str(tmp_path / "raise.marker")},
         )
-        report = FleetScheduler([job], workers=1, retries=retries).run()
+        report = FleetScheduler(
+            [job], workers=1, retries=retries, executor=die_or_raise_once
+        ).run()
         outcome = report.outcomes[0]
         assert outcome.classification == CRASH
         assert outcome.detail.startswith("RuntimeError:")

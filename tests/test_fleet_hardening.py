@@ -26,8 +26,9 @@ from repro.core.store import (
     InjectedFault,
     Store,
 )
-from repro.fleet import FleetScheduler, Job, bench_trial_jobs
+from repro.fleet import FleetScheduler, replay_jobs
 from repro.fleet.scheduler import CLEAN, CRASH
+from tests.test_fleet import placeholder_jobs
 
 LEAK_MONITOR = os.path.join(
     os.path.dirname(__file__), "data", "fuzz_corpus", "leak_monitor.trace"
@@ -37,10 +38,6 @@ LEAK_MONITOR = os.path.join(
 def checksum_less(json_line):
     """A record with no checksum token: ``"<byte_len> <json>\\n"``."""
     return "{} {}\n".format(len(json_line.encode("utf-8")), json_line)
-
-
-def _jobs(n, seed=11):
-    return bench_trial_jobs(seed, n)
 
 
 # ----------------------------------------------------------------------
@@ -186,12 +183,8 @@ class TestFaultyStore:
 
 class TestRetryBudget:
     def test_poison_job_ends_crash_beside_clean_jobs(self):
-        healthy = _jobs(3)
-        poison = Job(
-            kind="bench-trial",
-            params={"substrate": "pyc", "trial": 999},
-            seed=11,
-        )
+        healthy = placeholder_jobs(3)
+        (poison,) = replay_jobs(["poison.trace"])
         jobs = healthy[:2] + [poison] + healthy[2:]
         calls = []
 
@@ -202,9 +195,8 @@ class TestRetryBudget:
             return {"violations": [], "events": 1}
 
         report = FleetScheduler(
-            jobs, workers=2, seed=11, retries=2, backoff_base=0.01,
-            backoff_cap=0.05, clock=FakeClock(), inline=True,
-            executor=executor,
+            jobs, workers=2, seed=11, retries=2, clock=FakeClock(),
+            inline=True, executor=executor,
         ).run()
         outcomes = {o.job.job_id: o for o in report.outcomes}
         outcome = outcomes[poison.job_id]
@@ -224,7 +216,7 @@ class TestRetryBudget:
     def test_failing_jobs_wait_only_for_their_backoff(self, retries):
         # Eight always-raising jobs on one slot: each ends at its first
         # attempt, so the run has no backoff to wait for.
-        jobs = _jobs(8, seed=12)
+        jobs = placeholder_jobs(8)
 
         def always_fail(job):
             raise RuntimeError("corrupt input")

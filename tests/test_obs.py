@@ -539,19 +539,19 @@ def _without_cache_gauges(snapshot):
 PINNED_OBSERVED = {
     ("jni", 7): (
         "62a971948a1dca9a9c2f147bd64fc4552e3bdc8ef99c6651783b8843acf093e5",
-        "7bc8081b84275749bf3876964eb92d60005d8688a5cc86e1dbf3110bb41c9ef5",
+        "5e06948c4523702fe2ec7924cae5cb672eae93cec9fa382f3111345eea00515b",
     ),
     ("jni", 2026): (
         "08ed3d9092b5b9ce6a2cf8609f7c69ce338e1fd79a7f647606edf5a29a28e86c",
-        "55f57570b90adaed93365facad8863da939e82f08ba36b97e7a1d4d73f0e73d6",
+        "039ec70623a98b19e8f40dbdc2260b09830b688aa70324f26ea96c496cc7c46c",
     ),
     ("pyc", 7): (
         "b05d387dcdc27c2a260ba59932f5013f0e8cad58e145d15219cdae7e007f2e43",
-        "6d5cf46a76bc7a90f93f2409535ea6e2dee75fe1927bc1d4cbca1726385d8197",
+        "94690925813d5b29c37c48222477dec67a019dc4f2430d1b88813d9ddee366f4",
     ),
     ("pyc", 2026): (
         "32555587cc38761e6d4fabd466175ede1f3fba2edbbdefc005bd6fe11d0590da",
-        "05f593b5d24ccbf5b0f03ba6594d9d827d6bc2e2e69b355d1d6796d6a8a37a40",
+        "ac220ee690b99fdaf34955db112c2be0c508938e3c0bb42c6137ab536a62b4ae",
     ),
 }
 

@@ -25,7 +25,13 @@ from repro.core.runtime import (
 )
 from repro.core.clock import FakeClock
 from repro.fleet import FleetScheduler, Job, fuzz_jobs, replay_jobs
-from repro.fleet.scheduler import CLEAN, CRASH, HANG, backoff_delay
+from repro.fleet.scheduler import (
+    CLEAN,
+    CRASH,
+    HANG,
+    VIOLATION,
+    backoff_delay,
+)
 from repro.fsm.events import Direction
 from repro.fsm.machine import (
     EntitySelector,
@@ -52,6 +58,7 @@ from repro.resilience import (
     injector_plan,
 )
 from repro.resilience.governor import PairState
+from tests.test_fleet import die_or_raise_once
 
 
 def _pyc_sequence(seed=5):
@@ -237,10 +244,11 @@ CORPUS_DIR = os.path.join(os.path.dirname(__file__), "data", "fuzz_corpus")
 
 
 def _die_job(tmp_path):
-    """A job whose worker SIGKILLs itself on the first attempt."""
+    """A corpus replay job whose worker SIGKILLs itself on the first
+    attempt, when run by :func:`tests.test_fleet.die_or_raise_once`."""
     return Job(
-        kind="bench-trial",
-        params={"substrate": "pyc", "trial": 0,
+        kind="replay-shard",
+        params={"path": os.path.join(CORPUS_DIR, "leak_monitor.trace"),
                 "die_once": str(tmp_path / "die.marker")},
     )
 
@@ -270,7 +278,8 @@ class TestSupervisor:
 
     def test_crash_shard_classified_by_signal(self, tmp_path):
         report = FleetScheduler(
-            [_die_job(tmp_path)], workers=1, timeout=30.0, retries=0
+            [_die_job(tmp_path)], workers=1, timeout=30.0, retries=0,
+            executor=die_or_raise_once,
         ).run()
         outcome = report.outcomes[0]
         assert outcome.classification == CRASH
@@ -283,7 +292,6 @@ class TestSupervisor:
         # last attempt's.
         report = FleetScheduler(
             [_hang_job(tmp_path)], workers=1, timeout=0.5, retries=1,
-            backoff_base=0.01, backoff_cap=0.05,
         ).run()
         outcome = report.outcomes[0]
         assert outcome.classification == HANG
@@ -292,23 +300,21 @@ class TestSupervisor:
 
     def test_retries_with_deterministic_backoff(self, tmp_path):
         # The worker dies on the first attempt; the retry, after one
-        # deterministic backoff, completes.
+        # deterministic backoff, replays the trace and its violation.
         job = _die_job(tmp_path)
         report = FleetScheduler(
-            [job], workers=1, timeout=30.0, retries=2, backoff_base=0.01,
-            backoff_cap=0.05, seed=42,
+            [job], workers=1, timeout=30.0, retries=2, seed=42,
+            executor=die_or_raise_once,
         ).run()
         outcome = report.outcomes[0]
-        assert outcome.classification == CLEAN
+        assert outcome.classification == VIOLATION
         assert outcome.attempts == 2
-        assert outcome.backoffs == [
-            backoff_delay(42, job.job_id, 0, base=0.01, cap=0.05)
-        ]
+        assert outcome.backoffs == [backoff_delay(42, job.job_id, 0)]
 
     def test_incident_report_merges_and_redacts_timing(self, tmp_path):
         report = FleetScheduler(
             [_die_job(tmp_path), _hang_job(tmp_path)], workers=1,
-            timeout=0.5, retries=0,
+            timeout=0.5, retries=0, executor=die_or_raise_once,
         ).run()
         assert report.counts[CRASH] == 1
         assert report.counts[HANG] == 1
@@ -321,11 +327,11 @@ class TestSupervisor:
         # retry on its clock.
         clock = FakeClock()
         report = FleetScheduler(
-            [_die_job(tmp_path)], workers=1, retries=2, backoff_base=0.01,
-            backoff_cap=0.05, seed=7, clock=clock,
+            [_die_job(tmp_path)], workers=1, retries=2, seed=7, clock=clock,
+            executor=die_or_raise_once,
         ).run()
         outcome = report.outcomes[0]
-        assert outcome.classification == CLEAN
+        assert outcome.classification == VIOLATION
         assert len(outcome.backoffs) == 1
         # The retry delay went through the injectable clock, not
         # time.sleep.
@@ -355,7 +361,8 @@ class TestSupervisorParallel:
     def test_duplicate_shard_names_rejected(self):
         # Equal content means an equal job ID, even for separate objects.
         same = [
-            Job(kind="bench-trial", params={"trial": 0}) for _ in range(2)
+            Job(kind="replay-shard", params={"path": "a.trace"})
+            for _ in range(2)
         ]
         with pytest.raises(ValueError):
             FleetScheduler(same, workers=2, timeout=60.0, retries=0)
@@ -480,6 +487,47 @@ class TestGovernor:
         entries, _ = governed_entries(alone, ("fn",))
         entries["fn"](None)
         assert alone.report()["over_budget"] == []
+
+    def test_native_pair_never_ranks(self):
+        # One native makes every crossing, and its pair times its whole
+        # body.  On a FakeClock each crossing meters 1 ns and the native
+        # 2 ns per crossing plus 1: in a total with the native's time,
+        # the native held 15 of 22 ns, the one pair over budget.
+        from repro.jinn.agent import JinnAgent
+        from repro.jvm import HOTSPOT, JavaVM
+
+        def run(env, clazz):
+            for _ in range(3):
+                env.DeleteLocalRef(env.NewStringUTF("s"))
+            env.GetVersion()
+
+        gov = OverheadGovernor(
+            GovernorPolicy(budget=0.3), clock=FakeClock()
+        )
+        vm = JavaVM(vendor=HOTSPOT, agents=[JinnAgent(governor=gov)])
+        vm.define_class("T")
+        vm.add_method("T", "run", "()V", is_static=True, is_native=True)
+        vm.register_native("T", "run", "()V", run)
+        vm.call_static("T", "run", "()V")
+        vm.shutdown()
+        report = gov.report()
+        assert report["pairs"]["native:Java_T_run"] == {
+            "calls": 1, "checked_ns": 15,
+        }
+        functions = {
+            name: pair["checked_ns"]
+            for name, pair in report["pairs"].items()
+            if pair["calls"] and not name.startswith("native:")
+        }
+        assert functions == {
+            "NewStringUTF": 3, "DeleteLocalRef": 3, "GetVersion": 1,
+        }
+        # Ranked against the function pairs' 7 ns, whose shares sum to 1.
+        total = sum(functions.values())
+        assert sum(ns / total for ns in functions.values()) == (
+            pytest.approx(1.0)
+        )
+        assert report["over_budget"] == ["DeleteLocalRef", "NewStringUTF"]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
