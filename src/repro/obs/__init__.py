@@ -19,7 +19,7 @@ and bounded:
   JSON snapshots, plus snapshot diffing.
 
 The :class:`ObsHub` ties them together and receives publishes from the
-governor, the wrapper cache and the fleet; the :class:`TelemetryTap` is
+governor and the wrapper cache; the :class:`TelemetryTap` is
 the hub as a fused pipeline stage (default off, byte-identical
 violation streams when on).
 """

@@ -13,8 +13,9 @@ honest:
   :mod:`repro.resilience.recover`): crash-safe trace journals
   recoverable up to the last complete record;
 - **metering** (:mod:`repro.resilience.governor`): the overhead
-  governor meters each FFI function's checked time and names the pairs
-  over a budget share of it; it never skips a check.
+  governor meters each FFI function's checked time and names the
+  function pairs over a budget share of the function pairs' total; it
+  never skips a check.
 
 Watched work — a child process under a wall-clock watchdog, with
 classified exits and deterministic retry backoff — runs on the fleet

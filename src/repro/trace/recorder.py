@@ -19,9 +19,14 @@ pin the objects so interning by identity is sound.
 
 from __future__ import annotations
 
+import json.encoder
 from typing import Dict, List, Optional
 
 from repro.trace import format as tfmt
+
+_dump = tfmt.dump_record
+_dump_str = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
 
 # -- event-time value capture ------------------------------------------------
 #
@@ -33,71 +38,60 @@ from repro.trace import format as tfmt
 _SCALARS = frozenset((type(None), bool, int, float, str))
 
 
-def _snap_slow(value):
-    """Classify a value the fast-path type table has not seen yet."""
+def _snapper_for(tp: type):
+    """The capture function for values of exact type ``tp``.
+
+    A capture's shape follows from the value's type alone (a container
+    snaps its items one by one), so each type is classified once per
+    process, the first time a value of it is snapped.
+    """
     from repro.jni.types import JFieldID, JMethodID, JRef, NativeBuffer
     from repro.jvm.exceptions import JThrowable
     from repro.jvm.model import JArray, JObject, JString
     from repro.pyc.objects import PyObj
 
-    if isinstance(value, JRef):
-        return (tfmt.KIND_REF, value, value.alive, _snap(value.target))
-    if isinstance(value, JThrowable):
-        return (tfmt.KIND_THR, value, value.address, value.reclaimed)
-    if isinstance(value, JString):
-        return (tfmt.KIND_STR, value, value.address, value.reclaimed)
-    if isinstance(value, JArray):
-        return (tfmt.KIND_ARR, value, value.address, value.reclaimed)
-    if isinstance(value, JObject):
-        return (tfmt.KIND_OBJ, value, value.address, value.reclaimed)
-    if isinstance(value, JMethodID):
-        return (tfmt.KIND_MID, value)
-    if isinstance(value, JFieldID):
-        return (tfmt.KIND_FID, value)
-    if isinstance(value, NativeBuffer):
-        return (tfmt.KIND_BUF, value, value.freed, _snap(value.source))
-    if isinstance(value, PyObj):
-        return (tfmt.KIND_PYO, value, value.ob_refcnt, value.freed)
-    if isinstance(value, tuple):
-        return ("T", [_snap(x) for x in value])
-    if isinstance(value, list):
-        return ("L", [_snap(x) for x in value])
-    return ("X", type(value).__name__)
+    if issubclass(tp, JRef):
+        return lambda v: (tfmt.KIND_REF, v, v.alive, _snap(v.target))
+    for cls, kind in (
+        (JThrowable, tfmt.KIND_THR),
+        (JString, tfmt.KIND_STR),
+        (JArray, tfmt.KIND_ARR),
+        (JObject, tfmt.KIND_OBJ),
+    ):
+        if issubclass(tp, cls):
+            return lambda v, _k=kind: (_k, v, v.address, v.reclaimed)
+    if issubclass(tp, JMethodID):
+        return lambda v: (tfmt.KIND_MID, v)
+    if issubclass(tp, JFieldID):
+        return lambda v: (tfmt.KIND_FID, v)
+    if issubclass(tp, NativeBuffer):
+        return lambda v: (tfmt.KIND_BUF, v, v.freed, _snap(v.source))
+    if issubclass(tp, PyObj):
+        return lambda v: (tfmt.KIND_PYO, v, v.ob_refcnt, v.freed)
+    if issubclass(tp, tuple):
+        return lambda v: ("T", [_snap(x) for x in v])
+    if issubclass(tp, list):
+        return lambda v: ("L", [_snap(x) for x in v])
+    opaque = ("X", tp.__name__)
+    return lambda v: opaque
 
 
-#: type -> capture function, filled lazily so the common exact types hit
-#: one dict lookup instead of an isinstance chain.
-_SNAPPERS: Dict[type, object] = {}
+#: exact type -> capture function; scalars are captured as themselves.
+_SNAPPERS: Dict[type, object] = {tp: (lambda v: v) for tp in _SCALARS}
 
 
 def _snap(value):
     snapper = _SNAPPERS.get(type(value))
-    if snapper is not None:
-        return snapper(value)
-    if type(value) in _SCALARS:
-        return value
-    capture = _snap_slow(value)
-    _register_snapper(type(value), capture[0] if isinstance(capture, tuple) else None)
-    return capture
+    if snapper is None:
+        snapper = _SNAPPERS[type(value)] = _snapper_for(type(value))
+    return snapper(value)
 
 
-def _register_snapper(tp: type, kind: Optional[str]) -> None:
-    if kind == tfmt.KIND_REF:
-        _SNAPPERS[tp] = lambda v: (tfmt.KIND_REF, v, v.alive, _snap(v.target))
-    elif kind in (tfmt.KIND_THR, tfmt.KIND_STR, tfmt.KIND_ARR, tfmt.KIND_OBJ):
-        _SNAPPERS[tp] = lambda v, _k=kind: (_k, v, v.address, v.reclaimed)
-    elif kind in (tfmt.KIND_MID, tfmt.KIND_FID):
-        _SNAPPERS[tp] = lambda v, _k=kind: (_k, v)
-    elif kind == tfmt.KIND_BUF:
-        _SNAPPERS[tp] = lambda v: (tfmt.KIND_BUF, v, v.freed, _snap(v.source))
-    elif kind == tfmt.KIND_PYO:
-        _SNAPPERS[tp] = lambda v: (tfmt.KIND_PYO, v, v.ob_refcnt, v.freed)
-    # Containers and opaques stay on the slow path: their capture shape
-    # depends on the payload, not just the type.
+#: Container capture kinds (tuple, list).
+_CONTAINERS = ("T", "L")
 
-
-for _scalar in _SCALARS:
-    _SNAPPERS[_scalar] = lambda v: v
+#: Types of a Python/C GIL holder whose context text is kept.
+_HOLDERS = (str, type(None))
 
 #: Kinds whose capture carries two event-time fields after the object.
 _PAIR_MUTABLE = frozenset(
@@ -112,6 +106,17 @@ class _Encoder:
     encoder first met it, pre-order: a ref before its target, a buffer
     before its source.  That is the order of the end-of-trace sync
     record, so building it needs no second walk over the captures.
+
+    :meth:`text` writes a capture's JSON text directly.  Once an object
+    has its token, the text of its capture (``["U",token,mut]``) depends
+    on the capture alone, so ``texts`` keeps it, keyed by the capture
+    tuple.  That key is sound because each mutable field of a model
+    object has one type (an int address or refcount, bool flags): equal
+    captures cannot differ as ``1``, ``True`` and ``1.0`` do.  Container
+    items can, so a container's text is rebuilt from its items' texts
+    every time.  ``ctx_texts`` and ``heads`` keep the text of host
+    contexts whose fields have one type each, and of each ``(function,
+    native)`` record head.
     """
 
     def __init__(self, class_object_names: Dict[int, str]):
@@ -119,12 +124,58 @@ class _Encoder:
         self._next = 0
         self._class_object_names = class_object_names
         self.first_visits: List[object] = []
+        self.texts: Dict[tuple, str] = {}
+        self.ctx_texts: Dict[tuple, str] = {}
+        #: Indexed by ``native``: function name -> head text.
+        self.heads = ({}, {})
+
+    def text(self, capture) -> str:
+        """``dump_record(self.encode(capture))``, reusing written text."""
+        cls = capture.__class__
+        if cls is not tuple:
+            if cls is int:
+                return _int_text(capture)
+            if cls is str:
+                return _dump_str(capture)
+            return _dump(capture)
+        kind = capture[0]
+        if kind in _CONTAINERS:
+            return '["%s",[%s]]' % (
+                kind, ",".join([self.text(item) for item in capture[1]])
+            )
+        text = self.texts.get(capture)
+        if text is not None:
+            return text
+        if kind == "X":
+            text = _dump(["X", capture[1]])
+        else:
+            token = self._tokens.get(id(capture[1]))
+            if token is None:
+                # A first visit issues tokens; its "O" text never recurs.
+                return _dump(self.encode(capture))
+            if kind == tfmt.KIND_REF:
+                issued = self._next
+                text = '["U",%d,[%s,%s]]' % (
+                    token, self.text(capture[2]), self.text(capture[3])
+                )
+                if self._next != issued:
+                    return text  # the target was a first visit
+            elif kind == tfmt.KIND_BUF:
+                text = '["U",%d,[%s]]' % (token, self.text(capture[2]))
+            elif kind in _PAIR_MUTABLE:
+                text = '["U",%d,[%s,%s]]' % (
+                    token, self.text(capture[2]), self.text(capture[3])
+                )
+            else:
+                text = '["U",%d,[]]' % token
+        self.texts[capture] = text
+        return text
 
     def encode(self, capture):
         if not isinstance(capture, tuple):
             return capture
         kind = capture[0]
-        if kind in ("T", "L"):
+        if kind in _CONTAINERS:
             return [kind, [self.encode(item) for item in capture[1]]]
         if kind == "X":
             return ["X", capture[1]]
@@ -535,12 +586,7 @@ class TraceRecorder:
         jtick = self._journal_tick if self._journal is not None else None
 
         def call_hook(env, args):
-            exc = interp.exc_info
-            ctx = (
-                interp.current_thread,
-                interp.gil_holder,
-                None if exc is None else list(exc),
-            )
+            ctx = (interp.current_thread, interp.gil_holder, interp.exc_info)
             snaps = []
             snaps_append = snaps.append
             for a in args:
@@ -567,12 +613,7 @@ class TraceRecorder:
         jtick = self._journal_tick if self._journal is not None else None
 
         def return_hook(env, args, result, callseq):
-            exc = interp.exc_info
-            ctx = (
-                interp.current_thread,
-                interp.gil_holder,
-                None if exc is None else list(exc),
-            )
+            ctx = (interp.current_thread, interp.gil_holder, interp.exc_info)
             snaps = []
             snaps_append = snaps.append
             for a in args:
@@ -673,6 +714,13 @@ class TraceRecorder:
         lines = [tfmt.dump_record(self.header())]
         lines.extend(self._encoded_lines)
         self.lines = lines
+        # The lines are the whole trace.  The captures and the encoder's
+        # tables pin every recorded model object: let them go.
+        self._records.clear()
+        self._encoded_upto = 0
+        self._encoded_lines = []
+        self._pending_class_objects = []
+        self._enc = None
         if self.path is not None:
             with open(self.path, "w") as f:
                 f.write("\n".join(lines))
@@ -694,15 +742,19 @@ class TraceRecorder:
 
         The host cannot change while a slice is encoded, so class
         objects that appeared since the last slice are resolved once,
-        up front.  Each record is dumped as soon as it is encoded, so
-        its lists die young instead of piling up for the collector.
-        With ``sync`` the slice ends with the end-of-trace ("e")
-        record.
+        up front.  A crossing's line is formatted from the texts of its
+        head, context and values (:meth:`_Encoder.text`); the other
+        records are dumped as soon as they are built, so their lists
+        die young instead of piling up for the collector.  With
+        ``sync`` the slice ends with the end-of-trace ("e") record.
         """
         if self._enc is None:
             self._enc = _Encoder({})
         encoder = self._enc
         encode = encoder.encode
+        text = encoder.text
+        ctx_texts = encoder.ctx_texts
+        heads = encoder.heads
         names = encoder._class_object_names
         jni = self._substrate == "jni"
         class_list: List = list(self._host.classes.values()) if jni else []
@@ -722,19 +774,34 @@ class TraceRecorder:
                 append(dump(list(record)))
                 continue
             events += 1
-            if jni:
+            if jni and ctx[3] > self._emitted_classes:
                 epoch = min(ctx[3], len(class_list))
                 while self._emitted_classes < epoch:
                     append(dump(self._emit_class(class_list, names)))
-                ctx = [ctx[0], ctx[1], ctx[2]]
+            # A Python/C context's GIL holder (a restored thread state's)
+            # and pending exception message are whatever values the
+            # extension passed, so only a context whose holder is a name
+            # or None and with no exception is kept (see the key rule in
+            # _Encoder).
+            if jni or (ctx[2] is None and ctx[1].__class__ in _HOLDERS):
+                ctx_text = ctx_texts.get(ctx)
+                if ctx_text is None:
+                    # A JNI context's fourth field, the class count, is
+                    # not written; a Python/C context has three.
+                    ctx_text = ctx_texts[ctx] = dump(ctx[:3])
             else:
-                ctx = list(ctx)
-            args = [encode(a) for a in args]
+                ctx_text = dump(ctx)
+            head = heads[native].get(name)
+            if head is None:
+                head = heads[native][name] = ",%s,%s," % (dump(name), dump(native))
+            args_text = ",".join([text(a) for a in args])
             if kind == "c":
-                append(dump(["c", seq, name, native, ctx, args]))
+                append('["c",%d%s%s,[%s]]' % (seq, head, ctx_text, args_text))
             else:
-                result = encode(result)
-                append(dump(["r", seq, callseq, name, native, ctx, args, result]))
+                append(
+                    '["r",%d,%d%s%s,[%s],%s]'
+                    % (seq, callseq, head, ctx_text, args_text, text(result))
+                )
         self.event_count += events
         if sync:
             # Classes defined after the last event still matter to the

@@ -4,29 +4,39 @@
 define a handful of classes and close in one encode.  The cases here
 add what those lack: DaCapo kernels with a few hundred class records,
 journal mode, where the recorder encodes the stream slice by slice
-mid-run (every 64 records, or every record at ``sync_every=1``), and a
-class object that materialises after its class record was written.
+mid-run (every 64 records, or every record at ``sync_every=1``), a
+class object that materialises after its class record was written, a
+Python/C run of thousands of events whose objects come back at changed
+refcounts, and short streams of values a text memo could conflate.
 
 Each trace is pinned as the SHA-256 of its env-normalised lines
-(:func:`tests.test_pipeline_parity.trace_digest`); the digests were
-taken from the recorder before its close path was rewritten, so they
-hold it to the bytes it wrote then.  A cleanly closed journal must also
-recover to the trace its run wrote at close, byte for byte.
+(:func:`tests.test_pipeline_parity.trace_digest`), or line by line; the
+expected values were taken from the recorder before its close path was
+rewritten (the Python/C and memo cases before it reused any text), so
+they hold it to the bytes it wrote then.  A cleanly closed journal must
+also recover to the trace its run wrote at close, byte for byte.
 """
 
+import gc
 import json
 import math
+import os
+import types
 
 import pytest
 
 from repro.jinn.agent import JinnAgent
+from repro.jni.types import JFieldID, JMethodID, JRef, NativeBuffer
 from repro.jvm import HOTSPOT, JavaVM
+from repro.jvm.model import JObject
+from repro.pyc import PyCChecker, PythonInterpreter
+from repro.pyc.objects import PyObj
 from repro.resilience import recover_journal
 from repro.trace import TraceRecorder
 from repro.trace import format as tfmt
 from repro.workloads.dacapo import run_workload, transitions_per_iteration
 from tests.conftest import define_native
-from tests.test_pipeline_parity import trace_digest
+from tests.test_pipeline_parity import normalized_lines, trace_digest
 
 #: JNI transitions per recorded kernel, as the repo benchmark sizes them.
 KERNEL_TRANSITIONS = 2500
@@ -188,3 +198,237 @@ def test_dump_record_matches_json_dumps(tmp_path):
     for dump in (tfmt.dump_record, tfmt._record_dumper(None)):
         for record in samples:
             assert dump(record) == json.dumps(record, separators=(",", ":"))
+
+
+# -- a long Python/C trace ----------------------------------------------------
+
+#: Iterations of :func:`_pyc_kernel`; each makes 28 API calls, so the
+#: trace holds about 3,400 event records.
+PYC_ITERATIONS = 60
+
+#: sync_every -> digest of the Python/C kernel's trace.  A Python/C
+#: trace has no class records, so each mode writes the same bytes.
+PINNED_PYC = {
+    None: "627040b4d1e23f9eeaff245cca73647391d7c671e4192daa96e87c22b678f362",
+    1: "627040b4d1e23f9eeaff245cca73647391d7c671e4192daa96e87c22b678f362",
+    64: "627040b4d1e23f9eeaff245cca73647391d7c671e4192daa96e87c22b678f362",
+}
+
+
+def _pyc_kernel(api, self_obj, args):
+    """Short, correct Python/C operations over a few long-lived objects.
+
+    ``shared`` and ``cache`` live for the whole run and come back at a
+    refcount that each round raises and lowers again; every other object
+    is created, used a few times at changing refcounts, and released.
+    """
+    shared = api.PyLong_FromLong(7)
+    cache = api.PyDict_New()
+    acc = 1
+    for i in range(PYC_ITERATIONS):
+        lst = api.PyList_New(0)
+        api.PyList_Append(lst, shared)
+        item = api.PyLong_FromLong(acc & 0xFF)
+        api.PyList_Append(lst, item)
+        api.Py_DecRef(item)
+        got = api.PyList_GetItem(lst, 1)
+        acc += api.PyLong_AsLong(got) + api.PyList_Size(lst)
+        api.Py_DecRef(lst)
+        value = api.PyString_FromString("v{}".format(i % 3))
+        api.PyDict_SetItemString(cache, "key", value)
+        api.Py_DecRef(value)
+        got = api.PyDict_GetItemString(cache, "key")
+        acc += api.PyString_Size(got)
+        total = api.PyNumber_Add(shared, shared)
+        acc += api.PyLong_AsLong(total)
+        api.Py_DecRef(total)
+        real = api.PyFloat_FromDouble(0.5 * (i % 2))
+        acc += int(api.PyFloat_AsDouble(real))
+        api.Py_DecRef(real)
+        pair = api.Py_BuildValue("(O)", shared)
+        api.PyArg_ParseTuple(pair, "i" if i % 2 else "d")
+        api.Py_DecRef(pair)
+        api.PyErr_SetString("ValueError", "rejected input")
+        if api.PyErr_Occurred() is not None:
+            api.PyErr_Clear()
+        token = api.PyEval_SaveThread()
+        api.PyEval_RestoreThread(token)
+    api.Py_DecRef(cache)
+    api.Py_DecRef(shared)
+    return api.PyLong_FromLong(acc & 0x7FFFFFFF)
+
+
+def run_pyc(recorder, extension):
+    """Run one Python/C extension under a recorder, then close it."""
+    checker = PyCChecker(observer=recorder)
+    interp = PythonInterpreter(agents=[checker])
+    interp.register_extension("ext", extension)
+    interp.call_extension("ext")
+    checker.termination_report()
+    recorder.close()
+    return recorder
+
+
+@pytest.mark.parametrize("sync_every", [None, 1, 64], ids=str)
+def test_pyc_trace_bytes_pinned(sync_every, tmp_path):
+    recorder = run_pyc(
+        _recorder(tmp_path, "pyc", sync_every, "pyc/kernel"), _pyc_kernel
+    )
+    assert recorder.event_count > 3000
+    assert trace_digest(recorder.lines, "pyc") == PINNED_PYC[sync_every]
+    _assert_files(recorder, tmp_path)
+
+
+# -- values a text memo could conflate ----------------------------------------
+#
+# ``1``, ``True`` and ``1.0`` are equal and hash alike, so a memo keyed
+# on capture equality would serve the text of one for the others.  The
+# streams below put all three at one position of a container argument
+# (and, on Python/C, of a pending exception and of the GIL holder in the
+# host context),
+# repeat an object within one record (first visit then reuse, and
+# reuse twice), and first-visit objects inside a container and as a
+# ref's target.  Their expected event and sync lines (JNI ones
+# env-normalised) are in ``tests/data/trace_key_rule.json``, written by
+# the recorder before its close path memoised any text.
+
+KEY_RULE_PATH = os.path.join(os.path.dirname(__file__), "data", "trace_key_rule.json")
+
+
+def record_key_rule_jni():
+    recorder = TraceRecorder()
+    vm = JavaVM(vendor=HOTSPOT, agents=[JinnAgent(mode="generated", observer=recorder)])
+    vm.define_class("app/K")
+    descriptors = ["(I)I", "(Z)I", "(D)I", "(Ljava/lang/Object;)I"]
+    for name, descriptor in zip("izdo", descriptors):
+        vm.add_method(
+            "app/K", name, descriptor, is_static=True,
+            body=lambda vmach, thread, cls, x: 7,
+        )
+
+    def run(env, this, a, b):
+        # The class object is first met as the FindClass ref's target.
+        cls = env.FindClass("app/K")
+        mids = [
+            env.GetStaticMethodID(cls, name, descriptor)
+            for name, descriptor in zip("izdo", descriptors)
+        ]
+        for _ in range(2):
+            for mid, value in zip(mids, (1, True, 1.0)):
+                env.CallStaticIntMethodA(cls, mid, [value])
+            env.CallStaticIntMethodA(cls, mids[3], [a])
+        env.IsSameObject(a, b)
+        env.IsSameObject(cls, cls)
+        env.DeleteLocalRef(cls)
+
+    descriptor = "(Ljava/lang/Object;Ljava/lang/Object;)V"
+    define_native(vm, "app/Main", "run", descriptor, run)
+    # One object as both arguments: the native's call record first
+    # visits it through one ref and reuses it through the other.
+    obj = vm.new_object("java/lang/Object")
+    vm.call_static("app/Main", "run", descriptor, obj, obj)
+    vm.shutdown()
+    recorder.close()
+    return recorder
+
+
+def _key_rule_pyc_extension(api, self_obj, args):
+    for fmt, value in (("i", 1), ("d", 1), ("i", 1), ("d", 1)):
+        num = api.PyLong_FromLong(value)
+        tup = api.Py_BuildValue("(O)", num)
+        api.PyArg_ParseTuple(tup, fmt)
+        api.Py_DecRef(tup)
+        api.Py_DecRef(num)
+    pair = api.Py_BuildValue("(ss)", "a", "b")
+    # First visits inside a tuple, then the same items reused.
+    api.PyArg_ParseTuple(pair, "OO")
+    api.PyArg_ParseTuple(pair, "OO")
+    api.Py_DecRef(pair)
+    num = api.PyLong_FromLong(3)
+    twice = api.Py_BuildValue("(OO)", num, num)
+    api.PyArg_ParseTuple(twice, "OO")
+    total = api.PyNumber_Add(num, num)
+    api.Py_DecRef(total)
+    api.Py_DecRef(twice)
+    api.Py_DecRef(num)
+    # A failed lookup's pending exception carries the name it was given,
+    # so three host contexts differ only as 1, True and 1.0.
+    attrs = api.PyDict_New()
+    for name in (1, True, 1.0):
+        api.PyObject_GetAttrString(attrs, name)
+        api.PyErr_Clear()
+    api.Py_DecRef(attrs)
+    # A restored thread state makes whatever its token carried the GIL
+    # holder: three more contexts that differ only as 1, True and 1.0,
+    # and one whose holder is a list.
+    for holder in (1, True, 1.0, ["t"]):
+        api.PyEval_SaveThread()
+        api.PyEval_RestoreThread(("tstate", holder))
+        api.PyGILState_Release(("gil", "main", "acquired"))
+        api.PyGILState_Ensure()
+    return api.Py_RETURN_NONE()
+
+
+def record_key_rule_pyc():
+    return run_pyc(TraceRecorder(), _key_rule_pyc_extension)
+
+
+def _event_lines(recorder, substrate):
+    return [
+        line
+        for line in normalized_lines(recorder.lines, substrate)[1:]
+        if json.loads(line)[0] in ("c", "r", "e")
+    ]
+
+
+@pytest.mark.parametrize("substrate", ["jni", "pyc"])
+def test_key_rule_lines(substrate):
+    record = record_key_rule_jni if substrate == "jni" else record_key_rule_pyc
+    with open(KEY_RULE_PATH) as f:
+        expected = json.load(f)[substrate]
+    assert _event_lines(record(), substrate) == expected
+
+
+# -- what a closed recorder keeps ---------------------------------------------
+
+_MODEL_TYPES = (JRef, JObject, JMethodID, JFieldID, NativeBuffer, PyObj)
+
+#: Objects whose referents the walk below does not follow: code and
+#: classes lead to module globals, which reach everything.
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType)
+
+
+def _reachable_model_objects(roots):
+    seen = set()
+    found = []
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _MODEL_TYPES):
+            found.append(obj)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("substrate", ["jni", "pyc"])
+def test_closed_recorder_holds_no_model_object(substrate):
+    """``close()`` keeps the lines and lets the captures go.
+
+    Apart from the runtime and host it was attached to, nothing a closed
+    recorder holds (captures, interning tables, text memo) reaches a
+    model object, so holding ``.lines`` pins none of them.
+    """
+    record = record_key_rule_jni if substrate == "jni" else record_key_rule_pyc
+    recorder = record()
+    held = [
+        value
+        for name, value in vars(recorder).items()
+        if name not in ("_rt", "_host")
+    ]
+    assert _reachable_model_objects(held) == []
+    assert recorder.event_count > 0
+    assert recorder.close() == recorder.event_count
