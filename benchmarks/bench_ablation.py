@@ -1,9 +1,9 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 1. **Checking strategy cost** — no agent, empty wrappers (interpose)
-   and full generated checking on one kernel.  Interpretive checking
-   (each crossing walks the matching machines' ``on_event`` handlers)
-   is replay's; its cost is the ledger's ``replay.engine_us_per_ev``.
+   and full generated checking on one kernel.  Replay drives the same
+   generated entries from a trace; its cost is the ledger's
+   ``replay.engine_us_per_ev``.
 2. **Per-machine cost** — disable one machine at a time and measure the
    workload, exposing which constraints cost what.
 3. **Local-frame capacity sweep** — where Subversion-style overflows

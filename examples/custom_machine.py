@@ -5,7 +5,9 @@ machine plus a mapping to language transitions.  This example adds a
 *twelfth* machine — "monitor balance per native method": a native method
 should exit every monitor it entered before returning to Java (a stricter
 house rule than the JNI spec's termination-only check) — and lets the
-unmodified synthesizer generate the checking code for it.
+unmodified synthesizer generate the checking code for it.  The machine
+writes only its ``emit`` lines and the semantic methods they call; a
+replay of a recorded trace runs the same generated checks.
 
 Run:  python examples/custom_machine.py
 """
@@ -62,18 +64,6 @@ class MonitorBalanceEncoding(Encoding):
                 error_state=ERROR_UNBALANCED.name,
                 function=method_name,
             )
-
-    def on_event(self, ctx):
-        if ctx.meta is None:
-            if ctx.event.direction is Direction.CALL_MANAGED_TO_NATIVE:
-                self.enter_native(ctx.env, ctx.event.function, ctx.args)
-            elif ctx.event.direction is Direction.RETURN_NATIVE_TO_MANAGED:
-                self.exit_native(ctx.env, ctx.event.function, ctx.result)
-        elif ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE:
-            if ctx.meta.name == "MonitorEnter":
-                self.entered(ctx.env, ctx.meta.name, ctx.args[0], ctx.result)
-            elif ctx.meta.name == "MonitorExit":
-                self.exited(ctx.env, ctx.meta.name, ctx.args[0], ctx.result)
 
 
 class MonitorBalanceSpec(StateMachineSpec):

@@ -9,13 +9,13 @@ layers:
   violation log, termination leak sweep, reset; the substrate plugs in
   only its failure protocol (pend a Java exception vs. raise).
 - :class:`DispatchIndex` — the (function, direction) -> machines index
-  from Algorithm 1's cross product, used by replay (the interpretive
-  path) so events reach only the machines that observe them.
+  from Algorithm 1's cross product, which targets the synthesizer's
+  emitted checks and the telemetry tap's per-site machine counts.
 - :class:`WrapperCache` — compiled plan modules keyed on full spec
   identity (:meth:`~repro.fsm.registry.SpecRegistry.fingerprint`),
   shared by every agent and checker in the process.
-- The unified return-kind defaults table consumed by both the
-  synthesizer (literals) and replay (values).
+- The return-kind defaults table the synthesizer's failure literals
+  derive from.
 """
 
 from repro.core.cache import (
@@ -28,7 +28,6 @@ from repro.core.defaults import (
     RETURN_DEFAULT_LITERALS,
     RETURN_DEFAULTS,
     default_literal,
-    default_value,
 )
 from repro.core.dispatch import NATIVE_KEY, DispatchIndex
 from repro.core.runtime import (
@@ -52,6 +51,5 @@ __all__ = [
     "WRAPPER_CACHE",
     "WrapperCache",
     "default_literal",
-    "default_value",
     "dispatch_for",
 ]

@@ -2,11 +2,10 @@
 
 When a generated wrapper's pre-check fails, Jinn skips the raw call and
 hands back the return type's *zero value* — preventing the undefined
-behaviour instead of merely observing it.  The same facts are needed
-twice: the interpretive engine wants the runtime *value* and the
-synthesizer wants a source *literal* to embed in generated code.  Both
-views derive from the single table below, so they cannot drift (the
-consistency is also asserted by a test over every JNI return kind).
+behaviour instead of merely observing it.  The synthesizer embeds that
+value as a source *literal*, derived from the value table below, so
+the two cannot drift (a test evaluates the literal of every JNI and
+Python/C return kind against the table).
 
 Return kinds absent from the table are reference or pointer kinds whose
 zero value is the null handle — ``None`` in the simulator.
@@ -47,13 +46,8 @@ RETURN_DEFAULT_LITERALS: Dict[str, str] = {
 }
 
 
-def default_value(return_kind: str) -> object:
-    """Runtime zero value for one return kind (None for references)."""
-    return RETURN_DEFAULTS.get(return_kind)
-
-
 def default_literal(return_kind: str) -> str:
-    """Source literal of :func:`default_value` for generated wrappers."""
+    """Source literal of a return kind's zero value (None for references)."""
     return RETURN_DEFAULT_LITERALS.get(return_kind, "None")
 
 

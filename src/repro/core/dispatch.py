@@ -1,16 +1,11 @@
 """The (function, direction) dispatch index.
 
 Algorithm 1's cross product of state transitions and FFI functions tells
-the synthesizer which machines instrument which wrapper.  The generated
-wrappers get that specialization for free — each wrapper contains only
-the checks that apply to its function.  Interpretive checking — offline
-replay, the one path that drives the machines' ``on_event`` handlers —
-would otherwise fan every crossing out to every machine encoding, each
-re-deriving "does this event concern me?" from the event context.
-:class:`DispatchIndex` precomputes the same cross product once, so
-replay touches only the machines whose language transitions actually
-match the crossing.  The telemetry tap reads its per-site machine
-counts from the same index.
+the synthesizer which machines instrument which wrapper, so each
+generated entry contains only the checks that apply to its function.
+:class:`DispatchIndex` computes that cross product once: the
+synthesizer targets each machine's ``emit`` with it, and the telemetry
+tap reads its per-site machine counts from it.
 
 The index is substrate-neutral: it is built from a
 :class:`~repro.fsm.registry.SpecRegistry` and a static function table
@@ -97,15 +92,6 @@ class DispatchIndex:
     def native_machines(self, direction: Direction) -> Tuple[str, ...]:
         """Machines observing native-method crossings for a direction."""
         return self._buckets.get((NATIVE_KEY, direction), ())
-
-    def encodings(self, runtime, function: str, direction: Direction) -> list:
-        """Resolve :meth:`machines` against a runtime's encodings."""
-        table = runtime.encodings
-        return [table[name] for name in self.machines(function, direction)]
-
-    def native_encodings(self, runtime, direction: Direction) -> list:
-        table = runtime.encodings
-        return [table[name] for name in self.native_machines(direction)]
 
     # -- introspection (CLI, tests) -------------------------------------
 

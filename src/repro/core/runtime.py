@@ -53,8 +53,8 @@ class RaiseViolationPolicy(FailurePolicy):
 # injected chaos fault) is the checker failing at its job.  In the
 # paper's deployment model the checker rides inside production VMs, so
 # the second kind must never take the host down: every check site — the
-# generated wrappers, the replay engine, the termination sweep — hands
-# internal errors to
+# generated entries (live or driven by replay) and the termination
+# sweep — hands internal errors to
 # :meth:`CheckerRuntime.contain`, which converts them to structured
 # diagnostics and walks the degradation ladder
 #
@@ -204,7 +204,7 @@ class CheckerHealth:
 
 
 class _InertEncoding:
-    """Quarantine stand-in: swallows every semantic call and event.
+    """Quarantine stand-in: swallows every semantic call.
 
     Generated wrappers reach machines through ``rt.<name>.<method>``
     attribute lookups at event time, so swapping the runtime attribute
@@ -215,9 +215,6 @@ class _InertEncoding:
 
     def __init__(self, spec):
         self.spec = spec
-
-    def on_event(self, ctx) -> None:
-        return None
 
     def at_termination(self) -> List[str]:
         return []
@@ -339,16 +336,11 @@ class CheckerRuntime:
                 self._degrade_off()
 
     def _neutralize(self, name: str, stand_in) -> None:
-        """Swap one machine for a stand-in at every dispatch surface.
+        """Swap one machine for a stand-in.
 
-        Generated wrappers resolve ``rt.<name>`` per event, so the
-        attribute and ``encodings`` swap covers them; replay's dispatch
-        pre-binds the *instance*, so its ``on_event`` is patched in
-        place to the stand-in's.
+        Generated entries resolve ``rt.<name>`` per event, so the
+        attribute and ``encodings`` swap covers every check site.
         """
-        original = self._original_encodings.get(name)
-        if original is not None:
-            original.on_event = stand_in.on_event
         self.encodings[name] = stand_in
         setattr(self, name, stand_in)
 
@@ -404,7 +396,6 @@ class CheckerRuntime:
         their pristine encodings before being reset.
         """
         for name, original in self._original_encodings.items():
-            original.__dict__.pop("on_event", None)
             if self.encodings[name] is not original:
                 self.encodings[name] = original
                 setattr(self, name, original)

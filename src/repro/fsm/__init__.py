@@ -11,8 +11,8 @@ The central classes are:
 
 - :class:`~repro.fsm.machine.State` and
   :class:`~repro.fsm.machine.StateTransition` — the machine's shape.
-- :class:`~repro.fsm.events.LanguageEvent` — a dynamic occurrence of a
-  language transition (a call or return crossing the FFI).
+- :class:`~repro.fsm.events.Direction` and :class:`~repro.fsm.events.Site`
+  — the four crossing kinds and the wrapper site each one is checked at.
 - :class:`~repro.fsm.machine.LanguageTransition` — the static description of
   where a state transition may occur (function selector, direction,
   observed entities).
@@ -20,13 +20,12 @@ The central classes are:
   transitions, the ``language_transitions_for`` mapping, an encoding
   factory, and a code-generation hook used by the synthesizer.
 - :class:`~repro.fsm.machine.Encoding` — the runtime representation of the
-  machine's state ("state machine encoding" in the paper), with a generic
-  interpretive entry point ``on_event`` that offline replay drives (live
-  runs call the generated checks instead).
+  machine's state ("state machine encoding" in the paper): the semantic
+  methods the generated checks call, live and in offline replay alike.
 """
 
 from repro.fsm.errors import FFIViolation, SpecificationError
-from repro.fsm.events import Direction, EventContext, LanguageEvent, Site
+from repro.fsm.events import Direction, Site
 from repro.fsm.graph import TransitionGraph
 from repro.fsm.machine import (
     Encoding,
@@ -43,10 +42,8 @@ __all__ = [
     "Direction",
     "Encoding",
     "EntitySelector",
-    "EventContext",
     "FFIViolation",
     "FunctionSelector",
-    "LanguageEvent",
     "LanguageTransition",
     "Site",
     "SpecRegistry",

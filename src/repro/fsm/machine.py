@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.fsm.errors import SpecificationError
-from repro.fsm.events import Direction, EventContext
+from repro.fsm.events import Direction
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,15 @@ class LanguageTransition:
 class Encoding:
     """Runtime state-machine encoding.
 
-    One instance exists per interposition agent (it internally keys its
-    data structures by entity: thread, reference, resource, ...).  Concrete
-    machines override the semantic methods they need; ``on_event``
-    implements *interpretive* checking, which offline replay drives
-    (:mod:`repro.trace.replay`) — generated wrappers instead call the
-    semantic methods directly.
+    One instance exists per checker runtime (it internally keys its data
+    structures by entity: thread, reference, resource, ...).  Concrete
+    machines define the semantic methods their :meth:`StateMachineSpec.emit`
+    lines call; the generated entries are the only code that drives
+    them, live and in replay (:mod:`repro.trace.replay`).
     """
 
     def __init__(self, spec: "StateMachineSpec"):
         self.spec = spec
-
-    def on_event(self, ctx: EventContext) -> None:
-        """Interpretively apply this machine to one boundary crossing."""
-        raise NotImplementedError
 
     def at_termination(self) -> List[str]:
         """Return diagnostics for the VM-death JVMTI callback (leaks)."""
@@ -253,8 +248,9 @@ def functions_matching(
     """Machines with at least one mapping that applies to (meta, direction).
 
     ``meta`` is an FFI function metadata record, or None for a native
-    method.  Used by both the synthesizer (to decide which machines
-    instrument which wrapper) and the dispatch index replay reads.
+    method: one cell of Algorithm 1's cross product, which
+    :class:`repro.core.dispatch.DispatchIndex` computes for a whole
+    function table at once.
     """
     hits: List[StateMachineSpec] = []
     for spec in specs:
@@ -269,27 +265,3 @@ def functions_matching(
         if applies:
             hits.append(spec)
     return hits
-
-
-def selector_for_entities(selector: EntitySelector, ctx: EventContext) -> list:
-    """Resolve an entity selector against a dynamic event context.
-
-    Returns the concrete entities (handles, IDs, or the thread) the
-    selector denotes for this particular crossing.
-    """
-    if selector is EntitySelector.THREAD:
-        return [ctx.thread]
-    if selector is EntitySelector.NONE:
-        return []
-    if ctx.meta is None:
-        # Native method: every argument is a potential reference.
-        return list(ctx.args)
-    if selector is EntitySelector.REFERENCE_PARAMETERS:
-        return [ctx.args[i] for i in ctx.meta.reference_param_indices]
-    if selector is EntitySelector.ID_PARAMETERS:
-        return [ctx.args[i] for i in ctx.meta.id_param_indices]
-    if selector is EntitySelector.REFERENCE_RETURN:
-        return [ctx.result] if ctx.meta.returns_reference else []
-    if selector is EntitySelector.ALL_PARAMETERS:
-        return list(ctx.args)
-    raise SpecificationError("unknown selector {!r}".format(selector))

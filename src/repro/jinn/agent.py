@@ -16,8 +16,8 @@ and ``interpose`` (empty wrappers — Table 3's framework-overhead
 column).  Both install their entries through one fused
 :class:`repro.pipeline.PipelinePlan`: recorder tap, governor meter,
 machine checks and containment arms compiled into one flat entry per
-crossing.  Walking the machine specifications event by event is what
-offline replay does (:mod:`repro.trace.replay`); it is not a live mode.
+crossing.  Offline replay (:mod:`repro.trace.replay`) drives the same
+checking entries from a recorded trace.
 """
 
 from __future__ import annotations

@@ -52,14 +52,6 @@ class AccessControlEncoding(Encoding):
                 entity=field.describe(),
             )
 
-    def on_event(self, ctx) -> None:
-        if (
-            ctx.meta is not None
-            and ctx.meta.writes_field
-            and ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-        ):
-            self.check(ctx.env, ctx.event.function, ctx.args[1])
-
 
 class AccessControlSpec(StateMachineSpec):
     name = "access_control"

@@ -101,23 +101,6 @@ class CriticalSectionEncoding(Encoding):
     def in_critical(self, thread) -> bool:
         return bool(self.tallies.get(thread.thread_id))
 
-    def on_event(self, ctx) -> None:
-        if ctx.meta is None:
-            return
-        if ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED:
-            if not ctx.meta.critical_safe:
-                self.check_sensitive(ctx.env, ctx.thread, ctx.event.function)
-            elif ctx.meta.releases == "critical":
-                self.release(
-                    ctx.env, ctx.thread, ctx.event.function, ctx.args[0]
-                )
-        elif ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE:
-            if ctx.meta.acquires == "critical":
-                self.acquire(
-                    ctx.env, ctx.thread, ctx.event.function, ctx.args[0],
-                    ctx.result,
-                )
-
     def reset(self) -> None:
         self.tallies.clear()
 

@@ -25,7 +25,6 @@ from repro.fsm import (
     StateTransition,
 )
 from repro.jinn.machines.common import ClassResolver, peek, selector, violation
-from repro.jni import functions
 from repro.jni.types import JFieldID, JMethodID, JRef
 from repro.jvm import descriptors
 
@@ -41,10 +40,9 @@ def site_check(meta):
     """The per-site check method for ``meta`` and its baked arguments.
 
     A method call's mode, result kind and payload form, or a field
-    access's static/write flags and kind.  Generated lines pass them as
-    literals; :meth:`EntityTypingEncoding.check` (interpretive and
-    replay paths) derives them here.  Raises :class:`SpecificationError`
-    for an entity-taking function no per-site check covers.
+    access's static/write flags and kind, which the generated lines pass
+    as literals.  Raises :class:`SpecificationError` for an
+    entity-taking function no per-site check covers.
     """
     if meta.family == "new_object":
         return "check_call", ("new", None, _packed(meta))
@@ -86,17 +84,6 @@ class EntityTypingEncoding(Encoding):
         self.classes = ClassResolver(vm)
         #: JMethod -> (parameter descriptors, return descriptor).
         self.signatures = {}
-        #: Function name -> its :func:`site_check`, for :meth:`check`.
-        self._sites = {}
-
-    def check(self, env, function: str, args) -> None:
-        """Run the per-site check of ``function``, deriving its site once."""
-        site = self._sites.get(function)
-        if site is None:
-            site = site_check(functions.FUNCTIONS[function])
-            self._sites[function] = site
-        method, site_args = site
-        getattr(self, method)(env, function, args, *site_args)
 
     # -- method calls --------------------------------------------------------
 
@@ -294,14 +281,6 @@ class EntityTypingEncoding(Encoding):
             error_state=ERROR_MISMATCH.name,
             function=function,
         )
-
-    def on_event(self, ctx) -> None:
-        if (
-            ctx.meta is not None
-            and ctx.meta.takes_entity_id
-            and ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-        ):
-            self.check(ctx.env, ctx.event.function, ctx.args)
 
 
 def _result_matches(result_kind: str, declared_descriptor: str) -> bool:

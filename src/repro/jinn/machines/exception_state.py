@@ -56,14 +56,6 @@ class ExceptionStateEncoding(Encoding):
                 entity=pending.describe(),
             )
 
-    def on_event(self, ctx) -> None:
-        if (
-            ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-            and ctx.meta is not None
-            and not ctx.meta.exception_oblivious
-        ):
-            self.check_sensitive(ctx.env, ctx.thread, ctx.event.function)
-
 
 class ExceptionStateSpec(StateMachineSpec):
     name = "exception_state"

@@ -47,8 +47,6 @@ class FixedTypingEncoding(Encoding):
         super().__init__(spec)
         self.vm = vm
         self.classes = ClassResolver(vm)
-        #: Function name -> its checked parameters, for ``on_event``.
-        self._params = {}
 
     def require_reference(self, env, function, args, index, name) -> None:
         value = args[index] if index < len(args) else None
@@ -104,42 +102,6 @@ class FixedTypingEncoding(Encoding):
             function=function,
             entity=target.describe(),
         )
-
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None or ctx.event.direction is not Direction.CALL_NATIVE_TO_MANAGED:
-            return
-        params = self._params.get(meta.name)
-        if params is None:
-            params = self._params[meta.name] = _checked_params(meta)
-        handles, fixed = params
-        env, function, args = ctx.env, meta.name, ctx.args
-        for index, name, id_kind in handles:
-            if id_kind is None:
-                self.require_reference(env, function, args, index, name)
-            else:
-                self.require_id(env, function, args, index, name, id_kind)
-        for index, name, fixed_type in fixed:
-            self.require_type(env, function, args, index, name, fixed_type)
-
-
-def _checked_params(meta):
-    """``meta``'s checked parameters in check order, as ``emit`` bakes them.
-
-    ``(handles, fixed)``: ``handles`` is ``(index, name, id_kind)`` per
-    reference (``id_kind`` None) or ID parameter; ``fixed`` is
-    ``(index, name, fixed_type)`` per fixed-typed parameter.
-    """
-    handles = tuple(
-        (index, p.name, None if p.is_reference else p.jtype)
-        for index, p in enumerate(meta.params)
-        if p.is_reference or p.is_id
-    )
-    fixed = tuple(
-        (index, meta.params[index].name, fixed_type)
-        for index, fixed_type in meta.fixed_type_params
-    )
-    return handles, fixed
 
 
 class FixedTypingSpec(StateMachineSpec):

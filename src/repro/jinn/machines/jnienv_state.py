@@ -49,13 +49,6 @@ class JNIEnvStateEncoding(Encoding):
                 entity=thread.describe(),
             )
 
-    def on_event(self, ctx) -> None:
-        if (
-            ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-            and ctx.meta is not None
-        ):
-            self.check(ctx.env, ctx.thread, ctx.event.function)
-
     def reset(self) -> None:
         self.expected.clear()
 

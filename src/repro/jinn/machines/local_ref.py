@@ -19,7 +19,7 @@ twice (or popping with nothing to pop) is a double free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.fsm import (
     Direction,
@@ -96,8 +96,6 @@ class LocalRefEncoding(Encoding):
         #: Live-count time series (Figure 10) when enabled.
         self.record_history = False
         self.history: List[int] = []
-        #: Function name -> its reference parameter indices, for ``on_event``.
-        self._ref_params: Dict[str, Tuple[int, ...]] = {}
 
     # -- frame management ----------------------------------------------------
 
@@ -295,41 +293,6 @@ class LocalRefEncoding(Encoding):
     def _note_history(self) -> None:
         if self.record_history:
             self.history.append(self.live_count())
-
-    # -- interpretive mode ----------------------------------------------------
-
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        direction = ctx.event.direction
-        env = ctx.env
-        thread = ctx.thread
-        if meta is None:
-            if direction is Direction.CALL_MANAGED_TO_NATIVE:
-                self.enter_native(env, thread, ctx.event.function, ctx.args)
-            elif direction is Direction.RETURN_NATIVE_TO_MANAGED:
-                self.exit_native(env, thread, ctx.event.function, ctx.result)
-            return
-        if direction is Direction.CALL_NATIVE_TO_MANAGED:
-            if meta.name == "DeleteLocalRef":
-                self.release_one(env, thread, meta.name, ctx.args[0])
-            elif meta.name == "PopLocalFrame":
-                self.pop_frame_check(env, thread, meta.name)
-            else:
-                indices = self._ref_params.get(meta.name)
-                if indices is None:
-                    indices = meta.reference_param_indices
-                    self._ref_params[meta.name] = indices
-                if indices:
-                    self.check_use(env, thread, meta.name, ctx.args, indices)
-        elif direction is Direction.RETURN_MANAGED_TO_NATIVE:
-            if meta.name == "PushLocalFrame":
-                self.push_frame(env, thread, meta.name, ctx.args[0], ctx.result)
-            elif meta.name == "EnsureLocalCapacity":
-                self.ensure_capacity(
-                    env, thread, meta.name, ctx.args[0], ctx.result
-                )
-            elif meta.returns_reference:
-                self.acquire_return(env, thread, meta.name, ctx.result)
 
     def reset(self) -> None:
         self.stacks.clear()

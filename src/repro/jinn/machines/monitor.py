@@ -69,15 +69,6 @@ class MonitorEncoding(Encoding):
             for obj, _count in self.held.values()
         ]
 
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None or ctx.event.direction is not Direction.RETURN_MANAGED_TO_NATIVE:
-            return
-        if meta.name == "MonitorEnter":
-            self.entered(ctx.env, meta.name, ctx.args[0], ctx.result)
-        elif meta.name == "MonitorExit":
-            self.exited(ctx.env, meta.name, ctx.args[0], ctx.result)
-
     def reset(self) -> None:
         self.held.clear()
 

@@ -82,28 +82,6 @@ class PinnedResourceEncoding(Encoding):
     def live_count(self) -> int:
         return len(self.acquired)
 
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None:
-            return
-        if (
-            ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE
-            and meta.acquires in ("pinned", "critical")
-        ):
-            self.acquire(ctx.env, meta.name, ctx.result)
-        elif (
-            ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-            and meta.releases in ("pinned", "critical")
-        ):
-            buffer_index = 1
-            mode_index = _mode_index(meta)
-            mode = (
-                ctx.args[mode_index]
-                if mode_index is not None and mode_index < len(ctx.args)
-                else None
-            )
-            self.release(ctx.env, meta.name, ctx.args[buffer_index], mode)
-
     def reset(self) -> None:
         self.acquired.clear()
 

@@ -167,10 +167,9 @@ class Synthesizer:
     def dispatch_index(self) -> DispatchIndex:
         """The (function, direction) -> machines index of Algorithm 1.
 
-        Algorithm 1's cross product (lines 1-5), computed once: the
-        interpretive engine and replay dispatch each crossing through
-        it, and :meth:`machine_plan` targets the generated checks with
-        it.
+        Algorithm 1's cross product (lines 1-5), computed once:
+        :meth:`machine_plan` targets the generated checks with it, and
+        the telemetry stage reads each site's machine count from it.
         """
         if self._index is None:
             self._index = DispatchIndex.build(

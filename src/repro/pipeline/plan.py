@@ -17,8 +17,9 @@ with no checks (Table 3's framework-overhead column).
 A fully instrumented crossing is one entry frame plus the two recorder
 hook calls — no nested wrapper closures, no per-call list building, and
 one containment arm per contributing machine owned by the entry body
-itself.  Walking the machines' ``on_event`` handlers is replay's job
-(:mod:`repro.trace.replay`), not a live mode.
+itself.  Offline replay (:mod:`repro.trace.replay`) binds the
+checking-only plan too, over a replay host and a raw table of stubs
+that play the recorded calls back.
 """
 
 from __future__ import annotations

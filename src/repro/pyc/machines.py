@@ -158,34 +158,6 @@ class BorrowedRefEncoding(Encoding):
                     value.describe(),
                 )
 
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None:
-            return
-        if ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED:
-            is_refcount_op = (
-                meta.count_effect is not None and meta.name.startswith("Py_")
-            )
-            if meta.object_params and not is_refcount_op:
-                self.check_use(ctx.env, meta.name, ctx.args, meta.object_params)
-            if is_refcount_op:
-                index, delta = meta.count_effect
-                if index < len(ctx.args):
-                    if delta < 0:
-                        self.relinquish(ctx.env, meta.name, ctx.args[index])
-                    else:
-                        self.promote(ctx.env, meta.name, ctx.args[index])
-        elif ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE:
-            if meta.ref_kind == "borrowed" and meta.borrow_from is not None:
-                owner = (
-                    ctx.args[meta.borrow_from]
-                    if meta.borrow_from < len(ctx.args)
-                    else None
-                )
-                self.borrow(ctx.env, meta.name, owner, ctx.result)
-            elif meta.name == "PyArg_ParseTuple":
-                self.borrow_parsed(ctx.env, meta.name, ctx.args[0], ctx.result)
-
     def reset(self) -> None:
         self.borrows_by_owner.clear()
         self.owner_of.clear()
@@ -358,26 +330,6 @@ class OwnedRefEncoding(Encoding):
             if count > 0 and not obj.freed
         ]
 
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None:
-            if ctx.event.direction is Direction.RETURN_NATIVE_TO_MANAGED:
-                self.transfer_to_python(ctx.env, ctx.event.function, ctx.result)
-            return
-        if ctx.event.direction is Direction.RETURN_MANAGED_TO_NATIVE:
-            if meta.ref_kind == "new":
-                self.acquire(ctx.env, meta.name, ctx.result)
-        elif ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED:
-            if meta.count_effect is not None:
-                index, delta = meta.count_effect
-                if index < len(ctx.args):
-                    if delta > 0 and meta.name.startswith("Py_"):
-                        self.acquire(ctx.env, meta.name, ctx.args[index])
-                    elif delta < 0:
-                        self.release(ctx.env, meta.name, ctx.args[index])
-            if meta.steals is not None and meta.steals < len(ctx.args):
-                self.steal(ctx.env, meta.name, ctx.args[meta.steals])
-
     def reset(self) -> None:
         self.owned.clear()
 
@@ -511,13 +463,6 @@ class PyFixedTypingEncoding(Encoding):
                 value.describe(),
             )
 
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None or ctx.event.direction is not Direction.CALL_NATIVE_TO_MANAGED:
-            return
-        for index, expected in meta.expected_types:
-            self.require_type(ctx.env, meta.name, ctx.args, index, expected)
-
 
 class PyFixedTypingSpec(StateMachineSpec):
     name = "py_fixed_typing"
@@ -587,18 +532,6 @@ class GILStateEncoding(Encoding):
                 ERROR_NO_GIL.name,
                 function,
             )
-
-    def on_event(self, ctx) -> None:
-        meta = ctx.meta
-        if meta is None:
-            if ctx.event.direction is Direction.CALL_MANAGED_TO_NATIVE:
-                self.check_held(ctx.env, ctx.event.function)
-            return
-        if (
-            ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-            and not meta.gil_free
-        ):
-            self.check_held(ctx.env, meta.name)
 
 
 class GILStateSpec(StateMachineSpec):
@@ -696,14 +629,6 @@ class PyExceptionStateEncoding(Encoding):
                 ERROR_PENDING.name,
                 function,
             )
-
-    def on_event(self, ctx) -> None:
-        if (
-            ctx.meta is not None
-            and ctx.event.direction is Direction.CALL_NATIVE_TO_MANAGED
-            and not ctx.meta.exception_oblivious
-        ):
-            self.check_sensitive(ctx.env, ctx.meta.name)
 
 
 class PyExceptionStateSpec(StateMachineSpec):

@@ -41,11 +41,10 @@ class InternalFaultInjector:
     """Makes one machine's check methods raise from a start ordinal on.
 
     Every public callable of the encoding (the semantic methods the
-    generated wrappers call, plus ``on_event`` for replay's
-    interpretive dispatch) shares one call counter; from call ``start``
-    onward each call raises ``error_type``.  Installation patches the
-    *instance*, so quarantine — which swaps the runtime attribute and
-    the pristine instance's ``on_event`` — silences the injector
+    generated entries call, live or in replay) shares one call counter;
+    from call ``start`` onward each call raises ``error_type``.
+    Installation patches the *instance*, so quarantine — which swaps
+    the runtime attribute the entries read — silences the injector
     exactly as it silences the real machine.
     """
 

@@ -1,41 +1,54 @@
 """Deterministic offline re-checking of recorded FFI event streams.
 
-Replay is the interpretive checking path.  Live runs execute the
-synthesized checks; the replay engine streams a trace back through the
-machines' ``on_event`` handlers instead —
-:meth:`repro.core.dispatch.DispatchIndex.encodings` resolves each
-recorded crossing to exactly the machines that observe it — without
-any simulated JVM or interpreter in the loop.  A replayed stream equal
-to the recorded one therefore checks the generated code against its
-specifications.
+Replay runs the synthesized checker itself.  The engine binds the
+checking-only :class:`repro.pipeline.PipelinePlan` — the same generated
+entries a live run installs — to a :class:`ReplayRuntime` over a
+minimal replay host, and lets the recorded stream drive them: each
+``"c"`` record calls its function's entry (or its native's entry) with
+the decoded arguments.  Every raw function and every native
+implementation is one stub, which replays the records nested inside the
+call and returns the decoded recorded result.  A replayed stream equal
+to the recorded one therefore checks the trace round trip: the
+recorder's captures, the codec and the decoder.
 
 The decoder rebuilds *real* model instances (``JRef``, ``JObject``,
 ``PyObj``, ...) via ``object.__new__`` so the machine encodings run
-unchanged, and a minimal replay host supplies the few bits of VM
-surface the machines consult (``current_thread``, ``find_class``,
+unchanged, and the replay host supplies the few bits of VM surface the
+machines consult (``current_thread``, ``find_class``,
 ``local_frame_capacity``, ``class_of_class_object``).
 
-Control flow mirrors the live wrappers exactly: a pre-check violation
-on an FFI function skips that call's post site (the generated wrapper
-returned the default without running its post block), while a native
-method's post site runs even after a pre-check violation (the generated
-native wrapper does not return early).  A call record with no matching
-return (the live call raised through the wrapper) simply never reaches
-its post site.
+The stream is the live call stack, flattened.  A stub returns at the
+``"r"`` record whose ``call_seq`` is its own call's, after decoding
+that record and entering its host context.  A different ``"r"``, the
+``"e"`` record, the end of the stream, or a ``"c"`` of the open call's
+own kind (crossings alternate: C reaches the managed side only through
+an FFI function, and back only through a native) means the open call
+raised live and wrote no return record; the stub then unwinds the open
+call, skipping its post site, and leaves the record to the enclosing
+level.  An entry that never called its stub (an FFI function's
+pre-violation) reads its own return record if one follows.  A pre-site
+report carries its call's seq, a post-site report its return's, and the
+termination sweep's the last crossing's seq plus one.
 
-One file replays in one engine, in stream order.  Several files replay
-in parallel on the fleet (:func:`repro.fleet.fleet_replay`), one job
-per file; each file is an independent stream, so that split is sound.
+Binding the entries is too dear for a short trace, so each process
+keeps one engine per substrate, bound once (rebuilt when the registry
+fingerprint changes), and resets it per trace: fresh encodings, health,
+violation log, decoder and host state.  An engine serves one replay at
+a time.  Several files replay in parallel on the fleet
+(:func:`repro.fleet.fleet_replay`), one job per file; each file is an
+independent stream, so that split is sound.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.cache import WRAPPER_CACHE
-from repro.core.runtime import CheckerRuntime, FailurePolicy
-from repro.fsm.errors import FFIViolation
-from repro.fsm.events import Direction, EventContext, LanguageEvent
+from repro.core.cache import WrapperCache
+from repro.core.plancache import default_disk_cache
+from repro.core.runtime import CheckerHealth, CheckerRuntime, FailurePolicy
+from repro.pipeline.plan import PipelinePlan
 from repro.trace import format as tfmt
 
 
@@ -53,19 +66,41 @@ class CollectViolationsPolicy(FailurePolicy):
 
 
 class ReplayRuntime(CheckerRuntime):
-    """Checker core over a replay host, collecting into a list."""
+    """Checker core over a replay host, collecting into a list.
+
+    The entries bound to it read ``rt.<machine>`` at each crossing, so
+    :meth:`begin` hands every trace fresh encodings in place: no
+    quarantine or chaos patch outlives its trace.
+    """
 
     log_prefix = "replay"
 
-    def __init__(self, host, registry, termination_site: str):
-        # Must match the recording substrate so leak reports are
-        # byte-identical ("in VM shutdown" vs "in interpreter exit").
-        self.termination_site = termination_site
+    def __init__(self, host, registry):
         super().__init__(host, registry, CollectViolationsPolicy())
         self.log_lines: List[str] = []
 
     def log(self, message: str) -> None:
         self.log_lines.append(message)
+
+    def begin(self, termination_site: str) -> None:
+        # Must match the recording substrate so leak reports are
+        # byte-identical ("in VM shutdown" vs "in interpreter exit").
+        self.termination_site = termination_site
+        for spec in self.registry:
+            encoding = spec.make_encoding(self.host)
+            self.encodings[spec.name] = encoding
+            setattr(self, spec.name, encoding)
+        self._original_encodings = dict(self.encodings)
+        self.health = CheckerHealth(self.health.policy)
+        self.log_lines = []
+
+    def end(self) -> None:
+        """Let go of the trace's machine state and violations."""
+        for name in self.encodings:
+            setattr(self, name, None)
+        self.encodings.clear()
+        self._original_encodings = {}
+        self.violations.clear()
 
 
 # -- replay host -------------------------------------------------------------
@@ -111,12 +146,15 @@ class _ReplayThread:
 class ReplayVM:
     """Just enough JavaVM surface for the machine encodings."""
 
-    def __init__(self, local_frame_capacity: int = 16):
+    def __init__(self):
         from repro.jvm.model import JClass  # local: pyc replays never need it
 
         self._jclass = JClass
+        self.reset()
+
+    def reset(self) -> None:
         self.classes: Dict[str, object] = {}
-        self.local_frame_capacity = local_frame_capacity
+        self.local_frame_capacity = 16
         self.current_thread: Optional[_ReplayThread] = None
         self._class_by_object_id: Dict[int, object] = {}
 
@@ -187,6 +225,9 @@ class ReplayInterp:
     """Just enough PythonInterpreter surface for the pyc machines."""
 
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
         self.current_thread = "main"
         self.gil_holder = "main"
         self.exc_info: Optional[tuple] = None
@@ -212,11 +253,14 @@ def _opaque(type_name: str):
 class _Decoder:
     """Tagged JSON values -> interned real model instances."""
 
-    def __init__(self, host, substrate: str):
+    def __init__(self, host):
         self._host = host
-        self._substrate = substrate
         self._objects: Dict[int, object] = {}
         self._appliers: Dict[int, object] = {}
+
+    def reset(self) -> None:
+        self._objects.clear()
+        self._appliers.clear()
 
     def decode(self, value):
         # Exact-type check: every encoded value is a scalar or a tagged
@@ -440,77 +484,63 @@ def _function_table(substrate: str):
     return FUNCTIONS
 
 
+class _Unwind(Exception):
+    """The open call raised live, so the stream holds no return for it.
+
+    Carries the record that showed it to the enclosing level, which
+    reads it next.
+    """
+
+    def __init__(self, record):
+        super().__init__()
+        self.record = record
+
+
+#: What playback reads past the last record.
+_END = ["end"]
+
+#: Records applied wherever they appear: verdicts, threads, classes.
+_SIDE_RECORDS = ("v", "t", "k")
+
+
 class _ReplayEngine:
-    def __init__(
-        self,
-        header: Dict[str, object],
-        registry=None,
-        *,
-        force: bool = False,
-    ):
-        self.header = header
-        self.substrate = header.get("substrate", "jni")
-        if registry is None:
-            registry = _default_registry(self.substrate)
-        tfmt.require_fingerprint(header, registry, force)
+    """One substrate's generated entries, bound once over a replay host.
+
+    :meth:`begin` readies the engine for one trace, :meth:`run` drives
+    that trace's whole record stream through the entries, and
+    :meth:`finish` returns the result and drops the trace's objects.
+    """
+
+    def __init__(self, substrate: str, registry):
+        self.substrate = substrate
         self.registry = registry
-        table = _function_table(self.substrate)
-        self.table = table
-        if self.substrate == "jni":
-            self.host = ReplayVM(header.get("local_frame_capacity", 16))
-            self.index = WRAPPER_CACHE.dispatch_for(registry)
-        else:
-            self.host = ReplayInterp()
-            self.index = WRAPPER_CACHE.dispatch_for(registry, table)
-        self.rt = ReplayRuntime(
-            self.host, registry, header.get("termination_site", "termination")
-        )
-        self.decoder = _Decoder(self.host, self.substrate)
-        self.result = ReplayResult(header)
+        self.fingerprint = registry.fingerprint()
+        jni = substrate == "jni"
+        self.host = ReplayVM() if jni else ReplayInterp()
+        self.rt = ReplayRuntime(self.host, registry)
+        self.decoder = _Decoder(self.host)
+        self.result: Optional[ReplayResult] = None
         self._threads: Dict[object, _ReplayThread] = {}
         self._envs: Dict[object, _ReplayEnv] = {}
-        self._skip_post: set = set()
-        self._last_seq = 0
-        self._seen_violations = 0
-        # Per-function dispatch cache:
-        # (pre, post, meta, default, call_event, return_event).
-        self._handlers: Dict[Tuple[str, bool], tuple] = {}
-
-    # -- dispatch resolution --------------------------------------------
-
-    def _resolve(self, name: str, native: bool) -> tuple:
-        key = (name, native)
-        cached = self._handlers.get(key)
-        if cached is not None:
-            return cached
-        from repro.core.defaults import default_value
-
-        if native:
-            call_dir = Direction.CALL_MANAGED_TO_NATIVE
-            ret_dir = Direction.RETURN_NATIVE_TO_MANAGED
-            pre = self.index.native_encodings(self.rt, call_dir)
-            post = self.index.native_encodings(self.rt, ret_dir)
-            meta = None
-            default = None
-        else:
-            call_dir = Direction.CALL_NATIVE_TO_MANAGED
-            ret_dir = Direction.RETURN_MANAGED_TO_NATIVE
-            pre = self.index.encodings(self.rt, name, call_dir)
-            post = self.index.encodings(self.rt, name, ret_dir)
-            meta = self.table.get(name)
-            default = default_value(meta.returns) if meta is not None else None
-        # The crossing events are immutable per (name, native): build
-        # them once here instead of per record in the feed loop.
-        cached = (
-            pre,
-            post,
-            meta,
-            default,
-            LanguageEvent(call_dir, name, native),
-            LanguageEvent(ret_dir, name, native),
+        self._pyc_env = _ReplayEnv("pyc-api")
+        #: [call seq, native flag, stub called] per open call.
+        self._frames: List[list] = []
+        #: One-slot cells the playback closures share: the record source,
+        #: the violations already reported, the last crossing's seq and
+        #: the crossing count.
+        self._pull = [None]
+        self._seen = [0]
+        self._last_seq = [0]
+        self._events = [0]
+        table = _function_table(substrate)
+        plan = PipelinePlan(
+            self.rt, registry, None if jni else table, cache=_REPLAY_PLANS
         )
-        self._handlers[key] = cached
-        return cached
+        entries: Dict[str, object] = {}
+        stub, self._dispatch, self._consume = self._playback(
+            entries, plan.native_entry
+        )
+        entries.update(plan.entries(dict.fromkeys(table, stub)))
 
     # -- host context ----------------------------------------------------
 
@@ -521,39 +551,130 @@ class _ReplayEngine:
             self._envs[token] = env
         return env
 
-    def _thread_of(self, tid, env) -> _ReplayThread:
-        thread = self._threads.get(tid)
-        if thread is None:
-            thread = _ReplayThread(tid, "t{}".format(tid), env)
-            self._threads[tid] = thread
-        return thread
-
-    def _enter(self, ctx: list):
-        """Install the recorded host context; returns (env, thread)."""
+    def _enter(self, ctx: list) -> _ReplayEnv:
+        """Install the recorded host context; returns the crossing's env."""
+        host = self.host
         if self.substrate == "jni":
             tid, env_token, pending = ctx
             env = self._env_of(env_token)
-            thread = self._thread_of(tid, env)
+            thread = self._threads.get(tid)
+            if thread is None:
+                thread = _ReplayThread(tid, "t{}".format(tid), env)
+                self._threads[tid] = thread
             thread.pending_exception = (
                 None if pending is None else _ReplayPending(pending)
             )
-            self.host.current_thread = thread
-            return env, thread
+            host.current_thread = thread
+            return env
         current, gil, exc = ctx
-        self.host.current_thread = current
-        self.host.gil_holder = gil
-        self.host.exc_info = None if exc is None else tuple(exc)
-        return self._env_of("pyc-api"), current
+        host.current_thread = current
+        host.gil_holder = gil
+        host.exc_info = None if exc is None else tuple(exc)
+        return self._pyc_env
 
-    # -- record feed -----------------------------------------------------
+    # -- playback --------------------------------------------------------
 
-    def feed(self, record: list) -> None:
+    def _playback(self, entries, make_native):
+        """The stub every raw function and native runs, and its helpers.
+
+        Built once per engine: each closure reads per-trace state
+        through containers :meth:`begin` resets in place.
+        """
+        natives: Dict[str, object] = {}
+        frames = self._frames
+        pull = self._pull
+        seen = self._seen
+        last_seq = self._last_seq
+        events = self._events
+        violations = self.rt.violations  # stable list: cleared in place
+        decode = self.decoder.decode
+        enter = self._enter
+        feed = self._feed
+        collect = self._collect
+
+        def consume(record):
+            """Read one return record; returns its decoded result."""
+            _, seq, _, _, _, ctx, args, result = record
+            for value in args:
+                decode(value)
+            result = decode(result)
+            last_seq[0] = seq
+            events[0] += 1
+            enter(ctx)
+            return result
+
+        def stub(env, *args):
+            """Replay the records inside the open call; return its result."""
+            seq, native, _ = frame = frames[-1]
+            frame[2] = True
+            if len(violations) > seen[0]:
+                collect(seq)
+            record = pull[0]()
+            while True:
+                kind = record[0]
+                if kind == "c":
+                    if record[3] == native:
+                        raise _Unwind(record)
+                    record = dispatch(record) or pull[0]()
+                elif kind == "r":
+                    if record[2] != seq:
+                        raise _Unwind(record)
+                    return consume(record)
+                elif kind in _SIDE_RECORDS:
+                    feed(record)
+                    record = pull[0]()
+                else:
+                    raise _Unwind(record)
+
+        def dispatch(record):
+            """Run one call record's entry.
+
+            Returns the record the call left unread for the enclosing
+            level, or None.
+            """
+            _, seq, name, native, ctx, args = record
+            args = [decode(value) for value in args]
+            last_seq[0] = seq
+            events[0] += 1
+            env = enter(ctx)
+            if native:
+                entry = natives.get(name)
+                if entry is None:
+                    entry = natives[name] = make_native(name, stub)
+            else:
+                entry = entries.get(name, stub)
+            frame = [seq, native, False]
+            frames.append(frame)
+            try:
+                entry(env, *args)
+            except _Unwind as unwind:
+                frames.pop()
+                return unwind.record
+            frames.pop()
+            if len(violations) > seen[0]:
+                collect(last_seq[0])
+            if frame[2]:
+                return None
+            # An FFI function's pre-violation returned without the raw
+            # call; a live entry that returned still wrote its return
+            # record, after the violation's.
+            record = pull[0]()
+            while record[0] in _SIDE_RECORDS:
+                feed(record)
+                record = pull[0]()
+            if record[0] == "r" and record[2] == seq:
+                consume(record)
+                return None
+            return record
+
+        return stub, dispatch, consume
+
+    def _feed(self, record: list) -> None:
         """Apply one non-crossing record (thread, class, end, verdict)."""
         kind = record[0]
         if kind == "t":
             _, tid, name, env_token = record
-            env = self._env_of(env_token)
-            thread = _ReplayThread(tid, name, env)
+            thread = _ReplayThread(tid, name, self._env_of(env_token))
             self._threads[tid] = thread
             env_machine = self.rt.encodings.get("jnienv_state")
             if env_machine is not None:
@@ -564,102 +685,99 @@ class _ReplayEngine:
             for capture in record[1]:
                 self.decoder.decode(capture)
             self.rt.at_termination()
-            self._collect(self._last_seq + 1)
+            self._collect(self._last_seq[0] + 1)
         elif kind == "v":
             self.result.recorded_reports.append(record[1])
         else:
             raise tfmt.TraceFormatError("unknown record kind " + repr(kind))
 
-    def run(self, records) -> None:
-        """Feed a stream of records through a hoisted-locals hot loop.
-
-        This loop is the only code that drives the machines'
-        ``on_event`` handlers: each "c"/"r" crossing runs its pre-bound
-        encodings here, with every per-record attribute lookup hoisted.
-        Rare record kinds go to :meth:`feed`.
-        """
-        decode = self.decoder.decode
-        resolve = self._resolve
-        enter = self._enter
-        result = self.result
-        fail = self.rt.fail
-        contain = self.rt.contain
-        violations = self.rt.violations  # stable list: cleared in place
-        handlers = self._handlers
-        skip_post = self._skip_post
-        collect = self._collect
-        for record in records:
-            kind = record[0]
-            if kind == "c":
-                _, seq, name, native, ctx, args = record
-                self._last_seq = seq
-                jargs = tuple([decode(a) for a in args])
-                result.event_count += 1
-                env, thread = enter(ctx)
-                handler = handlers.get((name, native))
-                if handler is None:
-                    handler = resolve(name, native)
-                pre, _, meta, default, call_event, _ = handler
-                context = EventContext(
-                    call_event, env, thread, jargs, {}, None, meta
-                )
-                try:
-                    for encoding in pre:
-                        try:
-                            encoding.on_event(context)
-                        except FFIViolation:
-                            raise
-                        except Exception as exc:
-                            contain(encoding.spec.name, exc, name, "pre")
-                except FFIViolation as v:
-                    fail(env, v, default)
-                    if not native:
-                        skip_post.add(seq)
-                if len(violations) > self._seen_violations:
-                    collect(seq)
-            elif kind == "r":
-                _, seq, call_seq, name, native, ctx, args, res = record
-                self._last_seq = seq
-                jargs = tuple([decode(a) for a in args])
-                jresult = decode(res)
-                result.event_count += 1
-                env, thread = enter(ctx)
-                if call_seq in skip_post:
-                    skip_post.discard(call_seq)
-                    continue
-                handler = handlers.get((name, native))
-                if handler is None:
-                    handler = resolve(name, native)
-                _, post, meta, _, _, ret_event = handler
-                context = EventContext(
-                    ret_event, env, thread, jargs, {}, jresult, meta
-                )
-                try:
-                    for encoding in post:
-                        try:
-                            encoding.on_event(context)
-                        except FFIViolation:
-                            raise
-                        except Exception as exc:
-                            contain(encoding.spec.name, exc, name, "post")
-                except FFIViolation as v:
-                    fail(env, v)
-                if len(violations) > self._seen_violations:
-                    collect(seq)
-            else:
-                self.feed(record)
-
     def _collect(self, seq: int) -> None:
         violations = self.rt.violations
-        while self._seen_violations < len(violations):
-            self.result.reports.append(
-                (seq, violations[self._seen_violations].report())
+        seen = self._seen
+        reports = self.result.reports
+        while seen[0] < len(violations):
+            reports.append((seq, violations[seen[0]].report()))
+            seen[0] += 1
+
+    # -- one trace -------------------------------------------------------
+
+    def begin(self, header: Dict[str, object]) -> None:
+        """Fresh per-trace state: encodings, health, log, decoder, host."""
+        self._drop()
+        if self.substrate == "jni":
+            self.host.local_frame_capacity = header.get(
+                "local_frame_capacity", 16
             )
-            self._seen_violations += 1
+        self.rt.begin(header.get("termination_site", "termination"))
+        self.result = ReplayResult(header)
+
+    def run(self, records) -> None:
+        """Drive one trace's whole record stream through the entries."""
+        pull = self._pull
+        pull[0] = partial(next, iter(records), _END)
+        dispatch = self._dispatch
+        record = pull[0]()
+        while record is not _END:
+            kind = record[0]
+            if kind == "c":
+                record = dispatch(record) or pull[0]()
+                continue
+            if kind == "r":
+                # A return whose call is not open: keep its state.
+                self._consume(record)
+            else:
+                self._feed(record)
+            record = pull[0]()
 
     def finish(self) -> ReplayResult:
-        self.result.log_lines = self.rt.log_lines
-        return self.result
+        """The trace's result; drops every object the trace made."""
+        result = self.result
+        result.event_count = self._events[0]
+        result.log_lines = self.rt.log_lines
+        self.result = None
+        self._drop()
+        return result
+
+    def _drop(self) -> None:
+        """Let go of every object the last trace made."""
+        self.rt.end()
+        self.host.reset()
+        self.decoder.reset()
+        self._threads.clear()
+        self._envs.clear()
+        del self._frames[:]
+        self._pull[0] = None
+        self._seen[0] = 0
+        self._last_seq[0] = 0
+        self._events[0] = 0
+
+
+#: Replay's compiled plans.  Its own cache, so replay's entries never
+#: share code objects with the live plans, which CPython specialises on
+#: the live host's types.
+_REPLAY_PLANS = WrapperCache(disk=default_disk_cache())
+
+#: substrate -> this process's engine for it.
+_ENGINES: Dict[str, _ReplayEngine] = {}
+
+
+def replay_engine(
+    header: Dict[str, object], registry=None, *, force: bool = False
+) -> _ReplayEngine:
+    """This process's engine for the trace's substrate, begun on it.
+
+    The engine is rebuilt only when the registry's fingerprint differs
+    from the one it was bound for.
+    """
+    substrate = header.get("substrate", "jni")
+    if registry is None:
+        registry = _default_registry(substrate)
+    tfmt.require_fingerprint(header, registry, force)
+    engine = _ENGINES.get(substrate)
+    if engine is None or engine.fingerprint != registry.fingerprint():
+        engine = _ENGINES[substrate] = _ReplayEngine(substrate, registry)
+    engine.begin(header)
+    return engine
 
 
 # -- entry points ------------------------------------------------------------
@@ -673,9 +791,12 @@ def replay_trace(
     force: bool = False,
 ) -> ReplayResult:
     """Replay already-decoded records (in-memory traces, tests)."""
-    engine = _ReplayEngine(header, registry, force=force)
-    engine.run(records)
-    return engine.finish()
+    engine = replay_engine(header, registry, force=force)
+    try:
+        engine.run(records)
+    finally:
+        result = engine.finish()
+    return result
 
 
 def replay_lines(lines, **kwargs) -> ReplayResult:
@@ -700,11 +821,12 @@ def replay_path(
     A torn final line — the signature of a recorder killed mid-write —
     is logged as a warning and replay stops at the last complete
     record; corruption anywhere before the tail stays a hard
-    :class:`repro.trace.format.TraceFormatError`.
+    :class:`repro.trace.format.TraceFormatError`.  One :meth:`run`
+    reads every batch, since a call may span two of them.
     """
     with open(path) as f:
         header = tfmt.parse_header(f.readline())
-    engine = _ReplayEngine(header, registry, force=force)
+    engine = replay_engine(header, registry, force=force)
 
     def on_torn(line_no: int, line: str) -> None:
         engine.rt.log(
@@ -714,6 +836,9 @@ def replay_path(
             )
         )
 
-    for batch in tfmt.iter_batches(path, batch_size, on_torn=on_torn):
-        engine.run(batch)
-    return engine.finish()
+    batches = tfmt.iter_batches(path, batch_size, on_torn=on_torn)
+    try:
+        engine.run(chain.from_iterable(batches))
+    finally:
+        result = engine.finish()
+    return result

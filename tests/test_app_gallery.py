@@ -147,8 +147,8 @@ class TestCorrectGallery:
         assert agent.termination_violations == []
 
     def test_replay_of_the_clean_run_is_clean(self, tmp_path):
-        """Replay, the interpretive path, walks the machines' handlers
-        over the recorded run and must find nothing either."""
+        """Replay drives the generated entries over the recorded run
+        and must find nothing either."""
         from repro.trace import TraceRecorder
         from repro.trace.replay import replay_path
 

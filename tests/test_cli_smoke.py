@@ -498,11 +498,12 @@ REMOVED_ARGVS = [
 
 #: Watched work runs on the fleet: `fuzz run --timeout T` and `trace
 #: replay --timeout T` replace the first command.  `trace recover`
-#: replaces `resilience recover`, and interpretive checking is replay's,
-#: not a live `--mode`.  The job queue went with the five commands that
-#: inspected, drained, fault-injected, compacted and dead-lettered it.
-#: The fleet is a library behind `trace replay` and `fuzz run`: its
-#: corpus smoke and its trial-job load report went with the group.
+#: replaces `resilience recover`, and there is no interpretive `--mode`:
+#: replay drives the generated entries.  The job queue went with the
+#: five commands that inspected, drained, fault-injected, compacted and
+#: dead-lettered it.  The fleet is a library behind `trace replay` and
+#: `fuzz run`: its corpus smoke and its trial-job load report went with
+#: the group.
 REMOVED_COMMANDS = [
     ["resilience", "supervise", "fuzz:1"],
     ["resilience", "recover", "j", "-o", "t"],

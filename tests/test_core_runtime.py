@@ -10,7 +10,6 @@ from repro.core.defaults import (
     RETURN_DEFAULT_LITERALS,
     RETURN_DEFAULTS,
     default_literal,
-    default_value,
 )
 from repro.core.dispatch import NATIVE_KEY, DispatchIndex
 from repro.core.runtime import CheckerRuntime, FailurePolicy, RaiseViolationPolicy
@@ -32,19 +31,18 @@ from repro.pyc.spec import PY_FUNCTIONS
 class TestReturnDefaults:
     def test_every_jni_return_kind_has_consistent_views(self):
         """For every return kind the JNI table uses, the source literal
-        the synthesizer embeds must evaluate to the value replay, the
-        interpretive path, passes to ``fail`` — the two views of the
-        defaults table may never drift apart."""
+        the synthesizer embeds must evaluate to the table's zero value —
+        the two views of the defaults table may never drift apart."""
         kinds = {meta.returns for meta in FUNCTIONS.values()}
         assert kinds  # sanity: the table is populated
         for kind in sorted(kinds):
-            assert eval(default_literal(kind)) == default_value(kind), kind
+            assert eval(default_literal(kind)) == RETURN_DEFAULTS.get(kind), kind
 
     def test_every_pyc_return_kind_has_consistent_views(self):
         kinds = {meta.returns for meta in PY_FUNCTIONS.values()}
         assert kinds
         for kind in sorted(kinds):
-            assert eval(default_literal(kind)) == default_value(kind), kind
+            assert eval(default_literal(kind)) == RETURN_DEFAULTS.get(kind), kind
 
     def test_literal_table_is_derived_from_value_table(self):
         assert set(RETURN_DEFAULT_LITERALS) == set(RETURN_DEFAULTS)
@@ -52,15 +50,14 @@ class TestReturnDefaults:
             assert eval(RETURN_DEFAULT_LITERALS[kind]) == value, kind
 
     def test_unknown_kind_falls_back_to_none(self):
-        assert default_value("no_such_kind") is None
         assert default_literal("no_such_kind") == "None"
 
     def test_zero_values_match_jni_semantics(self):
-        assert default_value("jboolean") is False
-        assert default_value("jint") == 0
-        assert default_value("jdouble") == 0.0
-        assert default_value("void") is None
-        assert default_value("jobject") is None  # references zero to null
+        assert default_literal("jboolean") == "False"
+        assert default_literal("jint") == "0"
+        assert default_literal("jdouble") == "0.0"
+        assert default_literal("void") == "None"
+        assert default_literal("jobject") == "None"  # references zero to null
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,8 @@ from repro.fsm import (
     Direction,
     Encoding,
     EntitySelector,
-    EventContext,
     FFIViolation,
     FunctionSelector,
-    LanguageEvent,
     LanguageTransition,
     SpecRegistry,
     SpecificationError,
@@ -17,26 +15,19 @@ from repro.fsm import (
     StateMachineSpec,
     StateTransition,
 )
-from repro.fsm.machine import NATIVE_METHOD, functions_matching, selector_for_entities
+from repro.fsm.machine import NATIVE_METHOD, functions_matching
 
 
 class _FakeMeta:
     """Minimal function-metadata stand-in for selector tests."""
 
-    def __init__(self, name, refs=(), ids=(), returns_reference=False):
+    def __init__(self, name):
         self.name = name
-        self.reference_param_indices = tuple(refs)
-        self.id_param_indices = tuple(ids)
-        self.returns_reference = returns_reference
 
 
 def _two_state_spec(name="demo"):
     ok = State("Ok")
     bad = State("Error: bad", is_error=True)
-
-    class DemoEncoding(Encoding):
-        def on_event(self, ctx):
-            pass
 
     class DemoSpec(StateMachineSpec):
         pass
@@ -55,7 +46,7 @@ def _two_state_spec(name="demo"):
             EntitySelector.REFERENCE_PARAMETERS,
         ),
     )
-    spec.make_encoding = lambda vm: DemoEncoding(spec)
+    spec.make_encoding = lambda vm: Encoding(spec)
     return spec
 
 
@@ -218,56 +209,6 @@ class TestEventHelpers:
             )
             == []
         )
-
-    def _ctx(self, meta, args=(), result=None):
-        return EventContext(
-            LanguageEvent(Direction.CALL_NATIVE_TO_MANAGED, "Frob"),
-            env=None,
-            thread="T",
-            args=args,
-            result=result,
-            meta=meta,
-        )
-
-    def test_selector_thread(self):
-        ctx = self._ctx(_FakeMeta("Frob"))
-        assert selector_for_entities(EntitySelector.THREAD, ctx) == ["T"]
-
-    def test_selector_none(self):
-        ctx = self._ctx(_FakeMeta("Frob"))
-        assert selector_for_entities(EntitySelector.NONE, ctx) == []
-
-    def test_selector_reference_params(self):
-        ctx = self._ctx(_FakeMeta("Frob", refs=(1,)), args=("a", "b"))
-        assert selector_for_entities(
-            EntitySelector.REFERENCE_PARAMETERS, ctx
-        ) == ["b"]
-
-    def test_selector_id_params(self):
-        ctx = self._ctx(_FakeMeta("Frob", ids=(0,)), args=("id0", "x"))
-        assert selector_for_entities(EntitySelector.ID_PARAMETERS, ctx) == ["id0"]
-
-    def test_selector_reference_return(self):
-        meta = _FakeMeta("Frob", returns_reference=True)
-        ctx = self._ctx(meta, result="ref")
-        assert selector_for_entities(EntitySelector.REFERENCE_RETURN, ctx) == [
-            "ref"
-        ]
-
-    def test_selector_reference_return_nonref(self):
-        ctx = self._ctx(_FakeMeta("Frob"), result="x")
-        assert selector_for_entities(EntitySelector.REFERENCE_RETURN, ctx) == []
-
-    def test_selector_native_method_all_args(self):
-        ctx = EventContext(
-            LanguageEvent(Direction.CALL_MANAGED_TO_NATIVE, "Java_X_y", True),
-            env=None,
-            thread="T",
-            args=(1, 2),
-        )
-        assert selector_for_entities(
-            EntitySelector.REFERENCE_PARAMETERS, ctx
-        ) == [1, 2]
 
 
 class TestFFIViolation:

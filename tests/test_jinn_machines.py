@@ -206,6 +206,14 @@ class TestFixedTypingMachine:
         )
 
 
+def site_check(enc, function, args):
+    """Run the per-site entity-typing check a generated line makes."""
+    from repro.jinn.machines.entity_typing import site_check as site_of
+
+    method, site_args = site_of(functions.FUNCTIONS[function])
+    getattr(enc, method)(None, function, args, *site_args)
+
+
 class TestEntityTypingMachine:
     def _setup(self, plain_vm):
         plain_vm.define_class("te/C")
@@ -224,7 +232,7 @@ class TestEntityTypingMachine:
         enc = EntityTypingSpec().make_encoding(plain_vm)
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
-        enc.check(None, "CallStaticIntMethodA", (clazz, mid, [4]))
+        site_check(enc, "CallStaticIntMethodA", (clazz, mid, [4]))
 
     def test_argument_type_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -233,7 +241,7 @@ class TestEntityTypingMachine:
         clazz = JRef("local", plain_vm.class_object_of(cls))
         bad = JRef("local", plain_vm.new_string("no"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticIntMethodA", (clazz, mid, [bad]))
+            site_check(enc, "CallStaticIntMethodA", (clazz, mid, [bad]))
 
     def test_argument_count_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -241,7 +249,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticIntMethodA", (clazz, mid, []))
+            site_check(enc, "CallStaticIntMethodA", (clazz, mid, []))
 
     def test_result_kind_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -249,7 +257,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("f", "(I)I"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticVoidMethodA", (clazz, mid, [4]))
+            site_check(enc, "CallStaticVoidMethodA", (clazz, mid, [4]))
 
     def test_static_call_of_instance_method_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -257,7 +265,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("g", "()V"))
         clazz = JRef("local", plain_vm.class_object_of(cls))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallStaticVoidMethodA", (clazz, mid, []))
+            site_check(enc, "CallStaticVoidMethodA", (clazz, mid, []))
 
     def test_eclipse_pattern_subclass_not_declaring_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -269,7 +277,7 @@ class TestEntityTypingMachine:
             plain_vm.class_object_of(plain_vm.require_class("te/Sub")),
         )
         with pytest.raises(FFIViolation) as exc_info:
-            enc.check(None, "CallStaticIntMethodA", (sub, mid, [1]))
+            site_check(enc, "CallStaticIntMethodA", (sub, mid, [1]))
         assert "declare" in str(exc_info.value)
 
     def test_receiver_not_instance_flagged(self, plain_vm):
@@ -278,7 +286,7 @@ class TestEntityTypingMachine:
         mid = JMethodID(cls.find_method("g", "()V"))
         stranger = JRef("local", plain_vm.new_object("java/lang/Object"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "CallVoidMethodA", (stranger, mid, []))
+            site_check(enc, "CallVoidMethodA", (stranger, mid, []))
 
     def test_field_kind_mismatch_flagged(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -286,7 +294,7 @@ class TestEntityTypingMachine:
         fid = JFieldID(cls.find_field("n", "I"))
         obj = JRef("local", plain_vm.new_object("te/C"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "GetLongField", (obj, fid))
+            site_check(enc, "GetLongField", (obj, fid))
 
     def test_field_value_type_checked_on_write(self, plain_vm):
         cls = self._setup(plain_vm)
@@ -294,8 +302,8 @@ class TestEntityTypingMachine:
         fid = JFieldID(cls.find_field("n", "I"))
         obj = JRef("local", plain_vm.new_object("te/C"))
         with pytest.raises(FFIViolation):
-            enc.check(None, "SetIntField", (obj, fid, "not an int"))
-        enc.check(None, "SetIntField", (obj, fid, 3))
+            site_check(enc, "SetIntField", (obj, fid, "not an int"))
+        site_check(enc, "SetIntField", (obj, fid, 3))
 
     def test_non_id_handles_left_to_fixed_typing(self, plain_vm):
         enc = EntityTypingSpec().make_encoding(plain_vm)
@@ -303,7 +311,7 @@ class TestEntityTypingMachine:
             "local",
             plain_vm.class_object_of(plain_vm.require_class("java/lang/Object")),
         )
-        enc.check(None, "CallStaticVoidMethodA", (clazz, "bogus", []))
+        site_check(enc, "CallStaticVoidMethodA", (clazz, "bogus", []))
 
 
 class TestNullnessAndAccessControl:

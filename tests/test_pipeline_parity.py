@@ -180,6 +180,42 @@ with open(GOLDEN_PATH) as _f:
     GOLDEN = json.load(_f)
 
 
+def _golden_reports(value):
+    """Every report string pinned anywhere in a golden entry."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "reports":
+                yield from item
+            else:
+                yield from _golden_reports(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _golden_reports(item)
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_golden_reports_cover_every_error_state(substrate):
+    """Each spec error state is reached by some pinned case.
+
+    The golden file is the emitter's cross-check: a checker whose
+    generated code stopped reaching an error state fails the case that
+    pins it.  A spec that gains an error state needs a case here.
+    """
+    from repro.jinn.machines import build_registry
+    from repro.pyc.machines import build_pyc_registry
+
+    registry = build_pyc_registry() if substrate == "pyc" else build_registry()
+    reports = "\n".join(_golden_reports(GOLDEN))
+    missing = [
+        (spec.name, state.name)
+        for spec in registry
+        for state in spec.error_states()
+        if "[machine={}, state={}]".format(spec.name, state.name)
+        not in reports
+    ]
+    assert missing == []
+
+
 @pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_valid_sequence_parity(substrate):
     result = plain(_valid_case(substrate))

@@ -5,9 +5,10 @@
 throwaway default on their happy paths.  Each case below runs every
 call of those methods beside the version they replaced, on a twin
 encoding, and requires the same outcome (same report, or none) and the
-same machine state after each call.  Replay drives the same methods
-through ``on_event``, so each case runs on the generated path and on a
-replay of the trace it recorded.
+same machine state after each call.  Each case runs live on the
+generated path and again on a replay of the trace it recorded, which
+drives the same generated entries over the decoded stream: live
+against the trace round trip.
 """
 
 import json
@@ -28,7 +29,7 @@ from repro.pyc.machines import (
 from repro.pyc.objects import PyObj
 from repro.trace import TraceRecorder
 from repro.trace.format import parse_header
-from repro.trace.replay import _ReplayEngine
+from repro.trace.replay import replay_engine
 from repro.workloads.pyc_micro import dangling_borrow, over_release
 
 
@@ -203,11 +204,12 @@ def run_sequence(round_no, recorder):
 
 
 def replay(lines):
-    engine = _ReplayEngine(parse_header(lines[0]))
+    engine = replay_engine(parse_header(lines[0]))
     twins = Twins(engine.rt)
     engine.run(json.loads(line) for line in lines[1:] if line.strip())
+    reports = [v.report() for v in engine.rt.violations]
     engine.finish()
-    return twins, [v.report() for v in engine.rt.violations]
+    return twins, reports
 
 
 CASES = [

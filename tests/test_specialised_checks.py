@@ -2,11 +2,12 @@
 
 The synthesized entries call the typing and per-thread machines with
 their site baked in (call mode, result kind, payload form, field flags,
-fixed type, the crossing's thread); replay, the interpretive path,
-derives the same arguments from the event.  Each case below drives one
-bug those specialised checks catch through the generated agent (while
-recording a trace) and a replay of the trace, and requires the same
-``(machine, error_state, function, entity, message)`` stream from both.
+fixed type, the crossing's thread).  Each case below drives one bug
+those specialised checks catch through the generated agent (while
+recording a trace) and through a replay of the trace, which runs the
+same entries over the decoded stream, and requires the same
+``(machine, error_state, function, entity, message)`` stream from both:
+live against the trace round trip.
 """
 
 import json
@@ -17,7 +18,7 @@ from repro.jinn.agent import JinnAgent
 from repro.jvm import FatalJNIError, JavaException, JavaVM, SimulatedCrash
 from repro.trace import TraceRecorder
 from repro.trace.format import parse_header
-from repro.trace.replay import _ReplayEngine
+from repro.trace.replay import replay_engine
 from repro.workloads.casestudies import local_ref_time_series
 
 HOST = "pp/Host"
@@ -59,14 +60,16 @@ def run_live(body, trace_path):
 
 
 def run_replay(trace_path):
-    # The replay engine's runtime keeps the violation objects (the
-    # public ReplayResult carries only report strings, without entity).
+    # The replay engine's runtime holds the violation objects until
+    # finish() (the public ReplayResult carries only report strings,
+    # without entity).
     with open(str(trace_path)) as f:
         lines = f.read().splitlines()
-    engine = _ReplayEngine(parse_header(lines[0]))
+    engine = replay_engine(parse_header(lines[0]))
     engine.run(json.loads(line) for line in lines[1:] if line.strip())
+    keys = _keys(engine.rt.violations)
     engine.finish()
-    return _keys(engine.rt.violations)
+    return keys
 
 
 def _base(env):

@@ -1,8 +1,8 @@
 """Substrate and mode parity over the shared checker core.
 
-The refactor's contract: the generated entries, replay (the
-interpretive path) with the dispatch index, and replay with a
-brute-force fan-out reference (every machine sees every crossing) all
+The refactor's contract: the generated entries live, a replay of their
+trace, and a replay through entries synthesized from a brute-force
+fan-out index (every machine asked to emit at every site) all
 implement the *same* specifications, so any misuse scenario must yield
 the identical violation stream — same machines, same error states, same
 faulting functions, in the same order.  And moving the Python/C checker
@@ -12,7 +12,6 @@ raise-at-the-faulting-call protocol.
 
 import pytest
 
-from repro.core.cache import WRAPPER_CACHE
 from repro.core.dispatch import NATIVE_KEY, DispatchIndex
 from repro.fsm.errors import FFIViolation
 from repro.fsm.events import Direction
@@ -63,9 +62,8 @@ class TestModeParity:
     def test_generated_and_interpretive_streams_identical(
         self, scenario, tmp_path
     ):
-        """Replay, the interpretive path, walks the indexed machines'
-        ``on_event`` handlers over the generated run's trace and must
-        re-detect its stream."""
+        """Replay drives the generated entries over the live run's
+        trace and must re-detect its stream."""
         path = tmp_path / "t.trace"
         live = record_micro(scenario.name, path)
         assert live, scenario.name  # every micro demonstrates a bug
@@ -78,13 +76,25 @@ class TestModeParity:
         self, scenario, monkeypatch, tmp_path
     ):
         """The index is an optimization, not a semantics change: a
-        machine the index leaves out of a bucket must ignore that
-        crossing, so a replay that fans every crossing out to every
-        machine re-detects the same live stream the indexed replay
-        does (the test above)."""
+        machine the index leaves out of a site must have nothing to
+        check there, so entries synthesized with every machine asked
+        at every site re-detect, in a replay of the live run's trace,
+        the same live stream the indexed entries do (the test above)."""
+        from repro.core.cache import WrapperCache
+        from repro.jinn.synthesizer import Synthesizer
+        from repro.trace import replay as replay_module
+
         path = tmp_path / "t.trace"
         live = record_micro(scenario.name, path)
-        monkeypatch.setattr(WRAPPER_CACHE, "dispatch_for", _fanout_index)
+        monkeypatch.setattr(
+            Synthesizer,
+            "dispatch_index",
+            lambda self: _fanout_index(self.registry, self.function_table),
+        )
+        monkeypatch.setattr(
+            replay_module, "_REPLAY_PLANS", WrapperCache(disk=None)
+        )
+        monkeypatch.setattr(replay_module, "_ENGINES", {})
         assert replay_path(str(path)).violations == live, scenario.name
 
     def test_interpose_mode_sees_nothing(self):

@@ -1,9 +1,12 @@
 """Record/replay round-trip parity, fleet replay, and the fingerprint guard.
 
-The tentpole contract: replaying a trace through the interpretive
-dispatch path re-detects *byte-identical* violation reports, in the
-same order, as the live checker whose run produced the trace — on both
-substrates, for every workload family.
+The contract: replaying a trace — its recorded crossings driving the
+synthesized checker's own entries, with the raw calls played back from
+the trace — re-detects *byte-identical* violation reports, in the same
+order, as the live checker whose run produced the trace, on both
+substrates, for every workload family.  What this checks is the trace
+round trip (capture, codec, decode and playback); the golden
+outputs of ``tests/test_pipeline_parity.py`` pin the checks themselves.
 """
 
 import json
@@ -12,23 +15,31 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.fsm.errors import FFIViolation
 from repro.fuzz.corpus import corpus_baseline
 from repro.jinn.agent import JinnAgent
 from repro.jinn.machines import build_registry
-from repro.trace import TraceRecorder
+from repro.pyc import PyCChecker, PythonInterpreter
+from repro.trace import TraceRecorder, replay_lines
 from repro.trace.diff import diff_reports, render_diff
-from repro.trace.format import TraceFingerprintError
-from repro.trace.replay import replay_path
+from repro.trace.format import TraceFingerprintError, read_trace
+from repro.trace.replay import replay_engine, replay_path
 from repro.workloads.dacapo import run_workload
 from repro.workloads.microbench import MICROBENCHMARKS, scenario_by_name
 from repro.workloads.outcomes import run_scenario
-from repro.workloads.pyc_micro import PYC_MICROBENCHMARKS, run_pyc_scenario
+from repro.workloads.pyc_micro import (
+    PYC_MICROBENCHMARKS,
+    run_pyc_scenario,
+    type_confusion,
+)
+from tests.test_trace_bytes import _reachable_model_objects
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA, "fuzz_corpus")
 LEAK_GLOBAL = os.path.join(CORPUS, "leak_global.trace")
 LEAK_MONITOR = os.path.join(CORPUS, "leak_monitor.trace")
+DANGLING_BORROW = os.path.join(CORPUS, "dangling_borrow.trace")
 MIDFILE_CORRUPT = os.path.join(DATA, "resilience", "midfile_corrupt.trace")
 TORN_TAIL = os.path.join(DATA, "resilience", "torn_tail.trace")
 
@@ -101,14 +112,53 @@ class TestRoundTripParity:
         assert "zero drift" in render_diff(diff)
 
 
+class TestReplayNesting:
+    """The stream is the live call stack, flattened: the edges of
+    reading it back."""
+
+    def test_raised_pyc_violations_replay_as_live(self):
+        """Each violation aborts its extension call, which then has no
+        return record.  The next extension call closes it, so replay
+        stays flat: no RecursionError over 3,000 of them."""
+        recorder = TraceRecorder()
+        checker = PyCChecker(observer=recorder)
+        interp = PythonInterpreter(agents=[checker])
+        interp.register_extension("confuse", type_confusion)
+        raised = 0
+        for _ in range(3000):
+            try:
+                interp.call_extension("confuse")
+            except FFIViolation:
+                raised += 1
+        checker.termination_report()
+        recorder.close()
+        live = [v.report() for v in checker.rt.violations]
+        assert raised == 3000
+        # Each call also leaks its PyLong, reported at exit.
+        assert len(live) == 6000
+        assert replay_lines(recorder.lines).violations == live
+
+    @pytest.mark.parametrize("path", [LEAK_GLOBAL, DANGLING_BORROW],
+                             ids=["jni", "pyc"])
+    def test_finished_replay_holds_no_model_object(self, path):
+        """The engine outlives its trace; the trace's objects do not."""
+        header, records = read_trace(path)
+        engine = replay_engine(header)
+        engine.run(records)
+        held = list(vars(engine).values())
+        assert _reachable_model_objects(held) != []
+        result = engine.finish()
+        assert result.violations
+        held = list(vars(engine).values())
+        assert _reachable_model_objects(held) == []
+
+
 def replay_with_fault(path, machine):
     """Replay one trace with every call into ``machine`` raising."""
     from repro.resilience.chaos import InternalFaultInjector
-    from repro.trace.format import read_trace
-    from repro.trace.replay import _ReplayEngine
 
     header, records = read_trace(path)
-    engine = _ReplayEngine(header)
+    engine = replay_engine(header)
     injector = InternalFaultInjector(machine)
     injector.install(engine.rt)
     engine.run(records)
@@ -116,8 +166,9 @@ def replay_with_fault(path, machine):
 
 
 class TestReplayContainment:
-    """Replay pre-binds each machine's encoding instance, so quarantine
-    must patch the instance's ``on_event`` in place to reach it."""
+    """Replay's entries read ``rt.<machine>`` per crossing, as live ones
+    do, so quarantine is the same attribute swap; each trace starts
+    from fresh encodings and health."""
 
     def test_quarantined_machine_takes_no_more_faults(self):
         engine, injector, result = replay_with_fault(LEAK_GLOBAL, "global_ref")
@@ -136,6 +187,15 @@ class TestReplayContainment:
         assert engine.rt.health.quarantined == ["local_ref"]
         assert injector.fired == 3
         assert any("machine=global_ref" in r for r in result.violations)
+
+    def test_no_fault_outlives_its_replay(self):
+        clean = replay_path(LEAK_GLOBAL)
+        faulted = replay_with_fault(LEAK_GLOBAL, "global_ref")[2]
+        assert faulted.violations != clean.violations
+        again = replay_path(LEAK_GLOBAL)
+        assert again.violations == clean.violations == again.recorded_reports
+        assert again.log_lines == clean.log_lines
+        assert not any("containment" in line for line in again.log_lines)
 
 
 class TestFingerprintGuard:
